@@ -9,6 +9,7 @@ certification.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 
@@ -18,42 +19,6 @@ from .lfunction import central_values
 from .petersson import triangle_check
 
 SCHEMA_VERSION = "1"
-
-
-def _json_dump(obj, out, indent: int = 0) -> None:
-    """Deterministic JSON writer: insertion-ordered keys, floats at 17 digits."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.write("{}")
-            return
-        out.write("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            out.write(f'{pad}  "{key}": ')
-            _json_dump(val, out, indent + 1)
-            out.write(",\n" if i < len(obj) - 1 else "\n")
-        out.write(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.write("[]")
-            return
-        out.write("[\n")
-        for i, val in enumerate(obj):
-            out.write(pad + "  ")
-            _json_dump(val, out, indent + 1)
-            out.write(",\n" if i < len(obj) - 1 else "\n")
-        out.write(pad + "]")
-    elif isinstance(obj, bool):
-        out.write("true" if obj else "false")
-    elif isinstance(obj, float):
-        out.write(format(obj, ".17g"))
-    elif isinstance(obj, int):
-        out.write(str(obj))
-    elif obj is None:
-        out.write("null")
-    else:
-        escaped = str(obj).replace("\\", "\\\\").replace('"', '\\"')
-        out.write(f'"{escaped}"')
 
 
 def _certificate_dict(cert: Certificate) -> dict:
@@ -69,24 +34,24 @@ def _certificate_dict(cert: Certificate) -> dict:
 
 
 def _build_report(weight: int, eps: float, with_triangle: bool) -> tuple[dict, Certificate]:
-    timings: dict[str, int] = {}
+    timings: dict[str, float] = {}
 
-    t0 = time.monotonic()
+    t0 = time.perf_counter()
     cert = certify(weight, eps)
-    timings["certify"] = int((time.monotonic() - t0) * 1000)
+    timings["certify"] = (time.perf_counter() - t0) * 1000.0
 
-    t0 = time.monotonic()
+    t0 = time.perf_counter()
     lvals = [
         {"form_index": i, "value": lv.value, "abs_err": lv.abs_err}
         for i, (_, lv) in enumerate(central_values(weight, eps))
     ]
-    timings["l_values"] = int((time.monotonic() - t0) * 1000)
+    timings["l_values"] = (time.perf_counter() - t0) * 1000.0
 
     triangle = None
     if with_triangle and weight <= 28:
-        t0 = time.monotonic()
+        t0 = time.perf_counter()
         tri = triangle_check(weight, eps)
-        timings["triangle"] = int((time.monotonic() - t0) * 1000)
+        timings["triangle"] = (time.perf_counter() - t0) * 1000.0
         triangle = {
             "lhs": tri.lhs.value,
             "lhs_abs_err": tri.lhs.abs_err,
@@ -122,7 +87,7 @@ def _cmd_certify(args) -> int:
             "weight": args.weight,
             "certificate": _certificate_dict(cert),
         }
-        _json_dump(report, sys.stdout)
+        json.dump(report, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
         _print_certificate(cert, sys.stdout)
@@ -188,7 +153,7 @@ def _cmd_report(args) -> int:
         reports.append(report)
         all_ok = all_ok and cert.nonvanishing
     if args.json:
-        _json_dump(reports, sys.stdout)
+        json.dump(reports, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
         for report in reports:

@@ -28,13 +28,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PrecisionError
-from .ntheory import ValueWithError, divisor_count, gamma_sum, zeta, zeta_even
-from .specfun import (
-    MAX_SERIES_ARG,
-    HalfIntOrder,
-    bessel_envelope,
-    bessel_j,
-)
+from .ntheory import ValueWithError, gamma_sum, zeta_even
+from .specfun import MAX_SERIES_ARG, HalfIntOrder, bessel_j
 
 __all__ = [
     "SignedLog",
@@ -125,8 +120,9 @@ def series_tail_bound(k: int, n: int, m_stop: int) -> float:
 def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     """The kernel Fourier coefficient r_k(n) with certified absolute error on rho.
 
-    The m-series is truncated once the certified tail drops below eps/2;
-    per-term Bessel error plus float accumulation is kept below eps/2.
+    The m-series is truncated once the certified tail drops below eps/2.
+    Only that tail is held to eps: the Bessel and float-rounding parts of
+    the bar grow with n pi and are not (r_k(12, 5, 1e-10) has a 4.1e-9 bar).
     """
     _check_weight(k)
     if k > 40:
@@ -182,25 +178,35 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
                              value=value, terms_used=m_stop)
 
 
+def _deviation_bound(scale: float, scale_ulps: float, n: int) -> float:
+    """2 scale zeta(n)^2 for even n, rounded up into a true upper bound.
+
+    scale is within scale_ulps _EPS of its exact value, relatively.  In
+    `zeta_even` the power (2 pi)^n carries n times math.pi's relative error
+    (under _EPS / 4), and float(B_n), the power, the product, float(2 n!)
+    and the quotient round once each: zeta(n) is within (n / 4 + 3) _EPS.
+    The four roundings below add 2 _EPS.
+    """
+    z = zeta_even(n)
+    rel = (scale_ulps + 2 * (n / 4 + 3) + 2) * _EPS
+    return 2.0 * scale * z * z * (1.0 + rel)
+
+
 def per_k_bound(k: int) -> float:
     """2 (2 pi)^(k/2) ((k/2)! / k!) zeta(k/2)^2: the weight-k deviation bound."""
     _check_weight(k)
-    z = zeta(k / 2)
-    z_hi = z.value + z.abs_err  # keep it a valid upper bound
-    log_val = (
-        math.log(2.0)
-        + (k / 2) * math.log(2 * math.pi)
-        + math.lgamma(k / 2 + 1)
-        - math.lgamma(k + 1)
-        + 2 * math.log(z_hi)
-    )
-    return math.exp(log_val)
+    if k > 40:
+        raise DomainError(f"weights above 40 are out of certified scope, got {k}")
+    h = k // 2
+    # h math.pi errors in the power, then the power, quotient and product round once each
+    scale = (2.0 * math.pi) ** h * (math.factorial(h) / math.factorial(k))
+    return _deviation_bound(scale, h / 4 + 2, h)
 
 
 def global_bound() -> float:
     """2 (2 pi / 7) (2 pi / 8)^5 zeta(6)^2, the weight-uniform deviation bound (< 1)."""
-    z6 = zeta_even(6)  # pi^6 / 945
-    return 2.0 * (2 * math.pi / 7.0) * (2 * math.pi / 8.0) ** 5 * z6 * z6
+    # 6 math.pi errors, then the quotient by 7, the power and the product round once each
+    return _deviation_bound((2 * math.pi / 7.0) * (2 * math.pi / 8.0) ** 5, 4, 6)
 
 
 def certify(k: int, eps: float = 1e-10) -> Certificate:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PrecisionError
-from .ntheory import ValueWithError, divisor_count
+from .ntheory import ValueWithError
 from .qexpansion import Eigenform, eigenforms
 from .specfun import upper_incomplete_gamma
 
@@ -41,35 +41,21 @@ class LValue:
     terms_used: int
 
 
-def _coefficient_bound_constant(f: Eigenform) -> float:
-    """Empirical C with |a_n| <= C d(n) n^((k-1)/2) over the computed range.
-
-    The bound is asserted on every computed coefficient and inflated by 2
-    before it is used for the tail.
-    """
-    k = f.weight
-    c = 0.0
-    for n in range(1, f.n_coeffs + 1):
-        c = max(c, abs(f.coefficient(n)) / (divisor_count(n) * n ** ((k - 1) / 2)))
-    return 2.0 * c
-
-
 def _tail_bound(f: Eigenform, s: float) -> float:
     """Bound on the sum over n > N of both incomplete-gamma halves.
 
     Uses Gamma(t, x) <= 2 x^(t-1) e^-x for x >= 2t, which holds for every
-    n past the computed range here, so each half of term n is at most
-    2 C d(n) n^((k-1)/2) e^(-2 pi n) / (2 pi n).
+    n past the computed range here, and Deligne's bound |a_n| <= d(n) n^((k-1)/2)
+    for the normalized eigenform f (La conjecture de Weil I, 1974), so each
+    half of term n is at most 2 d(n) n^((k-1)/2) e^(-2 pi n) / (2 pi n).
     """
     k = f.weight
-    big_c = _coefficient_bound_constant(f)
     n0 = f.n_coeffs + 1
     if 2.0 * math.pi * n0 < 2.0 * max(s, k - s):
         raise PrecisionError("coefficient count too small for the tail bound")
     # d(n) <= n; first term of a ratio-bounded geometric sum
     log_t0 = (
         math.log(4.0)
-        + math.log(big_c + 5e-324)
         + ((k - 1) / 2 + 1) * math.log(n0)
         - 2.0 * math.pi * n0
         - math.log(2.0 * math.pi * n0)

@@ -1,8 +1,8 @@
 """Integer and arithmetic-function kernels.
 
-Extended gcd, modular inverses, coprime factor pairs, the cosine sums
-gamma_n(m) built from them, divisor counts, exact Bernoulli numbers and
-real zeta values with certified error bounds.
+Modular inverses, coprime factor pairs, the cosine sums gamma_n(m) built
+from them, divisor counts, exact Bernoulli numbers and the closed form of
+zeta at even integers.
 """
 
 from __future__ import annotations
@@ -16,16 +16,12 @@ from .errors import DomainError
 
 __all__ = [
     "ValueWithError",
-    "GammaSumTerm",
-    "ext_gcd",
     "mod_inverse",
     "coprime_factor_pairs",
-    "gamma_sum_terms",
     "gamma_sum",
     "factorize",
     "divisor_count",
     "bernoulli",
-    "zeta",
     "zeta_even",
 ]
 
@@ -56,33 +52,16 @@ class ValueWithError:
         return abs(self.value) > self.abs_err
 
 
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) > 0 and a*x + b*y = g."""
-    if a == 0 and b == 0:
-        raise DomainError("ext_gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def mod_inverse(a: int, c: int) -> int:
     """Inverse of a mod c in [0, c); by convention 0 when c = 1."""
     if a < 1 or c < 1:
         raise DomainError("mod_inverse requires positive arguments")
     if c == 1:
         return 0
-    g, x, _ = ext_gcd(a, c)
-    if g != 1:
-        raise DomainError(f"mod_inverse({a}, {c}): arguments are not coprime")
-    return x % c
+    try:
+        return pow(a, -1, c)
+    except ValueError:
+        raise DomainError(f"mod_inverse({a}, {c}): arguments are not coprime") from None
 
 
 def coprime_factor_pairs(m: int) -> list[tuple[int, int]]:
@@ -103,69 +82,32 @@ def coprime_factor_pairs(m: int) -> list[tuple[int, int]]:
     return pairs
 
 
-@dataclass(frozen=True)
-class GammaSumTerm:
-    """One coprime factor pair (a, c) of m with its modular inverses and cosine."""
-
-    a: int
-    c: int
-    a_inv: int  # inverse of a mod c, 0 when c = 1
-    c_inv: int  # inverse of c mod a, 0 when a = 1
-    angle: float  # pi * n * (a_inv/c - c_inv/a)
-    contribution: float  # cos(angle)
-
-
-# cos(pi * t) for reduced t in [0, 2) whose value is an exact binary float
-_EXACT_COS = {
-    Fraction(0): 1.0,
-    Fraction(1): -1.0,
-    Fraction(1, 2): 0.0,
-    Fraction(3, 2): 0.0,
-    Fraction(1, 3): 0.5,
-    Fraction(5, 3): 0.5,
-    Fraction(2, 3): -0.5,
-    Fraction(4, 3): -0.5,
-}
-
-
-def _cos_pi_times(t: Fraction) -> float:
-    """cos(pi * t) with the angle reduced exactly mod 2 before one float cosine."""
-    t = t % 2
-    hit = _EXACT_COS.get(t)
-    if hit is not None:
-        return hit
-    # fold into [0, 1] for the best-conditioned cosine call
-    if t > 1:
-        t = 2 - t
-    return math.cos(math.pi * float(t))
-
-
-def gamma_sum_terms(n: int, m: int) -> list[GammaSumTerm]:
-    """The individual terms of gamma_n(m), one per coprime factor pair of m."""
-    if n < 1 or m < 1:
-        raise DomainError("gamma_sum_terms requires positive n and m")
-    terms = []
-    for a, c in coprime_factor_pairs(m):
-        a_inv = mod_inverse(a, c)
-        c_inv = mod_inverse(c, a)
-        # n * (a_inv/c - c_inv/a) = n * (a_inv*a - c_inv*c) / m, reduced exactly
-        t = Fraction(n * (a_inv * a - c_inv * c), m)
-        terms.append(
-            GammaSumTerm(
-                a=a,
-                c=c,
-                a_inv=a_inv,
-                c_inv=c_inv,
-                angle=math.pi * float(t),
-                contribution=_cos_pi_times(t),
-            )
-        )
-    return terms
-
-
 def gamma_sum(n: int, m: int) -> float:
     """gamma_n(m): sum of cos(pi*n*(a'/c - c'/a)) over coprime pairs a*c = m."""
-    return sum(t.contribution for t in gamma_sum_terms(n, m))
+    if n < 1 or m < 1:
+        raise DomainError("gamma_sum requires positive n and m")
+    return sum(_cos_pi_over(n, a, c, m) for a, c in coprime_factor_pairs(m))
+
+
+def _cos_pi_over(n: int, a: int, c: int, m: int) -> float:
+    """cos(pi n (a'/c - c'/a)) for the coprime pair a * c = m.
+
+    The angle is pi t / m with t = n (a' a - c' c) reduced exactly mod 2m and
+    folded into [0, m]; the cosine is exact for t / m in {0, 1, 1/2, 1/3, 2/3}.
+    """
+    t = n * (mod_inverse(a, c) * a - mod_inverse(c, a) * c) % (2 * m)
+    t = min(t, 2 * m - t)
+    if t == 0:
+        return 1.0
+    if t == m:
+        return -1.0
+    if 2 * t == m:
+        return 0.0
+    if 3 * t == m:
+        return 0.5
+    if 3 * t == 2 * m:
+        return -0.5
+    return math.cos(math.pi * (t / m))
 
 
 def factorize(m: int) -> list[tuple[int, int]]:
@@ -231,25 +173,3 @@ def zeta_even(n: int) -> float:
         raise DomainError("zeta_even requires even n >= 2")
     b = bernoulli(n)
     return abs(b) * (2.0 * math.pi) ** n / (2 * math.factorial(n))
-
-
-def zeta(s: float) -> ValueWithError:
-    """Riemann zeta at real s > 1 with a certified absolute-error bound.
-
-    Direct summation to M terms; the tail sum_{n>M} n^-s is bracketed by
-    the integrals from M and M+1, whose midpoint is added back in.  M is
-    chosen so the bracket width is below 1e-15 (when reachable).
-    """
-    if not s > 1:
-        raise DomainError(f"zeta requires s > 1, got {s}")
-    # bracket width ~ M^-s; aim for 1e-15, cap the work
-    target = 1e-15
-    M = 10
-    while M ** (-s) > target and M < 2_000_000:
-        M *= 2
-    partial = math.fsum(float(n) ** (-s) for n in range(1, M + 1))
-    hi_tail = M ** (1.0 - s) / (s - 1.0)
-    lo_tail = (M + 1) ** (1.0 - s) / (s - 1.0)
-    value = partial + 0.5 * (hi_tail + lo_tail)
-    tail_err = 0.5 * (hi_tail - lo_tail)
-    return ValueWithError(value, tail_err + 5e-16 * value)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, PrecisionError
 from .kernel import r_k
 from .lfunction import central_values
-from .ntheory import ValueWithError, divisor_count
+from .ntheory import ValueWithError
 from .qexpansion import Eigenform
 from .specfun import upper_incomplete_gamma
 
@@ -62,14 +62,11 @@ def default_spec(k: int) -> QuadratureSpec:
 
 
 def _series_truncation(f: Eigenform, y: float) -> float:
-    """Bound on |sum_{n > N} a_n q^n| at height y, via |a_n| <= C d(n) n^((k-1)/2)."""
+    """Bound on |sum_{n > N} a_n q^n| at height y, via Deligne's bound
+    |a_n| <= d(n) n^((k-1)/2) <= n^((k+1)/2) for the normalized eigenform f."""
     k = f.weight
-    c = 0.0
-    for n in range(1, f.n_coeffs + 1):
-        c = max(c, abs(f.coefficient(n)) / (divisor_count(n) * n ** ((k - 1) / 2)))
-    c *= 2.0
     n0 = f.n_coeffs + 1
-    log_t0 = math.log(c + 5e-324) + ((k + 1) / 2) * math.log(n0) - 2.0 * math.pi * y * n0
+    log_t0 = ((k + 1) / 2) * math.log(n0) - 2.0 * math.pi * y * n0
     ratio = ((n0 + 1) / n0) ** ((k + 1) / 2) * math.exp(-2.0 * math.pi * y)
     if ratio >= 1.0:
         raise PrecisionError("q-series does not decay at the requested height")

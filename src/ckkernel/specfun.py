@@ -2,8 +2,8 @@
 
 Bessel J of half-integer order via the ascending power series (small
 arguments only, which is all the kernel series ever needs), the classical
-power envelope |J_nu(x)| <= (x/2)^nu / Gamma(nu+1), log-gamma, and the
-upper incomplete gamma function used by the completed-L sums.
+power envelope |J_nu(x)| <= (x/2)^nu / Gamma(nu+1), and the upper
+incomplete gamma function used by the completed-L sums.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ __all__ = [
     "HalfIntOrder",
     "bessel_j",
     "bessel_envelope",
-    "bessel_envelope_weight_form",
-    "log_gamma",
     "upper_incomplete_gamma",
 ]
 
@@ -50,13 +48,6 @@ class HalfIntOrder:
         return cls(k - 1)
 
 
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not x > 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def bessel_envelope(nu: HalfIntOrder, x: float) -> float:
     """The classical bound (x/2)^nu / Gamma(nu + 1) on |J_nu(x)|, x >= 0."""
     if x < 0:
@@ -65,23 +56,6 @@ def bessel_envelope(nu: HalfIntOrder, x: float) -> float:
         return 0.0
     v = nu.nu
     return math.exp(v * math.log(x / 2.0) - math.lgamma(v + 1.0))
-
-
-def bessel_envelope_weight_form(k: int, x: float) -> float:
-    """The same envelope at order (k-1)/2, written through the half-integer
-    Gamma values: sqrt(2/pi) * ((k/2)! / k!) * 2^(k/2) * x^((k-1)/2)."""
-    if x < 0:
-        raise DomainError("x must be >= 0")
-    if x == 0.0:
-        return 0.0
-    lg = (
-        0.5 * math.log(2.0 / math.pi)
-        + math.lgamma(k / 2 + 1.0)
-        - math.lgamma(k + 1.0)
-        + (k / 2) * math.log(2.0)
-        + ((k - 1) / 2) * math.log(x)
-    )
-    return math.exp(lg)
 
 
 def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:

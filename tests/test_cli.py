@@ -4,8 +4,11 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from ckkernel.cli import _json_dump, _parse_weights, main
+from ckkernel.cli import _parse_weights, main
 from ckkernel.errors import DomainError
+from ckkernel.kernel import certify
+from ckkernel.lfunction import central_values
+from ckkernel.petersson import triangle_check
 
 
 def run_cli(argv):
@@ -15,25 +18,38 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def certificate_floats(cert):
+    return [cert.rho.value, cert.rho.abs_err, cert.per_k_bound, cert.global_bound]
+
+
 class TestJsonDump:
+    """The floats printed by --json parse back to the library's exact floats."""
+
     def test_round_trips_through_stdlib_parser(self):
-        obj = {
-            "s": "a \"quoted\" back\\slash",
-            "f": 0.1,
-            "i": 7,
-            "b": True,
-            "none": None,
-            "list": [1.5, {"x": 2}],
-            "empty": {},
-        }
-        buf = io.StringIO()
-        _json_dump(obj, buf)
-        assert json.loads(buf.getvalue()) == obj
+        code, out, _ = run_cli(["certify", "--weight", "16", "--json"])
+        assert code == 0
+        doc = json.loads(out)["certificate"]
+        printed = [doc["rho"], doc["rho_abs_err"], doc["per_k_bound"], doc["global_bound"]]
+        assert printed == certificate_floats(certify(16))
+        assert all(type(v) is float for v in printed)
 
     def test_floats_keep_full_precision(self):
-        buf = io.StringIO()
-        _json_dump({"v": 0.8743979255512999}, buf)
-        assert json.loads(buf.getvalue())["v"] == 0.8743979255512999
+        code, out, _ = run_cli(["report", "--weights", "12", "--json", "--triangle"])
+        assert code == 0
+        (doc,) = json.loads(out)
+        cert = doc["certificate"]
+        assert [cert["rho"], cert["rho_abs_err"], cert["per_k_bound"],
+                cert["global_bound"]] == certificate_floats(certify(12))
+        lvals = [(lv.value, lv.abs_err) for _, lv in central_values(12)]
+        assert [(lv["value"], lv["abs_err"]) for lv in doc["l_values"]] == lvals
+        tri = triangle_check(12)
+        assert doc["triangle"] == {
+            "lhs": tri.lhs.value,
+            "lhs_abs_err": tri.lhs.abs_err,
+            "rhs": tri.rhs.value,
+            "rhs_abs_err": tri.rhs.abs_err,
+            "ratio": tri.ratio,
+        }
 
 
 class TestParseWeights:
@@ -113,6 +129,13 @@ class TestOtherCommands:
         assert doc["triangle"] is None
         assert len(doc["l_values"]) == 1
         assert doc["l_values"][0]["value"] > 0
+
+    def test_report_timings_resolve_below_a_millisecond(self):
+        code, out, _ = run_cli(["report", "--weights", "12", "--json"])
+        assert code == 0
+        timings = json.loads(out)[0]["timings_ms"]
+        assert set(timings) == {"certify", "l_values"}
+        assert all(type(t) is float and t > 0.0 for t in timings.values())
 
     def test_report_with_triangle(self):
         code, out, _ = run_cli(["report", "--weights", "12", "--json", "--triangle"])

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 
 from ckkernel.errors import DomainError, PrecisionError
@@ -84,6 +85,22 @@ class TestBounds:
         z6 = math.pi**6 / 945.0
         direct = 2.0 * (2 * math.pi / 7.0) * (math.pi / 4.0) ** 5 * z6 * z6
         assert global_bound() == pytest.approx(direct, rel=1e-13)
+
+    def test_bounds_are_upper_bounds_at_50_digits(self):
+        with mp.workdps(50):
+            two_pi = 2 * mp.pi
+            for k in range(12, 41, 4):
+                h = k // 2
+                exact = 2 * two_pi**h * mp.factorial(h) / mp.factorial(k) * mp.zeta(h) ** 2
+                assert mp.mpf(per_k_bound(k)) >= exact, k
+            exact = 2 * (two_pi / 7) * (two_pi / 8) ** 5 * mp.zeta(6) ** 2
+            assert mp.mpf(global_bound()) >= exact
+
+    def test_per_k_domain(self):
+        with pytest.raises(DomainError):
+            per_k_bound(14)
+        with pytest.raises(DomainError):
+            per_k_bound(44)
 
 
 class TestSeriesTailBound:

@@ -10,40 +10,13 @@ from ckkernel.ntheory import (
     bernoulli,
     coprime_factor_pairs,
     divisor_count,
-    ext_gcd,
     factorize,
     gamma_sum,
-    gamma_sum_terms,
     mod_inverse,
-    zeta,
     zeta_even,
 )
 
-
-class TestExtGcd:
-    def test_unit_pair(self):
-        g, x, y = ext_gcd(1, 1)
-        assert g == 1 and 1 * x + 1 * y == 1
-
-    def test_coprime(self):
-        g, _, _ = ext_gcd(6, 35)
-        assert g == 1
-
-    def test_common_factor(self):
-        g, x, y = ext_gcd(12, 18)
-        assert g == 6 and 12 * x + 18 * y == 6
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(DomainError):
-            ext_gcd(0, 0)
-
-    @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
-    def test_bezout_identity(self, a, b):
-        if a == 0 and b == 0:
-            return
-        g, x, y = ext_gcd(a, b)
-        assert g == math.gcd(a, b) > 0
-        assert a * x + b * y == g
+EPS = 2.220446049250313e-16
 
 
 class TestModInverse:
@@ -64,6 +37,15 @@ class TestModInverse:
             for a in range(1, c):
                 if math.gcd(a, c) == 1:
                     assert (a * mod_inverse(a, c)) % c == 1
+
+    @given(st.integers(1, 10**9), st.integers(2, 10**9))
+    def test_inverse_or_rejection(self, a, c):
+        if math.gcd(a, c) != 1:
+            with pytest.raises(DomainError):
+                mod_inverse(a, c)
+            return
+        inv = mod_inverse(a, c)
+        assert 0 <= inv < c and (a * inv) % c == 1
 
 
 class TestCoprimeFactorPairs:
@@ -92,37 +74,54 @@ class TestGammaSum:
         assert gamma_sum(1, 2) == 0.0
         assert gamma_sum(1, 3) == 1.0
 
-    def test_term_invariants(self):
-        for m in (1, 6, 30, 100):
-            for t in gamma_sum_terms(3, m):
-                assert t.a * t.c == m
-                assert abs(t.contribution) <= 1.0
-                if t.c > 1:
-                    assert (t.a * t.a_inv) % t.c == 1
-                else:
-                    assert t.a_inv == 0
-                if t.a > 1:
-                    assert (t.c * t.c_inv) % t.a == 1
-                else:
-                    assert t.c_inv == 0
+    def test_matches_fraction_reduction(self):
+        # the angle reduced as an exact Fraction mod 2, the exact cosines
+        # looked up, the rest folded into [0, 1] before one float cosine
+        exact = {
+            Fraction(0): 1.0,
+            Fraction(1): -1.0,
+            Fraction(1, 2): 0.0,
+            Fraction(3, 2): 0.0,
+            Fraction(1, 3): 0.5,
+            Fraction(5, 3): 0.5,
+            Fraction(2, 3): -0.5,
+            Fraction(4, 3): -0.5,
+        }
+
+        def cos_pi_times(t):
+            t = t % 2
+            if t in exact:
+                return exact[t]
+            if t > 1:
+                t = 2 - t
+            return math.cos(math.pi * float(t))
+
+        for m in range(1, 2049):
+            pairs = coprime_factor_pairs(m)
+            for n in range(1, 6):
+                ref = sum(
+                    cos_pi_times(
+                        Fraction(
+                            n * ((pow(a, -1, c) if c > 1 else 0) * a
+                                 - (pow(c, -1, a) if a > 1 else 0) * c),
+                            m,
+                        )
+                    )
+                    for a, c in pairs
+                )
+                assert gamma_sum(n, m) == ref, (n, m)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            gamma_sum(0, 5)
+        with pytest.raises(DomainError):
+            gamma_sum(1, 0)
 
     def test_divisor_bound(self):
         for m in range(1, 501):
             d = divisor_count(m)
             for n in range(1, 21):
                 assert abs(gamma_sum(n, m)) <= d + 1e-12
-
-    def test_pair_swap_symmetry(self):
-        # summing only a <= c and doubling (a = c only at m = 1) matches
-        for m in range(1, 200):
-            for n in (1, 4):
-                half = 0.0
-                for t in gamma_sum_terms(n, m):
-                    if t.a < t.c:
-                        half += 2.0 * t.contribution
-                    elif t.a == t.c:
-                        half += t.contribution
-                assert half == pytest.approx(gamma_sum(n, m), abs=1e-12)
 
     def test_oracle_direct_cosine(self):
         # independent float evaluation without exact angle reduction
@@ -170,35 +169,32 @@ class TestBernoulli:
 
 class TestZeta:
     def test_closed_forms(self):
-        assert zeta(2).value == pytest.approx(math.pi**2 / 6, abs=1e-12)
-        assert zeta(6).value == pytest.approx(math.pi**6 / 945, abs=1e-12)
-
-    def test_zeta7_against_independent_tail_oracle(self):
-        # coarse partial sum with bracketing integral tails
-        m = 5000
-        partial = sum(n**-7.0 for n in range(1, m + 1))
-        lo = partial + (m + 1) ** -6.0 / 6.0
-        hi = partial + m**-6.0 / 6.0
-        z = zeta(7)
-        assert lo - 1e-12 <= z.value <= hi + 1e-12
-        assert z.value == pytest.approx(1.0083493, abs=1e-7)
+        assert zeta_even(2) == pytest.approx(math.pi**2 / 6, rel=1e-15)
+        assert zeta_even(6) == pytest.approx(math.pi**6 / 945, rel=1e-15)
 
     def test_even_values_match_bernoulli_closed_form(self):
-        for t in range(1, 9):
-            closed = zeta_even(2 * t)
-            z = zeta(2 * t)
-            # the closed form itself carries a few ulps from (2*pi)**(2t)
-            assert abs(z.value - closed) <= z.abs_err + 1e-15 * closed
+        # an independent partial sum to M terms, its tail bracketed by the
+        # integrals from M and M + 1, against the allowance of
+        # kernel._deviation_bound
+        m = 5000
+        for n in range(2, 41, 2):
+            partial = math.fsum(j ** -float(n) for j in range(1, m + 1))
+            lo = partial + (m + 1) ** (1.0 - n) / (n - 1)
+            hi = partial + m ** (1.0 - n) / (n - 1)
+            z = zeta_even(n)
+            slack = (n / 4 + 3) * EPS * z
+            assert lo - slack <= z <= hi + slack
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            zeta(1.0)
-        with pytest.raises(DomainError):
-            zeta(0.5)
+        for n in (-2, 0, 1, 3, 7):
+            with pytest.raises(DomainError):
+                zeta_even(n)
 
     def test_error_bound_honest_against_mpmath(self):
+        # kernel._deviation_bound allows (n / 4 + 3) EPS of relative error
         import mpmath as mp
 
-        for s in (1.5, 2.0, 3.7, 6.0, 11.0, 20.0):
-            z = zeta(s)
-            assert abs(z.value - float(mp.zeta(s))) <= z.abs_err
+        with mp.workdps(50):
+            for n in range(2, 41, 2):
+                ref = mp.zeta(n)
+                assert abs(mp.mpf(zeta_even(n)) - ref) <= (n / 4 + 3) * EPS * ref
