@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, PrecisionError
 from .ntheory import ValueWithError, gamma_sum, zeta_even
-from .specfun import MAX_SERIES_ARG, HalfIntOrder, bessel_j
+from .specfun import MAX_SERIES_ARG, HalfIntOrder, bessel_envelope, bessel_j
 
 __all__ = [
     "SignedLog",
@@ -99,22 +99,14 @@ def series_tail_bound(k: int, n: int, m_stop: int) -> float:
     """Certified bound on sqrt(2 pi) |sum_{m > m_stop} g_n(m) sqrt(n pi/m) J(n pi/m)|.
 
     Each term is at most d(m) sqrt(n pi/m) * envelope((k-1)/2, n pi/m)
-    = A * d(m) * m^(-k/2) with A = sqrt(n pi) (n pi/2)^((k-1)/2) / Gamma((k+1)/2).
+    = A * d(m) * m^(-k/2) with A = sqrt(n pi) envelope((k-1)/2, n pi)
+    = sqrt(n pi) (n pi/2)^((k-1)/2) / Gamma((k+1)/2).
     With d(m) <= 2 sqrt(m) the tail is bounded by the integral
     2 A * m_stop^((3-k)/2) * 2/(k-3).
     """
-    log_a = (
-        0.5 * math.log(n * math.pi)
-        + (k - 1) / 2 * math.log(n * math.pi / 2.0)
-        - math.lgamma((k + 1) / 2)
-    )
-    log_tail = (
-        0.5 * math.log(2 * math.pi)
-        + log_a
-        + math.log(4.0 / (k - 3))
-        + (3 - k) / 2 * math.log(m_stop)
-    )
-    return math.exp(log_tail)
+    x = n * math.pi
+    a = math.sqrt(x) * bessel_envelope(HalfIntOrder.for_weight(k), x)
+    return math.sqrt(2 * math.pi) * a * (4.0 / (k - 3)) * m_stop ** ((3 - k) / 2)
 
 
 def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:

@@ -1,12 +1,16 @@
 """Exact truncated q-series arithmetic and Hecke eigenform extraction.
 
-All series carry exact rational coefficients; floating conversion happens
-only when eigenforms are assembled at the end.  Products truncate to the
-minimum precision of their operands, never silently beyond it.
+E4, E6, Delta and the Miller basis carry integer coefficients, and the
+Hecke matrices on that basis integer entries.  `Fraction` appears only in
+an Eisenstein series whose constant -2k/B_k is not an integer (E12 and up)
+and in the characteristic polynomial.  Floating conversion happens only
+when eigenforms are assembled at the end.  Products truncate to the minimum precision of their
+operands, never silently beyond it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,17 +34,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QExpansion:
-    """A truncated power series in q with exact rational coefficients."""
+    """A truncated power series in q with exact coefficients.
+
+    The coefficients are `int`, or `Fraction` where a value is not integral.
+    """
 
     weight: int
     prec: int
-    coeffs: tuple[Fraction, ...]  # coefficient of q^i at index i
+    coeffs: tuple[int | Fraction, ...]  # coefficient of q^i at index i
 
     def __post_init__(self):
         if self.prec < 1 or len(self.coeffs) != self.prec:
             raise ValueError("coeffs length must equal prec >= 1")
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int) -> int | Fraction:
         return self.coeffs[i]
 
     def __add__(self, other: "QExpansion") -> "QExpansion":
@@ -52,15 +59,14 @@ class QExpansion:
         )
 
     def __sub__(self, other: "QExpansion") -> "QExpansion":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def scale(self, c) -> "QExpansion":
-        c = Fraction(c)
         return QExpansion(self.weight, self.prec, tuple(c * a for a in self.coeffs))
 
     def __mul__(self, other: "QExpansion") -> "QExpansion":
         n = min(self.prec, other.prec)
-        out = [Fraction(0)] * n
+        out = [0] * n
         for i, a in enumerate(self.coeffs[:n]):
             if a == 0:
                 continue
@@ -73,7 +79,7 @@ class QExpansion:
     def pow(self, e: int) -> "QExpansion":
         if e < 0:
             raise DomainError("negative powers are not supported")
-        result = QExpansion(0, self.prec, (Fraction(1),) + (Fraction(0),) * (self.prec - 1))
+        result = QExpansion(0, self.prec, (1,) + (0,) * (self.prec - 1))
         base = self
         while e:
             if e & 1:
@@ -112,23 +118,29 @@ def _sigma(j: int, n: int) -> int:
 
 
 def eisenstein(k: int, prec: int) -> QExpansion:
-    """E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n, exact."""
+    """E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n, exact.
+
+    The coefficients are `int` when -2k/B_k is an integer (k = 4, 6, 8, 10, 14).
+    """
     if k < 4 or k % 2:
         raise DomainError(f"eisenstein requires even k >= 4, got {k}")
     if prec < 1:
         raise DomainError("prec must be >= 1")
     c = Fraction(-2 * k) / bernoulli(k)
-    coeffs = [Fraction(1)] + [c * _sigma(k - 1, n) for n in range(1, prec)]
+    if c.denominator == 1:
+        c = c.numerator
+    coeffs = [1] + [c * _sigma(k - 1, n) for n in range(1, prec)]
     return QExpansion(k, prec, tuple(coeffs))
 
 
 def delta(prec: int) -> QExpansion:
-    """The discriminant cusp form (E4^3 - E6^2)/1728, weight 12."""
+    """The discriminant cusp form (E4^3 - E6^2)/1728, weight 12, in integers."""
     if prec < 1:
         raise DomainError("prec must be >= 1")
     e4 = eisenstein(4, prec)
     e6 = eisenstein(6, prec)
-    return (e4.pow(3) - e6.pow(2)).scale(Fraction(1, 1728))
+    diff = e4.pow(3) - e6.pow(2)
+    return QExpansion(12, prec, tuple(c // 1728 for c in diff.coeffs))
 
 
 def dim_cusp(k: int) -> int:
@@ -141,45 +153,14 @@ def dim_cusp(k: int) -> int:
     return dim_m - 1
 
 
-def _monomial_basis(k: int, prec: int) -> list[QExpansion]:
-    """All monomials E4^a E6^b Delta^c of weight k; they span M_k."""
-    e4 = eisenstein(4, prec)
-    e6 = eisenstein(6, prec)
-    dl = delta(prec)
-    out = []
-    for c in range(k // 12 + 1):
-        rem = k - 12 * c
-        for b in range(rem // 6 + 1):
-            rem2 = rem - 6 * b
-            if rem2 % 4 == 0:
-                out.append(e4.pow(rem2 // 4) * e6.pow(b) * dl.pow(c))
-    return out
-
-
-def _echelonize(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Reduced row-echelon form over the rationals."""
-    rows = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    return rows[:r]
-
-
 def miller_basis(k: int, prec: int) -> list[QExpansion]:
-    """The echelonized basis g_1..g_d of S_k with g_i = q^i + O(q^(d+1))."""
+    """The Miller basis g_1..g_d of S_k: integer q-series with g_i = q^i + O(q^(d+1)).
+
+    With k = 12d + k0, k0 in {0, 4, 6, 8, 10, 14}, each Delta^j E6^(2(d-j)) E_k0
+    is q^j + O(q^(j+1)) with integer coefficients (E_0 = 1, and otherwise
+    E_k0 = E4^b E6^a as dim M_k0 = 1); clearing the entries above the
+    diagonal from the last row up keeps them integral.
+    """
     if k < 4 or k % 2:
         raise DomainError(f"miller_basis requires even k >= 4, got {k}")
     d = dim_cusp(k)
@@ -187,20 +168,32 @@ def miller_basis(k: int, prec: int) -> list[QExpansion]:
         return []
     if prec <= d:
         raise PrecisionError(f"miller_basis needs prec > dim S_k = {d}, got {prec}")
-    rows = [list(m.coeffs) for m in _monomial_basis(k, prec)]
-    reduced = _echelonize(rows)
-    basis = [row for row in reduced if row[0] == 0]
-    if len(basis) != d:
-        raise UnsupportedError("echelon reduction did not produce dim S_k cusp rows")
-    return [QExpansion(k, prec, tuple(row)) for row in basis]
+    k0 = k - 12 * d
+    dl = delta(prec)
+    e6 = eisenstein(6, prec)
+    e6_sq = e6 * e6
+    right = eisenstein(k0, prec) if k0 else e6_sq.pow(0)  # E6^(2(d-j)) E_k0
+    dl_pows = [dl]
+    while len(dl_pows) < d:
+        dl_pows.append(dl_pows[-1] * dl)
+    rows = []
+    for j in range(d, 0, -1):
+        g = right * dl_pows[j - 1]
+        for i, h in enumerate(rows):  # h = g_(d-i), already reduced
+            if g[d - i]:
+                g = g - h.scale(g[d - i])
+        rows.append(g)
+        if j > 1:
+            right = right * e6_sq
+    return rows[::-1]
 
 
-def hecke_coefficients(f: QExpansion, n: int, out_prec: int) -> list[Fraction]:
+def hecke_coefficients(f: QExpansion, n: int, out_prec: int) -> list[int | Fraction]:
     """Coefficients 0..out_prec-1 of T_n f, weight-k level-1 action."""
     k = f.weight
-    out = [Fraction(0)] * out_prec
+    out = [0] * out_prec
     for m in range(1, out_prec):
-        acc = Fraction(0)
+        acc = 0
         for d in range(1, math.gcd(n, m) + 1):
             if n % d or m % d:
                 continue
@@ -209,15 +202,25 @@ def hecke_coefficients(f: QExpansion, n: int, out_prec: int) -> list[Fraction]:
                 raise PrecisionError(
                     f"T_{n} needs coefficient {idx} but prec is only {f.prec}"
                 )
-            acc += Fraction(d) ** (k - 1) * f.coeffs[idx]
+            acc += d ** (k - 1) * f.coeffs[idx]
         out[m] = acc
     return out
 
 
-def hecke_matrix(k: int, n: int, prec: int | None = None) -> list[list[Fraction]]:
+def _hecke_on_basis(basis: list[QExpansion], n: int) -> list[list[int]]:
+    """The matrix of T_n on a Miller basis; column i holds T_n g_i.
+
+    By the echelon property T_n g_i = sum_j (T_n g_i)[j] g_j exactly.
+    """
+    d = len(basis)
+    cols = [hecke_coefficients(g, n, d + 1)[1:] for g in basis]
+    return [list(row) for row in zip(*cols)]
+
+
+def hecke_matrix(k: int, n: int, prec: int | None = None) -> list[list[int]]:
     """The matrix of T_n on the Miller basis of S_k; column i holds T_n g_i.
 
-    Exact rational entries.  prec defaults to the minimum n*d + 1 the
+    Exact integer entries.  prec defaults to the minimum n*d + 1 the
     computation needs and is rejected when too small.
     """
     if n < 2:
@@ -230,17 +233,10 @@ def hecke_matrix(k: int, n: int, prec: int | None = None) -> list[list[Fraction]
         prec = needed
     if prec < needed:
         raise PrecisionError(f"hecke_matrix(k={k}, n={n}) needs prec >= {needed}")
-    basis = miller_basis(k, prec)
-    mat = [[Fraction(0)] * d for _ in range(d)]
-    for i, g in enumerate(basis):
-        tg = hecke_coefficients(g, n, d + 1)
-        # echelon basis: T_n g_i = sum_j tg[j] g_j exactly
-        for j in range(1, d + 1):
-            mat[j - 1][i] = tg[j]
-    return mat
+    return _hecke_on_basis(miller_basis(k, prec), n)
 
 
-def _char_poly(mat: list[list[Fraction]]) -> list[Fraction]:
+def _char_poly(mat: list[list[int]]) -> list[Fraction]:
     """Characteristic polynomial det(xI - A), monic, by Faddeev-LeVerrier.
 
     Returned as coefficients [c_0, ..., c_d] with c_d = 1.
@@ -272,21 +268,25 @@ def eigenforms(k: int, n_coeffs: int = 60) -> list[Eigenform]:
 
     Obtained by diagonalizing T_2 on the Miller basis; eigenvalue roots are
     extracted in high-precision reals and the eigen-combination is read off
-    the exact basis.  Forms are ordered by increasing a_2.
+    the exact basis.  Forms are ordered by increasing a_2.  The forms of the
+    last few (k, n_coeffs) are kept, so a repeated call builds no basis.
     """
+    return list(_eigenforms(k, n_coeffs))
+
+
+@functools.lru_cache(maxsize=32)
+def _eigenforms(k: int, n_coeffs: int) -> tuple[Eigenform, ...]:
     if k < 12 or k % 2:
         raise DomainError(f"eigenforms requires even k >= 12, got {k}")
     d = dim_cusp(k)
     if d == 0:
-        return []
+        return ()
     prec = max(n_coeffs + 1, 2 * d + 1)
     basis = miller_basis(k, prec)
     if d == 1:
         g = basis[0]
-        return [
-            Eigenform(k, tuple(float(g.coeffs[n]) for n in range(1, n_coeffs + 1)), 1)
-        ]
-    t2 = hecke_matrix(k, 2)
+        return (Eigenform(k, tuple(float(g.coeffs[n]) for n in range(1, n_coeffs + 1)), 1),)
+    t2 = _hecke_on_basis(basis, 2)
     poly = _char_poly(t2)
 
     with mp.workdps(60):
@@ -310,9 +310,8 @@ def eigenforms(k: int, n_coeffs: int = 60) -> list[Eigenform]:
             rhs = mp.matrix(d - 1, 1)
             for r in range(1, d):
                 for c in range(1, d):
-                    v = mp.mpf(t2[r][c].numerator) / t2[r][c].denominator
-                    sub[r - 1, c - 1] = v - (lam if r == c else 0)
-                rhs[r - 1] = -(mp.mpf(t2[r][0].numerator) / t2[r][0].denominator)
+                    sub[r - 1, c - 1] = mp.mpf(t2[r][c]) - (lam if r == c else 0)
+                rhs[r - 1] = -mp.mpf(t2[r][0])
             w = mp.lu_solve(sub, rhs)
             weights = [mp.mpf(1)] + [w[i] for i in range(d - 1)]
             a = []
@@ -321,8 +320,8 @@ def eigenforms(k: int, n_coeffs: int = 60) -> list[Eigenform]:
                 for i, g in enumerate(basis):
                     c = g.coeffs[n]
                     if c:
-                        acc += weights[i] * mp.mpf(c.numerator) / c.denominator
+                        acc += weights[i] * mp.mpf(c)
                 a.append(float(acc))
             forms.append(Eigenform(k, tuple(a), d))
     forms.sort(key=lambda f: f.coefficient(2))
-    return forms
+    return tuple(forms)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ckkernel import qexpansion
 from ckkernel.errors import DomainError, PrecisionError
 from ckkernel.ntheory import divisor_count
 from ckkernel.qexpansion import (
@@ -34,6 +35,57 @@ def sigma(j: int, n: int) -> int:
     return sum(d**j for d in range(1, n + 1) if n % d == 0)
 
 
+def series_mul(a: list, b: list) -> list:
+    n = len(a)
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(n)]
+
+
+def series_pow(a: list, e: int) -> list:
+    out = [1] + [0] * (len(a) - 1)
+    for _ in range(e):
+        out = series_mul(out, a)
+    return out
+
+
+def echelonize(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Reduced row-echelon form over the rationals."""
+    rows = [row[:] for row in rows]
+    r = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return rows[:r]
+
+
+def monomial_miller_basis(k: int, prec: int) -> list[list[Fraction]]:
+    """Independent oracle for the Miller basis: every monomial E4^a E6^b Delta^c
+    of weight k (they span M_k), row-reduced over the rationals; the rows
+    with a zero constant term are the g_i = q^i + O(q^(d+1))."""
+    e4 = [1] + [240 * sigma(3, n) for n in range(1, prec)]
+    e6 = [1] + [-504 * sigma(5, n) for n in range(1, prec)]
+    diff = [x - y for x, y in zip(series_pow(e4, 3), series_pow(e6, 2))]
+    assert all(x % 1728 == 0 for x in diff)
+    dl = [x // 1728 for x in diff]
+    rows = []
+    for c in range(k // 12 + 1):
+        for b in range((k - 12 * c) // 6 + 1):
+            rem = k - 12 * c - 6 * b
+            if rem % 4 == 0:
+                row = series_mul(series_mul(series_pow(e4, rem // 4), series_pow(e6, b)),
+                                 series_pow(dl, c))
+                rows.append([Fraction(x) for x in row])
+    return [row for row in echelonize(rows) if row[0] == 0]
+
+
 class TestEisenstein:
     def test_e4(self):
         e4 = eisenstein(4, 3)
@@ -45,6 +97,11 @@ class TestEisenstein:
 
     def test_truncation_to_constant(self):
         assert list(eisenstein(4, 1).coeffs) == [1]
+
+    def test_non_integral_constant_stays_exact(self):
+        e12 = eisenstein(12, 3)
+        assert list(e12.coeffs) == [1, Fraction(65520, 691), Fraction(65520 * 2049, 691)]
+        assert all(type(c) is Fraction for c in e12.coeffs[1:])
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -108,6 +165,22 @@ class TestMillerBasis:
     def test_insufficient_prec_rejected(self):
         with pytest.raises(PrecisionError):
             miller_basis(24, 2)
+
+    def test_matches_monomial_row_reduction(self):
+        for k in range(12, 41, 2):
+            d = dim_cusp(k)
+            for prec in (d + 2, 61, 121):
+                basis = miller_basis(k, prec)
+                assert [list(g.coeffs) for g in basis] == monomial_miller_basis(k, prec), (k, prec)
+                assert all(g.weight == k and g.prec == prec for g in basis)
+
+    def test_integer_coefficients(self):
+        prec = 61
+        series = [eisenstein(4, prec), eisenstein(6, prec), delta(prec)]
+        for k in range(12, 41, 2):
+            series += miller_basis(k, prec)
+        for f in series:
+            assert all(type(c) is int for c in f.coeffs), f.weight
 
 
 class TestHeckeMatrix:
@@ -179,6 +252,30 @@ class TestEigenforms:
                 assert eigenforms(k, 10) == [] if k >= 12 else True
             else:
                 assert len(eigenforms(k, 10)) == dim_cusp(k)
+
+    def test_returned_list_is_the_callers_own(self):
+        forms = eigenforms(24, 60)
+        expected = list(forms)
+        forms.clear()
+        forms2 = eigenforms(24, 60)
+        assert forms2 == expected
+        forms2[0] = None
+        assert eigenforms(24, 60) == expected
+
+    def test_one_basis_per_call_and_none_when_repeated(self, monkeypatch):
+        calls = []
+        build = qexpansion.miller_basis
+
+        def counting(k, prec):
+            calls.append((k, prec))
+            return build(k, prec)
+
+        monkeypatch.setattr(qexpansion, "miller_basis", counting)
+        qexpansion._eigenforms.cache_clear()
+        first = eigenforms(36, 50)
+        assert calls == [(36, 51)]
+        assert eigenforms(36, 50) == first
+        assert calls == [(36, 51)]
 
     def test_deligne_bound_holds_empirically(self):
         for f in eigenforms(24, 60):
