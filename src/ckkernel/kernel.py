@@ -4,10 +4,10 @@ Evaluates the normalized bracket
 
     rho_k(n) = 1 + (-1)^(k/4+n) sqrt(2 pi) sum_m g_n(m) sqrt(n pi / m) J_{(k-1)/2}(n pi / m)
 
-where g_n(m) is the cosine sum over coprime pairs a*c = m with the inverse
-mod 1 taken as 1: for m > 1 the boundary pairs (1, m) and (m, 1) carry
-(-1)^n cos(pi n / m), so g_n(m) = gamma_n(m) + ((-1)^n - 1) 2 cos(pi n / m)
-with gamma_n from `ntheory` (whose inverse mod 1 is 0), and g_n(1) = 1.
+where g_n(m) is the cosine sum over coprime pairs a*c = m in which, for
+m > 1, the boundary pairs (1, m) and (m, 1) carry (-1)^n cos(pi n / m).
+`ntheory.gamma_sum` gives those two pairs cos(pi n / m), so
+g_n(m) = gamma_n(m) + ((-1)^n - 1) 2 cos(pi n / m), and g_n(1) = 1.
 Even n is unaffected.  The coefficient is
 
     r_k(n) = (8 pi)^(k/2-1) n^(k/2-1) rho_k(n) / (4 (k-2)!),
@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
+# 16 / 210^(1/3) = 2.69182538518..., rounded up: 2^omega(m) <= _OMEGA_C m^(1/3)
+_OMEGA_C = 2.69183
 
 
 def _check_weight(k: int) -> None:
@@ -98,15 +100,23 @@ def c_k(k: int) -> SignedLog:
 def series_tail_bound(k: int, n: int, m_stop: int) -> float:
     """Certified bound on sqrt(2 pi) |sum_{m > m_stop} g_n(m) sqrt(n pi/m) J(n pi/m)|.
 
-    Each term is at most d(m) sqrt(n pi/m) * envelope((k-1)/2, n pi/m)
-    = A * d(m) * m^(-k/2) with A = sqrt(n pi) envelope((k-1)/2, n pi)
-    = sqrt(n pi) (n pi/2)^((k-1)/2) / Gamma((k+1)/2).
-    With d(m) <= 2 sqrt(m) the tail is bounded by the integral
-    2 A * m_stop^((3-k)/2) * 2/(k-3).
+    g_n(m) is a sum of 2^omega(m) unit cosines, one per coprime pair, and
+    |J_nu(x)| <= (x/2)^nu / Gamma(nu + 1) = envelope(nu, x), so with
+    nu = (k-1)/2 the m-th term is at most
+    2^omega(m) sqrt(n pi/m) envelope(nu, n pi/m) = A 2^omega(m) m^(-k/2),
+    A = sqrt(n pi) envelope(nu, n pi).
+
+    2^omega(m) <= C m^(1/3) with C = prod_{p in {2,3,5,7}} 2/p^(1/3)
+    = 16/210^(1/3): 2^omega(m) / m^(1/3) = prod_{p^e || m} 2/p^(e/3) is at
+    most prod_{p | m} 2/p^(1/3), and 2/p^(1/3) > 1 only for p < 8.  The
+    term is then at most A C m^(1/3-k/2), which decreases in m, so the
+    tail is at most the integral from m_stop,
+    A C m_stop^(4/3-k/2) / (k/2 - 4/3).  _OMEGA_C is C rounded up by
+    1.7e-6 relative, which covers the few roundings of this evaluation.
     """
     x = n * math.pi
     a = math.sqrt(x) * bessel_envelope(HalfIntOrder.for_weight(k), x)
-    return math.sqrt(2 * math.pi) * a * (4.0 / (k - 3)) * m_stop ** ((3 - k) / 2)
+    return math.sqrt(2 * math.pi) * a * _OMEGA_C * m_stop ** (4 / 3 - k / 2) / (k / 2 - 4 / 3)
 
 
 def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
@@ -144,7 +154,7 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     for m in range(1, m_stop + 1):
         g = gamma_sum(n, m)
         if n % 2 and m > 1:
-            # boundary pairs (1, m), (m, 1): inverse mod 1 is 1, flipping both cosines
+            # boundary pairs (1, m), (m, 1): (-1)^n cos(pi n/m) in g_n, cos(pi n/m) in gamma_n
             g -= 4.0 * math.cos(math.pi * n / m)
         x = n * math.pi / m
         j = bessel_j(nu, x)

@@ -1,8 +1,8 @@
 """Integer and arithmetic-function kernels.
 
-Modular inverses, coprime factor pairs, the cosine sums gamma_n(m) built
-from them, divisor counts, exact Bernoulli numbers and the closed form of
-zeta at even integers.
+Coprime factor pairs, the cosine sums gamma_n(m) over them, divisor
+counts, exact Bernoulli numbers and the closed form of zeta at even
+integers.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .errors import DomainError
 
 __all__ = [
     "ValueWithError",
-    "mod_inverse",
     "coprime_factor_pairs",
     "gamma_sum",
     "factorize",
@@ -40,28 +39,8 @@ class ValueWithError:
         if not (self.abs_err >= 0.0 and math.isfinite(self.abs_err)):
             raise ValueError(f"abs_err must be finite and >= 0, got {self.abs_err}")
 
-    @property
-    def lo(self) -> float:
-        return self.value - self.abs_err
-
-    @property
-    def hi(self) -> float:
-        return self.value + self.abs_err
-
     def excludes_zero(self) -> bool:
         return abs(self.value) > self.abs_err
-
-
-def mod_inverse(a: int, c: int) -> int:
-    """Inverse of a mod c in [0, c); by convention 0 when c = 1."""
-    if a < 1 or c < 1:
-        raise DomainError("mod_inverse requires positive arguments")
-    if c == 1:
-        return 0
-    try:
-        return pow(a, -1, c)
-    except ValueError:
-        raise DomainError(f"mod_inverse({a}, {c}): arguments are not coprime") from None
 
 
 def coprime_factor_pairs(m: int) -> list[tuple[int, int]]:
@@ -83,19 +62,40 @@ def coprime_factor_pairs(m: int) -> list[tuple[int, int]]:
 
 
 def gamma_sum(n: int, m: int) -> float:
-    """gamma_n(m): sum of cos(pi*n*(a'/c - c'/a)) over coprime pairs a*c = m."""
+    """gamma_n(m): sum of cos(pi*n*(a'/c - c'/a)) over coprime pairs a*c = m.
+
+    a' is the inverse of a mod c and c' that of c mod a; the boundary pairs
+    (1, m) and (m, 1) contribute cos(pi n / m) each, and gamma_n(1) = 1.
+
+    The pair (c, a) negates the angle of (a, c), so only the pairs with
+    a < sqrt(m) are evaluated.  For such a pair e = a a' is 0 mod a and
+    1 mod c, c c' = (1 - e) mod m, and a' a - c' c is 1 when e = 1
+    (a = 1) and 2e - 1 - m otherwise.  The cosines are summed in the order
+    of the sorted pairs (a, c): the half with a < sqrt(m), then its mirror.
+    """
     if n < 1 or m < 1:
         raise DomainError("gamma_sum requires positive n and m")
-    return sum(_cos_pi_over(n, a, c, m) for a, c in coprime_factor_pairs(m))
+    if m == 1:
+        return 1.0
+    half = []
+    for a in range(1, math.isqrt(m) + 1):
+        if m % a:
+            continue
+        c = m // a
+        if math.gcd(a, c) != 1:
+            continue
+        e = a * pow(a, -1, c)
+        half.append(_cos_pi_over(n * (1 if e == 1 else 2 * e - 1 - m), m))
+    return sum(half + half[::-1])
 
 
-def _cos_pi_over(n: int, a: int, c: int, m: int) -> float:
-    """cos(pi n (a'/c - c'/a)) for the coprime pair a * c = m.
+def _cos_pi_over(s: int, m: int) -> float:
+    """cos(pi s / m) for an integer s.
 
-    The angle is pi t / m with t = n (a' a - c' c) reduced exactly mod 2m and
-    folded into [0, m]; the cosine is exact for t / m in {0, 1, 1/2, 1/3, 2/3}.
+    s is reduced exactly mod 2m and folded into t in [0, m]; the cosine is
+    exact for t / m in {0, 1, 1/2, 1/3, 2/3}.
     """
-    t = n * (mod_inverse(a, c) * a - mod_inverse(c, a) * c) % (2 * m)
+    t = s % (2 * m)
     t = min(t, 2 * m - t)
     if t == 0:
         return 1.0

@@ -5,6 +5,7 @@ import pytest
 
 from ckkernel.errors import DomainError, PrecisionError
 from ckkernel.kernel import (
+    _OMEGA_C,
     c_k,
     certify,
     global_bound,
@@ -13,7 +14,7 @@ from ckkernel.kernel import (
     series_tail_bound,
 )
 from ckkernel.ntheory import gamma_sum
-from ckkernel.specfun import HalfIntOrder, bessel_j
+from ckkernel.specfun import HalfIntOrder, bessel_envelope, bessel_j
 
 
 class TestCk:
@@ -118,6 +119,33 @@ class TestSeriesTailBound:
     def test_decreases_in_cutoff(self):
         assert series_tail_bound(12, 1, 64) < series_tail_bound(12, 1, 8)
 
+    def test_omega_constant_rounded_up(self):
+        with mp.workdps(50):
+            assert mp.mpf(_OMEGA_C) >= 16 / mp.cbrt(210)
+
+    def test_two_to_omega_below_constant_times_cube_root(self):
+        # omega(m) by a sieve over the primes, independent of ntheory.factorize
+        top = 10**5
+        omega = [0] * (top + 1)
+        for p in range(2, top + 1):
+            if omega[p] == 0:
+                for q in range(p, top + 1, p):
+                    omega[q] += 1
+        for m in range(1, top + 1):
+            assert 2 ** omega[m] <= _OMEGA_C * m ** (1 / 3), m
+
+    def test_not_above_the_divisor_bound(self):
+        # the d(m) <= 2 sqrt(m) tail, 2 A m_stop^((3-k)/2) 2/(k-3)
+        cutoffs = [8 << j for j in range(20)] + [12 << j for j in range(19)]
+        for k in range(12, 41, 4):
+            nu = HalfIntOrder.for_weight(k)
+            for n in range(1, 6):
+                x = n * math.pi
+                a = math.sqrt(x) * bessel_envelope(nu, x)
+                for m_stop in cutoffs:
+                    old = math.sqrt(2 * math.pi) * a * (4.0 / (k - 3)) * m_stop ** ((3 - k) / 2)
+                    assert series_tail_bound(k, n, m_stop) <= old, (k, n, m_stop)
+
 
 class TestRk:
     def test_weight_12_rho(self):
@@ -140,6 +168,17 @@ class TestRk:
         tight = r_k(12, 1, 1e-12)
         assert abs(loose.rho.value - tight.rho.value) <= loose.rho.abs_err
         assert tight.rho.abs_err < loose.rho.abs_err
+
+    def test_cutoff_is_first_power_of_two_below_half_eps(self):
+        # m_stop climbs 8, 16, 32, ... and stops at the first tail below eps/2
+        for k in (12, 16, 24, 40):
+            for n in (1, 2, 5):
+                for eps in (1e-8, 1e-10, 1e-13):
+                    m_stop = r_k(k, n, eps).terms_used
+                    assert m_stop >= 8 and m_stop & (m_stop - 1) == 0
+                    assert series_tail_bound(k, n, m_stop) < eps / 2
+                    if m_stop > 8:
+                        assert series_tail_bound(k, n, m_stop // 2) >= eps / 2
 
     def test_value_is_prefactor_times_rho(self):
         for k in (12, 20, 32):

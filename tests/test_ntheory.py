@@ -2,8 +2,6 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ckkernel.errors import DomainError
 from ckkernel.ntheory import (
@@ -12,40 +10,10 @@ from ckkernel.ntheory import (
     divisor_count,
     factorize,
     gamma_sum,
-    mod_inverse,
     zeta_even,
 )
 
 EPS = 2.220446049250313e-16
-
-
-class TestModInverse:
-    def test_mod_one_convention(self):
-        assert mod_inverse(1, 1) == 0
-        assert mod_inverse(7, 1) == 0
-
-    def test_small_cases(self):
-        assert mod_inverse(2, 5) == 3
-        assert mod_inverse(3, 7) == 5
-
-    def test_non_coprime_rejected(self):
-        with pytest.raises(DomainError):
-            mod_inverse(4, 6)
-
-    def test_round_trip_exhaustive(self):
-        for c in range(2, 1001):
-            for a in range(1, c):
-                if math.gcd(a, c) == 1:
-                    assert (a * mod_inverse(a, c)) % c == 1
-
-    @given(st.integers(1, 10**9), st.integers(2, 10**9))
-    def test_inverse_or_rejection(self, a, c):
-        if math.gcd(a, c) != 1:
-            with pytest.raises(DomainError):
-                mod_inverse(a, c)
-            return
-        inv = mod_inverse(a, c)
-        assert 0 <= inv < c and (a * inv) % c == 1
 
 
 class TestCoprimeFactorPairs:
@@ -106,6 +74,31 @@ class TestGammaSum:
                                  - (pow(c, -1, a) if a > 1 else 0) * c),
                             m,
                         )
+                    )
+                    for a, c in pairs
+                )
+                assert gamma_sum(n, m) == ref, (n, m)
+
+    def test_matches_full_pair_sum(self):
+        # every sorted coprime pair with its own two inverses (0 mod 1), the
+        # same exact reduction and fold, summed in the same order
+        def cos_pi_over(s, m):
+            t = s % (2 * m)
+            t = min(t, 2 * m - t)
+            for num, den, value in ((0, 1, 1.0), (1, 1, -1.0), (1, 2, 0.0),
+                                    (1, 3, 0.5), (2, 3, -0.5)):
+                if den * t == num * m:
+                    return value
+            return math.cos(math.pi * (t / m))
+
+        for m in range(1, 8193):
+            pairs = coprime_factor_pairs(m)
+            for n in range(1, 6):
+                ref = sum(
+                    cos_pi_over(
+                        n * ((pow(a, -1, c) if c > 1 else 0) * a
+                             - (pow(c, -1, a) if a > 1 else 0) * c),
+                        m,
                     )
                     for a, c in pairs
                 )
