@@ -16,6 +16,7 @@ normalized Hecke eigenforms of weight k (Kohnen's identity, see
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -96,12 +97,24 @@ def _integrand(
     return fv * np.conj(gv) * yk, fa * ga * yk
 
 
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], built once per n.
+
+    The arrays are read-only, so no caller can alter the memoized rule.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _quadrature_value(
     f: Eigenform, g: Eigenform, k: int, spec: QuadratureSpec
 ) -> tuple[complex, float]:
     """The quadrature sum, and sum_nodes w F_abs G_abs y^(k-2) for its rounding bound."""
-    xn, xw = np.polynomial.legendre.leggauss(spec.x_nodes)
-    yn, yw = np.polynomial.legendre.leggauss(spec.y_nodes)
+    xn, xw = _gauss_legendre(spec.x_nodes)
+    yn, yw = _gauss_legendre(spec.y_nodes)
     xs = 0.5 * xn  # [-1/2, 1/2]
     xws = 0.5 * xw
 

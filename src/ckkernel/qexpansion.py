@@ -4,8 +4,10 @@ E4, E6, Delta and the Miller basis carry integer coefficients, and the
 Hecke matrices on that basis integer entries.  `Fraction` appears only in
 an Eisenstein series whose constant -2k/B_k is not an integer (E12 and up)
 and in the characteristic polynomial.  Floating conversion happens only
-when eigenforms are assembled at the end.  Products truncate to the minimum precision of their
-operands, never silently beyond it.
+when eigenforms are assembled at the end.  Products truncate to the minimum
+precision of their operands, never silently beyond it, and each is one
+integer multiply of the Kronecker-substituted operands.  The divisor sums
+sigma_{k-1}(n) of an Eisenstein series come from one divisor sieve.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ class QExpansion:
     """A truncated power series in q with exact coefficients.
 
     The coefficients are `int`, or `Fraction` where a value is not integral.
+    A product packs each operand into one integer and multiplies once
+    (Kronecker substitution), so it costs one big-integer multiply.
     """
 
     weight: int
@@ -65,16 +69,40 @@ class QExpansion:
         return QExpansion(self.weight, self.prec, tuple(c * a for a in self.coeffs))
 
     def __mul__(self, other: "QExpansion") -> "QExpansion":
+        """The product, truncated to the smaller precision n, by Kronecker substitution.
+
+        Both sides are cleared of denominators and packed into one integer
+        each, b bits per coefficient; one integer multiply then gives every
+        coefficient c_i of the integer product.  For i < n,
+        |c_i| <= n max|a| max|b|, so b is that bound's length plus a sign bit,
+        rounded up to whole bytes, and adding 2^(b-1) to every slot makes the
+        low n slots of the product non-negative and carry-free.
+        """
         n = min(self.prec, other.prec)
-        out = [0] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a == 0:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return QExpansion(self.weight + other.weight, n, tuple(out))
+        den_a = math.lcm(*(c.denominator for c in self.coeffs[:n]))
+        den_b = math.lcm(*(c.denominator for c in other.coeffs[:n]))
+        a = [c.numerator * (den_a // c.denominator) for c in self.coeffs[:n]]
+        b = [c.numerator * (den_b // c.denominator) for c in other.coeffs[:n]]
+        weight = self.weight + other.weight
+        bound = n * max(map(abs, a)) * max(map(abs, b))
+        if not bound:
+            return QExpansion(weight, n, (0,) * n)
+        width = (bound.bit_length() + 8) // 8  # bytes per slot
+        half = 1 << (8 * width - 1)
+        bias = int.from_bytes(b"\x01".ljust(width, b"\0") * n, "little") << (8 * width - 1)
+
+        def pack(cs: list[int]) -> int:
+            return int.from_bytes(
+                b"".join((c + half).to_bytes(width, "little") for c in cs), "little"
+            ) - bias
+
+        size = width * n
+        low = ((pack(a) * pack(b) + bias) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+        out = [int.from_bytes(low[i : i + width], "little") - half for i in range(0, size, width)]
+        den = den_a * den_b
+        if den != 1:
+            out = [c // den if c % den == 0 else Fraction(c, den) for c in out]
+        return QExpansion(weight, n, tuple(out))
 
     def pow(self, e: int) -> "QExpansion":
         if e < 0:
@@ -113,10 +141,6 @@ class Eigenform:
         return len(self.a)
 
 
-def _sigma(j: int, n: int) -> int:
-    return sum(d**j for d in range(1, n + 1) if n % d == 0)
-
-
 def eisenstein(k: int, prec: int) -> QExpansion:
     """E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n, exact.
 
@@ -129,7 +153,12 @@ def eisenstein(k: int, prec: int) -> QExpansion:
     c = Fraction(-2 * k) / bernoulli(k)
     if c.denominator == 1:
         c = c.numerator
-    coeffs = [1] + [c * _sigma(k - 1, n) for n in range(1, prec)]
+    sigma = [0] * prec  # sigma_{k-1}(n), by sieving every divisor d into its multiples
+    for d in range(1, prec):
+        p = d ** (k - 1)
+        for m in range(d, prec, d):
+            sigma[m] += p
+    coeffs = [1] + [c * sigma[n] for n in range(1, prec)]
     return QExpansion(k, prec, tuple(coeffs))
 
 
@@ -278,6 +307,8 @@ def eigenforms(k: int, n_coeffs: int = 60) -> list[Eigenform]:
 def _eigenforms(k: int, n_coeffs: int) -> tuple[Eigenform, ...]:
     if k < 12 or k % 2:
         raise DomainError(f"eigenforms requires even k >= 12, got {k}")
+    if n_coeffs < 1:
+        raise DomainError(f"eigenforms requires n_coeffs >= 1, got {n_coeffs}")
     d = dim_cusp(k)
     if d == 0:
         return ()

@@ -1,8 +1,10 @@
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
+from ckkernel import petersson
 from ckkernel.errors import DomainError
 from ckkernel.kernel import r_k
 from ckkernel.lfunction import completed_l
@@ -48,6 +50,25 @@ class TestQuadratureSpec:
     def test_default_cutoff_grows_with_weight(self):
         assert default_spec(12).y_cutoff == 6.0
         assert default_spec(40).y_cutoff == pytest.approx(14.0)
+
+
+class TestGaussLegendre:
+    def test_memoized_rule_is_leggauss_and_read_only(self):
+        for n in (8, 26, 32, 40, 48, 80, 96):
+            nodes, weights = petersson._gauss_legendre(n)
+            ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+            assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+            assert petersson._gauss_legendre(n)[0] is nodes
+            for arr in (nodes, weights):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+                with pytest.raises(ValueError):
+                    arr *= 2.0
+
+    def test_repeated_norm_is_identical(self):
+        for k in (12, 40):
+            for f in eigenforms(k, 120):
+                assert petersson_norm_sq(f) == petersson_norm_sq(f)
 
 
 class TestPeterssonInner:

@@ -2,10 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ckkernel import qexpansion
 from ckkernel.errors import DomainError, PrecisionError
-from ckkernel.ntheory import divisor_count
+from ckkernel.ntheory import bernoulli, divisor_count
 from ckkernel.qexpansion import (
     QExpansion,
     delta,
@@ -86,6 +88,33 @@ def monomial_miller_basis(k: int, prec: int) -> list[list[Fraction]]:
     return [row for row in echelonize(rows) if row[0] == 0]
 
 
+# coefficient lists of one kind each: small signed ints, ints above 2^200,
+# exact fractions, ints and fractions mixed (like E12), and zeros
+COEFF_LISTS = st.sampled_from([
+    st.integers(-1000, 1000),
+    st.integers(2**200, 2**260) | st.integers(-(2**260), -(2**200)),
+    st.fractions(max_denominator=60),
+    st.integers(-50, 50) | st.fractions(max_denominator=12),
+    st.just(0),
+]).flatmap(lambda coeffs: st.lists(coeffs, min_size=1, max_size=40))
+
+
+class TestProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(a=COEFF_LISTS, b=COEFF_LISTS)
+    @example(a=[7], b=[-3])
+    @example(a=[0, 0, 0], b=[5, -1])
+    @example(a=[2**255 - 1, -(2**255)], b=[-(2**255), 2**255 - 1, 1])
+    @example(a=[Fraction(1, 2), Fraction(-3, 2)], b=[2, Fraction(2, 3), 4])
+    def test_matches_schoolbook(self, a, b):
+        n = min(len(a), len(b))
+        prod = QExpansion(4, len(a), tuple(a)) * QExpansion(6, len(b), tuple(b))
+        assert (prod.weight, prod.prec) == (10, n)
+        assert list(prod.coeffs) == series_mul(a[:n], b[:n])
+        # int where integral, Fraction otherwise
+        assert all(type(c) is int or c.denominator > 1 for c in prod.coeffs)
+
+
 class TestEisenstein:
     def test_e4(self):
         e4 = eisenstein(4, 3)
@@ -102,6 +131,13 @@ class TestEisenstein:
         e12 = eisenstein(12, 3)
         assert list(e12.coeffs) == [1, Fraction(65520, 691), Fraction(65520 * 2049, 691)]
         assert all(type(c) is Fraction for c in e12.coeffs[1:])
+
+    def test_sieved_sigma_matches_divisor_sum(self):
+        prec = 250
+        for k in range(4, 41, 2):
+            c = Fraction(-2 * k) / bernoulli(k)
+            expected = [1] + [c * sigma(k - 1, n) for n in range(1, prec)]
+            assert list(eisenstein(k, prec).coeffs) == expected, k
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -252,6 +288,11 @@ class TestEigenforms:
                 assert eigenforms(k, 10) == [] if k >= 12 else True
             else:
                 assert len(eigenforms(k, 10)) == dim_cusp(k)
+
+    def test_domain(self):
+        for k, n_coeffs in ((11, 10), (10, 10), (12, 0), (24, 0), (24, -3), (14, 0)):
+            with pytest.raises(DomainError):
+                eigenforms(k, n_coeffs)
 
     def test_returned_list_is_the_callers_own(self):
         forms = eigenforms(24, 60)
