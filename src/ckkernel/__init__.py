@@ -8,7 +8,7 @@ exact q-expansion arithmetic, central L-values, and Petersson quadrature.
 """
 
 from .errors import DomainError, PrecisionError, UnsupportedError
-from .kernel import Certificate, KernelCoefficient, c_k, certify, global_bound, per_k_bound, r_k
+from .kernel import Certificate, KernelCoefficient, certify, global_bound, per_k_bound, r_k
 from .lfunction import LValue, central_values, completed_l, functional_equation_residual
 from .ntheory import ValueWithError, bernoulli, divisor_count, gamma_sum
 from .petersson import QuadratureSpec, petersson_norm_sq, triangle_check
@@ -30,7 +30,6 @@ __all__ = [
     "bernoulli",
     "divisor_count",
     "gamma_sum",
-    "c_k",
     "certify",
     "global_bound",
     "per_k_bound",

@@ -16,10 +16,9 @@ and with L*(f, s) = (2 pi)^-s Gamma(s) L(f, s) over the Hecke eigenforms
 of weight k it equals sum_f L*(f, k/2) a_f(n) / (16 Gamma(k/2) ||f||^2)
 (Kohnen, J. Number Theory 67 (1997), after Cohen 1981; see
 `petersson.triangle_check`).  The module also carries a certified
-truncation tail, the sign/log form of the constant c_k, the per-weight
-and global deviation bounds, and the non-vanishing certificate for
-r_k(1).  The coefficient itself is reported through its log-prefactor so
-large weights never underflow.
+truncation tail, the per-weight and global deviation bounds, and the
+non-vanishing certificate for r_k(1).  The coefficient itself is reported
+through its log-prefactor so large weights never underflow.
 """
 
 from __future__ import annotations
@@ -32,10 +31,8 @@ from .ntheory import ValueWithError, gamma_sum, zeta_even
 from .specfun import MAX_SERIES_ARG, HalfIntOrder, bessel_envelope, bessel_j
 
 __all__ = [
-    "SignedLog",
     "KernelCoefficient",
     "Certificate",
-    "c_k",
     "r_k",
     "series_tail_bound",
     "per_k_bound",
@@ -51,18 +48,6 @@ _OMEGA_C = 2.69183
 def _check_weight(k: int) -> None:
     if k % 4 != 0 or k < 12:
         raise DomainError(f"weight must satisfy k ≡ 0 (mod 4) and k >= 12, got {k}")
-
-
-@dataclass(frozen=True)
-class SignedLog:
-    """A nonzero real stored as sign and natural log of its magnitude."""
-
-    sign: int
-    log_mag: float
-
-    @property
-    def value(self) -> float:
-        return self.sign * math.exp(self.log_mag)
 
 
 @dataclass(frozen=True)
@@ -87,14 +72,6 @@ class Certificate:
     global_bound: float
     nonvanishing: bool
     sign: int  # +1 / -1, 0 when undetermined
-
-
-def c_k(k: int) -> SignedLog:
-    """The constant (-1)^(k/4) (8 pi)^(k/2-1) (k/2-1)! / (k-2)! in sign-log form."""
-    _check_weight(k)
-    sign = -1 if (k // 4) % 2 else 1
-    log_mag = (k / 2 - 1) * math.log(8 * math.pi) + math.lgamma(k / 2) - math.lgamma(k - 1)
-    return SignedLog(sign, log_mag)
 
 
 def series_tail_bound(k: int, n: int, m_stop: int) -> float:

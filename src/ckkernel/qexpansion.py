@@ -1,23 +1,24 @@
 """Exact truncated q-series arithmetic and Hecke eigenform extraction.
 
 E4, E6, Delta and the Miller basis carry integer coefficients, and the
-Hecke matrices on that basis integer entries.  `Fraction` appears only in
-an Eisenstein series whose constant -2k/B_k is not an integer (E12 and up)
-and in the characteristic polynomial.  Floating conversion happens only
-when eigenforms are assembled at the end.  Products truncate to the minimum
-precision of their operands, never silently beyond it, and each is one
-integer multiply of the Kronecker-substituted operands.  The divisor sums
-sigma_{k-1}(n) of an Eisenstein series come from one divisor sieve.
+Hecke matrices on that basis and their characteristic polynomials integer
+entries.  `Fraction` appears only in an Eisenstein series whose constant
+-2k/B_k is not an integer (E12 and up).  The T_2 eigenvalues are bracketed
+between dyadic rationals, and floating conversion happens only when the
+eigenform coefficients are assembled, one rounding each.  Products
+truncate to the minimum precision of their operands, never silently
+beyond it, and each is one integer multiply of the Kronecker-substituted
+operands.  The divisor sums sigma_{k-1}(n) of an Eisenstein series come
+from one divisor sieve.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath as mp
 
 from .errors import DomainError, PrecisionError, UnsupportedError
 from .ntheory import bernoulli
@@ -265,40 +266,165 @@ def hecke_matrix(k: int, n: int, prec: int | None = None) -> list[list[int]]:
     return _hecke_on_basis(miller_basis(k, prec), n)
 
 
-def _char_poly(mat: list[list[int]]) -> list[Fraction]:
-    """Characteristic polynomial det(xI - A), monic, by Faddeev-LeVerrier.
+def _char_poly(mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """det(xI - A) and the first column of adj(xI - A), by Faddeev-LeVerrier.
 
-    Returned as coefficients [c_0, ..., c_d] with c_d = 1.
+    With M_1 = I, c_(d-i) = -tr(A M_i) / i and M_(i+1) = A M_i + c_(d-i) I,
+    det(xI - A) = sum_j c_j x^j (c_d = 1) and adj(xI - A) = sum_i M_i x^(d-i).
+    For integer A every M_i and c_j is an integer, so each division is exact.
+    Returned: [c_0, ..., c_d], and for each row r the first-column entry of
+    that row of the adjugate as a polynomial in x, coefficients low to high.
     """
     d = len(mat)
-    ident = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    coeffs = [Fraction(0)] * (d + 1)
-    coeffs[d] = Fraction(1)
-    m_prev = [row[:] for row in ident]
+    coeffs = [0] * d + [1]
+    m_prev = [[int(i == j) for j in range(d)] for i in range(d)]
+    adj_col = [[] for _ in range(d)]  # high to low while built
     for i in range(1, d + 1):
+        for r in range(d):
+            adj_col[r].append(m_prev[r][0])
         am = [
             [sum(mat[r][t] * m_prev[t][c] for t in range(d)) for c in range(d)]
             for r in range(d)
         ]
-        tr = sum(am[r][r] for r in range(d))
-        c = -tr / i
+        c = -sum(am[r][r] for r in range(d)) // i
         coeffs[d - i] = c
         m_prev = [[am[r][cc] + (c if r == cc else 0) for cc in range(d)] for r in range(d)]
-    return coeffs
+    return coeffs, [col[::-1] for col in adj_col]
 
 
-def hecke_char_poly(k: int, n: int = 2) -> list[Fraction]:
-    """Characteristic polynomial of T_n on S_k, coefficients low to high."""
-    return _char_poly(hecke_matrix(k, n)) if dim_cusp(k) else [Fraction(1)]
+def hecke_char_poly(k: int, n: int = 2) -> list[int]:
+    """Characteristic polynomial of T_n on S_k, integer coefficients low to high."""
+    return _char_poly(hecke_matrix(k, n))[0] if dim_cusp(k) else [1]
+
+
+# Each T_2 eigenvalue is bracketed in a cell of width 2^-_ROOT_BITS and used at
+# the cell's midpoint, within 2^-201 of it.  200 bits match the 60 significant
+# digits (199 bits) of the mpmath computation kept as the tests' oracle.  For
+# every even k = 12..60 at 60 and 120 coefficients and k = 64, 72, 80, 96, 120
+# at 40, cells of 2^-60 already give the same floats: a margin of 140 bits.
+_ROOT_BITS = 200
+
+
+def _homogenize(q: list[int], bits: int) -> list[int]:
+    """q(m / 2^bits) 2^(bits deg q) as a polynomial in m with integer coefficients."""
+    return [c << (bits * (len(q) - 1 - j)) for j, c in enumerate(q)]
+
+
+def _horner(coeffs: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """The Sturm sequence of p (coefficients low to high) in primitive integers.
+
+    p_0 = p, p_1 = p' and p_{i+1} = -rem(p_{i-1}, p_i); every remainder is
+    scaled by a positive rational, which keeps every sign the theorem counts.
+    The last entry is gcd(p, p') up to such a factor.
+    """
+    chain = [p, [j * c for j, c in enumerate(p)][1:]]
+    while len(chain[-1]) > 1:
+        r, b = chain[-2], chain[-1]
+        lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        while len(r) >= len(b):  # pseudo-division, multiplying r by |lead| only
+            top, shift = sign * r[-1], len(r) - len(b)
+            r = [lead * c for c in r]
+            for j, c in enumerate(b):
+                r[shift + j] -= top * c
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            break
+        g = math.gcd(*r)
+        chain.append([-c // g for c in r])
+    return chain
+
+
+def _real_roots(p: list[int]) -> list[int]:
+    """Isolate the real roots of the integer polynomial p, which must all be real and simple.
+
+    Points are integers on the grid x = m / 2^_ROOT_BITS.  Each returned c
+    says that p has exactly one root in the cell ((c - 1) / 2^_ROOT_BITS,
+    c / 2^_ROOT_BITS]; the list is ascending.  Sturm's theorem counts the
+    distinct roots in (a, b] as V(a) - V(b), V the number of sign changes of
+    the sequence with zeros dropped, so both checks are exact: a non-constant
+    gcd(p, p') means a repeated root, and fewer than deg p roots in a box
+    holding every root (Fujiwara's bound) means a complex one.
+    """
+    chain = _sturm_chain(p)
+    if len(chain[-1]) > 1:
+        raise UnsupportedError("repeated T_2 eigenvalues are not supported")
+    homog = [_homogenize(q, _ROOT_BITS) for q in chain]
+
+    def changes(m: int) -> int:
+        signs = [v > 0 for v in (_horner(q, m) for q in homog) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    # Fujiwara: every root has |z| < 2 max_i |c_(d-i) / c_d|^(1/i) < 2^(1 + max_i e_i)
+    d, lead = len(p) - 1, p[-1].bit_length()
+    exps = [-((lead - 1 - p[d - i].bit_length()) // i) for i in range(1, d + 1) if p[d - i]]
+    bound = 1 << (_ROOT_BITS + max([0, *exps]) + 1)
+    stack = [(-bound, changes(-bound), bound, changes(bound))]
+    if stack[0][1] - stack[0][3] < d:
+        raise UnsupportedError("complex T_2 eigenvalue encountered")
+    cells = []
+    while stack:
+        a, va, b, vb = stack.pop()
+        if va - vb == 1:
+            cells.append(_refine(homog[0], homog[1], a, b))
+        elif va - vb > 1:
+            if b - a == 1:
+                raise PrecisionError(f"two roots closer than 2^-{_ROOT_BITS}")
+            m = (a + b) // 2
+            vm = changes(m)
+            stack += [(a, va, m, vm), (m, vm, b, vb)]
+    return sorted(cells)
+
+
+def _refine(hp: list[int], hdp: list[int], a: int, b: int) -> int:
+    """The grid cell (c - 1, c] holding the one root of p in (a, b].
+
+    hp and hdp are p and p' in the homogenized form of `_real_roots`, so
+    hp(x) / hdp(x) is the Newton step in grid units.  Every evaluated point is
+    classified by the sign of p, which is that of p(b) to the right of the
+    root and the opposite to its left, so the bracket (a, b] stays sound
+    whatever point is tried.  Newton steps are taken while they stay inside
+    and at least halve; otherwise the bracket is bisected.
+    """
+    up = _horner(hp, b)
+    if not up:
+        return b
+    up = up > 0
+    x, step = (a + b) // 2, b - a
+    while b - a > 1:
+        v = _horner(hp, x)
+        if not v or (v > 0) == up:
+            b = x
+        else:
+            a = x
+        dv = _horner(hdp, x)
+        s = (2 * v + dv) // (2 * dv) if dv else step  # round(v / dv)
+        if not s:  # Newton has converged: try the adjacent cell on the root's side
+            x = x + 1 if x == a else x - 1
+        elif 2 * abs(s) < step and a < x - s < b:
+            x, step = x - s, abs(s)
+        else:
+            x, step = (a + b) // 2, b - a
+    return b
 
 
 def eigenforms(k: int, n_coeffs: int = 60) -> list[Eigenform]:
     """All normalized Hecke eigenforms of weight k, with n_coeffs coefficients.
 
-    Obtained by diagonalizing T_2 on the Miller basis; eigenvalue roots are
-    extracted in high-precision reals and the eigen-combination is read off
-    the exact basis.  Forms are ordered by increasing a_2.  The forms of the
-    last few (k, n_coeffs) are kept, so a repeated call builds no basis.
+    Obtained by diagonalizing T_2 on the Miller basis in exact arithmetic:
+    the real roots of its integer characteristic polynomial are isolated by a
+    Sturm sequence and refined to cells of width 2^-200, each eigenvector is
+    the exact adjugate column at its cell's dyadic midpoint, and each
+    coefficient is one integer dot product with the exact basis, rounded once
+    to the nearest float.  Forms are ordered by increasing a_2.  The forms of the last few
+    (k, n_coeffs) are kept, so a repeated call builds no basis.
     """
     return list(_eigenforms(k, n_coeffs))
 
@@ -317,42 +443,19 @@ def _eigenforms(k: int, n_coeffs: int) -> tuple[Eigenform, ...]:
     if d == 1:
         g = basis[0]
         return (Eigenform(k, tuple(float(g.coeffs[n]) for n in range(1, n_coeffs + 1)), 1),)
-    t2 = _hecke_on_basis(basis, 2)
-    poly = _char_poly(t2)
-
-    with mp.workdps(60):
-        roots = mp.polyroots([mp.mpf(c.numerator) / c.denominator for c in reversed(poly)],
-                             maxsteps=200, extraprec=120)
-        roots = sorted(roots, key=lambda r: mp.re(r))
-        scale = max(abs(r) for r in roots) + 1
-        for r in roots:
-            if abs(mp.im(r)) > 1e-30 * scale:
-                raise UnsupportedError("complex T_2 eigenvalue encountered")
-        roots = [mp.re(r) for r in roots]
-        for i in range(1, d):
-            if abs(roots[i] - roots[i - 1]) < 1e-20 * scale:
-                raise UnsupportedError("repeated T_2 eigenvalues are not supported")
-
-        forms = []
-        for lam in roots:
-            # Solve (T2 - lam) w = 0 with w_1 = 1: rows 2..d determine w_2..w_d,
-            # since a_1 of sum w_i g_i is w_1 by the echelon property.
-            sub = mp.matrix(d - 1, d - 1)
-            rhs = mp.matrix(d - 1, 1)
-            for r in range(1, d):
-                for c in range(1, d):
-                    sub[r - 1, c - 1] = mp.mpf(t2[r][c]) - (lam if r == c else 0)
-                rhs[r - 1] = -mp.mpf(t2[r][0])
-            w = mp.lu_solve(sub, rhs)
-            weights = [mp.mpf(1)] + [w[i] for i in range(d - 1)]
-            a = []
-            for n in range(1, n_coeffs + 1):
-                acc = mp.mpf(0)
-                for i, g in enumerate(basis):
-                    c = g.coeffs[n]
-                    if c:
-                        acc += weights[i] * mp.mpf(c)
-                a.append(float(acc))
-            forms.append(Eigenform(k, tuple(a), d))
+    poly, adj_col = _char_poly(_hecke_on_basis(basis, 2))
+    # The first column w of adj(lam I - T_2) satisfies rows 2..d of
+    # (T_2 - lam) w = 0, so at an eigenvalue it is the eigenvector.  It is taken
+    # at the cell's midpoint lam = m / 2^(_ROOT_BITS+1), scaled to integers;
+    # w_1 = det(lam I - B), B the lower (d-1)x(d-1) block of T_2, is non-zero
+    # there, since a monic integer polynomial has no root in Q \ Z.  Dividing
+    # by w_1 normalizes a_1 to 1.
+    adj_col = [_homogenize(q, _ROOT_BITS + 1) for q in adj_col]
+    cols = list(zip(*(g.coeffs[1 : n_coeffs + 1] for g in basis)))
+    forms = []
+    for c in _real_roots(poly):
+        w = [_horner(q, 2 * c - 1) for q in adj_col]
+        a = tuple(sum(map(operator.mul, w, col)) / w[0] for col in cols)  # int / int rounds once
+        forms.append(Eigenform(k, a, d))
     forms.sort(key=lambda f: f.coefficient(2))
     return tuple(forms)

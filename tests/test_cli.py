@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import ckkernel
 from ckkernel.cli import _parse_weights, main
 from ckkernel.errors import DomainError
 from ckkernel.kernel import certify
@@ -155,3 +159,12 @@ class TestOtherCommands:
         code, _, err = run_cli(["report", "--weights", "14:14:1"])
         assert code == 1
         assert "rejected" in err or "error" in err
+
+
+def test_import_leaves_mpmath_unloaded():
+    # mpmath is a test dependency only; loading it would add to every run's start-up
+    src = os.path.dirname(os.path.dirname(ckkernel.__file__))
+    code = "import sys, ckkernel, ckkernel.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

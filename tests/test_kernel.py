@@ -6,7 +6,6 @@ import pytest
 from ckkernel.errors import DomainError, PrecisionError
 from ckkernel.kernel import (
     _OMEGA_C,
-    c_k,
     certify,
     global_bound,
     per_k_bound,
@@ -15,38 +14,6 @@ from ckkernel.kernel import (
 )
 from ckkernel.ntheory import gamma_sum
 from ckkernel.specfun import HalfIntOrder, bessel_envelope, bessel_j
-
-
-class TestCk:
-    def test_weight_12_magnitude(self):
-        # (8 pi)^5 * 5! / 10! = (8 pi)^5 / 30240
-        c = c_k(12)
-        assert c.sign == -1
-        assert math.exp(c.log_mag) == pytest.approx(
-            (8 * math.pi) ** 5 / 30240.0, rel=1e-12
-        )
-
-    def test_sign_alternates_with_quarter_weight(self):
-        assert c_k(12).sign == -1
-        assert c_k(16).sign == 1
-        assert c_k(20).sign == -1
-        assert c_k(24).sign == 1
-
-    def test_value_matches_direct_formula(self):
-        for k in (12, 16, 20, 28):
-            direct = (
-                (-1) ** (k // 4)
-                * (8 * math.pi) ** (k // 2 - 1)
-                * math.factorial(k // 2 - 1)
-                / math.factorial(k - 2)
-            )
-            assert c_k(k).value == pytest.approx(direct, rel=1e-11)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            c_k(14)
-        with pytest.raises(DomainError):
-            c_k(8)
 
 
 class TestBounds:

@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ckkernel import qexpansion
-from ckkernel.errors import DomainError, PrecisionError
+from ckkernel.errors import DomainError, PrecisionError, UnsupportedError
 from ckkernel.ntheory import bernoulli, divisor_count
 from ckkernel.qexpansion import (
     QExpansion,
@@ -18,6 +19,7 @@ from ckkernel.qexpansion import (
     hecke_matrix,
     miller_basis,
 )
+from ckkernel.qexpansion import _ROOT_BITS, _real_roots
 
 
 def eta24_coefficients(prec: int) -> list[Fraction]:
@@ -86,6 +88,34 @@ def monomial_miller_basis(k: int, prec: int) -> list[list[Fraction]]:
                                  series_pow(dl, c))
                 rows.append([Fraction(x) for x in row])
     return [row for row in echelonize(rows) if row[0] == 0]
+
+
+def mpmath_eigenforms(k: int, n_coeffs: int) -> list[tuple[float, ...]]:
+    """Independent oracle for the eigenform coefficients, ordered by a_2: the
+    roots of T_2's characteristic polynomial by mp.polyroots, each eigenvector
+    (w_1 = 1) by mp.lu_solve, and every coefficient summed, all at 60 digits."""
+    d = dim_cusp(k)
+    basis = miller_basis(k, max(n_coeffs + 1, 2 * d + 1))
+    if d == 1:
+        return [tuple(float(c) for c in basis[0].coeffs[1 : n_coeffs + 1])]
+    t2 = hecke_matrix(k, 2)
+    forms = []
+    with mp.workdps(60):
+        poly = [mp.mpf(c) for c in reversed(hecke_char_poly(k))]
+        for lam in mp.polyroots(poly, maxsteps=200, extraprec=120):
+            lam = mp.re(lam)
+            sub = mp.matrix([[t2[r][c] - (lam if r == c else 0) for c in range(1, d)]
+                             for r in range(1, d)])
+            w = [mp.mpf(1)] + list(mp.lu_solve(sub, mp.matrix([-t2[r][0] for r in range(1, d)])))
+            a = []
+            for n in range(1, n_coeffs + 1):
+                acc = mp.mpf(0)
+                for i, g in enumerate(basis):
+                    if g.coeffs[n]:
+                        acc += w[i] * mp.mpf(g.coeffs[n])
+                a.append(float(acc))
+            forms.append(tuple(a))
+    return sorted(forms, key=lambda a: a[1])
 
 
 # coefficient lists of one kind each: small signed ints, ints above 2^200,
@@ -248,11 +278,62 @@ class TestHeckeMatrix:
             assert prod(t2, t3) == prod(t3, t2)
 
 
+def poly_from_roots(roots) -> list[int]:
+    """prod (q x - p) over the roots p/q, integer coefficients low to high."""
+    poly = [1]
+    for r in roots:
+        out = [0] * (len(poly) + 1)
+        for j, c in enumerate(poly):
+            out[j] -= r.numerator * c
+            out[j + 1] += r.denominator * c
+        poly = out
+    return poly
+
+
+class TestRootIsolation:
+    def test_repeated_root_rejected(self):
+        with pytest.raises(UnsupportedError, match="repeated"):
+            _real_roots([2, -3, 0, 1])  # (x - 1)^2 (x + 2)
+
+    def test_complex_roots_rejected(self):
+        for poly in ([1, 0, 1], [-2, 0, 0, 1]):  # x^2 + 1, x^3 - 2
+            with pytest.raises(UnsupportedError, match="complex"):
+                _real_roots(poly)
+
+    def test_roots_in_one_cell_rejected(self):
+        with pytest.raises(PrecisionError):  # 2^-(B+2) and 2^-(B+1) share the cell (0, 2^-B]
+            _real_roots(poly_from_roots([Fraction(1, 2 ** (_ROOT_BITS + 2)),
+                                         Fraction(1, 2 ** (_ROOT_BITS + 1))]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(-100, 100, max_denominator=20), min_size=1, max_size=7,
+                    unique=True))
+    @example([Fraction(0), Fraction(1), Fraction(-1)])  # roots on cell ends
+    @example([Fraction(1, 20), Fraction(1, 19), Fraction(-99, 1)])
+    def test_each_cell_holds_one_true_root(self, roots):
+        # c is the cell ((c - 1) / 2^B, c / 2^B], so the one holding r is ceil(r 2^B)
+        cells = _real_roots(poly_from_roots(roots))
+        assert cells == [math.ceil(r * 2**_ROOT_BITS) for r in sorted(roots)]
+
+    def test_weight_24_cells(self):
+        # T_2 on S_24: x^2 - 1080 x - 20468736, roots 540 -+ 12 sqrt(144169)
+        s = math.isqrt(144 * 144169 << (2 * _ROOT_BITS))  # floor(12 sqrt(144169) 2^B)
+        mid = 540 << _ROOT_BITS
+        assert _real_roots(hecke_char_poly(24)) == [mid - s, mid + s + 1]
+
+
 class TestEigenforms:
     def test_delta_coefficients(self):
         (f,) = eigenforms(12, 5)
         assert f.a == (1.0, -24.0, 252.0, -1472.0, 4830.0)
         assert f.coefficient_field_degree == 1
+
+    def test_matches_mpmath_oracle_float_for_float(self):
+        for k in range(12, 62, 2):
+            if dim_cusp(k):
+                for n_coeffs in (60, 120):
+                    forms = [f.a for f in eigenforms(k, n_coeffs)]
+                    assert forms == mpmath_eigenforms(k, n_coeffs), (k, n_coeffs)
 
     def test_weight_24_eigenvalues(self):
         f1, f2 = eigenforms(24, 10)
