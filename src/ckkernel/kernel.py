@@ -17,8 +17,7 @@ of weight k it equals sum_f L*(f, k/2) a_f(n) / (16 Gamma(k/2) ||f||^2)
 (Kohnen, J. Number Theory 67 (1997), after Cohen 1981; see
 `petersson.triangle_check`).  The module also carries a certified
 truncation tail, the per-weight and global deviation bounds, and the
-non-vanishing certificate for r_k(1).  The coefficient itself is reported
-through its log-prefactor so large weights never underflow.
+non-vanishing certificate for r_k(1).
 """
 
 from __future__ import annotations
@@ -145,15 +144,16 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     rho_err = sqrt_2pi * bessel_err + tail + float_err
     rho = ValueWithError(1.0 + deviation, rho_err)
 
-    log_pref = (
-        (k / 2 - 1) * math.log(8 * math.pi)
-        - math.log(4.0)
-        - math.lgamma(k - 1)
-        + (k / 2 - 1) * math.log(n)
-    )
-    pref = math.exp(log_pref)
-    value = ValueWithError(pref * rho.value, pref * rho.abs_err + 4 * _EPS * pref * abs(rho.value))
-    return KernelCoefficient(k=k, n=n, rho=rho, log_prefactor=log_pref,
+    h = k // 2 - 1
+    # h math.pi errors in the power, then the power, the correctly rounded int
+    # quotient and the product round once each: pref is within rel of exact
+    pref = (8.0 * math.pi) ** h * (n**h / (4 * math.factorial(k - 2)))
+    rel = (h / 4 + 3) * _EPS
+    # pref * rho rounds once more; the factor 1 + 2 rel covers pref's error in
+    # the first term and the four roundings of the bar itself
+    bar = pref * (rho.abs_err + (rel + _EPS) * abs(rho.value)) * (1.0 + 2.0 * rel)
+    value = ValueWithError(pref * rho.value, bar)
+    return KernelCoefficient(k=k, n=n, rho=rho, log_prefactor=math.log(pref),
                              value=value, terms_used=m_stop)
 
 

@@ -1,9 +1,15 @@
-"""Petersson inner products by quadrature over the fundamental domain.
+"""Petersson inner products over the fundamental domain.
 
-The domain {|x| <= 1/2, |tau| >= 1} is split into the box
-[-1/2, 1/2] x [1, y_cutoff] and the arc strip between |tau| = 1 and y = 1,
-each handled by tensor-product Gauss-Legendre nodes.  The measure is the
-unnormalized y^k dx dy / y^2; no volume factor is applied.
+The domain {|x| <= 1/2, |tau| >= 1} is split at y = 1.  Over a full period
+the x integral of e^(2 pi i (m - n) x) is delta_mn, so the region y >= 1 is
+in closed form (Parseval)
+
+    sum_n a_n b_n (4 pi n)^(1-k) Gamma(k-1, 4 pi n),
+
+summed over the computed coefficients with a Deligne bound past them.
+Only the arc strip sqrt(1 - x^2) <= y <= 1, of area 1 - pi/6 - sqrt(3)/4
+~ 0.043, is left to tensor-product Gauss-Legendre nodes.  The measure is
+the unnormalized y^k dx dy / y^2; no volume factor is applied.
 
 In this normalization the kernel coefficient of `kernel.r_k` satisfies
 
@@ -44,22 +50,23 @@ _EPS = 2.220446049250313e-16
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts and cusp-truncation height for fundamental-domain quadrature."""
+    """Gauss-Legendre node counts in x and y for the arc strip below y = 1."""
 
     x_nodes: int = 40
     y_nodes: int = 48
-    y_cutoff: float = 6.0
 
     def __post_init__(self):
         if self.x_nodes < 8 or self.y_nodes < 8:
             raise DomainError("x_nodes and y_nodes must be >= 8")
-        if self.y_cutoff < 3.0:
-            raise DomainError("y_cutoff must be >= 3")
 
 
 def default_spec(k: int) -> QuadratureSpec:
-    """A spec whose cutoff pushes the y^(k-2) e^(-4 pi y) tail below ~1e-10."""
-    return QuadratureSpec(x_nodes=40, y_nodes=48, y_cutoff=max(6.0, 0.35 * k))
+    """The spec `petersson_inner` uses when given none: `QuadratureSpec()` for every k.
+
+    The quadrature covers only the arc strip, where sqrt(3)/2 <= y <= 1, so
+    no node count depends on the weight.
+    """
+    return QuadratureSpec()
 
 
 def _series_truncation(f: Eigenform, y: float) -> float:
@@ -75,8 +82,39 @@ def _series_truncation(f: Eigenform, y: float) -> float:
     return t0 / (1.0 - ratio)
 
 
+def _parseval(f: Eigenform, g: Eigenform, k: int) -> ValueWithError:
+    """The region y >= 1: sum_n a_n b_n (4 pi n)^(1-k) Gamma(k-1, 4 pi n).
+
+    x = fl(4 pi n) is within 2 _EPS of 4 pi n, and since Gamma(s, x) >=
+    x^(s-1) e^-x for s >= 1, x^(1-k) Gamma(k-1, x) has logarithmic
+    derivative at most (k - 1)/x + 1: the term moves by at most
+    2 (k - 1 + x) _EPS.  The power (one ulp) and three products add 2.5 _EPS
+    beside Gamma's own bar, and `math.fsum` rounds once.  Past N, Deligne
+    gives |a_n b_n| <= (d(n) n^((k-1)/2))^2 <= n^(k+1), and Gamma(k-1, x) <=
+    2 x^(k-2) e^-x for x >= 2(k-1): term n is at most 2 n^(k+1) e^(-4 pi n) /
+    (4 pi n), at least geometrically decreasing.
+    """
+    n_max = min(f.n_coeffs, g.n_coeffs)
+    n0 = n_max + 1
+    ratio = ((n0 + 1) / n0) ** k * math.exp(-4.0 * math.pi)
+    if 4.0 * math.pi * n0 < 2.0 * (k - 1) or ratio >= 1.0:
+        raise PrecisionError("coefficient count too small for the Parseval tail bound")
+    terms = []
+    err = 0.0
+    for n in range(1, n_max + 1):
+        x = 4.0 * math.pi * n
+        gi = upper_incomplete_gamma(k - 1, x)
+        w = f.a[n - 1] * g.a[n - 1] * x ** (1 - k)
+        terms.append(w * gi.value)
+        err += abs(w) * (gi.abs_err + (2.0 * (k + x) + 1.0) * _EPS * gi.value)
+    total = math.fsum(terms)
+    log_t0 = math.log(2.0 / (4.0 * math.pi * n0)) + (k + 1) * math.log(n0) - 4.0 * math.pi * n0
+    tail = math.exp(log_t0) / (1.0 - ratio) if log_t0 > -745 else 0.0
+    return ValueWithError(total, err + _EPS * abs(total) + tail)
+
+
 def _eval_grid(f: Eigenform, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f(x + iy) and sum_n |a_n| |q|^n on matching-shape arrays, by Horner summation."""
+    """f(x + iy) and sum_n |a_n| |q|^n on broadcastable arrays, by Horner summation."""
     q = np.exp(2j * np.pi * x - 2.0 * np.pi * y)
     r = np.abs(q)
     acc = np.full(q.shape, f.a[-1], dtype=complex)
@@ -85,16 +123,6 @@ def _eval_grid(f: Eigenform, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, 
         acc = acc * q + f.a[n - 1]
         acc_abs = acc_abs * r + abs(f.a[n - 1])
     return acc * q, acc_abs * r
-
-
-def _integrand(
-    f: Eigenform, g: Eigenform, k: int, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """f conj(g) y^(k-2) at the nodes, and its majorant F_abs G_abs y^(k-2)."""
-    fv, fa = _eval_grid(f, x, y)
-    gv, ga = (fv, fa) if g is f else _eval_grid(g, x, y)
-    yk = y ** (k - 2)
-    return fv * np.conj(gv) * yk, fa * ga * yk
 
 
 @functools.lru_cache(maxsize=64)
@@ -109,57 +137,34 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _quadrature_value(
+def _arc_value(
     f: Eigenform, g: Eigenform, k: int, spec: QuadratureSpec
 ) -> tuple[complex, float]:
-    """The quadrature sum, and sum_nodes w F_abs G_abs y^(k-2) for its rounding bound."""
-    xn, xw = _gauss_legendre(spec.x_nodes)
-    yn, yw = _gauss_legendre(spec.y_nodes)
-    xs = 0.5 * xn  # [-1/2, 1/2]
-    xws = 0.5 * xw
-
-    # box [-1/2, 1/2] x [1, y_cutoff]
-    half = 0.5 * (spec.y_cutoff - 1.0)
-    ys = 1.0 + half * (yn + 1.0)
-    yws = half * yw
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    vals, mags = _integrand(f, g, k, gx, gy)
-    box = np.einsum("i,j,ij->", xws, yws, vals)
-    box_abs = np.einsum("i,j,ij->", xws, yws, mags)
-
-    # arc strip: y from sqrt(1 - x^2) to 1, per x node
-    lo = np.sqrt(1.0 - xs**2)
-    halfs = 0.5 * (1.0 - lo)  # (nx,)
-    ya = lo[:, None] + halfs[:, None] * (yn[None, :] + 1.0)  # (nx, ny)
-    wa = halfs[:, None] * yw[None, :]
-    xa = np.broadcast_to(xs[:, None], ya.shape)
-    vals, mags = _integrand(f, g, k, xa, ya)
-    arc = np.einsum("i,ij,ij->", xws, wa, vals)
-    arc_abs = np.einsum("i,ij,ij->", xws, wa, mags)
-    return box + arc, float(box_abs + arc_abs)
-
-
-def _rounding_bound(f: Eigenform, g: Eigenform, spec: QuadratureSpec, mass: float) -> float:
-    """Bound on the float rounding of one quadrature sum, mass = sum w F_abs G_abs y^(k-2).
+    """The quadrature sum of f conj(g) y^(k-2) over the arc strip, y from
+    sqrt(1 - x^2) to 1 per x node, and a bound on its float rounding.
 
     The node arguments carry an absolute error of at most (4 pi y + 2 pi) u,
     so |q| is off by a relative (4 pi y + 10) u after exp; a Horner step
     adds at most (sqrt 5 + 1) u < 6 u relative to the absolute series.  The
-    term a_n q^n passes through n of each, so |f - fl(f)| is at most
-    n_coeffs (4 pi y_cutoff + 16) u F_abs, likewise for g.  The product with
-    y^(k-2) and the weights adds 10 u, and summing the 2 x_nodes y_nodes
-    nonnegative-weight terms at most one u per node.
+    term a_n q^n passes through n of each, so with y <= 1 |f - fl(f)| is at
+    most n_coeffs (4 pi + 16) u F_abs, likewise for g.  The product with
+    y^(k-2) and the weights adds 10 u, and summing the x_nodes y_nodes
+    nonnegative-weight terms at most one u per node; all of it is relative
+    to the mass sum w F_abs G_abs y^(k-2).
     """
-    per_term = (f.n_coeffs + g.n_coeffs) * (4.0 * math.pi * spec.y_cutoff + 16.0) + 10.0
-    return (2 * spec.x_nodes * spec.y_nodes + per_term) * _EPS * mass
-
-
-def _cusp_tail(f: Eigenform, g: Eigenform, k: int, y0: float) -> float:
-    """Certified bound on the integral above y = y0."""
-    sf = sum(abs(a) * math.exp(-2.0 * math.pi * (n - 1) * y0) for n, a in enumerate(f.a, 1))
-    sg = sum(abs(a) * math.exp(-2.0 * math.pi * (n - 1) * y0) for n, a in enumerate(g.a, 1))
-    gi = upper_incomplete_gamma(k - 1, 4.0 * math.pi * y0)
-    return sf * sg * (4.0 * math.pi) ** (1 - k) * (gi.value + gi.abs_err)
+    xn, xw = _gauss_legendre(spec.x_nodes)
+    yn, yw = _gauss_legendre(spec.y_nodes)
+    xs = 0.5 * xn  # [-1/2, 1/2]
+    lo = np.sqrt(1.0 - xs**2)
+    halfs = 0.5 * (1.0 - lo)  # (nx,)
+    ya = lo[:, None] + halfs[:, None] * (yn[None, :] + 1.0)  # (nx, ny)
+    wa = (0.5 * xw * halfs)[:, None] * yw[None, :]
+    fv, fa = _eval_grid(f, xs[:, None], ya)
+    gv, ga = (fv, fa) if g is f else _eval_grid(g, xs[:, None], ya)
+    wyk = wa * ya ** (k - 2)
+    per_term = (f.n_coeffs + g.n_coeffs) * (4.0 * math.pi + 16.0) + 10.0
+    rounding = (spec.x_nodes * spec.y_nodes + per_term) * _EPS * float(np.sum(fa * ga * wyk))
+    return complex(np.sum(fv * np.conj(gv) * wyk)), rounding
 
 
 def petersson_inner(
@@ -177,29 +182,21 @@ def petersson_inner(
     gmax = sum(abs(a) * math.exp(-2.0 * math.pi * n * _MIN_Y) for n, a in enumerate(g.a, 1))
     if trunc_f > 1e-12 * max(1.0, fmax) or trunc_g > 1e-12 * max(1.0, gmax):
         raise PrecisionError("not enough coefficients for the q-decay requirement")
-    # area of F below the cutoff is < 1; y^(k-2) peaks inside the box
-    trunc_err = (trunc_f * gmax + trunc_g * fmax + trunc_f * trunc_g) * (
-        spec.y_cutoff ** (k - 2) + 1.0
-    )
+    # the arc strip has area 1 - pi/6 - sqrt(3)/4 < 1, and y^(k-2) <= 1 on it
+    trunc_err = trunc_f * gmax + trunc_g * fmax + trunc_f * trunc_g
 
-    full, full_mass = _quadrature_value(f, g, k, spec)
-    coarse_spec = QuadratureSpec(
-        x_nodes=max(8, (2 * spec.x_nodes) // 3),
-        y_nodes=max(8, (2 * spec.y_nodes) // 3),
-        y_cutoff=spec.y_cutoff,
+    upper = _parseval(f, g, k)
+    full, r_full = _arc_value(f, g, k, spec)
+    coarse, r_coarse = _arc_value(
+        f, g, k, QuadratureSpec(max(8, 2 * spec.x_nodes // 3), max(8, 2 * spec.y_nodes // 3))
     )
-    coarse, coarse_mass = _quadrature_value(f, g, k, coarse_spec)
-    # estimate: the exact full-grid sum is within 2 |full - coarse| of the integral
-    quad_err = 2.0 * float(abs(full - coarse))
-    # the float sums are off from the exact ones by at most r_full and r_coarse:
-    # once in the value itself, twice each through the estimate above
-    r_full = _rounding_bound(f, g, spec, full_mass)
-    r_coarse = _rounding_bound(f, g, coarse_spec, coarse_mass)
-    rounding = 3.0 * r_full + 2.0 * r_coarse
+    # estimate: the exact full-grid sum is within 2 |full - coarse| of the integral;
+    # the float sums are off from the exact ones by at most r_full and r_coarse,
+    # once in the value itself and twice each through the estimate
+    quad_err = 2.0 * abs(full - coarse) + 3.0 * r_full + 2.0 * r_coarse
 
-    tail = _cusp_tail(f, g, k, spec.y_cutoff)
-    value = float(full.real)
-    err = quad_err + rounding + tail + trunc_err + float(abs(full.imag))
+    value = upper.value + full.real
+    err = upper.abs_err + quad_err + trunc_err + abs(full.imag) + _EPS * abs(value)
     return ValueWithError(value, err)
 
 
@@ -240,8 +237,8 @@ def triangle_check(k: int, eps: float = 1e-10, spec: QuadratureSpec | None = Non
     with explicit error bounds.  The ratio is reported as measured; no
     constant is fitted to it.
     """
-    if k % 4 != 0 or not (12 <= k <= 28):
-        raise DomainError(f"triangle_check covers k ≡ 0 (mod 4), 12 <= k <= 28, got {k}")
+    if k % 4 != 0 or not (12 <= k <= 40):
+        raise DomainError(f"triangle_check covers k ≡ 0 (mod 4), 12 <= k <= 40, got {k}")
     lhs = r_k(k, 1, eps).value
     scale = 1.0 / (16.0 * (2.0 * math.pi) ** (k / 2))
     rhs_val = 0.0

@@ -154,6 +154,18 @@ class TestRk:
                 math.exp(coeff.log_prefactor) * coeff.rho.value, rel=1e-12
             )
 
+    def test_value_bar_covers_the_prefactor(self):
+        # P * rho's bar, plus the distance to P * rho, with P the 50-digit prefactor
+        for k in range(12, 41, 4):
+            h = k // 2 - 1
+            for n in range(1, 6):
+                coeff = r_k(k, n, 1e-10)
+                with mp.workdps(50):
+                    pref = (8 * mp.pi) ** h * mp.mpf(n) ** h / (4 * mp.factorial(k - 2))
+                    rho = coeff.rho
+                    lhs = abs(coeff.value.value - pref * rho.value) + pref * rho.abs_err
+                    assert lhs <= coeff.value.abs_err, (k, n)
+
     def test_n_two(self):
         coeff = r_k(12, 2, 1e-9)
         assert coeff.n == 2

@@ -1,6 +1,7 @@
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,8 +19,9 @@ from ckkernel.petersson import (
 from ckkernel.qexpansion import eigenforms
 
 EPS = 2.220446049250313e-16
-# (Delta, Delta) in the unnormalized measure: a 40-digit mpmath evaluation at the
-# default nodes, converged to 9e-27 between the 40x48 and 80x96 grids
+# (Delta, Delta) in the unnormalized measure: at 40 digits with the exact tau(n),
+# n <= 60, the region y >= 1 by Parseval (mpmath.gammainc) plus mp.quad on the arc
+# gives 1.035362056804320922347817e-6, within 4.8e-26 of this constant
 DELTA_NORM_SQ = 1.0353620568043209223e-6
 
 
@@ -44,12 +46,6 @@ class TestQuadratureSpec:
             QuadratureSpec(x_nodes=4)
         with pytest.raises(DomainError):
             QuadratureSpec(y_nodes=2)
-        with pytest.raises(DomainError):
-            QuadratureSpec(y_cutoff=1.5)
-
-    def test_default_cutoff_grows_with_weight(self):
-        assert default_spec(12).y_cutoff == 6.0
-        assert default_spec(40).y_cutoff == pytest.approx(14.0)
 
 
 class TestGaussLegendre:
@@ -69,6 +65,54 @@ class TestGaussLegendre:
         for k in (12, 40):
             for f in eigenforms(k, 120):
                 assert petersson_norm_sq(f) == petersson_norm_sq(f)
+
+
+def box_quadrature(f: ScaledForm, nodes: tuple[int, int]) -> tuple[float, float]:
+    """The box [-1/2, 1/2] x [1, Y], Y = max(6, 0.35 k) + 6, by tensor Gauss-Legendre:
+    the value and sum w F_abs^2 y^(k-2) over the nodes."""
+    k = f.weight
+    top = max(6.0, 0.35 * k) + 6.0
+    xn, xw = np.polynomial.legendre.leggauss(nodes[0])
+    yn, yw = np.polynomial.legendre.leggauss(nodes[1])
+    x = 0.5 * xn[:, None]
+    y = 1.0 + 0.5 * (top - 1.0) * (yn[None, :] + 1.0)
+    w = 0.25 * (top - 1.0) * xw[:, None] * yw[None, :]
+    q = np.exp(2j * np.pi * x - 2.0 * np.pi * y)
+    coeffs = np.array((0.0,) + tuple(f.a))
+    fv = np.polynomial.polynomial.polyval(q, coeffs)
+    fa = np.polynomial.polynomial.polyval(np.abs(q), np.abs(coeffs))
+    yk = y ** (k - 2)
+    return float(np.sum(w * (fv * np.conj(fv)).real * yk)), float(np.sum(w * fa * fa * yk))
+
+
+def box_oracle(f: ScaledForm) -> tuple[float, float]:
+    """The region y >= 1 as a box quadrature at 80 x 96 nodes, with its bar.
+
+    The bar adds twice the gap to a 53 x 64 grid, the rounding of both sums
+    (the quadrature's nodes plus n_coeffs (4 pi Y + 16) ulps per factor),
+    and the cusp above Y, sum_{m,n} |a_m a_n| (4 pi)^(1-k) Gamma(k-1, 4 pi Y)
+    e^(-2 pi (m+n-2) Y).
+    """
+    k = f.weight
+    top = max(6.0, 0.35 * k) + 6.0
+    fine, fine_mass = box_quadrature(f, (80, 96))
+    coarse, coarse_mass = box_quadrature(f, (53, 64))
+    per_term = 2 * f.n_coeffs * (4.0 * math.pi * top + 16.0) + 10.0
+    r_fine = (80 * 96 + per_term) * EPS * fine_mass
+    r_coarse = (53 * 64 + per_term) * EPS * coarse_mass
+    s = sum(abs(a) * math.exp(-2.0 * math.pi * (n - 1) * top) for n, a in enumerate(f.a, 1))
+    cusp = s * s * float((4 * mpmath.pi) ** (1 - k) * mpmath.gammainc(k - 1, 4 * mpmath.pi * top))
+    return fine, 2.0 * abs(fine - coarse) + 3.0 * r_fine + 2.0 * r_coarse + cusp
+
+
+class TestParseval:
+    @pytest.mark.parametrize("k", [12, 28, 40])
+    def test_matches_box_quadrature(self, k):
+        for f in eigenforms(k, 60):
+            box, box_err = box_oracle(f)
+            upper = petersson._parseval(f, f, k)
+            assert abs(upper.value - box) <= upper.abs_err + box_err, k
+            assert upper.abs_err <= 1e-12 * upper.value
 
 
 class TestPeterssonInner:
@@ -93,24 +137,24 @@ class TestPeterssonInner:
 
     def test_doubling_nodes_stays_within_error(self):
         (f,) = eigenforms(12, 60)
-        spec = QuadratureSpec(x_nodes=40, y_nodes=48, y_cutoff=6.0)
-        fine = QuadratureSpec(x_nodes=80, y_nodes=96, y_cutoff=6.0)
+        spec = QuadratureSpec(x_nodes=40, y_nodes=48)
+        fine = QuadratureSpec(x_nodes=80, y_nodes=96)
         a = petersson_norm_sq(f, spec)
         b = petersson_norm_sq(f, fine)
         assert abs(a.value - b.value) <= a.abs_err
 
     def test_delta_norm_bar_contains_reference(self):
         (f,) = eigenforms(12, 60)
-        for spec in (default_spec(12), QuadratureSpec(x_nodes=80, y_nodes=96, y_cutoff=6.0)):
+        for spec in (default_spec(12), QuadratureSpec(x_nodes=80, y_nodes=96)):
             norm = petersson_norm_sq(f, spec)
             assert abs(norm.value - DELTA_NORM_SQ) <= norm.abs_err
 
-    def test_raising_cutoff_stays_within_error(self):
-        # the cusp-tail bound at cutoff 4 must cover the mass found up to 7
-        (f,) = eigenforms(12, 60)
-        low = petersson_norm_sq(f, QuadratureSpec(y_cutoff=4.0))
-        high = petersson_norm_sq(f, QuadratureSpec(y_cutoff=7.0))
-        assert abs(low.value - high.value) <= low.abs_err
+    def test_norm_bar_is_small_at_every_weight(self):
+        for n_coeffs in (60, 120):
+            for k in range(12, 42, 2):
+                for f in eigenforms(k, n_coeffs):
+                    norm = petersson_norm_sq(f)
+                    assert norm.abs_err <= 1e-10 * norm.value, (k, n_coeffs)
 
     def test_eigenforms_nearly_orthogonal(self):
         f1, f2 = eigenforms(24, 60)
@@ -133,7 +177,7 @@ class TestKohnenIdentity:
     cannot have been fitted at n = 1; odd n pins the sign of the kernel bracket.
     """
 
-    @pytest.mark.parametrize("k", [12, 16, 20])
+    @pytest.mark.parametrize("k", [12, 16, 20, 28, 40])
     def test_kernel_matches_spectral_sum(self, k):
         scale = 1.0 / (16.0 * math.gamma(k / 2))
         sides = [
@@ -161,7 +205,7 @@ class TestTriangleCheck:
             assert tri.ratio > 0
 
     def test_ratio_is_one(self):
-        for k in (12, 16, 20, 24, 28):
+        for k in (12, 16, 20, 24, 28, 32, 36, 40):
             tri = triangle_check(k, 1e-9)
             assert abs(tri.ratio - 1.0) <= 1e-9
             assert abs(tri.lhs.value - tri.rhs.value) <= tri.lhs.abs_err + tri.rhs.abs_err
@@ -174,4 +218,4 @@ class TestTriangleCheck:
         with pytest.raises(DomainError):
             triangle_check(14)
         with pytest.raises(DomainError):
-            triangle_check(32)
+            triangle_check(44)
