@@ -8,6 +8,9 @@ from the Mellin integral split symmetrically at t = 1:
 
 The symmetric split makes the two halves exchange exactly under
 s <-> k - s, so the functional-equation residual tests numerics only.
+Each half is one series G(t) = sum_n a_n (2 pi n)^-t Gamma(t, 2 pi n),
+summed by `gamma_series` with a certified rounding bar and a Deligne tail
+from `deligne_tail`; `petersson` sums its Parseval series with the same two.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from .errors import DomainError, PrecisionError
 from .ntheory import ValueWithError
 from .qexpansion import Eigenform, eigenforms
-from .specfun import upper_incomplete_gamma
+from .specfun import _GAMMA_ULPS, upper_incomplete_gamma
 
 __all__ = [
     "LValue",
@@ -41,58 +44,85 @@ class LValue:
     terms_used: int
 
 
-def _tail_bound(f: Eigenform, s: float) -> float:
-    """Bound on the sum over n > N of both incomplete-gamma halves.
+def deligne_tail(p: float, c: float, n0: int) -> float:
+    """A bound on sum_{n >= n0} n^p e^(-c n), p >= 0: the first term over
+    1 - ((n0 + 1)/n0)^p e^-c, as the term ratio falls with n.
 
-    Uses Gamma(t, x) <= 2 x^(t-1) e^-x for x >= 2t, which holds for every
-    n past the computed range here, and Deligne's bound |a_n| <= d(n) n^((k-1)/2)
-    for the normalized eigenform f (La conjecture de Weil I, 1974), so each
-    half of term n is at most 2 d(n) n^((k-1)/2) e^(-2 pi n) / (2 pi n).
+    `PrecisionError` if that ratio is >= 1.  The float result is rounded up
+    past its own error: 2 (p ln n0 + c n0) _EPS in the exponent, (p/2 + 4)
+    _EPS / (1 - ratio) in 1 - ratio and 2 _EPS more, relatively, plus the
+    least subnormal past underflow.
     """
-    k = f.weight
-    n0 = f.n_coeffs + 1
-    if 2.0 * math.pi * n0 < 2.0 * max(s, k - s):
+    ratio = ((n0 + 1) / n0) ** p * math.exp(-c)
+    if ratio >= 1.0:
+        raise PrecisionError(f"n^{p} e^(-{c} n) is not geometrically decreasing from n = {n0}")
+    log_t0 = p * math.log(n0) - c * n0
+    rel = (2.0 * (p * math.log(n0) + c * n0) + (p + 6.0) / (1.0 - ratio)) * _EPS
+    return math.exp(log_t0) / (1.0 - ratio) * (1.0 + rel) + 5e-324
+
+
+def gamma_series(c, s: float, lam: float, p: float) -> tuple[ValueWithError, int]:
+    """sum_n c_n (lam n)^-s Gamma(s, lam n) over c_1..c_N, 1 <= s, 1 <= p < 2s + 1,
+    and the number of terms summed.
+
+    Past them |c_n| <= n^p (Deligne) and Gamma(s, x) <= 2 x^(s-1) e^-x for
+    x >= 2s bound term n by (2/lam) n^(p-1) e^(-lam n), summed by
+    `deligne_tail`.  The sum stops at the first n with lam (n + 1) >= 2s
+    whose tail from n + 1 is at most one ulp of sum |terms|, else after c_N.
+
+    Rounding: x = fl(lam n) is within 2 _EPS of lam n (also for a rounded
+    lam = 2 pi or 4 pi), and as Gamma(s, x) >= x^(s-1) e^-x, the term's
+    logarithmic derivative is at most s/x + 1: it moves by 2 (s + x) _EPS.
+    The power (one ulp), two products and the rounding of c_n add 3 _EPS,
+    and `math.fsum` one more.
+    """
+    if s < 1.0:
+        raise DomainError(f"gamma_series requires s >= 1, got {s}")
+    terms = []
+    err = mass = 0.0
+    tail = math.inf
+    for n, cn in enumerate(c, 1):
+        x = lam * n
+        g = upper_incomplete_gamma(s, x)
+        w = cn * x ** -s
+        terms.append(w * g.value)
+        err += abs(w) * (g.abs_err + (2.0 * (s + x) + 3.0) * _EPS * g.value)
+        mass += abs(terms[-1])
+        if lam * (n + 1) >= 2.0 * s:
+            tail = (2.0 / lam) * deligne_tail(p - 1.0, lam, n + 1)
+            if tail <= math.ulp(mass):
+                break
+    if tail == math.inf:
         raise PrecisionError("coefficient count too small for the tail bound")
-    # d(n) <= n; first term of a ratio-bounded geometric sum
-    log_t0 = (
-        math.log(4.0)
-        + ((k - 1) / 2 + 1) * math.log(n0)
-        - 2.0 * math.pi * n0
-        - math.log(2.0 * math.pi * n0)
-    )
-    ratio = ((n0 + 1) / n0) ** ((k + 1) / 2 + 1) * math.exp(-2.0 * math.pi)
-    t0 = math.exp(log_t0) if log_t0 > -745 else 0.0
-    return t0 / (1.0 - ratio)
+    total = math.fsum(terms)
+    return ValueWithError(total, err + _EPS * abs(total) + tail), len(terms)
 
 
 def completed_l(f: Eigenform, s: float) -> LValue:
-    """Lambda(f, s) with certified error, for s within 2 of the center k/2."""
+    """Lambda(f, s) with certified error, for s within 2 of the center k/2.
+
+    G(s) + (-1)^(k/2) G(k - s), G the `gamma_series` of the a_n at rate
+    2 pi, with Deligne's |a_n| <= d(n) n^((k-1)/2) <= n^((k+1)/2).
+    """
     k = f.weight
     if not (k / 2 - 2 <= s <= k / 2 + 2):
         raise DomainError(f"s = {s} outside the supported strip around k/2 = {k / 2}")
     if f.n_coeffs < 30:
         raise PrecisionError("eigenform must carry at least 30 coefficients")
     root = 1.0 if k % 4 == 0 else -1.0  # (-1)^(k/2)
-    total = 0.0
-    err = 0.0
-    abs_acc = 0.0
-    for n in range(1, f.n_coeffs + 1):
-        x = 2.0 * math.pi * n
-        a = f.coefficient(n)
-        g1 = upper_incomplete_gamma(s, x)
-        g2 = upper_incomplete_gamma(k - s, x)
-        w1 = x ** (-s)
-        w2 = x ** (s - k)
-        term = a * (w1 * g1.value + root * w2 * g2.value)
-        total += term
-        err += abs(a) * (w1 * g1.abs_err + w2 * g2.abs_err)
-        abs_acc += abs(a) * (w1 * abs(g1.value) + w2 * abs(g2.value))
-    err += _tail_bound(f, s)
-    err += (f.n_coeffs + 4) * _EPS * abs_acc
+    g1, n1 = gamma_series(f.a, s, 2.0 * math.pi, (k + 1) / 2)
+    g2, n2 = (g1, n1) if k - s == s else gamma_series(f.a, k - s, 2.0 * math.pi, (k + 1) / 2)
+    total = g1.value + root * g2.value
+    err = g1.abs_err + g2.abs_err + _EPS * abs(total)
     completed = ValueWithError(total, err)
-    conv = math.exp(s * math.log(2.0 * math.pi) - math.lgamma(s))
-    finite = ValueWithError(conv * total, conv * err + 4 * _EPS * conv * abs(total))
-    return LValue(k=k, s=s, completed=completed, finite=finite, terms_used=f.n_coeffs)
+    # (2 pi)^s / Gamma(s): s math.pi errors (each under _EPS / 4), then the
+    # power (one ulp), math.gamma and the quotient; the product with total
+    # rounds once more, and 1 + 2 rel covers the bar's own roundings
+    conv = (2.0 * math.pi) ** s / math.gamma(s)
+    rel = (s / 4 + 1.5 + _GAMMA_ULPS) * _EPS
+    bar = conv * (err + (rel + _EPS) * abs(total)) * (1.0 + 2.0 * rel)
+    finite = ValueWithError(conv * total, bar)
+    return LValue(k=k, s=s, completed=completed, finite=finite, terms_used=max(n1, n2))
 
 
 def functional_equation_residual(f: Eigenform, s: float) -> float:

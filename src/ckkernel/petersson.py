@@ -6,7 +6,7 @@ in closed form (Parseval)
 
     sum_n a_n b_n (4 pi n)^(1-k) Gamma(k-1, 4 pi n),
 
-summed over the computed coefficients with a Deligne bound past them.
+summed by `lfunction.gamma_series` with a Deligne tail past the coefficients.
 Only the arc strip sqrt(1 - x^2) <= y <= 1, of area 1 - pi/6 - sqrt(3)/4
 ~ 0.043, is left to tensor-product Gauss-Legendre nodes.  The measure is
 the unnormalized y^k dx dy / y^2; no volume factor is applied.
@@ -30,10 +30,9 @@ import numpy as np
 
 from .errors import DomainError, PrecisionError
 from .kernel import r_k
-from .lfunction import central_values
+from .lfunction import central_values, deligne_tail, gamma_series
 from .ntheory import ValueWithError
 from .qexpansion import Eigenform
-from .specfun import upper_incomplete_gamma
 
 __all__ = [
     "QuadratureSpec",
@@ -69,48 +68,10 @@ def default_spec(k: int) -> QuadratureSpec:
     return QuadratureSpec()
 
 
-def _series_truncation(f: Eigenform, y: float) -> float:
-    """Bound on |sum_{n > N} a_n q^n| at height y, via Deligne's bound
-    |a_n| <= d(n) n^((k-1)/2) <= n^((k+1)/2) for the normalized eigenform f."""
-    k = f.weight
-    n0 = f.n_coeffs + 1
-    log_t0 = ((k + 1) / 2) * math.log(n0) - 2.0 * math.pi * y * n0
-    ratio = ((n0 + 1) / n0) ** ((k + 1) / 2) * math.exp(-2.0 * math.pi * y)
-    if ratio >= 1.0:
-        raise PrecisionError("q-series does not decay at the requested height")
-    t0 = math.exp(log_t0) if log_t0 > -745 else 0.0
-    return t0 / (1.0 - ratio)
-
-
 def _parseval(f: Eigenform, g: Eigenform, k: int) -> ValueWithError:
-    """The region y >= 1: sum_n a_n b_n (4 pi n)^(1-k) Gamma(k-1, 4 pi n).
-
-    x = fl(4 pi n) is within 2 _EPS of 4 pi n, and since Gamma(s, x) >=
-    x^(s-1) e^-x for s >= 1, x^(1-k) Gamma(k-1, x) has logarithmic
-    derivative at most (k - 1)/x + 1: the term moves by at most
-    2 (k - 1 + x) _EPS.  The power (one ulp) and three products add 2.5 _EPS
-    beside Gamma's own bar, and `math.fsum` rounds once.  Past N, Deligne
-    gives |a_n b_n| <= (d(n) n^((k-1)/2))^2 <= n^(k+1), and Gamma(k-1, x) <=
-    2 x^(k-2) e^-x for x >= 2(k-1): term n is at most 2 n^(k+1) e^(-4 pi n) /
-    (4 pi n), at least geometrically decreasing.
-    """
-    n_max = min(f.n_coeffs, g.n_coeffs)
-    n0 = n_max + 1
-    ratio = ((n0 + 1) / n0) ** k * math.exp(-4.0 * math.pi)
-    if 4.0 * math.pi * n0 < 2.0 * (k - 1) or ratio >= 1.0:
-        raise PrecisionError("coefficient count too small for the Parseval tail bound")
-    terms = []
-    err = 0.0
-    for n in range(1, n_max + 1):
-        x = 4.0 * math.pi * n
-        gi = upper_incomplete_gamma(k - 1, x)
-        w = f.a[n - 1] * g.a[n - 1] * x ** (1 - k)
-        terms.append(w * gi.value)
-        err += abs(w) * (gi.abs_err + (2.0 * (k + x) + 1.0) * _EPS * gi.value)
-    total = math.fsum(terms)
-    log_t0 = math.log(2.0 / (4.0 * math.pi * n0)) + (k + 1) * math.log(n0) - 4.0 * math.pi * n0
-    tail = math.exp(log_t0) / (1.0 - ratio) if log_t0 > -745 else 0.0
-    return ValueWithError(total, err + _EPS * abs(total) + tail)
+    """The region y >= 1: sum_n a_n b_n (4 pi n)^(1-k) Gamma(k-1, 4 pi n), with
+    Deligne's |a_n b_n| <= (d(n) n^((k-1)/2))^2 <= n^(k+1) past the coefficients."""
+    return gamma_series([a * b for a, b in zip(f.a, g.a)], k - 1, 4.0 * math.pi, k + 1)[0]
 
 
 def _eval_grid(f: Eigenform, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,8 +137,9 @@ def petersson_inner(
     k = f.weight
     spec = spec or default_spec(k)
 
-    trunc_f = _series_truncation(f, _MIN_Y)
-    trunc_g = _series_truncation(g, _MIN_Y)
+    # |sum_{n > N} a_n q^n| at y >= sqrt(3)/2, by Deligne's |a_n| <= n^((k+1)/2)
+    trunc_f = deligne_tail((k + 1) / 2, 2.0 * math.pi * _MIN_Y, f.n_coeffs + 1)
+    trunc_g = deligne_tail((k + 1) / 2, 2.0 * math.pi * _MIN_Y, g.n_coeffs + 1)
     fmax = sum(abs(a) * math.exp(-2.0 * math.pi * n * _MIN_Y) for n, a in enumerate(f.a, 1))
     gmax = sum(abs(a) * math.exp(-2.0 * math.pi * n * _MIN_Y) for n, a in enumerate(g.a, 1))
     if trunc_f > 1e-12 * max(1.0, fmax) or trunc_g > 1e-12 * max(1.0, gmax):

@@ -1,13 +1,16 @@
 import math
+import random
 
 import mpmath as mp
 import pytest
 
-from ckkernel.errors import DomainError
+from ckkernel.errors import DomainError, PrecisionError
 from ckkernel.lfunction import (
     central_values,
     completed_l,
+    deligne_tail,
     functional_equation_residual,
+    gamma_series,
 )
 from ckkernel.qexpansion import eigenforms
 
@@ -28,6 +31,80 @@ def mpmath_l_value(f, s: float, terms: int = 120) -> float:
                 + root * x ** (s - k) * mp.gammainc(mp.mpf(k - s), x)
             )
         return float(total * (2 * mp.pi) ** s / mp.gamma(s))
+
+
+def power_exp_sum(p: float, c: float, n0: int) -> mp.mpf:
+    """sum_{n >= n0} n^p e^(-c n) at 50 digits, to a relative 1e-60 (the terms
+    fall geometrically past n0, so the neglected rest is far below that)."""
+    with mp.workdps(50):
+        total, n = mp.mpf(0), n0
+        while True:
+            term = mp.mpf(n) ** p * mp.exp(-mp.mpf(c) * n)
+            total += term
+            if term < total * mp.mpf(10) ** -60:
+                return total
+            n += 1
+
+
+class TestDeligneTail:
+    RATES = (math.pi * math.sqrt(3.0), 2.0 * math.pi, 4.0 * math.pi)
+
+    @pytest.mark.parametrize("k", [12, 26, 40])
+    def test_bounds_the_50_digit_sum(self, k):
+        # the callers' exponents: (k-1)/2 in completed_l, (k+1)/2 on the arc, k in Parseval
+        for p in ((k - 1) / 2, (k + 1) / 2, k):
+            for c in self.RATES:
+                checked = 0
+                for n0 in range(1, 122):
+                    with mp.workdps(50):
+                        ratio = (mp.mpf(n0 + 1) / n0) ** p * mp.exp(-mp.mpf(c))
+                    if ratio >= 1:
+                        with pytest.raises(PrecisionError):
+                            deligne_tail(p, c, n0)
+                        continue
+                    assert deligne_tail(p, c, n0) >= power_exp_sum(p, c, n0), (p, c, n0)
+                    checked += 1
+                assert checked >= 100
+
+
+def gamma_series_oracle(c, s: float, lam: float) -> mp.mpf:
+    """sum_n c_n (lam n)^-s Gamma(s, lam n) at 40 digits, over every given c_n."""
+    with mp.workdps(40):
+        total = mp.mpf(0)
+        for n, cn in enumerate(c, 1):
+            x = mp.mpf(lam) * n
+            total += mp.mpf(cn) * x ** -s * mp.gammainc(s, x)
+        return total
+
+
+class TestGammaSeries:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bar_contains_the_40_digit_sum(self, seed):
+        # c_1..c_N are given; c_n past N, |c_n| <= n^p, must lie inside the tail
+        rng = random.Random(seed)
+        s = 55.0 if seed < 3 else rng.uniform(1.0, 60.0)
+        lam = rng.choice((2.0 * math.pi, 4.0 * math.pi))
+        p = rng.uniform(1.0, min(2.0 * s, 45.0))
+        n_min = math.ceil(2.0 * s / lam)
+        n_given = rng.randint(n_min, n_min + 25)
+        extremes = seed % 2 == 0  # |c_n| = n^p exactly, the tail's worst case
+        c = [n**p * (rng.choice((-1.0, 1.0)) if extremes else rng.uniform(-1.0, 1.0))
+             for n in range(1, n_given + 25)]
+        value, used = gamma_series(c[:n_given], s, lam, p)
+        assert used <= n_given
+        assert abs(value.value - gamma_series_oracle(c, s, lam)) <= value.abs_err, (s, lam, p)
+
+    def test_stops_once_the_tail_is_below_an_ulp(self):
+        (f,) = eigenforms(12, 120)
+        value, used = gamma_series(f.a, 6.0, 2.0 * math.pi, 6.5)
+        assert used < 30
+        assert value == gamma_series(f.a[:used], 6.0, 2.0 * math.pi, 6.5)[0]
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            gamma_series([1.0] * 10, 0.5, 2.0 * math.pi, 1.0)
+        with pytest.raises(PrecisionError):  # 2 pi (N + 1) < 2 s: no certified tail
+            gamma_series([1.0] * 10, 40.0, 2.0 * math.pi, 1.0)
 
 
 class TestCompletedL:

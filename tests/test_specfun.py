@@ -2,9 +2,11 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from ckkernel.errors import DomainError
+from ckkernel.errors import DomainError, PrecisionError
 from ckkernel.specfun import (
     HalfIntOrder,
     bessel_envelope,
@@ -152,6 +154,20 @@ class TestUpperIncompleteGamma:
                     g = upper_incomplete_gamma(s, x)
                     ref = float(mp.gammainc(s, x))
                     assert abs(g.value - ref) <= g.abs_err + 1e-300
+
+    @settings(max_examples=400, deadline=None)
+    @given(s=st.floats(0.0, 60.0, exclude_min=True), x=st.floats(0.0, 1e6, exclude_min=True))
+    @example(s=55.0, x=4 * math.pi * 3)  # the Parseval sum at k = 56, n = 3
+    @example(s=17.954459688131454, x=2 * math.pi)  # completed_l's strip, n = 1
+    def test_bar_contains_50_digit_value(self, s, x):
+        try:
+            g = upper_incomplete_gamma(s, x)
+        except PrecisionError:
+            assert 1.0 / s == math.inf  # Gamma(s) ~ 1/s is past the float range
+            return
+        with mp.workdps(50):
+            ref = mp.gammainc(s, x)
+            assert abs(g.value - ref) <= g.abs_err, (s, x)
 
     def test_error_bound_stays_small_at_moderate_arguments(self):
         # the reported error tracks (|s ln x| + x) ulps, so stay within a
