@@ -127,17 +127,20 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     series = 0.0
     bessel_err = 0.0
     abs_acc = 0.0
+    n_pi = n * math.pi
+    odd = n % 2
     for m in range(1, m_stop + 1):
+        x = n_pi / m
         g = gamma_sum(n, m)
-        if n % 2 and m > 1:
+        if odd and m > 1:
             # boundary pairs (1, m), (m, 1): (-1)^n cos(pi n/m) in g_n, cos(pi n/m) in gamma_n
-            g -= 4.0 * math.cos(math.pi * n / m)
-        x = n * math.pi / m
+            g -= 4.0 * math.cos(x)
         j = bessel_j(nu, x)
-        w = math.sqrt(n * math.pi / m)
+        w = math.sqrt(x)
+        gw = abs(g) * w
         series += g * w * j.value
-        bessel_err += abs(g) * w * j.abs_err
-        abs_acc += abs(g) * w * abs(j.value)
+        bessel_err += gw * j.abs_err
+        abs_acc += gw * abs(j.value)
 
     deviation = sign * sqrt_2pi * series
     float_err = (m_stop + 4) * _EPS * (sqrt_2pi * abs_acc + 1.0)

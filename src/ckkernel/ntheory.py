@@ -2,11 +2,14 @@
 
 Coprime factor pairs, the cosine sums gamma_n(m) over them, divisor
 counts, exact Bernoulli numbers and the closed form of zeta at even
-integers.
+integers.  The exponents a' a - c' c of the coprime pairs of m are found
+once per m (a bounded memo) and shared across every n and weight k that
+asks for gamma_n(m).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -67,17 +70,46 @@ def gamma_sum(n: int, m: int) -> float:
     a' is the inverse of a mod c and c' that of c mod a; the boundary pairs
     (1, m) and (m, 1) contribute cos(pi n / m) each, and gamma_n(1) = 1.
 
-    The pair (c, a) negates the angle of (a, c), so only the pairs with
-    a < sqrt(m) are evaluated.  For such a pair e = a a' is 0 mod a and
-    1 mod c, c c' = (1 - e) mod m, and a' a - c' c is 1 when e = 1
-    (a = 1) and 2e - 1 - m otherwise.  The cosines are summed in the order
-    of the sorted pairs (a, c): the half with a < sqrt(m), then its mirror.
+    The angle is pi n s / m with s = a' a - c' c from `_pair_exponents(m)`,
+    found once per m and shared across n (and across weights).  n s is
+    reduced exactly mod 2m and folded into t in [0, m]; the cosine is exact
+    for t / m in {0, 1, 1/2, 1/3, 2/3}.  The cosines are summed in the order
+    of the sorted pairs (a, c): the half with a < sqrt(m), then its mirror,
+    since the pair (c, a) negates the angle of (a, c).
     """
     if n < 1 or m < 1:
         raise DomainError("gamma_sum requires positive n and m")
     if m == 1:
         return 1.0
+    two_m = 2 * m
     half = []
+    for s in _pair_exponents(m):
+        t = n * s % two_m
+        if t > m:
+            t = two_m - t
+        if t == 0:
+            half.append(1.0)
+        elif t == m:
+            half.append(-1.0)
+        elif 2 * t == m:
+            half.append(0.0)
+        elif 3 * t == m:
+            half.append(0.5)
+        elif 3 * t == two_m:
+            half.append(-0.5)
+        else:
+            half.append(math.cos(math.pi * (t / m)))
+    return sum(half + half[::-1])
+
+
+@functools.lru_cache(maxsize=1 << 13)  # the deepest m_stop r_k reaches
+def _pair_exponents(m: int) -> tuple[int, ...]:
+    """s = a' a - c' c for the coprime pairs a*c = m > 1 with a < sqrt(m), by a.
+
+    e = a a' is 0 mod a and 1 mod c, c c' = (1 - e) mod m, so s is 1 when
+    e = 1 (a = 1) and 2e - 1 - m otherwise.
+    """
+    out = []
     for a in range(1, math.isqrt(m) + 1):
         if m % a:
             continue
@@ -85,29 +117,8 @@ def gamma_sum(n: int, m: int) -> float:
         if math.gcd(a, c) != 1:
             continue
         e = a * pow(a, -1, c)
-        half.append(_cos_pi_over(n * (1 if e == 1 else 2 * e - 1 - m), m))
-    return sum(half + half[::-1])
-
-
-def _cos_pi_over(s: int, m: int) -> float:
-    """cos(pi s / m) for an integer s.
-
-    s is reduced exactly mod 2m and folded into t in [0, m]; the cosine is
-    exact for t / m in {0, 1, 1/2, 1/3, 2/3}.
-    """
-    t = s % (2 * m)
-    t = min(t, 2 * m - t)
-    if t == 0:
-        return 1.0
-    if t == m:
-        return -1.0
-    if 2 * t == m:
-        return 0.0
-    if 3 * t == m:
-        return 0.5
-    if 3 * t == 2 * m:
-        return -0.5
-    return math.cos(math.pi * (t / m))
+        out.append(1 if e == 1 else 2 * e - 1 - m)
+    return tuple(out)
 
 
 def factorize(m: int) -> list[tuple[int, int]]:

@@ -8,6 +8,7 @@ incomplete gamma function used by the completed-L sums.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,8 +59,13 @@ def bessel_envelope(nu: HalfIntOrder, x: float) -> float:
         raise DomainError(f"bessel_envelope requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
-    v = nu.nu
-    return math.exp(v * math.log(x / 2.0) - math.lgamma(v + 1.0))
+    return math.exp(nu.nu * math.log(x / 2.0) - _lgamma_order_plus_one(nu.twice_nu))
+
+
+@functools.lru_cache(maxsize=128)
+def _lgamma_order_plus_one(twice_nu: int) -> float:
+    """ln Gamma(nu + 1) for nu = twice_nu / 2, the constant of every J_nu term."""
+    return math.lgamma(twice_nu / 2.0 + 1.0)
 
 
 def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
@@ -76,10 +82,10 @@ def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
         raise DomainError(
             f"bessel_j ascending-series contract covers x <= {MAX_SERIES_ARG}, got {x}"
         )
-    v = nu.nu
+    v = nu.twice_nu / 2.0
     half = x / 2.0
     q = half * half
-    lg0 = v * math.log(half) - math.lgamma(v + 1.0)
+    lg0 = v * math.log(half) - _lgamma_order_plus_one(nu.twice_nu)
     term = math.exp(lg0)
     # the leading term's exp argument carries ~|lg0| ulps of rounding
     lead_err = abs(lg0) * _EPS * term
@@ -88,13 +94,16 @@ def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
     j = 0
     while True:
         ratio = q / ((j + 1) * (v + j + 1))
-        next_term = -term * ratio
-        if ratio < 1.0 and abs(next_term) <= 1e-18 * abs(total) + 5e-324:
-            tail = abs(next_term)
+        term = -term * ratio
+        tail = abs(term)  # at the break, the first omitted term
+        if ratio < 1.0 and tail <= 1e-18 * abs(total) + 5e-324:
             break
-        term = next_term
         total += term
-        max_abs = max(max_abs, abs(term), abs(total))
+        size = abs(total)
+        if tail > max_abs:
+            max_abs = tail
+        if size > max_abs:
+            max_abs = size
         j += 1
         if j > 500:
             raise PrecisionError("bessel_j series failed to converge")
@@ -140,6 +149,9 @@ def _upper_gamma_cf(s: float, x: float) -> tuple[float, float]:
 def _lower_gamma_series(s: float, x: float) -> tuple[float, float]:
     """gamma(s, x) (lower) by the ascending series, for x < s + 1."""
     term = 1.0 / s
+    if not math.isfinite(term):
+        # s below ~5.6e-309: the stop test relative to 1/s could never hold
+        raise PrecisionError(f"1/s overflows for s = {s}: Gamma(s) is past the float range")
     terms = [term]
     k = 1
     while True:

@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import pytest
 
+from ckkernel import kernel
 from ckkernel.errors import DomainError, PrecisionError
 from ckkernel.kernel import (
     _OMEGA_C,
@@ -165,6 +166,23 @@ class TestRk:
                     rho = coeff.rho
                     lhs = abs(coeff.value.value - pref * rho.value) + pref * rho.abs_err
                     assert lhs <= coeff.value.abs_err, (k, n)
+
+    def test_one_gamma_sum_and_one_bessel_j_per_term(self, monkeypatch):
+        # each m up to terms_used costs exactly one cosine sum and one Bessel value
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(kernel, "gamma_sum", counted("gamma_sum", gamma_sum))
+        monkeypatch.setattr(kernel, "bessel_j", counted("bessel_j", bessel_j))
+        for k, n, eps in ((12, 1, 1e-10), (24, 3, 1e-13), (40, 5, 1e-8), (16, 2, 1e-14)):
+            calls.update(gamma_sum=0, bessel_j=0)
+            coeff = r_k(k, n, eps)
+            assert calls == {"gamma_sum": coeff.terms_used, "bessel_j": coeff.terms_used}
 
     def test_n_two(self):
         coeff = r_k(12, 2, 1e-9)

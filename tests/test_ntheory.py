@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ckkernel import ntheory
 from ckkernel.errors import DomainError
 from ckkernel.ntheory import (
     bernoulli,
@@ -103,6 +104,25 @@ class TestGammaSum:
                     for a, c in pairs
                 )
                 assert gamma_sum(n, m) == ref, (n, m)
+
+    def test_call_order_does_not_matter(self):
+        # the pair exponents of m are memoized: values read through a memo
+        # filled in any order equal those of a pass from an empty memo
+        memo = ntheory._pair_exponents
+        ms = range(1, 2049)
+        ns = range(1, 6)
+        memo.cache_clear()
+        ascending = {(n, m): gamma_sum(n, m) for m in ms for n in ns}
+        memo.cache_clear()
+        descending = {(n, m): gamma_sum(n, m) for m in reversed(ms) for n in ns}
+        n_major = {(n, m): gamma_sum(n, m) for n in ns for m in ms}
+        assert memo.cache_info().hits > 0
+        assert descending == ascending
+        assert n_major == ascending
+        for m in range(1, 20_001):
+            gamma_sum(1, m)
+        info = memo.cache_info()
+        assert info.currsize <= info.maxsize
 
     def test_domain(self):
         with pytest.raises(DomainError):

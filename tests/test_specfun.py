@@ -8,11 +8,43 @@ from scipy import integrate
 
 from ckkernel.errors import DomainError, PrecisionError
 from ckkernel.specfun import (
+    MAX_SERIES_ARG,
     HalfIntOrder,
     bessel_envelope,
     bessel_j,
     upper_incomplete_gamma,
 )
+
+EPS = 2.220446049250313e-16
+
+
+def _reference_bessel_j(nu, x):
+    """bessel_j's ascending series as first written: exp(lgamma) per call, max() per step."""
+    v = nu.nu
+    half = x / 2.0
+    q = half * half
+    lg0 = v * math.log(half) - math.lgamma(v + 1.0)
+    term = math.exp(lg0)
+    lead_err = abs(lg0) * EPS * term
+    total = term
+    max_abs = abs(term)
+    j = 0
+    while True:
+        ratio = q / ((j + 1) * (v + j + 1))
+        next_term = -term * ratio
+        if ratio < 1.0 and abs(next_term) <= 1e-18 * abs(total) + 5e-324:
+            tail = abs(next_term)
+            break
+        term = next_term
+        total += term
+        max_abs = max(max_abs, abs(term), abs(total))
+        j += 1
+    return total, tail + ((j + 2) * EPS * max_abs + lead_err)
+
+
+def _reference_envelope(nu, x):
+    v = nu.nu
+    return math.exp(v * math.log(x / 2.0) - math.lgamma(v + 1.0))
 
 
 class TestHalfIntOrder:
@@ -84,6 +116,18 @@ class TestBesselJ:
                     + 4e-16 * (abs(lo.value) + abs(hi.value) + abs(coef * mid.value))
                 )
                 assert resid <= allowed
+
+    def test_matches_parent_loop_bit_for_bit(self):
+        # the memoized ln Gamma(nu + 1) and the two comparisons in place of
+        # max() change no bit of the value or the bar, nor of the envelope
+        xs = [n * math.pi / m for n in range(1, 6) for m in range(1, 257)]
+        xs += [MAX_SERIES_ARG * i / 1024 for i in range(1, 1025)]
+        for k in range(12, 41, 4):
+            nu = HalfIntOrder.for_weight(k)
+            for x in xs:
+                j = bessel_j(nu, x)
+                assert (j.value, j.abs_err) == _reference_bessel_j(nu, x), (k, x)
+                assert bessel_envelope(nu, x) == _reference_envelope(nu, x), (k, x)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -168,6 +212,13 @@ class TestUpperIncompleteGamma:
         with mp.workdps(50):
             ref = mp.gammainc(s, x)
             assert abs(g.value - ref) <= g.abs_err, (s, x)
+
+    def test_overflowing_reciprocal_raises_before_the_series(self):
+        # 1/s = inf: the series' stop test relative to 1/s could never hold,
+        # so the check raises up front rather than after 10,000 steps
+        for s in (5e-324, 1e-310):
+            with pytest.raises(PrecisionError, match="1/s overflows"):
+                upper_incomplete_gamma(s, 0.5)
 
     def test_error_bound_stays_small_at_moderate_arguments(self):
         # the reported error tracks (|s ln x| + x) ulps, so stay within a
