@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -155,7 +154,6 @@ def divisor_count(m: int) -> int:
     return d
 
 
-_bernoulli_lock = threading.Lock()
 _bernoulli_cache: list[Fraction] = [Fraction(1)]  # B_0, B_1, ... (B_1 = -1/2)
 
 
@@ -167,15 +165,14 @@ def bernoulli(n: int) -> Fraction:
     """
     if n < 0 or n % 2:
         raise DomainError(f"bernoulli requires even n >= 0, got {n}")
-    with _bernoulli_lock:
-        while len(_bernoulli_cache) <= n:
-            # sum_{j=0}^{m} C(m+1, j) B_j = 0  for m >= 1
-            m = len(_bernoulli_cache)
-            acc = Fraction(0)
-            for j, bj in enumerate(_bernoulli_cache):
-                acc += math.comb(m + 1, j) * bj
-            _bernoulli_cache.append(-acc / (m + 1))
-        return _bernoulli_cache[n]
+    while len(_bernoulli_cache) <= n:
+        # sum_{j=0}^{m} C(m+1, j) B_j = 0  for m >= 1
+        m = len(_bernoulli_cache)
+        acc = Fraction(0)
+        for j, bj in enumerate(_bernoulli_cache):
+            acc += math.comb(m + 1, j) * bj
+        _bernoulli_cache.append(-acc / (m + 1))
+    return _bernoulli_cache[n]
 
 
 def zeta_even(n: int) -> float:

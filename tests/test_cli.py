@@ -168,3 +168,12 @@ def test_import_leaves_mpmath_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is a test dependency only; importing it costs more start-up than the package itself
+    src = os.path.dirname(os.path.dirname(ckkernel.__file__))
+    code = "import sys, ckkernel, ckkernel.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
