@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, PrecisionError
 from .ntheory import ValueWithError, gamma_sum, zeta_even
-from .specfun import MAX_SERIES_ARG, HalfIntOrder, bessel_envelope, bessel_j
+from .specfun import _EPS, MAX_SERIES_ARG, HalfIntOrder, bessel_envelope, bessel_j
 
 __all__ = [
     "KernelCoefficient",
@@ -39,7 +39,6 @@ __all__ = [
     "certify",
 ]
 
-_EPS = 2.220446049250313e-16
 # 16 / 210^(1/3) = 2.69182538518..., rounded up: 2^omega(m) <= _OMEGA_C m^(1/3)
 _OMEGA_C = 2.69183
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import DomainError, PrecisionError
 from .ntheory import ValueWithError
 from .qexpansion import Eigenform, eigenforms
-from .specfun import _GAMMA_ULPS, upper_incomplete_gamma
+from .specfun import _EPS, _GAMMA_ULPS, upper_incomplete_gamma
 
 __all__ = [
     "LValue",
@@ -29,8 +29,6 @@ __all__ = [
     "functional_equation_residual",
     "central_values",
 ]
-
-_EPS = 2.220446049250313e-16
 
 
 @dataclass(frozen=True)

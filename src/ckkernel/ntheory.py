@@ -1,6 +1,6 @@
 """Integer and arithmetic-function kernels.
 
-Coprime factor pairs, the cosine sums gamma_n(m) over them, divisor
+The cosine sums gamma_n(m) over the coprime factor pairs of m, divisor
 counts, exact Bernoulli numbers and the closed form of zeta at even
 integers.  The exponents a' a - c' c of the coprime pairs of m are found
 once per m (a bounded memo) and shared across every n and weight k that
@@ -18,7 +18,6 @@ from .errors import DomainError
 
 __all__ = [
     "ValueWithError",
-    "coprime_factor_pairs",
     "gamma_sum",
     "factorize",
     "divisor_count",
@@ -43,24 +42,6 @@ class ValueWithError:
 
     def excludes_zero(self) -> bool:
         return abs(self.value) > self.abs_err
-
-
-def coprime_factor_pairs(m: int) -> list[tuple[int, int]]:
-    """All ordered pairs (a, c) of positive integers with a*c = m, gcd(a, c) = 1."""
-    if m < 1:
-        raise DomainError("m must be a positive integer")
-    pairs = []
-    for a in range(1, math.isqrt(m) + 1):
-        if m % a:
-            continue
-        c = m // a
-        if math.gcd(a, c) != 1:
-            continue
-        pairs.append((a, c))
-        if a != c:
-            pairs.append((c, a))
-    pairs.sort()
-    return pairs
 
 
 def gamma_sum(n: int, m: int) -> float:

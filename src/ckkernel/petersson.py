@@ -7,14 +7,13 @@ in closed form (Parseval)
     sum_n a_n b_n (4 pi n)^(1-k) Gamma(k-1, 4 pi n),
 
 summed by `lfunction.gamma_series` with a Deligne tail past the coefficients.
-Only the arc strip sqrt(1 - x^2) <= y <= 1, of area 1 - pi/6 - sqrt(3)/4
-~ 0.043, is left to quadrature.  The coefficients are real, so
-f(-x + iy) = conj f(x + iy): the real part of f conj(g) is even in x and
-the imaginary part odd, and the strip is twice its half x in [0, 1/2].
-That half is one tensor Gauss-Legendre grid in pure Python (`_arc_value`),
-whose remainder in x and in y is proven by the Bernstein-ellipse theorem
-rather than estimated.  The measure is the unnormalized y^k dx dy / y^2;
-no volume factor is applied.
+What is left is the arc strip {sqrt(3)/2 <= y <= 1, sqrt(1 - y^2) <= |x| <= 1/2},
+of area 1 - pi/6 - sqrt(3)/4 ~ 0.043.  Across it the x integral of each
+Fourier term is in closed form too, and y = cos theta turns the strip into
+one entire integrand on theta in [0, pi/6]: one Gauss-Legendre rule in pure
+Python (`_arc_value`), whose remainder is proven by the Bernstein-ellipse
+theorem rather than estimated.  The measure is the unnormalized
+y^k dx dy / y^2; no volume factor is applied.
 
 In this normalization the kernel coefficient of `kernel.r_k` satisfies
 
@@ -27,10 +26,11 @@ normalized Hecke eigenforms of weight k (Kohnen's identity, see
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 from typing import NamedTuple
 
 from .errors import DomainError, PrecisionError
@@ -38,6 +38,7 @@ from .kernel import r_k
 from .lfunction import central_values, deligne_tail, gamma_series
 from .ntheory import ValueWithError
 from .qexpansion import Eigenform
+from .specfun import _EPS
 
 __all__ = [
     "QuadratureSpec",
@@ -49,13 +50,10 @@ __all__ = [
 ]
 
 _MIN_Y = math.sqrt(3.0) / 2.0
-_H_MAX = (1.0 - _MIN_Y) / 2.0  # the largest half-height of an arc column
+_H = math.pi / 12.0  # theta = _H (1 + t) maps t in [-1, 1] onto [0, pi/6]
 _ARC_AREA = 0.0434  # 1 - pi/6 - sqrt(3)/4 = 0.04338..., rounded up
-_EPS = 2.220446049250313e-16
-# Bernstein-ellipse parameters tried per direction; rho_x stays below
-# 3 + sqrt(8), where the x-ellipse would reach the branch point x = 1
-_RHO_X = tuple(2.0 ** (j / 4) for j in range(1, 11))
-_RHO_Y = tuple(2.0 ** (j / 4) for j in range(1, 25))
+# Bernstein-ellipse parameters tried; each keeps _H (1 + (rho + 1/rho)/2) < pi/2
+_RHO = tuple(2.0 ** (j / 4) for j in range(1, 14))
 # `_gauss_legendre`'s charge: nodes within _NODE_ULPS _EPS, weights within
 # _WEIGHT_ULPS n^2 _EPS relatively
 _NODE_ULPS = 1.0
@@ -64,25 +62,26 @@ _WEIGHT_ULPS = 4.0
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Legendre node counts in x and y for the half arc strip, x in [0, 1/2]."""
+    """The Gauss-Legendre node count of the arc strip, in theta with y = cos theta."""
 
-    x_nodes: int = 32
-    y_nodes: int = 14
+    y_nodes: int = 30
 
     def __post_init__(self):
-        if self.x_nodes < 8 or self.y_nodes < 8:
-            raise DomainError("x_nodes and y_nodes must be >= 8")
+        if self.y_nodes < 8:
+            raise DomainError("y_nodes must be >= 8")
+
+    @property
+    def x_nodes(self) -> int:
+        """1, as the x integral is in closed form.  Read-only; it exists only
+        for perfbench's grid-point counter, which still reads both counts."""
+        return 1
 
 
 def default_spec(k: int) -> QuadratureSpec:
-    """The spec `petersson_inner` uses when given none: 12 + k/2 x nodes and
-    6 + k/5 y nodes, rounded down.
-
-    Sized on the proven bounds of `_arc_value`: its x and y remainders are each
-    <= 1e-14 of the norm for every eigenform of weight k <= 40.  The spec's
-    own defaults are those of k = 40.
-    """
-    return QuadratureSpec(x_nodes=12 + k // 2, y_nodes=6 + k // 5)
+    """The spec `petersson_inner` uses when given none: 10 + k // 2 nodes, at
+    which the proven remainder of `_arc_value` is <= 1e-14 of the norm for
+    every eigenform of weight k <= 40 (the spec's own default is k = 40's)."""
+    return QuadratureSpec(y_nodes=10 + k // 2)
 
 
 def _parseval(f: Eigenform, g: Eigenform, k: int) -> ValueWithError:
@@ -189,45 +188,27 @@ class _ArcValue(NamedTuple):
     """The arc strip's quadrature value and the parts of its bar."""
 
     value: float
-    x_rem: float  # Gauss remainder in x, proven
-    y_rem: float  # Gauss remainder in y, proven
+    rem: float  # Gauss remainder, proven
     rounding: float  # float rounding, the rule's own included
     trunc: float  # the coefficients past N_t
-
-
-def _x_bound(fm, gm, k: int, rho: float) -> float:
-    """A bound on |F| over the t-ellipse E_rho, for the column integral F of
-    `_arc_value` continued to complex x = (1 + t)/4."""
-    a = (rho + 1.0 / rho) / 2.0
-    big_x = (1.0 + a) / 4.0  # |x| and Re x are at most this
-    big_y = (rho - 1.0 / rho) / 8.0  # |Im x| is at most this
-    low = math.sqrt(1.0 - big_x * big_x)  # Re lo(x) is at least this
-    up = ((1.0 + big_y * big_y) ** 2 + 4.0 * (big_x * big_y) ** 2) ** 0.25  # |lo(x)| at most
-    return (
-        big_x * big_x / (1.0 + low) * math.exp(-2.0 * math.tau * big_y)
-        * _majorant(fm, gm, low - big_y) * up ** (k - 2)
-    )
-
-
-def _y_bound(fm, gm, k: int, rho: float) -> float:
-    """A bound on |P(x, lo + h (1 + s))| over the s-ellipse E_rho, uniform in
-    the real column x in [0, 1/2]."""
-    a = (rho + 1.0 / rho) / 2.0
-    up = _MIN_Y + _H_MAX * (1.0 + a)
-    return _majorant(fm, gm, _MIN_Y + _H_MAX * (1.0 - a)) * up ** (k - 2)
 
 
 def _arc_value(f, g, k: int, spec: QuadratureSpec) -> _ArcValue:
     """The integral of f conj(g) y^(k-2) over the arc strip, with a proven bar.
 
-    Grid.  With x = (1 + t)/4 on the half x in [0, 1/2] and, per column,
-    y = lo + h (1 + s), lo = sqrt(1 - x^2), h = (1 - lo)/2 = x^2 / (2 (1 + lo))
-    (no cancellation), the whole strip is (1/2) int_(-1)^1 F(x) dt with
-    F(x) = h int_(-1)^1 P(x, y) ds and P = Re(f conj g) y^(k-2).  The value is
-    sum_i (w_i / 2) h_i sum_j v_j P(x_i, y_ij) over the Gauss rules (t_i, w_i)
-    and (s_j, v_j) of `_gauss_legendre`.  Per column, c_n = a_n e^(2 pi i n x)
-    is formed once, and f is a Horner sum in the real r = e^(-2 pi y) per
-    node; for a norm (g is f), f is evaluated once.
+    Rule.  At height y = cos theta the strip is sin theta <= |x| <= 1/2, and
+    the coefficients are real, so the x integral of e^(2 pi i d x) there is
+    2 S_d(w) = 2 int_(sin theta)^(1/2) cos(2 pi d x) dx, w = 1/2 - sin theta:
+    2 S_0 = 2 w and 2 S_d = (-1)^d sin(2 pi |d| w) / (pi |d|).  With
+    dy = -sin theta d theta the strip is int_0^(pi/6) I d theta, where
+
+        I = sin theta cos^(k-2) theta P,   P = sum_(m,n) v_m u_n 2 S_(m-n)(w),
+
+    v_m = a_m r^m, u_n = b_n r^n and r = e^(-2 pi cos theta).  theta = H (1 + t),
+    H = pi/12, makes it H int_(-1)^1 I dt, summed by the rule (t_i, w_i) of
+    `_gauss_legendre`.  Per node 2 S_d is formed once for |d| < N_t, and P
+    as sum_m v_m (sum_n u_n 2 S_(m-n)); w is taken as
+    2 sin(pi (1 - t)/24) cos(pi (3 + t)/24), free of cancellation.
 
     Truncation.  Only the first N_t coefficients of each form are summed
     (`_kept_terms`).  Past them Deligne's |a_n| <= n^((k+1)/2) bounds
@@ -236,107 +217,82 @@ def _arc_value(f, g, k: int, spec: QuadratureSpec) -> _ArcValue:
     area 1 - pi/6 - sqrt(3)/4 < 0.0434, the truncated integral is off by at
     most 0.0434 (T_f S_g + T_g S_f + T_f T_g).  All below is about f_N, g_N.
 
-    Remainders.  Let A(t) = sum_(n <= N_t) |a_n| e^(-2 pi n t), B likewise.
-    Continued to complex x and y, P = sum a_m b_n cos(2 pi (m - n) x)
-    e^(-2 pi (m + n) y) y^(k-2) is entire in y, and |m - n| <= m + n - 2
-    gives |P| <= e^(-4 pi |Im x|) A(Re y - |Im x|) B(Re y - |Im x|) |y|^(k-2)
-    = sum |a_m b_n| e^(2 pi (m + n - 2) |Im x| - 2 pi (m + n) Re y) |y|^(k-2),
-    which grows with |Im x| and falls with Re y.
-    Thm 19.3 (`_gauss_remainder`) applies in each direction:
-    - y, per real column (Im x = 0): on E_rho in s, with a = (rho + 1/rho)/2,
-      Re y >= sqrt(3)/2 + H (1 - a) and |y| <= sqrt(3)/2 + H (1 + a), H =
-      (1 - sqrt(3)/2)/2 the largest h (both are monotone in lo, so the worst
-      column is x = 1/2).  Column i misses F(x_i) by h_i times the remainder
-      of that bound m_y, and sum_i (w_i / 2) h_i <= H.
-    - x, for F on E_rho in t: |x| <= (1 + a)/4 =: X < 1 (so rho < 3 + sqrt 8
-      keeps x = 1, the branch point of lo, outside; x = -1 is farther) and
-      |Im x| <= (rho - 1/rho)/8 =: Y.  Re(1 - x^2) >= 1 - X^2 gives
-      Re lo >= L = sqrt(1 - X^2), and |1 - x^2| <= ((1 + Y^2)^2 +
-      4 X^2 Y^2)^(1/2) gives |lo| <= U; on the segment from lo to 1,
-      Re y >= L and |y| <= U.  As |1 - lo| = |x|^2 / |1 + lo| <= X^2 / (1 + L),
-      |F| <= m_x = X^2 / (1 + L) e^(-4 pi Y) A(L - Y) B(L - Y) U^(k-2), and
-      the x rule carries 1/2.
-    Each direction takes the rho of `_RHO_X` / `_RHO_Y` that minimizes its
-    bound, so a caller's spec is charged its own remainder.
+    Remainder.  I is entire in theta, so Trefethen's Thm 19.3
+    (`_gauss_remainder`) holds on every Bernstein ellipse E_rho in t, the
+    rule carrying H.  On E_rho, theta = a + ib with H (1 - A) <= a <= H (1 + A)
+    and |b| <= beta = H B, A = (rho + 1/rho)/2, B = (rho - 1/rho)/2; `_RHO`
+    keeps H (1 + A) < pi/2, so cos a >= c = cos(H (1 + A)) > 0.  There
+    - |cos theta| <= cosh beta, and Re cos theta = cos a cosh b;
+    - |sin theta| <= s = (sin^2(H (1 + A)) + sinh^2 beta)^(1/2);
+    - 2 S_d is 2 int cos(2 pi d x) dx along the segment from sin theta to 1/2,
+      on which |Im x| <= |Im sin theta| = cos a |sinh b|, so |2 S_d| <=
+      |1 - 2 sin theta| e^(2 pi |d| cos a |sinh b|) <= (1 + 2 s) e^(...);
+    - as |m - n| <= m + n and cosh b - |sinh b| = e^(-|b|), the term (m, n)
+      of P is at most (1 + 2 s) |a_m b_n| e^(-2 pi (m + n) c e^(-beta)).
+    So |I| <= s (1 + 2 s) cosh^(k-2) beta `_majorant`(c e^(-beta)) on E_rho.
+    The rho of `_RHO` that minimizes H times the Thm 19.3 bound is charged,
+    so a caller's spec is charged its own remainder.
 
-    Rounding, relative to the mass W_ij F_abs G_abs y^(k-2) of each term
-    (W_ij = (w_i / 2) h_i v_j, F_abs = sum |a_n| r^n) and to first order in
-    _EPS; each rounding counts one _EPS, twice the unit roundoff.  The
-    rule's own node errors are argument errors like the others:
-    - the weights are off by _WEIGHT_ULPS n^2 _EPS relatively, in x and y;
-    - x is off by (_NODE_ULPS + 1) _EPS / 4 <= _EPS / 2 (the node, then
-      (1 + t)/4), lo by 0.58 of that plus 1.1 _EPS, h relatively by
-      2 |dx| / x <= _EPS / x plus 3.1 _EPS, and y, the y node's
-      0.067 _NODE_ULPS _EPS included, by 4 _EPS;
-    - the phase n (2 pi x) is off by 2 pi n |dx| plus 2.25 pi n _EPS (2 pi
-      and two products), at most 3.25 pi n _EPS, and cos, sin and the
-      product with a_n add 3 _EPS: c_n is within (3.25 pi n + 3) _EPS |a_n|;
-    - 2 pi y is within 2 pi (4 + 1.25) _EPS, so r is within 34 _EPS
-      relatively and r^n within 34 n _EPS;
-    - Horner in the real r rounds each component once per step, over 2 N_t
-      steps (the last being the shared r^2): sqrt(2) 2 N_t _EPS of F_abs.
-    So f is within ((3.25 pi + 34 + 2 sqrt 2) N_t + 3) _EPS <= (50 N_t + 3)
-    _EPS of F_abs, likewise g.  Re(f conj g) adds 3 _EPS; y^(k-2) adds
-    (k - 2) 4 _EPS / y <= 4.7 (k - 2) _EPS plus one; the six products of
-    W_ij, r^2, y^(k-2) and P add six, h itself 5 + 1/x_i; `math.fsum`
-    rounds once.  Each term of F_abs falls at least as e^(-2 pi (y - lo))
-    up a column, so column i's mass is at most its sum of W_ij A(lo_i)
-    B(lo_i) e^(4 pi lo_i) r_ij^2 y_ij^(k-2), summed beside the value.
+    Rounding, relative to the mass H w_i sin theta y^(k-2) 2 w V U of each
+    node (V = sum |v_m|, U = sum |u_n|; |2 S_d| <= 2 w), to first order in
+    _EPS, each rounding counted as one _EPS (twice the unit roundoff):
+    - theta is within 3 _EPS relatively (H, 1 + t, the product), sin theta
+      within 4, y = cos theta within 3 (the node's error included, as
+      y >= 0.86) and y^(k-2) within 3 (k - 2) + 1;
+    - 2 pi y is within 5 _EPS relatively and below 2 pi, so r is within 33,
+      and v_m (m - 1 products, one with a_m) within 34 m; likewise u_n;
+    - w is within 7: 3 in the sine's argument, at most 0.3 from the
+      cosine's (b tan b <= 0.07 for b <= pi/12), one per sin, cos and
+      product.  So 2 pi d w is within 10, sin(2 pi d w) within 11 _EPS
+      2 pi d w, and 2 S_d, divided by pi d (3 more), within 14 _EPS 2 w;
+    - v_m u_n 2 S_(m-n) passes two products and at most N_t(f) + N_t(g) - 2
+      sums: N_t(f) + N_t(g);
+    - the weight is within _WEIGHT_ULPS n^2 _EPS; three products form the
+      term, and `math.fsum`, H and the product with it add three.
+    The node's own error, _NODE_ULPS _EPS, is absolute: it moves sin theta
+    and w by at most H _NODE_ULPS _EPS, and 2 S_d (derivative in w at most
+    2) by twice that.  As 2 w + 2 sin theta = 1, node i moves by at most
+    H^2 w_i y^(k-2) V U _NODE_ULPS _EPS; with sum w_i = 2, y <= 1 and
+    V U <= S_f S_g, all nodes by 2 H^2 S_f S_g _NODE_ULPS _EPS.
     """
-    fm = _kept_terms(f, k)
-    gm = fm if g is f else _kept_terms(g, k)
+    fm, gm = _kept_terms(f, k), _kept_terms(g, k)
     nf, ng = len(fm), len(gm)
-    xt, xw = _gauss_legendre(spec.x_nodes)
-    ys, yw = _gauss_legendre(spec.y_nodes)
+    n_t, n = max(nf, ng), spec.y_nodes
+    ts, ws = _gauss_legendre(n)
     power = k - 2
     terms = []
-    mass = mass_by_x = 0.0
-    for t, w in zip(xt, xw):
-        x = 0.25 * (1.0 + t)
-        lo = math.sqrt(1.0 - x * x)
-        h = 0.5 * x * x / (1.0 + lo)
-        col = 0.5 * w * h
-        theta = math.tau * x
-        # c_N .. c_1, so that the Horner loops run in list order
-        cf = [cmath.rect(f.a[n - 1], n * theta) for n in range(nf, 0, -1)]
-        cg = cf if g is f else [cmath.rect(g.a[n - 1], n * theta) for n in range(ng, 0, -1)]
-        shape = 0.0
-        for s, v in zip(ys, yw):
-            y = lo + h * (1.0 + s)
-            r = math.exp(-math.tau * y)
-            fv = 0j
-            for c in cf:
-                fv = fv * r + c
-            if cg is cf:
-                prod = fv.real * fv.real + fv.imag * fv.imag
-            else:
-                gv = 0j
-                for c in cg:
-                    gv = gv * r + c
-                prod = fv.real * gv.real + fv.imag * gv.imag
-            wr = v * (r * r) * y**power
-            shape += wr
-            terms.append(col * wr * prod)
-        col_mass = col * shape * _majorant(fm, gm, lo) * math.exp(2.0 * math.tau * lo)
-        mass += col_mass
-        mass_by_x += col_mass / x
+    mass = 0.0
+    for t, wt in zip(ts, ws):
+        theta = _H * (1.0 + t)
+        y = math.cos(theta)
+        w = 2.0 * math.sin(0.5 * _H * (1.0 - t)) * math.cos(0.5 * _H * (3.0 + t))
+        r = math.exp(-math.tau * y)
+        v = list(map(mul, f.a[:nf], accumulate(repeat(r, nf), mul)))
+        u = list(map(mul, g.a[:ng], accumulate(repeat(r, ng), mul)))
+        tw = math.tau * w
+        s_d = [2.0 * w] + [(-1) ** d * math.sin(d * tw) / (d * math.pi) for d in range(1, n_t)]
+        band = s_d[:0:-1] + s_d  # band[n_t - 1 + d] = 2 S_d = band[n_t - 1 - d]
+        corr = sum(map(mul, v, [sum(map(mul, u, band[n_t - 1 - m:])) for m in range(nf)]))
+        node = wt * math.sin(theta) * y**power
+        terms.append(node * corr)
+        mass += node * 2.0 * w * sum(map(abs, v)) * sum(map(abs, u))
 
-    x_rem = min(0.5 * _gauss_remainder(_x_bound(fm, gm, k, rho), rho, spec.x_nodes)
-                for rho in _RHO_X)
-    y_rem = min(_H_MAX * _gauss_remainder(_y_bound(fm, gm, k, rho), rho, spec.y_nodes)
-                for rho in _RHO_Y)
-    ulps = (
-        50.0 * (nf + ng) + 6.0 + 3.0 + 4.7 * power + 1.0 + 6.0 + 5.0 + 1.0
-        + _WEIGHT_ULPS * (spec.x_nodes**2 + spec.y_nodes**2)
-    )
+    rem = math.inf
+    for rho in _RHO:
+        a = _H * (1.0 + (rho + 1.0 / rho) / 2.0)
+        beta = _H * (rho - 1.0 / rho) / 2.0
+        s = math.hypot(math.sin(a), math.sinh(beta))
+        bound = s * (1.0 + 2.0 * s) * math.cosh(beta) ** power * _majorant(
+            fm, gm, math.cos(a) * math.exp(-beta))
+        rem = min(rem, _H * _gauss_remainder(bound, rho, n))
+    ulps = 35.0 * (nf + ng) + 3.0 * power + 25.0 + _WEIGHT_ULPS * n * n
     p, c = (k + 1) / 2, math.tau * _MIN_Y
     tf, tg = deligne_tail(p, c, nf + 1), deligne_tail(p, c, ng + 1)
     sf, sg = math.sqrt(_majorant(fm, fm, _MIN_Y)), math.sqrt(_majorant(gm, gm, _MIN_Y))
     return _ArcValue(
-        value=math.fsum(terms),
-        x_rem=x_rem,
-        y_rem=y_rem,
-        rounding=(ulps * mass + mass_by_x) * _EPS,
+        value=_H * math.fsum(terms),
+        rem=rem,
+        rounding=(ulps * _H * mass + 2.0 * _H * _H * sf * sg * _NODE_ULPS) * _EPS,
         trunc=_ARC_AREA * (tf * sg + tg * sf + tf * tg),
     )
 
@@ -346,7 +302,7 @@ def petersson_inner(
 ) -> ValueWithError:
     """(f, g) over the fundamental domain, unnormalized measure.
 
-    The bar is the Parseval bar, the arc's proven x and y remainders, its
+    The bar is the Parseval bar, the arc's proven remainder, its
     rounding (the rule's included) and its truncation at N_t coefficients
     (`_arc_value`), and one rounding of the sum.  `PrecisionError` if f or g
     carries too few coefficients (`_kept_terms`).
@@ -357,9 +313,7 @@ def petersson_inner(
     arc = _arc_value(f, g, k, spec or default_spec(k))
     upper = _parseval(f, g, k)
     value = upper.value + arc.value
-    err = (
-        upper.abs_err + arc.x_rem + arc.y_rem + arc.rounding + arc.trunc + _EPS * abs(value)
-    )
+    err = upper.abs_err + arc.rem + arc.rounding + arc.trunc + _EPS * abs(value)
     return ValueWithError(value, err)
 
 

@@ -117,9 +117,6 @@ class QExpansion:
             e >>= 1
         return result
 
-    def is_cusp(self) -> bool:
-        return self.coeffs[0] == 0
-
 
 @dataclass(frozen=True)
 class Eigenform:
@@ -127,7 +124,6 @@ class Eigenform:
 
     weight: int
     a: tuple[float, ...]  # a[i] is a_{i+1}; a[0] == 1.0
-    coefficient_field_degree: int
 
     def __post_init__(self):
         if not self.a or self.a[0] != 1.0:
@@ -423,7 +419,8 @@ def eigenforms(k: int, n_coeffs: int = 60) -> list[Eigenform]:
     Sturm sequence and refined to cells of width 2^-200, each eigenvector is
     the exact adjugate column at its cell's dyadic midpoint, and each
     coefficient is one integer dot product with the exact basis, rounded once
-    to the nearest float.  Forms are ordered by increasing a_2.  The forms of the last few
+    to the nearest float.  Forms are ordered by increasing a_2, the T_2
+    eigenvalue, in which the roots are isolated.  The forms of the last few
     (k, n_coeffs) are kept, so a repeated call builds no basis.
     """
     return list(_eigenforms(k, n_coeffs))
@@ -440,9 +437,6 @@ def _eigenforms(k: int, n_coeffs: int) -> tuple[Eigenform, ...]:
         return ()
     prec = max(n_coeffs + 1, 2 * d + 1)
     basis = miller_basis(k, prec)
-    if d == 1:
-        g = basis[0]
-        return (Eigenform(k, tuple(float(g.coeffs[n]) for n in range(1, n_coeffs + 1)), 1),)
     poly, adj_col = _char_poly(_hecke_on_basis(basis, 2))
     # The first column w of adj(lam I - T_2) satisfies rows 2..d of
     # (T_2 - lam) w = 0, so at an eigenvalue it is the eigenvector.  It is taken
@@ -456,6 +450,5 @@ def _eigenforms(k: int, n_coeffs: int) -> tuple[Eigenform, ...]:
     for c in _real_roots(poly):
         w = [_horner(q, 2 * c - 1) for q in adj_col]
         a = tuple(sum(map(operator.mul, w, col)) / w[0] for col in cols)  # int / int rounds once
-        forms.append(Eigenform(k, a, d))
-    forms.sort(key=lambda f: f.coefficient(2))
+        forms.append(Eigenform(k, a))
     return tuple(forms)

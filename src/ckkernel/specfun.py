@@ -22,6 +22,7 @@ __all__ = [
     "upper_incomplete_gamma",
 ]
 
+# 2^-52, the unit in which every module counts its roundings
 _EPS = 2.220446049250313e-16
 # Largest argument the ascending-series contract covers.  Beyond this the
 # partial sums grow enough that the float-cancellation budget is no longer
@@ -75,6 +76,26 @@ def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
     alternating; once the term ratio drops below 1 it is also decreasing,
     so the first omitted term bounds the tail.  Truncation stops only in
     that regime, which every x <= MAX_SERIES_ARG reaches quickly.
+
+    No partial sum exceeds the largest term, so max_abs, the scale of the
+    (j + 2) _EPS max_abs charged for the float sums (each of the j additions
+    is within _EPS / 2 of a |total| <= max_abs), needs only the terms.  In
+    exact arithmetic: while |terms| rise, each sum lies between 0 and the
+    last term, as it is that term plus a smaller amount of the other sign;
+    once they fall, all later sums are nested between two consecutive ones.
+    In floats: let b_i be the computed |term| and P_i the computed sum
+    signed like term i.  Terms alternate exactly, so P_(i+1) =
+    fl(b_(i+1) - P_i).  The computed ratio does not rise with i (rounding
+    is monotone), so b rises up to a peak b_p = M and then falls, strictly,
+    as fl(b r) < b for r < 1 and normal b.  While b rises, P_i is in
+    [0, b_i]: b_(i+1) - P_i is in [0, b_(i+1)], whose ends are floats.
+    From p on, P_i is in [L_i, M], L_i = fl(b_i - M) >= -M:
+    P_(i+1) >= fl(b_(i+1) - M), and b_(i+1) - L_i <= M + U/2 -
+    (b_i - b_(i+1)) < M + U/2, U the float spacing above M, which rounds to
+    at most M.  A subnormal b (no strict fall) is below U/2, which keeps
+    the inequality strict, unless M < 2^-969; there max_abs may miss one
+    ulp of M, a second-order (j + 2) _EPS^2 M the bar, first order in
+    _EPS, does not track.
     """
     if x <= 0:
         raise DomainError(f"bessel_j requires x > 0, got {x}")
@@ -99,11 +120,8 @@ def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
         if ratio < 1.0 and tail <= 1e-18 * abs(total) + 5e-324:
             break
         total += term
-        size = abs(total)
         if tail > max_abs:
             max_abs = tail
-        if size > max_abs:
-            max_abs = size
         j += 1
         if j > 500:
             raise PrecisionError("bessel_j series failed to converge")

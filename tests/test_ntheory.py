@@ -7,7 +7,6 @@ from ckkernel import ntheory
 from ckkernel.errors import DomainError
 from ckkernel.ntheory import (
     bernoulli,
-    coprime_factor_pairs,
     divisor_count,
     factorize,
     gamma_sum,
@@ -15,6 +14,23 @@ from ckkernel.ntheory import (
 )
 
 EPS = 2.220446049250313e-16
+
+
+def coprime_factor_pairs(m: int) -> list[tuple[int, int]]:
+    """All ordered pairs (a, c) of positive integers with a*c = m, gcd(a, c) = 1,
+    by trial division: the oracle of the memoized walk behind `gamma_sum`."""
+    pairs = []
+    for a in range(1, math.isqrt(m) + 1):
+        if m % a:
+            continue
+        c = m // a
+        if math.gcd(a, c) != 1:
+            continue
+        pairs.append((a, c))
+        if a != c:
+            pairs.append((c, a))
+    pairs.sort()
+    return pairs
 
 
 class TestCoprimeFactorPairs:

@@ -43,9 +43,16 @@ class ScaledForm:
 class TestQuadratureSpec:
     def test_invariants(self):
         with pytest.raises(DomainError):
-            QuadratureSpec(x_nodes=4)
+            QuadratureSpec(y_nodes=7)
         with pytest.raises(DomainError):
             QuadratureSpec(y_nodes=2)
+
+    def test_x_integral_is_closed_form(self):
+        # one rule in theta; x_nodes is a read-only 1
+        assert QuadratureSpec().y_nodes == 30 == default_spec(40).y_nodes
+        assert QuadratureSpec(y_nodes=8).x_nodes == 1
+        with pytest.raises(AttributeError):
+            QuadratureSpec().x_nodes = 2
 
 
 class TestGaussLegendre:
@@ -187,15 +194,15 @@ class TestPeterssonInner:
 
     def test_doubling_nodes_stays_within_error(self):
         (f,) = eigenforms(12, 60)
-        spec = QuadratureSpec(x_nodes=40, y_nodes=48)
-        fine = QuadratureSpec(x_nodes=80, y_nodes=96)
+        spec = QuadratureSpec(y_nodes=48)
+        fine = QuadratureSpec(y_nodes=96)
         a = petersson_norm_sq(f, spec)
         b = petersson_norm_sq(f, fine)
         assert abs(a.value - b.value) <= a.abs_err
 
     def test_delta_norm_bar_contains_reference(self):
         (f,) = eigenforms(12, 60)
-        for spec in (default_spec(12), QuadratureSpec(x_nodes=80, y_nodes=96)):
+        for spec in (default_spec(12), QuadratureSpec(y_nodes=96)):
             norm = petersson_norm_sq(f, spec)
             assert abs(norm.value - DELTA_NORM_SQ) <= norm.abs_err
 
@@ -207,14 +214,13 @@ class TestPeterssonInner:
                     assert norm.abs_err <= 1e-11 * norm.value, (k, n_coeffs)
 
     def test_arc_remainders_are_small_at_default_spec(self):
-        # the proven Gauss remainders default_spec(k) was sized on
+        # the proven Gauss remainder default_spec(k) was sized on
         for n_coeffs in (60, 120):
             for k in range(12, 41, 4):
                 for f in eigenforms(k, n_coeffs):
                     norm = petersson_norm_sq(f).value
                     arc = petersson._arc_value(f, f, k, default_spec(k))
-                    assert arc.x_rem <= 1e-14 * norm, (k, n_coeffs)
-                    assert arc.y_rem <= 1e-14 * norm, (k, n_coeffs)
+                    assert arc.rem <= 1e-14 * norm, (k, n_coeffs)
 
     @pytest.mark.parametrize("k", [28, 40])
     def test_norm_bar_contains_40_digit_value(self, k):
@@ -222,7 +228,7 @@ class TestPeterssonInner:
         with mpmath.workdps(40):
             ref = mp_norm_sq(f)
         # the default spec, and a coarse one charged its own (larger) remainder
-        for spec in (None, QuadratureSpec(x_nodes=8, y_nodes=8)):
+        for spec in (None, QuadratureSpec(y_nodes=8)):
             norm = petersson_norm_sq(f, spec)
             assert abs(norm.value - ref) <= norm.abs_err, (k, spec)
         assert norm.abs_err > 1e-6 * norm.value
@@ -233,6 +239,17 @@ class TestPeterssonInner:
         n1 = petersson_norm_sq(f1)
         n2 = petersson_norm_sq(f2)
         assert abs(inner.value) / math.sqrt(n1.value * n2.value) < 1e-3
+
+    def test_distinct_eigenforms_are_orthogonal_within_the_bar(self):
+        # Hecke eigenforms of distinct eigenvalues are exactly orthogonal, so
+        # every inner product of two of them is 0: an exact oracle for f != g
+        for n_coeffs in (60, 120):
+            for k in range(24, 42, 2):
+                forms = eigenforms(k, n_coeffs)
+                for i, f in enumerate(forms):
+                    for g in forms[i + 1:]:
+                        for inner in (petersson_inner(f, g), petersson_inner(g, f)):
+                            assert abs(inner.value) <= inner.abs_err, (k, n_coeffs)
 
     def test_mixed_weights_rejected(self):
         (f,) = eigenforms(12, 60)

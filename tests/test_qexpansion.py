@@ -181,9 +181,6 @@ class TestDelta:
         d = delta(6)
         assert list(d.coeffs) == [0, 1, -24, 252, -1472, 4830]
 
-    def test_is_cusp_form(self):
-        assert delta(3).is_cusp()
-
     def test_eta_product_oracle(self):
         prec = 40
         assert list(delta(prec).coeffs) == eta24_coefficients(prec)
@@ -326,7 +323,11 @@ class TestEigenforms:
     def test_delta_coefficients(self):
         (f,) = eigenforms(12, 5)
         assert f.a == (1.0, -24.0, 252.0, -1472.0, 4830.0)
-        assert f.coefficient_field_degree == 1
+
+    def test_one_coefficient(self):
+        # a_1 = 1 alone, one form per dimension: the order needs no a_2
+        for k in (12, 24, 36):
+            assert [f.a for f in eigenforms(k, 1)] == [(1.0,)] * dim_cusp(k)
 
     def test_matches_mpmath_oracle_float_for_float(self):
         for k in range(12, 62, 2):

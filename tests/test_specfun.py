@@ -129,6 +129,18 @@ class TestBesselJ:
                 assert (j.value, j.abs_err) == _reference_bessel_j(nu, x), (k, x)
                 assert bessel_envelope(nu, x) == _reference_envelope(nu, x), (k, x)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 39), st.floats(0.01, MAX_SERIES_ARG))
+    @example(0, MAX_SERIES_ARG)
+    @example(39, 0.01)
+    def test_no_partial_sum_exceeds_the_largest_term(self, i, x):
+        # the reference loop also takes every |total| into max_abs; nu <= 79/2
+        # and x >= 0.01 keep the largest term above 1e-140, where the proof
+        # in bessel_j's docstring is exact
+        nu = HalfIntOrder(2 * i + 1)
+        j = bessel_j(nu, x)
+        assert (j.value, j.abs_err) == _reference_bessel_j(nu, x)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             bessel_j(HalfIntOrder(1), 0.0)
