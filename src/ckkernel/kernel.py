@@ -104,8 +104,9 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     _check_weight(k)
     if k > 40:
         raise DomainError(f"weights above 40 are out of certified scope, got {k}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    if n < 1 or n % 1:
+        raise DomainError(f"n must be an integer >= 1, got {n}")
+    n = int(n)  # an integral float gives the int's coefficient, bit for bit
     if not eps >= 1e-14:
         raise PrecisionError(f"eps below 1e-14 is not achievable in double precision")
     if n * math.pi > MAX_SERIES_ARG:

@@ -11,6 +11,10 @@ s <-> k - s, so the functional-equation residual tests numerics only.
 Each half is one series G(t) = sum_n a_n (2 pi n)^-t Gamma(t, 2 pi n),
 summed by `gamma_series` with a certified rounding bar and a Deligne tail
 from `deligne_tail`; `petersson` sums its Parseval series with the same two.
+
+How many coefficients are enough is one rule, `deligne_count`; at weight k
+it gives `coefficient_count(k)`, within which every one of these sums stops,
+and `central_values(k, eps)` builds its eigenforms with that many.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ __all__ = [
     "completed_l",
     "functional_equation_residual",
     "central_values",
+    "coefficient_count",
 ]
 
 
@@ -57,6 +62,39 @@ def deligne_tail(p: float, c: float, n0: int) -> float:
     log_t0 = p * math.log(n0) - c * n0
     rel = (2.0 * (p * math.log(n0) + c * n0) + (p + 6.0) / (1.0 - ratio)) * _EPS
     return math.exp(log_t0) / (1.0 - ratio) * (1.0 + rel) + 5e-324
+
+
+def deligne_count(p: float, c: float, floor: float) -> int:
+    """The fewest N >= 1 from which `deligne_tail`(p, c, N + 1) holds (its term
+    ratio is below 1) and is at most floor > 0; it falls with N from there."""
+    if not floor > 0.0:
+        raise DomainError(f"deligne_count needs a positive floor, got {floor}")
+    n, decay = 1, math.exp(-c)
+    while ((n + 2) / (n + 1)) ** p * decay >= 1.0 or deligne_tail(p, c, n + 1) > floor:
+        n += 1
+    return n
+
+
+def coefficient_count(k: int) -> int:
+    """N(k) = `deligne_count`((k + 1)/2, pi sqrt(3), 2^-74): the L-series of
+    `completed_l` (|s - k/2| <= 2), the arc and the Parseval sum of `petersson`
+    all stop within a_1..a_N(k).  Let t(n) = n^((k+1)/2) e^(-pi sqrt(3) n), the
+    arc's term, and N = N(k).
+    - t(N + 1) <= 2^-74, while on [1, m], m = (k + 4)/(2 pi), the concave ln t is
+      at least min(-pi sqrt(3), (pi m - 3/2) ln m - pi sqrt(3) m) >= -7.8 (k >= 12).
+      So N + 1 > m: `gamma_series`' lam (N + 1) >= 2s holds (2s <= k + 4, 2k - 2).
+    - For n > N the L-series' and Parseval's tail terms, (1/pi) n^((k-1)/2)
+      e^(-2 pi n) and (1/2 pi) n^k e^(-4 pi n), are t(n) e^(-(2 pi - pi sqrt(3)) n)
+      / (pi n) and t(n) u(n) / (2 pi), u(n) = n^((k-1)/2) e^(-(4 pi - pi sqrt(3)) n)
+      < 1 (at N + 1 as t(N + 1) < 1, and ln u falls past m).  Their term ratios are
+      below the arc's (((n + 1)/n)^((k-1)/2) < e^pi past m), so each `deligne_tail`
+      bound, rounding included, is below the arc's over pi.
+    - Each sum stops at the first such n whose tail is at most one ulp of its
+      mass, which holds its first term (a_1 = 1): e^(-pi sqrt(3)) > 2^-8 on the
+      arc and, as Gamma(s, x) >= x^(s-1) e^-x, e^(-2 pi)/(2 pi) > 2^-12 and
+      e^(-4 pi)/(4 pi) > 2^-22 for the series.  So one ulp is at least 2^-74.
+    """
+    return deligne_count((k + 1) / 2, math.pi * math.sqrt(3.0), 2.0**-74)
 
 
 def gamma_series(c, s: float, lam: float, p: float) -> tuple[ValueWithError, int]:
@@ -105,8 +143,6 @@ def completed_l(f: Eigenform, s: float) -> LValue:
     k = f.weight
     if not (k / 2 - 2 <= s <= k / 2 + 2):
         raise DomainError(f"s = {s} outside the supported strip around k/2 = {k / 2}")
-    if f.n_coeffs < 30:
-        raise PrecisionError("eigenform must carry at least 30 coefficients")
     root = 1.0 if k % 4 == 0 else -1.0  # (-1)^(k/2)
     g1, n1 = gamma_series(f.a, s, 2.0 * math.pi, (k + 1) / 2)
     g2, n2 = (g1, n1) if k - s == s else gamma_series(f.a, k - s, 2.0 * math.pi, (k + 1) / 2)
@@ -131,14 +167,11 @@ def functional_equation_residual(f: Eigenform, s: float) -> float:
     return abs(lhs - root * rhs)
 
 
-def central_values(
-    k: int, eps: float = 1e-10, n_coeffs: int = 60
-) -> list[tuple[Eigenform, ValueWithError]]:
-    """L(f, k/2) for every eigenform f of weight k."""
-    if k < 12 or k % 2:
-        raise DomainError(f"central_values requires even k >= 12, got {k}")
+def central_values(k: int, eps: float = 1e-10) -> list[tuple[Eigenform, ValueWithError]]:
+    """L(f, k/2) for every eigenform f of weight k, built with `coefficient_count(k)`
+    coefficients; `DomainError` unless k is even and >= 12 (`eigenforms`)."""
     out = []
-    for f in eigenforms(k, n_coeffs):
+    for f in eigenforms(k, coefficient_count(k)):
         lv = completed_l(f, k / 2)
         if lv.finite.abs_err > eps:
             raise PrecisionError(

@@ -57,8 +57,8 @@ def gamma_sum(n: int, m: int) -> float:
     of the sorted pairs (a, c): the half with a < sqrt(m), then its mirror,
     since the pair (c, a) negates the angle of (a, c).
     """
-    if n < 1 or m < 1:
-        raise DomainError("gamma_sum requires positive n and m")
+    if n < 1 or m < 1 or n % 1:
+        raise DomainError(f"gamma_sum requires positive integers n and m, got n = {n}")
     if m == 1:
         return 1.0
     two_m = 2 * m

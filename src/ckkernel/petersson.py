@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, PrecisionError
 from .kernel import r_k
-from .lfunction import central_values, deligne_tail, gamma_series
+from .lfunction import central_values, deligne_count, deligne_tail, gamma_series
 from .ntheory import ValueWithError
 from .qexpansion import Eigenform
 from .specfun import _EPS
@@ -166,22 +166,13 @@ def _kept_terms(f, k: int) -> tuple[float, ...]:
     """|a_1| .. |a_(N_t)|: the fewest leading coefficient magnitudes whose
     Deligne tail at y = sqrt(3)/2, T(N_t) = sum_(n > N_t) n^((k+1)/2)
     e^(-2 pi n sqrt(3)/2), is at most one ulp of the form's sup on the arc,
-    S = sum |a_n| e^(-2 pi n sqrt(3)/2); all of them if none is.
-
-    `PrecisionError` if the tail past all of f's coefficients exceeds
-    1e-12 max(1, S).
+    S = sum |a_n| e^(-2 pi n sqrt(3)/2) (`deligne_count`); all of them if f
+    carries fewer, whose tail `_arc_value` charges.
     """
     p, c = (k + 1) / 2, math.tau * _MIN_Y
     mags = tuple(abs(a) for a in f.a)
     sup = math.sqrt(_majorant(mags, mags, _MIN_Y))
-    if deligne_tail(p, c, len(mags) + 1) > 1e-12 * max(1.0, sup):
-        raise PrecisionError("not enough coefficients for the q-decay requirement")
-    ulp, decay = math.ulp(sup), math.exp(-c)
-    for n in range(1, len(mags)):
-        # deligne_tail needs a falling term ratio from n + 1 on
-        if ((n + 2) / (n + 1)) ** p * decay < 1.0 and deligne_tail(p, c, n + 1) <= ulp:
-            return mags[:n]
-    return mags
+    return mags[:deligne_count(p, c, math.ulp(sup))]
 
 
 class _ArcValue(NamedTuple):
@@ -304,8 +295,8 @@ def petersson_inner(
 
     The bar is the Parseval bar, the arc's proven remainder, its
     rounding (the rule's included) and its truncation at N_t coefficients
-    (`_arc_value`), and one rounding of the sum.  `PrecisionError` if f or g
-    carries too few coefficients (`_kept_terms`).
+    (`_arc_value`), and one rounding of the sum.  `PrecisionError` if no
+    Deligne tail holds past the coefficients f and g carry.
     """
     if f.weight != g.weight:
         raise DomainError("inner product requires equal weights")
@@ -317,9 +308,9 @@ def petersson_inner(
     return ValueWithError(value, err)
 
 
-def petersson_norm_sq(f: Eigenform, spec: QuadratureSpec | None = None) -> ValueWithError:
-    """The squared Petersson norm of f."""
-    return petersson_inner(f, f, spec)
+def petersson_norm_sq(f: Eigenform) -> ValueWithError:
+    """The squared Petersson norm of f, at `default_spec`."""
+    return petersson_inner(f, f)
 
 
 @dataclass(frozen=True)
@@ -332,7 +323,7 @@ class TriangleCheck:
     ratio: float
 
 
-def triangle_check(k: int, eps: float = 1e-10, spec: QuadratureSpec | None = None) -> TriangleCheck:
+def triangle_check(k: int, eps: float = 1e-10) -> TriangleCheck:
     """Compare r_k(1) against the spectral sum that Kohnen's identity equates it to.
 
     Kohnen (J. Number Theory 67 (1997), after Cohen 1981) states, for the
@@ -358,14 +349,24 @@ def triangle_check(k: int, eps: float = 1e-10, spec: QuadratureSpec | None = Non
         raise DomainError(f"triangle_check covers k ≡ 0 (mod 4), 12 <= k <= 40, got {k}")
     lhs = r_k(k, 1, eps).value
     scale = 1.0 / (16.0 * (2.0 * math.pi) ** (k / 2))
-    rhs_val = 0.0
-    rhs_err = 0.0
-    for f, lv in central_values(k, eps):
-        norm = petersson_norm_sq(f, spec)
-        rhs_val += scale * lv.value / norm.value
-        rhs_err += scale * (
-            lv.abs_err / abs(norm.value)
-            + abs(lv.value) * norm.abs_err / norm.value**2
-        )
-    rhs = ValueWithError(rhs_val, rhs_err + 4 * _EPS * abs(rhs_val))
+    values = central_values(k, eps)
+    rhs_val = rhs_err = mass = 0.0
+    for f, lv in values:
+        norm = petersson_norm_sq(f)
+        if not norm.excludes_zero():
+            raise PrecisionError(f"a norm of weight {k} does not exclude zero")
+        term = scale * lv.value / norm.value
+        rhs_val += term
+        mass += abs(term)
+        # |L/N - L~/N~| <= (e_L + |L~| e_N / |N~|) / (|N~| - e_N), as |N| >= |N~| - e_N
+        rhs_err += scale * (lv.abs_err + abs(lv.value) * norm.abs_err / abs(norm.value)) / (
+            abs(norm.value) - norm.abs_err)
+    # Rounding, each step counted as one _EPS, twice the unit roundoff, which
+    # covers the second-order terms: scale is within k/8 + 2 of its exact value
+    # (per_k_bound's count), and each term's product and quotient add 2 and
+    # the sum d - 1, relative to sum |term|; rhs_err carries scale's k/8 + 2
+    # and at most d + 6 roundings of its own.
+    d = len(values)
+    bar = rhs_err * (1.0 + (k / 8 + d + 8) * _EPS) + (k / 8 + d + 3) * _EPS * mass
+    rhs = ValueWithError(rhs_val, bar)
     return TriangleCheck(k=k, lhs=lhs, rhs=rhs, ratio=lhs.value / rhs.value)

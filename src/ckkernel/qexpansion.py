@@ -243,23 +243,17 @@ def _hecke_on_basis(basis: list[QExpansion], n: int) -> list[list[int]]:
     return [list(row) for row in zip(*cols)]
 
 
-def hecke_matrix(k: int, n: int, prec: int | None = None) -> list[list[int]]:
+def hecke_matrix(k: int, n: int) -> list[list[int]]:
     """The matrix of T_n on the Miller basis of S_k; column i holds T_n g_i.
 
-    Exact integer entries.  prec defaults to the minimum n*d + 1 the
-    computation needs and is rejected when too small.
+    Exact integer entries, from the basis at the precision n d + 1 it needs.
     """
     if n < 2:
         raise DomainError("hecke_matrix requires n >= 2")
     d = dim_cusp(k)
     if d == 0:
         return []
-    needed = n * d + 1
-    if prec is None:
-        prec = needed
-    if prec < needed:
-        raise PrecisionError(f"hecke_matrix(k={k}, n={n}) needs prec >= {needed}")
-    return _hecke_on_basis(miller_basis(k, prec), n)
+    return _hecke_on_basis(miller_basis(k, n * d + 1), n)
 
 
 def _char_poly(mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
@@ -288,9 +282,9 @@ def _char_poly(mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     return coeffs, [col[::-1] for col in adj_col]
 
 
-def hecke_char_poly(k: int, n: int = 2) -> list[int]:
-    """Characteristic polynomial of T_n on S_k, integer coefficients low to high."""
-    return _char_poly(hecke_matrix(k, n))[0] if dim_cusp(k) else [1]
+def hecke_char_poly(k: int) -> list[int]:
+    """Characteristic polynomial of T_2 on S_k, integer coefficients low to high."""
+    return _char_poly(hecke_matrix(k, 2))[0] if dim_cusp(k) else [1]
 
 
 # Each T_2 eigenvalue is bracketed in a cell of width 2^-_ROOT_BITS and used at
@@ -411,7 +405,7 @@ def _refine(hp: list[int], hdp: list[int], a: int, b: int) -> int:
     return b
 
 
-def eigenforms(k: int, n_coeffs: int = 60) -> list[Eigenform]:
+def eigenforms(k: int, n_coeffs: int) -> list[Eigenform]:
     """All normalized Hecke eigenforms of weight k, with n_coeffs coefficients.
 
     Obtained by diagonalizing T_2 on the Miller basis in exact arithmetic:
@@ -419,9 +413,10 @@ def eigenforms(k: int, n_coeffs: int = 60) -> list[Eigenform]:
     Sturm sequence and refined to cells of width 2^-200, each eigenvector is
     the exact adjugate column at its cell's dyadic midpoint, and each
     coefficient is one integer dot product with the exact basis, rounded once
-    to the nearest float.  Forms are ordered by increasing a_2, the T_2
-    eigenvalue, in which the roots are isolated.  The forms of the last few
-    (k, n_coeffs) are kept, so a repeated call builds no basis.
+    to the nearest float; `PrecisionError` if one leaves the float range.
+    Forms are ordered by increasing a_2, the T_2 eigenvalue, in which the
+    roots are isolated.  The forms of the last few (k, n_coeffs) are kept, so
+    a repeated call builds no basis.
     """
     return list(_eigenforms(k, n_coeffs))
 
@@ -449,6 +444,9 @@ def _eigenforms(k: int, n_coeffs: int) -> tuple[Eigenform, ...]:
     forms = []
     for c in _real_roots(poly):
         w = [_horner(q, 2 * c - 1) for q in adj_col]
-        a = tuple(sum(map(operator.mul, w, col)) / w[0] for col in cols)  # int / int rounds once
+        try:
+            a = tuple(sum(map(operator.mul, w, col)) / w[0] for col in cols)  # int / int rounds once
+        except OverflowError:
+            raise PrecisionError(f"a coefficient of weight {k} leaves the float range") from None
         forms.append(Eigenform(k, a))
     return tuple(forms)

@@ -201,6 +201,13 @@ class TestRk:
         with pytest.raises(PrecisionError):
             r_k(12, 6)  # Bessel argument past the series contract
 
+    def test_non_integer_n_rejected(self):
+        # a kernel coefficient exists only at integer n: no number may come back
+        for n in (1.5, 2.25, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                r_k(12, n)
+        assert r_k(12, 2.0) == r_k(12, 2)  # an integral float is the integer
+
 
 class TestCertify:
     def test_all_supported_weights_nonvanish_positive(self):

@@ -4,10 +4,13 @@ import random
 import mpmath as mp
 import pytest
 
+from ckkernel import petersson
 from ckkernel.errors import DomainError, PrecisionError
 from ckkernel.lfunction import (
     central_values,
+    coefficient_count,
     completed_l,
+    deligne_count,
     deligne_tail,
     functional_equation_residual,
     gamma_series,
@@ -65,6 +68,48 @@ class TestDeligneTail:
                     assert deligne_tail(p, c, n0) >= power_exp_sum(p, c, n0), (p, c, n0)
                     checked += 1
                 assert checked >= 100
+
+
+class TestCoefficientCount:
+    def test_counts_at_the_2_pow_minus_74_floor(self):
+        assert [coefficient_count(k) for k in range(12, 41, 4)] == [12, 13, 14, 15, 16, 18, 19, 20]
+        assert coefficient_count(60) == 28
+
+    def test_is_the_fewest_count_whose_tail_is_below_the_floor(self):
+        for p, c, floor in ((6.5, math.pi * math.sqrt(3.0), 2.0**-74), (20.5, 4.0 * math.pi, 1e-30),
+                            (30.0, 2.0 * math.pi, 1e-20)):
+            n = deligne_count(p, c, floor)
+            assert deligne_tail(p, c, n + 1) <= floor
+            for m in range(1, n):  # below n the tail has no bound, or one above the floor
+                ratio = ((m + 2) / (m + 1)) ** p * math.exp(-c)
+                assert ratio >= 1.0 or deligne_tail(p, c, m + 1) > floor
+        with pytest.raises(DomainError):
+            deligne_count(6.5, 2.0 * math.pi, 0.0)
+
+    def test_count_covers_every_sum_it_bounds(self):
+        # the three stops coefficient_count's docstring proves lie within N(k)
+        for k in range(12, 62, 2):
+            n = coefficient_count(k)
+            for n_coeffs in (60, 120):
+                forms = eigenforms(k, n_coeffs)
+                for f in forms:
+                    for s in (k / 2 - 2, k / 2, k / 2 + 2):
+                        assert completed_l(f, s).terms_used <= n, (k, n_coeffs, s)
+                    assert len(petersson._kept_terms(f, k)) <= n, (k, n_coeffs)
+                    for g in forms:
+                        ab = [a * b for a, b in zip(f.a, g.a)]
+                        assert gamma_series(ab, k - 1, 4.0 * math.pi, k + 1)[1] <= n, (k, n_coeffs)
+
+    def test_central_value_forms_give_the_sums_of_60_coefficients(self):
+        # the forms central_values builds carry N(k) coefficients; every L-value
+        # and norm read off them equals the one read off 60, float for float
+        for k in range(12, 122, 2):
+            forms = [f for f, _ in central_values(k)]
+            assert all(f.n_coeffs == coefficient_count(k) for f in forms), k
+            for f, g in zip(forms, eigenforms(k, 60), strict=True):
+                assert completed_l(f, k / 2) == completed_l(g, k / 2), k
+                if k <= 60:  # Gamma(k - 1, x) is certified for k - 1 <= 60
+                    assert petersson.petersson_norm_sq(f) == petersson.petersson_norm_sq(g), k
 
 
 def gamma_series_oracle(c, s: float, lam: float) -> mp.mpf:

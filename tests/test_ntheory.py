@@ -146,6 +146,13 @@ class TestGammaSum:
         with pytest.raises(DomainError):
             gamma_sum(1, 0)
 
+    def test_non_integer_n_rejected(self):
+        # gamma_n(m) is defined at integer n only: no number may come back
+        for n in (1.5, 3.0 + 2.0**-40, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                gamma_sum(n, 7)
+        assert [gamma_sum(2.0, m) for m in range(1, 60)] == [gamma_sum(2, m) for m in range(1, 60)]
+
     def test_divisor_bound(self):
         for m in range(1, 501):
             d = divisor_count(m)

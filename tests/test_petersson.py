@@ -8,7 +8,7 @@ import pytest
 from ckkernel import petersson
 from ckkernel.errors import DomainError
 from ckkernel.kernel import r_k
-from ckkernel.lfunction import completed_l
+from ckkernel.lfunction import central_values, completed_l
 from ckkernel.petersson import (
     QuadratureSpec,
     default_spec,
@@ -196,14 +196,14 @@ class TestPeterssonInner:
         (f,) = eigenforms(12, 60)
         spec = QuadratureSpec(y_nodes=48)
         fine = QuadratureSpec(y_nodes=96)
-        a = petersson_norm_sq(f, spec)
-        b = petersson_norm_sq(f, fine)
+        a = petersson_inner(f, f, spec)
+        b = petersson_inner(f, f, fine)
         assert abs(a.value - b.value) <= a.abs_err
 
     def test_delta_norm_bar_contains_reference(self):
         (f,) = eigenforms(12, 60)
         for spec in (default_spec(12), QuadratureSpec(y_nodes=96)):
-            norm = petersson_norm_sq(f, spec)
+            norm = petersson_inner(f, f, spec)
             assert abs(norm.value - DELTA_NORM_SQ) <= norm.abs_err
 
     def test_norm_bar_is_small_at_every_weight(self):
@@ -229,7 +229,7 @@ class TestPeterssonInner:
             ref = mp_norm_sq(f)
         # the default spec, and a coarse one charged its own (larger) remainder
         for spec in (None, QuadratureSpec(y_nodes=8)):
-            norm = petersson_norm_sq(f, spec)
+            norm = petersson_inner(f, f, spec)
             assert abs(norm.value - ref) <= norm.abs_err, (k, spec)
         assert norm.abs_err > 1e-6 * norm.value
 
@@ -297,6 +297,23 @@ class TestTriangleCheck:
             tri = triangle_check(k, 1e-9)
             assert abs(tri.ratio - 1.0) <= 1e-9
             assert abs(tri.lhs.value - tri.rhs.value) <= tri.lhs.abs_err + tri.rhs.abs_err
+
+    def test_rhs_bar_covers_the_propagated_error_and_the_rounding(self):
+        # at 40 digits, from the same L-values and norms: the exact spectral sum
+        # at their centres, and how far the corners of their boxes move it
+        for k in range(12, 41, 4):
+            tri = triangle_check(k, 1e-9)
+            with mpmath.workdps(40):
+                scale = 1 / (16 * (2 * mpmath.pi) ** (k // 2))
+                centre = prop = mpmath.mpf(0)
+                for f, lv in central_values(k, 1e-9):
+                    nm = petersson_norm_sq(f)
+                    q = mpmath.mpf(lv.value) / nm.value
+                    centre += scale * q
+                    prop += scale * max(abs((mpmath.mpf(lv.value) + a) / (nm.value + b) - q)
+                                        for a in (-lv.abs_err, lv.abs_err)
+                                        for b in (-nm.abs_err, nm.abs_err))
+                assert abs(tri.rhs.value - centre) + prop <= tri.rhs.abs_err, k
 
     def test_ratio_reported_as_measured(self):
         tri = triangle_check(12, 1e-9)
