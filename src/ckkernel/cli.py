@@ -9,14 +9,15 @@ certification.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 
 from .errors import DomainError, PrecisionError
-from .kernel import Certificate, certify, global_bound, per_k_bound, r_k
+from .kernel import Certificate, _check_weight, certify, global_bound, per_k_bound, r_k
 from .lfunction import central_values
-from .petersson import triangle_check
+from .petersson import kohnen_triangle
 
 SCHEMA_VERSION = "1"
 
@@ -41,16 +42,17 @@ def _build_report(weight: int, eps: float, with_triangle: bool) -> tuple[dict, C
     timings["certify"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
+    values = central_values(weight, eps)
     lvals = [
         {"form_index": i, "value": lv.value, "abs_err": lv.abs_err}
-        for i, (_, lv) in enumerate(central_values(weight, eps))
+        for i, (_, lv) in enumerate(values)
     ]
     timings["l_values"] = (time.perf_counter() - t0) * 1000.0
 
     triangle = None
     if with_triangle and weight <= 28:
         t0 = time.perf_counter()
-        tri = triangle_check(weight, eps)
+        tri = kohnen_triangle(weight, cert.value, values)
         timings["triangle"] = (time.perf_counter() - t0) * 1000.0
         triangle = {
             "lhs": tri.lhs.value,
@@ -137,10 +139,7 @@ def _parse_weights(text: str) -> list[int]:
         raise DomainError(f"malformed weight range {text!r}")
     weights = list(range(start, stop + 1, step))
     for k in weights:
-        if k % 4 != 0 or not (12 <= k <= 40):
-            raise DomainError(
-                f"weight {k} rejected: weights must be ≡ 0 (mod 4) with 12 <= k <= 40"
-            )
+        _check_weight(k)
     return weights
 
 
@@ -176,7 +175,9 @@ def _cmd_report(args) -> int:
     return 0 if all_ok else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="ckkernel",
         description="Certified non-vanishing of central Hecke L-values "

@@ -15,7 +15,7 @@ Even n is unaffected.  The coefficient is
 and with L*(f, s) = (2 pi)^-s Gamma(s) L(f, s) over the Hecke eigenforms
 of weight k it equals sum_f L*(f, k/2) a_f(n) / (16 Gamma(k/2) ||f||^2)
 (Kohnen, J. Number Theory 67 (1997), after Cohen 1981; see
-`petersson.triangle_check`).  The module also carries a certified
+`petersson.kohnen_triangle`).  The module also carries a certified
 truncation tail, the per-weight and global deviation bounds, and the
 non-vanishing certificate for r_k(1).
 """
@@ -44,8 +44,9 @@ _OMEGA_C = 2.69183
 
 
 def _check_weight(k: int) -> None:
-    if k % 4 != 0 or k < 12:
-        raise DomainError(f"weight must satisfy k ≡ 0 (mod 4) and k >= 12, got {k}")
+    """The certified weights: k ≡ 0 (mod 4), 12 <= k <= 40."""
+    if k % 4 != 0 or not 12 <= k <= 40:
+        raise DomainError(f"weight must satisfy k ≡ 0 (mod 4) and 12 <= k <= 40, got {k}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,7 @@ class Certificate:
 
     k: int
     rho: ValueWithError
+    value: ValueWithError  # r_k(1) itself, the kernel side of `petersson.kohnen_triangle`
     per_k_bound: float
     global_bound: float
     nonvanishing: bool
@@ -102,8 +104,6 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     the bar grow with n pi and are not (r_k(12, 5, 1e-10) has a 4.1e-9 bar).
     """
     _check_weight(k)
-    if k > 40:
-        raise DomainError(f"weights above 40 are out of certified scope, got {k}")
     if n < 1 or n % 1:
         raise DomainError(f"n must be an integer >= 1, got {n}")
     n = int(n)  # an integral float gives the int's coefficient, bit for bit
@@ -177,8 +177,6 @@ def _deviation_bound(scale: float, scale_ulps: float, n: int) -> float:
 def per_k_bound(k: int) -> float:
     """2 (2 pi)^(k/2) ((k/2)! / k!) zeta(k/2)^2: the weight-k deviation bound."""
     _check_weight(k)
-    if k > 40:
-        raise DomainError(f"weights above 40 are out of certified scope, got {k}")
     h = k // 2
     # h math.pi errors in the power, then the power, quotient and product round once each
     scale = (2.0 * math.pi) ** h * (math.factorial(h) / math.factorial(k))
@@ -208,6 +206,7 @@ def certify(k: int, eps: float = 1e-10) -> Certificate:
     return Certificate(
         k=k,
         rho=rho,
+        value=coeff.value,
         per_k_bound=bound,
         global_bound=global_bound(),
         nonvanishing=nonvanishing,

@@ -21,7 +21,7 @@ In this normalization the kernel coefficient of `kernel.r_k` satisfies
 
 with L*(f, s) = (2 pi)^-s Gamma(s) L(f, s), the sum running over the
 normalized Hecke eigenforms of weight k (Kohnen's identity, see
-`triangle_check`).
+`kohnen_triangle`).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "petersson_inner",
     "petersson_norm_sq",
     "TriangleCheck",
+    "kohnen_triangle",
     "triangle_check",
 ]
 
@@ -323,8 +324,13 @@ class TriangleCheck:
     ratio: float
 
 
-def triangle_check(k: int, eps: float = 1e-10) -> TriangleCheck:
-    """Compare r_k(1) against the spectral sum that Kohnen's identity equates it to.
+def kohnen_triangle(
+    k: int, lhs: ValueWithError, values: list[tuple[Eigenform, ValueWithError]]
+) -> TriangleCheck:
+    """Compare r_k(1) = lhs against the spectral sum that Kohnen's identity
+    equates it to, built from the central values (f, L(f, k/2)) of the weight-k
+    eigenforms as `lfunction.central_values` returns them; k is one of
+    `kernel.r_k`'s weights, which `r_k` checks.
 
     Kohnen (J. Number Theory 67 (1997), after Cohen 1981) states, for the
     normalized Hecke eigenforms f of weight k and this module's Petersson
@@ -345,11 +351,7 @@ def triangle_check(k: int, eps: float = 1e-10) -> TriangleCheck:
     with explicit error bounds.  The ratio is reported as measured; no
     constant is fitted to it.
     """
-    if k % 4 != 0 or not (12 <= k <= 40):
-        raise DomainError(f"triangle_check covers k ≡ 0 (mod 4), 12 <= k <= 40, got {k}")
-    lhs = r_k(k, 1, eps).value
     scale = 1.0 / (16.0 * (2.0 * math.pi) ** (k / 2))
-    values = central_values(k, eps)
     rhs_val = rhs_err = mass = 0.0
     for f, lv in values:
         norm = petersson_norm_sq(f)
@@ -370,3 +372,8 @@ def triangle_check(k: int, eps: float = 1e-10) -> TriangleCheck:
     bar = rhs_err * (1.0 + (k / 8 + d + 8) * _EPS) + (k / 8 + d + 3) * _EPS * mass
     rhs = ValueWithError(rhs_val, bar)
     return TriangleCheck(k=k, lhs=lhs, rhs=rhs, ratio=lhs.value / rhs.value)
+
+
+def triangle_check(k: int, eps: float = 1e-10) -> TriangleCheck:
+    """`kohnen_triangle` of r_k(1) and the central values of weight k, each to eps."""
+    return kohnen_triangle(k, r_k(k, 1, eps).value, central_values(k, eps))

@@ -14,7 +14,6 @@ from one divisor sieve.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -415,21 +414,15 @@ def eigenforms(k: int, n_coeffs: int) -> list[Eigenform]:
     coefficient is one integer dot product with the exact basis, rounded once
     to the nearest float; `PrecisionError` if one leaves the float range.
     Forms are ordered by increasing a_2, the T_2 eigenvalue, in which the
-    roots are isolated.  The forms of the last few (k, n_coeffs) are kept, so
-    a repeated call builds no basis.
+    roots are isolated.
     """
-    return list(_eigenforms(k, n_coeffs))
-
-
-@functools.lru_cache(maxsize=32)
-def _eigenforms(k: int, n_coeffs: int) -> tuple[Eigenform, ...]:
     if k < 12 or k % 2:
         raise DomainError(f"eigenforms requires even k >= 12, got {k}")
     if n_coeffs < 1:
         raise DomainError(f"eigenforms requires n_coeffs >= 1, got {n_coeffs}")
     d = dim_cusp(k)
     if d == 0:
-        return ()
+        return []
     prec = max(n_coeffs + 1, 2 * d + 1)
     basis = miller_basis(k, prec)
     poly, adj_col = _char_poly(_hecke_on_basis(basis, 2))
@@ -449,4 +442,4 @@ def _eigenforms(k: int, n_coeffs: int) -> tuple[Eigenform, ...]:
         except OverflowError:
             raise PrecisionError(f"a coefficient of weight {k} leaves the float range") from None
         forms.append(Eigenform(k, a))
-    return tuple(forms)
+    return forms

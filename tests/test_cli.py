@@ -147,6 +147,26 @@ class TestOtherCommands:
         tri = json.loads(out)[0]["triangle"]
         assert tri is not None and tri["ratio"] > 0
 
+    def test_report_evaluates_each_quantity_once(self, monkeypatch):
+        # every binding the report reaches r_k(k, 1) and L(f, k/2) through
+        kernel_calls, l_calls = [], []
+
+        def counting(calls, fn, key):
+            def wrapped(*args, **kwargs):
+                calls.append(key(*args))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for mod in (ckkernel.kernel, ckkernel.petersson):
+            monkeypatch.setattr(mod, "r_k", counting(kernel_calls, mod.r_k, lambda k, n, *_: (k, n)))
+        monkeypatch.setattr(ckkernel.lfunction, "completed_l", counting(
+            l_calls, ckkernel.lfunction.completed_l, lambda f, *_: (f.weight, f.a)))
+        code, _, _ = run_cli(["report", "--weights", "12:28:4", "--triangle", "--json"])
+        assert code == 0
+        weights = range(12, 29, 4)
+        assert kernel_calls == [(k, 1) for k in weights]
+        assert len(set(l_calls)) == len(l_calls) == sum(map(ckkernel.dim_cusp, weights))
+
     def test_report_deterministic_modulo_timings(self):
         _, out1, _ = run_cli(["report", "--weights", "12:16:4", "--json"])
         _, out2, _ = run_cli(["report", "--weights", "12:16:4", "--json"])
