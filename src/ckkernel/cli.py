@@ -3,7 +3,7 @@
 Subcommands: certify, rk, check-bounds, report.  JSON goes to stdout when
 --json is given, a human-readable table otherwise; diagnostics go to
 stderr.  Exit codes: 0 success, 1 usage/domain error, 2 inconclusive
-certification.
+certification or precision error.
 """
 
 from __future__ import annotations

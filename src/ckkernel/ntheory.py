@@ -19,7 +19,6 @@ from .errors import DomainError
 __all__ = [
     "ValueWithError",
     "gamma_sum",
-    "factorize",
     "divisor_count",
     "bernoulli",
     "zeta_even",
@@ -57,8 +56,8 @@ def gamma_sum(n: int, m: int) -> float:
     of the sorted pairs (a, c): the half with a < sqrt(m), then its mirror,
     since the pair (c, a) negates the angle of (a, c).
     """
-    if n < 1 or m < 1 or n % 1:
-        raise DomainError(f"gamma_sum requires positive integers n and m, got n = {n}")
+    if n < 1 or m < 1 or n % 1 or m % 1:
+        raise DomainError(f"gamma_sum requires positive integers n and m, got {n}, {m}")
     if m == 1:
         return 1.0
     two_m = 2 * m
@@ -87,8 +86,10 @@ def _pair_exponents(m: int) -> tuple[int, ...]:
     """s = a' a - c' c for the coprime pairs a*c = m > 1 with a < sqrt(m), by a.
 
     e = a a' is 0 mod a and 1 mod c, c c' = (1 - e) mod m, so s is 1 when
-    e = 1 (a = 1) and 2e - 1 - m otherwise.
+    e = 1 (a = 1) and 2e - 1 - m otherwise.  An integral float m gives the
+    int's exponents.
     """
+    m = int(m)
     out = []
     for a in range(1, math.isqrt(m) + 1):
         if m % a:
@@ -101,38 +102,17 @@ def _pair_exponents(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def factorize(m: int) -> list[tuple[int, int]]:
-    """Prime factorization of m >= 1 as (prime, exponent) pairs, by trial division."""
-    if m < 1:
-        raise DomainError("m must be a positive integer")
-    out = []
-    for p in (2, 3):
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-    p = 5
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        p += 2 if p % 6 == 5 else 4  # 5, 7, 11, 13, ... (skip multiples of 3)
-    if m > 1:
-        out.append((m, 1))
-    return out
-
-
 def divisor_count(m: int) -> int:
-    """d(m), the number of positive divisors of m."""
-    d = 1
-    for _, e in factorize(m):
-        d *= e + 1
-    return d
+    """d(m), the number of positive divisors of the positive integer m.
+
+    Each divisor a <= sqrt(m) pairs with m / a >= sqrt(m): two per pair, one
+    where a = m / a.  An integral float m gives the int's count.
+    """
+    if m < 1 or m % 1:
+        raise DomainError(f"divisor_count requires a positive integer, got {m}")
+    m = int(m)
+    r = math.isqrt(m)
+    return 2 * sum(m % a == 0 for a in range(1, r + 1)) - (r * r == m)
 
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]  # B_0, B_1, ... (B_1 = -1/2)

@@ -34,10 +34,10 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import DomainError, PrecisionError
-from .kernel import r_k
+from .kernel import _check_weight, r_k
 from .lfunction import central_values, deligne_count, deligne_tail, gamma_series
 from .ntheory import ValueWithError
-from .qexpansion import Eigenform
+from .qexpansion import Eigenform, dim_cusp
 from .specfun import _EPS
 
 __all__ = [
@@ -329,8 +329,9 @@ def kohnen_triangle(
 ) -> TriangleCheck:
     """Compare r_k(1) = lhs against the spectral sum that Kohnen's identity
     equates it to, built from the central values (f, L(f, k/2)) of the weight-k
-    eigenforms as `lfunction.central_values` returns them; k is one of
-    `kernel.r_k`'s weights, which `r_k` checks.
+    eigenforms as `lfunction.central_values` returns them.  `DomainError`
+    unless k is one of `kernel.r_k`'s weights and values holds dim S_k forms,
+    each of weight k.
 
     Kohnen (J. Number Theory 67 (1997), after Cohen 1981) states, for the
     normalized Hecke eigenforms f of weight k and this module's Petersson
@@ -351,6 +352,9 @@ def kohnen_triangle(
     with explicit error bounds.  The ratio is reported as measured; no
     constant is fitted to it.
     """
+    _check_weight(k)
+    if len(values) != dim_cusp(k) or any(f.weight != k for f, _ in values):
+        raise DomainError(f"kohnen_triangle needs the {dim_cusp(k)} forms of weight {k}")
     scale = 1.0 / (16.0 * (2.0 * math.pi) ** (k / 2))
     rhs_val = rhs_err = mass = 0.0
     for f, lv in values:

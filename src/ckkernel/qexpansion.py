@@ -38,18 +38,22 @@ __all__ = [
 class QExpansion:
     """A truncated power series in q with exact coefficients.
 
-    The coefficients are `int`, or `Fraction` where a value is not integral.
-    A product packs each operand into one integer and multiplies once
-    (Kronecker substitution), so it costs one big-integer multiply.
+    The coefficients are `int`, or `Fraction` where a value is not integral,
+    and the precision `prec` is their number.  A product packs each operand
+    into one integer and multiplies once (Kronecker substitution), so it
+    costs one big-integer multiply.
     """
 
     weight: int
-    prec: int
     coeffs: tuple[int | Fraction, ...]  # coefficient of q^i at index i
 
     def __post_init__(self):
-        if self.prec < 1 or len(self.coeffs) != self.prec:
-            raise ValueError("coeffs length must equal prec >= 1")
+        if not self.coeffs:
+            raise ValueError("a q-expansion needs at least one coefficient")
+
+    @property
+    def prec(self) -> int:
+        return len(self.coeffs)
 
     def __getitem__(self, i: int) -> int | Fraction:
         return self.coeffs[i]
@@ -58,15 +62,13 @@ class QExpansion:
         if self.weight != other.weight:
             raise DomainError("cannot add q-expansions of different weights")
         n = min(self.prec, other.prec)
-        return QExpansion(
-            self.weight, n, tuple(self.coeffs[i] + other.coeffs[i] for i in range(n))
-        )
+        return QExpansion(self.weight, tuple(self.coeffs[i] + other.coeffs[i] for i in range(n)))
 
     def __sub__(self, other: "QExpansion") -> "QExpansion":
         return self + other.scale(-1)
 
     def scale(self, c) -> "QExpansion":
-        return QExpansion(self.weight, self.prec, tuple(c * a for a in self.coeffs))
+        return QExpansion(self.weight, tuple(c * a for a in self.coeffs))
 
     def __mul__(self, other: "QExpansion") -> "QExpansion":
         """The product, truncated to the smaller precision n, by Kronecker substitution.
@@ -86,7 +88,7 @@ class QExpansion:
         weight = self.weight + other.weight
         bound = n * max(map(abs, a)) * max(map(abs, b))
         if not bound:
-            return QExpansion(weight, n, (0,) * n)
+            return QExpansion(weight, (0,) * n)
         width = (bound.bit_length() + 8) // 8  # bytes per slot
         half = 1 << (8 * width - 1)
         bias = int.from_bytes(b"\x01".ljust(width, b"\0") * n, "little") << (8 * width - 1)
@@ -102,12 +104,12 @@ class QExpansion:
         den = den_a * den_b
         if den != 1:
             out = [c // den if c % den == 0 else Fraction(c, den) for c in out]
-        return QExpansion(weight, n, tuple(out))
+        return QExpansion(weight, tuple(out))
 
     def pow(self, e: int) -> "QExpansion":
         if e < 0:
             raise DomainError("negative powers are not supported")
-        result = QExpansion(0, self.prec, (1,) + (0,) * (self.prec - 1))
+        result = QExpansion(0, (1,) + (0,) * (self.prec - 1))
         base = self
         while e:
             if e & 1:
@@ -155,7 +157,7 @@ def eisenstein(k: int, prec: int) -> QExpansion:
         for m in range(d, prec, d):
             sigma[m] += p
     coeffs = [1] + [c * sigma[n] for n in range(1, prec)]
-    return QExpansion(k, prec, tuple(coeffs))
+    return QExpansion(k, tuple(coeffs))
 
 
 def delta(prec: int) -> QExpansion:
@@ -165,7 +167,7 @@ def delta(prec: int) -> QExpansion:
     e4 = eisenstein(4, prec)
     e6 = eisenstein(6, prec)
     diff = e4.pow(3) - e6.pow(2)
-    return QExpansion(12, prec, tuple(c // 1728 for c in diff.coeffs))
+    return QExpansion(12, tuple(c // 1728 for c in diff.coeffs))
 
 
 def dim_cusp(k: int) -> int:
@@ -213,33 +215,20 @@ def miller_basis(k: int, prec: int) -> list[QExpansion]:
     return rows[::-1]
 
 
-def hecke_coefficients(f: QExpansion, n: int, out_prec: int) -> list[int | Fraction]:
-    """Coefficients 0..out_prec-1 of T_n f, weight-k level-1 action."""
-    k = f.weight
-    out = [0] * out_prec
-    for m in range(1, out_prec):
-        acc = 0
-        for d in range(1, math.gcd(n, m) + 1):
-            if n % d or m % d:
-                continue
-            idx = n * m // (d * d)
-            if idx >= f.prec:
-                raise PrecisionError(
-                    f"T_{n} needs coefficient {idx} but prec is only {f.prec}"
-                )
-            acc += d ** (k - 1) * f.coeffs[idx]
-        out[m] = acc
-    return out
-
-
 def _hecke_on_basis(basis: list[QExpansion], n: int) -> list[list[int]]:
-    """The matrix of T_n on a Miller basis; column i holds T_n g_i.
+    """The matrix of T_n on a non-empty Miller basis g_1..g_d; column i holds T_n g_i.
 
-    By the echelon property T_n g_i = sum_j (T_n g_i)[j] g_j exactly.
+    By the echelon property T_n g_i = sum_j (T_n g_i)[j] g_j exactly, and in
+    weight k the coefficient of q^j in T_n g is sum_{e | (n, j)} e^(k-1) g[n j / e^2],
+    for j = 1..d.  A basis of precision n d + 1 holds every index read.
     """
-    d = len(basis)
-    cols = [hecke_coefficients(g, n, d + 1)[1:] for g in basis]
-    return [list(row) for row in zip(*cols)]
+    k = basis[0].weight
+    rows = []
+    for j in range(1, len(basis) + 1):
+        m = math.gcd(n, j)
+        terms = [(e ** (k - 1), n * j // (e * e)) for e in range(1, m + 1) if m % e == 0]
+        rows.append([sum(c * g[i] for c, i in terms) for g in basis])
+    return rows
 
 
 def hecke_matrix(k: int, n: int) -> list[list[int]]:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -167,6 +168,23 @@ class TestOtherCommands:
         assert kernel_calls == [(k, 1) for k in weights]
         assert len(set(l_calls)) == len(l_calls) == sum(map(ckkernel.dim_cusp, weights))
 
+    def test_report_text_matches_json(self):
+        argv = ["report", "--weights", "12:28:4", "--triangle"]
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        _, js, _ = run_cli(argv + ["--json"])
+        # one block per weight: its k= line, one line per form, one triangle line
+        expected = []
+        for doc in json.loads(js):
+            expected.append(f"k={doc['weight']}: rho = {doc['certificate']['rho']:.15g} ")
+            expected += [f"    L(f_{i}, k/2) = " for i in range(len(doc["l_values"]))]
+            expected.append("    triangle: ")
+        weights = range(12, 29, 4)
+        lines = out.splitlines()
+        assert len(lines) == len(expected) == 2 * len(weights) + sum(map(ckkernel.dim_cusp, weights))
+        for line, start in zip(lines, expected):
+            assert line.startswith(start), (line, start)
+
     def test_report_deterministic_modulo_timings(self):
         _, out1, _ = run_cli(["report", "--weights", "12:16:4", "--json"])
         _, out2, _ = run_cli(["report", "--weights", "12:16:4", "--json"])
@@ -197,3 +215,16 @@ def test_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_sources_compile_with_warnings_as_errors():
+    # an invalid escape in a docstring is a SyntaxWarning from Python 3.12 on, printed
+    # at every start that compiles the source afresh (no cached bytecode)
+    src = os.path.dirname(ckkernel.__file__)
+    names = sorted(n for n in os.listdir(src) if n.endswith(".py"))
+    assert "kernel.py" in names
+    for name in names:
+        path = os.path.join(src, name)
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compile(fh.read(), path, "exec")

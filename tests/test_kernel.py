@@ -92,7 +92,7 @@ class TestSeriesTailBound:
             assert mp.mpf(_OMEGA_C) >= 16 / mp.cbrt(210)
 
     def test_two_to_omega_below_constant_times_cube_root(self):
-        # omega(m) by a sieve over the primes, independent of ntheory.factorize
+        # omega(m) by a sieve over the primes
         top = 10**5
         omega = [0] * (top + 1)
         for p in range(2, top + 1):

@@ -8,7 +8,6 @@ from ckkernel.errors import DomainError
 from ckkernel.ntheory import (
     bernoulli,
     divisor_count,
-    factorize,
     gamma_sum,
     zeta_even,
 )
@@ -40,9 +39,14 @@ class TestCoprimeFactorPairs:
         assert coprime_factor_pairs(4) == [(1, 4), (4, 1)]
 
     def test_count_is_two_to_omega(self):
-        for m in range(1, 10_001):
-            omega = len(factorize(m))
-            assert len(coprime_factor_pairs(m)) == 2**omega
+        top = 10_000
+        omega = [0] * (top + 1)  # the number of distinct primes of m, by a sieve
+        for p in range(2, top + 1):
+            if omega[p] == 0:
+                for q in range(p, top + 1, p):
+                    omega[q] += 1
+        for m in range(1, top + 1):
+            assert len(coprime_factor_pairs(m)) == 2 ** omega[m]
 
     def test_pairs_multiply_to_m_and_are_coprime(self):
         for m in (12, 36, 210, 9973):
@@ -153,6 +157,14 @@ class TestGammaSum:
                 gamma_sum(n, 7)
         assert [gamma_sum(2.0, m) for m in range(1, 60)] == [gamma_sum(2, m) for m in range(1, 60)]
 
+    def test_non_integer_m_rejected(self):
+        for m in (2.5, 7.5, 4.0 + 2.0**-40, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                gamma_sum(1, m)
+        for n in (1, 3, 5):
+            assert [gamma_sum(n, float(m)) for m in range(1, 200)] == [
+                gamma_sum(n, m) for m in range(1, 200)]
+
     def test_divisor_bound(self):
         for m in range(1, 501):
             d = divisor_count(m)
@@ -180,6 +192,13 @@ class TestDivisorCount:
         for m in range(1, 2000):
             brute = sum(1 for d in range(1, m + 1) if m % d == 0)
             assert divisor_count(m) == brute
+
+    def test_non_integer_rejected(self):
+        for m in (0, -4, 2.5, 7.5, 36.0 + 2.0**-40, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                divisor_count(m)
+        assert [divisor_count(float(m)) for m in range(1, 200)] == [
+            divisor_count(m) for m in range(1, 200)]
 
 
 class TestBernoulli:

@@ -12,6 +12,7 @@ from ckkernel.lfunction import central_values, completed_l
 from ckkernel.petersson import (
     QuadratureSpec,
     default_spec,
+    kohnen_triangle,
     petersson_inner,
     petersson_norm_sq,
     triangle_check,
@@ -324,3 +325,12 @@ class TestTriangleCheck:
             triangle_check(14)
         with pytest.raises(DomainError):
             triangle_check(44)
+
+    def test_kohnen_triangle_rejects_a_mismatched_weight_or_form_set(self):
+        # the identity holds only for all the eigenforms of one certified weight
+        lhs = r_k(24, 1).value
+        values = central_values(24)  # dim S_24 = 2
+        for k, vals in ((12, values), (14, values), (44, values), (24, values[:1]), (24, [])):
+            with pytest.raises(DomainError):
+                kohnen_triangle(k, lhs, vals)
+        assert kohnen_triangle(24, lhs, values).ratio == pytest.approx(1.0)

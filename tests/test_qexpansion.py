@@ -138,7 +138,7 @@ class TestProduct:
     @example(a=[Fraction(1, 2), Fraction(-3, 2)], b=[2, Fraction(2, 3), 4])
     def test_matches_schoolbook(self, a, b):
         n = min(len(a), len(b))
-        prod = QExpansion(4, len(a), tuple(a)) * QExpansion(6, len(b), tuple(b))
+        prod = QExpansion(4, tuple(a)) * QExpansion(6, tuple(b))
         assert (prod.weight, prod.prec) == (10, n)
         assert list(prod.coeffs) == series_mul(a[:n], b[:n])
         # int where integral, Fraction otherwise
