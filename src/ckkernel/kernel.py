@@ -41,6 +41,8 @@ __all__ = [
 
 # 16 / 210^(1/3) = 2.69182538518..., rounded up: 2^omega(m) <= _OMEGA_C m^(1/3)
 _OMEGA_C = 2.69183
+# zeta(6) = pi^6 / 945 = 1.01734306198..., rounded up
+_ZETA6 = 1.0174
 
 
 def _check_weight(k: int) -> None:
@@ -74,6 +76,40 @@ class Certificate:
     sign: int  # +1 / -1, 0 when undetermined
 
 
+def _tail_scale(k: int, n: int) -> float:
+    """sqrt(2 pi) A, A = sqrt(n pi) envelope((k-1)/2, n pi): the m-th term of
+    `series_tail_bound`'s series is at most A 2^omega(m) m^(-k/2)."""
+    x = n * math.pi
+    return math.sqrt(2 * math.pi) * (math.sqrt(x) * bessel_envelope(HalfIntOrder.for_weight(k), x))
+
+
+def _omega_tail(k: int, m_stop: int) -> float:
+    """The smaller of two proven bounds on sum_{m > m_stop} 2^omega(m) m^(-s), s = k/2.
+
+    Cube root: 2^omega(m) <= C m^(1/3) with C = prod_{p in {2,3,5,7}} 2/p^(1/3)
+    = 16/210^(1/3), since 2^omega(m) / m^(1/3) = prod_{p^e || m} 2/p^(e/3) is at
+    most prod_{p | m} 2/p^(1/3), and 2/p^(1/3) > 1 only for p < 8.  C m^(1/3-s)
+    decreases in m, so the sum is at most the integral from M = m_stop,
+    C M^(4/3-s) / (s - 4/3).  _OMEGA_C is C rounded up by 1.7e-6 relative.
+
+    Squarefree divisors: 2^omega(m) = sum_{d | m} mu^2(d), so with m = d j the
+    sum is sum_d mu^2(d) d^-s sum_{j > M/d} j^-s.  For d <= M the inner sum is
+    at most y^-s + y^(1-s)/(s - 1), y = M/d, and sum_{d <= M} mu^2(d)/d <= ln M + 1;
+    for d > M it is at most zeta(s), and sum_{d > M} d^-s <= M^(1-s)/(s - 1).
+    Together M^(1-s) [1 + (ln M + 1 + zeta(s))/(s - 1)], with zeta(s) <= zeta(6)
+    <= _ZETA6 for k >= 12; it is rounded up by 1e-9 relative.
+
+    The second is the smaller at k = 12, 16 for large M, the first at k >= 36
+    and small M.  Either margin, 1.7e-6 or 1e-9, is far above the few
+    roundings of its bound and of `_tail_scale` (the envelope is an exp of an
+    argument below 64 in size).
+    """
+    s = k / 2
+    cube_root = _OMEGA_C * m_stop ** (4 / 3 - s) / (s - 4 / 3)
+    squarefree = m_stop ** (1 - s) * (1 + (math.log(m_stop) + 1 + _ZETA6) / (s - 1))
+    return min(cube_root, squarefree * (1 + 1e-9))
+
+
 def series_tail_bound(k: int, n: int, m_stop: int) -> float:
     """Certified bound on sqrt(2 pi) |sum_{m > m_stop} g_n(m) sqrt(n pi/m) J(n pi/m)|.
 
@@ -81,27 +117,21 @@ def series_tail_bound(k: int, n: int, m_stop: int) -> float:
     |J_nu(x)| <= (x/2)^nu / Gamma(nu + 1) = envelope(nu, x), so with
     nu = (k-1)/2 the m-th term is at most
     2^omega(m) sqrt(n pi/m) envelope(nu, n pi/m) = A 2^omega(m) m^(-k/2),
-    A = sqrt(n pi) envelope(nu, n pi).
-
-    2^omega(m) <= C m^(1/3) with C = prod_{p in {2,3,5,7}} 2/p^(1/3)
-    = 16/210^(1/3): 2^omega(m) / m^(1/3) = prod_{p^e || m} 2/p^(e/3) is at
-    most prod_{p | m} 2/p^(1/3), and 2/p^(1/3) > 1 only for p < 8.  The
-    term is then at most A C m^(1/3-k/2), which decreases in m, so the
-    tail is at most the integral from m_stop,
-    A C m_stop^(4/3-k/2) / (k/2 - 4/3).  _OMEGA_C is C rounded up by
-    1.7e-6 relative, which covers the few roundings of this evaluation.
+    A = sqrt(n pi) envelope(nu, n pi).  The bound is sqrt(2 pi) A times
+    `_omega_tail`(k, m_stop), the smaller of a cube-root and a
+    squarefree-divisor bound on sum_{m > m_stop} 2^omega(m) m^(-k/2).
     """
-    x = n * math.pi
-    a = math.sqrt(x) * bessel_envelope(HalfIntOrder.for_weight(k), x)
-    return math.sqrt(2 * math.pi) * a * _OMEGA_C * m_stop ** (4 / 3 - k / 2) / (k / 2 - 4 / 3)
+    return _tail_scale(k, n) * _omega_tail(k, m_stop)
 
 
 def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     """The kernel Fourier coefficient r_k(n) with certified absolute error on rho.
 
-    The m-series is truncated once the certified tail drops below eps/2.
-    Only that tail is held to eps: the Bessel and float-rounding parts of
-    the bar grow with n pi and are not (r_k(12, 5, 1e-10) has a 4.1e-9 bar).
+    The m-series stops at the smallest M >= 1 whose certified tail
+    `series_tail_bound`(k, n, M) is below eps/4, found by doubling and then
+    bisecting; `PrecisionError` if no M up to 2^22 reaches it.  Only that
+    tail is held to eps: the Bessel and float-rounding parts of the bar grow
+    with n pi and are not (r_k(12, 5, 1e-10) has a 4.1e-9 bar).
     """
     _check_weight(k)
     if n < 1 or n % 1:
@@ -117,12 +147,20 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     sqrt_2pi = math.sqrt(2 * math.pi)
     sign = -1 if (k // 4 + n) % 2 else 1
 
-    m_stop = 8
-    while series_tail_bound(k, n, m_stop) >= eps / 2 and m_stop < 1 << 22:
+    scale = _tail_scale(k, n)
+    m_stop = 1
+    while scale * _omega_tail(k, m_stop) >= eps / 4:
+        if m_stop >= 1 << 22:
+            raise PrecisionError("could not reach the requested tail bound")
         m_stop *= 2
-    tail = series_tail_bound(k, n, m_stop)
-    if tail >= eps / 2:
-        raise PrecisionError("could not reach the requested tail bound")
+    lo = m_stop // 2  # its tail is >= eps/4 whenever m_stop > 1
+    while m_stop - lo > 1:
+        mid = (lo + m_stop) // 2
+        if scale * _omega_tail(k, mid) < eps / 4:
+            m_stop = mid
+        else:
+            lo = mid
+    tail = scale * _omega_tail(k, m_stop)
 
     series = 0.0
     bessel_err = 0.0

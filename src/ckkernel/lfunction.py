@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, PrecisionError
 from .ntheory import ValueWithError
-from .qexpansion import Eigenform, eigenforms
+from .qexpansion import Eigenform, _check_weight, eigenforms
 from .specfun import _EPS, _GAMMA_ULPS, upper_incomplete_gamma
 
 __all__ = [
@@ -66,9 +66,13 @@ def deligne_tail(p: float, c: float, n0: int) -> float:
 
 def deligne_count(p: float, c: float, floor: float) -> int:
     """The fewest N >= 1 from which `deligne_tail`(p, c, N + 1) holds (its term
-    ratio is below 1) and is at most floor > 0; it falls with N from there."""
+    ratio is below 1) and is at most floor > 0; it falls with N from there.
+    p must be finite and c in (0, inf): otherwise no N qualifies, or p = nan
+    passes every test."""
     if not floor > 0.0:
         raise DomainError(f"deligne_count needs a positive floor, got {floor}")
+    if not (math.isfinite(p) and 0.0 < c < math.inf):
+        raise DomainError(f"deligne_count needs a finite p and a finite c > 0, got {p}, {c}")
     n, decay = 1, math.exp(-c)
     while ((n + 2) / (n + 1)) ** p * decay >= 1.0 or deligne_tail(p, c, n + 1) > floor:
         n += 1
@@ -170,6 +174,7 @@ def functional_equation_residual(f: Eigenform, s: float) -> float:
 def central_values(k: int, eps: float = 1e-10) -> list[tuple[Eigenform, ValueWithError]]:
     """L(f, k/2) for every eigenform f of weight k, built with `coefficient_count(k)`
     coefficients; `DomainError` unless k is even and >= 12 (`eigenforms`)."""
+    _check_weight(k)  # before coefficient_count(k)
     out = []
     for f in eigenforms(k, coefficient_count(k)):
         lv = completed_l(f, k / 2)

@@ -81,7 +81,7 @@ def gamma_sum(n: int, m: int) -> float:
     return sum(half + half[::-1])
 
 
-@functools.lru_cache(maxsize=1 << 13)  # the deepest m_stop r_k reaches
+@functools.lru_cache(maxsize=1 << 13)  # above r_k's deepest cut, 5,144 at (12, 5, 1e-14)
 def _pair_exponents(m: int) -> tuple[int, ...]:
     """s = a' a - c' c for the coprime pairs a*c = m > 1 with a < sqrt(m), by a.
 

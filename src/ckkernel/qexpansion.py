@@ -190,6 +190,8 @@ def miller_basis(k: int, prec: int) -> list[QExpansion]:
     """
     if k < 4 or k % 2:
         raise DomainError(f"miller_basis requires even k >= 4, got {k}")
+    if prec < 1:
+        raise DomainError(f"miller_basis requires prec >= 1, got {prec}")
     d = dim_cusp(k)
     if d == 0:
         return []
@@ -393,6 +395,12 @@ def _refine(hp: list[int], hdp: list[int], a: int, b: int) -> int:
     return b
 
 
+def _check_weight(k: int) -> None:
+    """The weights of `eigenforms`: even k >= 12 (inf and nan fail both tests)."""
+    if not (k >= 12 and k % 2 == 0):
+        raise DomainError(f"an eigenform weight must be even and >= 12, got {k}")
+
+
 def eigenforms(k: int, n_coeffs: int) -> list[Eigenform]:
     """All normalized Hecke eigenforms of weight k, with n_coeffs coefficients.
 
@@ -405,8 +413,7 @@ def eigenforms(k: int, n_coeffs: int) -> list[Eigenform]:
     Forms are ordered by increasing a_2, the T_2 eigenvalue, in which the
     roots are isolated.
     """
-    if k < 12 or k % 2:
-        raise DomainError(f"eigenforms requires even k >= 12, got {k}")
+    _check_weight(k)
     if n_coeffs < 1:
         raise DomainError(f"eigenforms requires n_coeffs >= 1, got {n_coeffs}")
     d = dim_cusp(k)

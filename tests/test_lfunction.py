@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 
 import mpmath as mp
 import pytest
@@ -225,3 +226,21 @@ class TestCentralValues:
     def test_domain(self):
         with pytest.raises(DomainError):
             central_values(11)
+
+    def test_infinite_weight_raises_without_hanging(self):
+        # deligne_count looped forever at p = inf, reached through coefficient_count
+        def hung(signum, frame):
+            raise TimeoutError("no answer within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(5)
+        try:
+            for call in (central_values, coefficient_count):
+                with pytest.raises(DomainError):
+                    call(math.inf)
+            for p, c in ((math.inf, 2.0 * math.pi), (6.5, math.inf), (math.nan, 2.0 * math.pi), (6.5, 0.0)):
+                with pytest.raises(DomainError):
+                    deligne_count(p, c, 2.0**-74)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)

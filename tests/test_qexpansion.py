@@ -226,8 +226,15 @@ class TestMillerBasis:
                     assert g[j] == (1 if i == j else 0)
 
     def test_insufficient_prec_rejected(self):
-        with pytest.raises(PrecisionError):
-            miller_basis(24, 2)
+        for prec in (1, 2):  # in the domain, but not past dim S_24 = 2
+            with pytest.raises(PrecisionError):
+                miller_basis(24, prec)
+
+    def test_prec_below_one_is_outside_the_domain(self):
+        for k in (12, 24, 10):
+            for prec in (0, -4):
+                with pytest.raises(DomainError):
+                    miller_basis(k, prec)
 
     def test_matches_monomial_row_reduction(self):
         for k in range(12, 41, 2):
