@@ -64,18 +64,31 @@ def deligne_tail(p: float, c: float, n0: int) -> float:
     return math.exp(log_t0) / (1.0 - ratio) * (1.0 + rel) + 5e-324
 
 
+# `deligne_count` gives up past this many terms: coefficient_count(k) is 28 at
+# k = 60 and reaches it only past k = 64,300.
+_MAX_COUNT = 2**16
+
+
 def deligne_count(p: float, c: float, floor: float) -> int:
     """The fewest N >= 1 from which `deligne_tail`(p, c, N + 1) holds (its term
     ratio is below 1) and is at most floor > 0; it falls with N from there.
-    p must be finite and c in (0, inf): otherwise no N qualifies, or p = nan
-    passes every test."""
+    p must be finite and c in (0, 700]: otherwise no N qualifies, p = nan
+    passes every test, or e^c overflows.  Both tests are first taken in
+    logarithms, the ratio's and the first term's against floor (the tail
+    exceeds its first term), so no power overflows whatever p is;
+    `PrecisionError` once N passes _MAX_COUNT.
+    """
     if not floor > 0.0:
         raise DomainError(f"deligne_count needs a positive floor, got {floor}")
-    if not (math.isfinite(p) and 0.0 < c < math.inf):
-        raise DomainError(f"deligne_count needs a finite p and a finite c > 0, got {p}, {c}")
-    n, decay = 1, math.exp(-c)
-    while ((n + 2) / (n + 1)) ** p * decay >= 1.0 or deligne_tail(p, c, n + 1) > floor:
+    if not (math.isfinite(p) and 0.0 < c <= 700.0):
+        raise DomainError(f"deligne_count needs a finite p and 0 < c <= 700, got {p}, {c}")
+    n, log_floor = 1, math.log(floor)
+    while (p * math.log1p(1.0 / (n + 1)) >= c
+           or p * math.log(n + 1) - c * (n + 1) > log_floor
+           or deligne_tail(p, c, n + 1) > floor):
         n += 1
+        if n > _MAX_COUNT:
+            raise PrecisionError(f"no Deligne tail of n^{p} e^(-{c} n) within {_MAX_COUNT} terms")
     return n
 
 

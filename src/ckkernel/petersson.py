@@ -55,6 +55,7 @@ _H = math.pi / 12.0  # theta = _H (1 + t) maps t in [-1, 1] onto [0, pi/6]
 _ARC_AREA = 0.0434  # 1 - pi/6 - sqrt(3)/4 = 0.04338..., rounded up
 # Bernstein-ellipse parameters tried; each keeps _H (1 + (rho + 1/rho)/2) < pi/2
 _RHO = tuple(2.0 ** (j / 4) for j in range(1, 14))
+_CELLS = 8  # cells of |Im theta| on which the chosen ellipse's bound is refined
 # `_gauss_legendre`'s charge: nodes within _NODE_ULPS _EPS, weights within
 # _WEIGHT_ULPS n^2 _EPS relatively
 _NODE_ULPS = 1.0
@@ -63,9 +64,10 @@ _WEIGHT_ULPS = 4.0
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """The Gauss-Legendre node count of the arc strip, in theta with y = cos theta."""
+    """The Gauss-Legendre node count of the arc strip, in theta with y = cos theta;
+    20 by default, `default_spec(40)`'s count."""
 
-    y_nodes: int = 30
+    y_nodes: int = 20
 
     def __post_init__(self):
         if self.y_nodes < 8:
@@ -79,10 +81,11 @@ class QuadratureSpec:
 
 
 def default_spec(k: int) -> QuadratureSpec:
-    """The spec `petersson_inner` uses when given none: 10 + k // 2 nodes, at
-    which the proven remainder of `_arc_value` is <= 1e-14 of the norm for
-    every eigenform of weight k <= 40 (the spec's own default is k = 40's)."""
-    return QuadratureSpec(y_nodes=10 + k // 2)
+    """The spec `petersson_inner` uses when given none: 10 + (k + 2) // 4 nodes,
+    13 at k = 12 and 20 at k = 40, at which the proven remainder of `_arc_value`
+    is <= 1e-14 of the norm for every eigenform of weight k <= 40 (the spec's
+    own default is k = 40's)."""
+    return QuadratureSpec(y_nodes=10 + (k + 2) // 4)
 
 
 def _parseval(f: Eigenform, g: Eigenform, k: int) -> ValueWithError:
@@ -137,20 +140,14 @@ def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(x for x, _ in rule), tuple(w for _, w in rule)
 
 
-def _majorant(fm, gm, t: float) -> float:
-    """A(t) B(t), where A(t) = sum_n fm_n e^(-2 pi n t) over magnitudes
-    fm_n = |a_n| and B likewise over gm, by Horner summation in e^(-2 pi t);
-    A^2 when gm is fm."""
-    r = math.exp(-math.tau * t)
+def _form_sum(mags, tau: float) -> float:
+    """A(tau) = sum_n mags_n e^(-2 pi n tau) over magnitudes mags_n = |a_n|, by
+    Horner summation in e^(-2 pi tau); it falls as tau grows."""
+    r = math.exp(-math.tau * tau)
     a = 0.0
-    for c in reversed(fm):
+    for c in reversed(mags):
         a = a * r + c
-    if gm is fm:
-        return (a * r) ** 2
-    b = 0.0
-    for c in reversed(gm):
-        b = b * r + c
-    return a * r * b * r
+    return a * r
 
 
 def _gauss_remainder(m: float, rho: float, n: int) -> float:
@@ -171,9 +168,30 @@ def _kept_terms(f, k: int) -> tuple[float, ...]:
     carries fewer, whose tail `_arc_value` charges.
     """
     p, c = (k + 1) / 2, math.tau * _MIN_Y
-    mags = tuple(abs(a) for a in f.a)
-    sup = math.sqrt(_majorant(mags, mags, _MIN_Y))
-    return mags[:deligne_count(p, c, math.ulp(sup))]
+    mags = tuple(map(abs, f.a))
+    return mags[:deligne_count(p, c, math.ulp(_form_sum(mags, _MIN_Y)))]
+
+
+def _ellipse_bound(fm, gm, k: int, rho: float, cells: int) -> tuple[float, float]:
+    """Bounds on |I| over the Bernstein ellipse E_rho of `_arc_value`, from the
+    magnitudes fm and gm of the kept coefficients: the split majorant's, the
+    largest over `cells` equal cells of |Im theta| in [0, beta], and the
+    unsplit one; `_arc_value`'s docstring proves both."""
+    a = _H * (1.0 + (rho + 1.0 / rho) / 2.0)
+    beta = _H * (rho - 1.0 / rho) / 2.0
+    c, sin_a = math.cos(a), math.sin(a)
+    ends = [beta * j / cells for j in range(cells + 1)]
+    lows = [c * math.exp(t) for t in ends[:-1]]  # c e^t0 for each cell [t0, t1]
+    highs = [c * math.exp(-t) for t in ends[1:]]  # c e^-t1
+    f_lo, f_hi = [_form_sum(fm, x) for x in lows], [_form_sum(fm, x) for x in highs]
+    g_lo, g_hi = (f_lo, f_hi) if gm is fm else (
+        [_form_sum(gm, x) for x in lows], [_form_sum(gm, x) for x in highs])
+    split = 0.0
+    for t, fl, fh, gl, gh in zip(ends[1:], f_lo, f_hi, g_lo, g_hi):
+        s = math.hypot(sin_a, math.sinh(t))
+        scale = s * (1.0 + 2.0 * s) * math.cosh(t) ** (k - 2)
+        split = max(split, scale * (fl * gh + fh * gl))
+    return split, scale * f_hi[-1] * g_hi[-1]
 
 
 class _ArcValue(NamedTuple):
@@ -199,7 +217,8 @@ def _arc_value(f, g, k: int, spec: QuadratureSpec) -> _ArcValue:
     v_m = a_m r^m, u_n = b_n r^n and r = e^(-2 pi cos theta).  theta = H (1 + t),
     H = pi/12, makes it H int_(-1)^1 I dt, summed by the rule (t_i, w_i) of
     `_gauss_legendre`.  Per node 2 S_d is formed once for |d| < N_t, and P
-    as sum_m v_m (sum_n u_n 2 S_(m-n)); w is taken as
+    as sum_m v_m (sum_n u_n 2 S_(m-n)); for g is f, P is a symmetric Toeplitz
+    form, summed once over the autocorrelations of v (below).  w is taken as
     2 sin(pi (1 - t)/24) cos(pi (3 + t)/24), free of cancellation.
 
     Truncation.  Only the first N_t coefficients of each form are summed
@@ -213,17 +232,28 @@ def _arc_value(f, g, k: int, spec: QuadratureSpec) -> _ArcValue:
     (`_gauss_remainder`) holds on every Bernstein ellipse E_rho in t, the
     rule carrying H.  On E_rho, theta = a + ib with H (1 - A) <= a <= H (1 + A)
     and |b| <= beta = H B, A = (rho + 1/rho)/2, B = (rho - 1/rho)/2; `_RHO`
-    keeps H (1 + A) < pi/2, so cos a >= c = cos(H (1 + A)) > 0.  There
-    - |cos theta| <= cosh beta, and Re cos theta = cos a cosh b;
-    - |sin theta| <= s = (sin^2(H (1 + A)) + sinh^2 beta)^(1/2);
+    keeps H (1 + A) < pi/2, so cos a >= c = cos(H (1 + A)) > 0.  With t = |b|
+    - |cos theta| <= cosh t, and Re cos theta = cos a cosh b;
+    - |sin theta| <= s(t) = (sin^2(H (1 + A)) + sinh^2 t)^(1/2);
     - 2 S_d is 2 int cos(2 pi d x) dx along the segment from sin theta to 1/2,
-      on which |Im x| <= |Im sin theta| = cos a |sinh b|, so |2 S_d| <=
-      |1 - 2 sin theta| e^(2 pi |d| cos a |sinh b|) <= (1 + 2 s) e^(...);
-    - as |m - n| <= m + n and cosh b - |sinh b| = e^(-|b|), the term (m, n)
-      of P is at most (1 + 2 s) |a_m b_n| e^(-2 pi (m + n) c e^(-beta)).
-    So |I| <= s (1 + 2 s) cosh^(k-2) beta `_majorant`(c e^(-beta)) on E_rho.
-    The rho of `_RHO` that minimizes H times the Thm 19.3 bound is charged,
-    so a caller's spec is charged its own remainder.
+      on which |Im x| <= |Im sin theta| = cos a sinh t, so |2 S_d| <=
+      |1 - 2 sin theta| e^(2 pi |d| cos a sinh t) <= (1 + 2 s) e^(...);
+    - so the term (m, n) of P is at most (1 + 2 s) |a_m b_n|
+      e^(-2 pi cos a [(m + n) cosh t - |m - n| sinh t]), whose bracket is
+      min(m e^t + n e^-t, m e^-t + n e^t) > 0.  With cos a >= c, and the larger
+      of the two exponentials bounded by their sum, the pairs sum to at most
+      (1 + 2 s) [A_f(c e^t) A_g(c e^-t) + A_f(c e^-t) A_g(c e^t)], where
+      A_f(tau) = sum |a_m| e^(-2 pi m tau) (`_form_sum`) and A_g likewise.
+    Each A falls as tau grows, while s and cosh t rise with t, so on a cell
+    t0 <= t <= t1 of [0, beta], |I| <= s (1 + 2 s) cosh^(k-2) t1
+    [A_f(c e^t0) A_g(c e^-t1) + A_f(c e^-t1) A_g(c e^t0)], s = s(t1)
+    (`_ellipse_bound`).  Every rho gives a proven bound, so choosing it by a
+    cheaper one is sound: the rho of `_RHO` whose bound over the one cell
+    [0, beta] has the least Thm 19.3 remainder is refined on _CELLS equal
+    cells.  Charged is H times the smaller of that remainder and the best over
+    `_RHO` of the unsplit one, which takes |m - n| <= m + n and so every pair
+    at c e^(-beta): s (1 + 2 s) cosh^(k-2) beta A_f(c e^-beta) A_g(c e^-beta),
+    s = s(beta).  A caller's spec is charged its own remainder.
 
     Rounding, relative to the mass H w_i sin theta y^(k-2) 2 w V U of each
     node (V = sum |v_m|, U = sum |u_n|; |2 S_d| <= 2 w), to first order in
@@ -238,7 +268,11 @@ def _arc_value(f, g, k: int, spec: QuadratureSpec) -> _ArcValue:
       product.  So 2 pi d w is within 10, sin(2 pi d w) within 11 _EPS
       2 pi d w, and 2 S_d, divided by pi d (3 more), within 14 _EPS 2 w;
     - v_m u_n 2 S_(m-n) passes two products and at most N_t(f) + N_t(g) - 2
-      sums: N_t(f) + N_t(g);
+      sums: N_t(f) + N_t(g).  For g is f, P = 2 S_0 c_0 + 2 sum_(d >= 1) 2 S_d c_d
+      with the autocorrelations c_d = sum_m v_m v_(m+d) (the doubling is
+      exact): a pair passes v_m v_(m+d), at most N_t - 1 sums in c_d (N_t - 2
+      for d >= 1), the product with 2 S_d and at most N_t - 1 sums after it
+      (one for d = 0), so the same count holds;
     - the weight is within _WEIGHT_ULPS n^2 _EPS; three products form the
       term, and `math.fsum`, H and the product with it add three.
     The node's own error, _NODE_ULPS _EPS, is absolute: it moves sin theta
@@ -247,7 +281,8 @@ def _arc_value(f, g, k: int, spec: QuadratureSpec) -> _ArcValue:
     H^2 w_i y^(k-2) V U _NODE_ULPS _EPS; with sum w_i = 2, y <= 1 and
     V U <= S_f S_g, all nodes by 2 H^2 S_f S_g _NODE_ULPS _EPS.
     """
-    fm, gm = _kept_terms(f, k), _kept_terms(g, k)
+    fm = _kept_terms(f, k)
+    gm = fm if g is f else _kept_terms(g, k)
     nf, ng = len(fm), len(gm)
     n_t, n = max(nf, ng), spec.y_nodes
     ts, ws = _gauss_legendre(n)
@@ -260,27 +295,27 @@ def _arc_value(f, g, k: int, spec: QuadratureSpec) -> _ArcValue:
         w = 2.0 * math.sin(0.5 * _H * (1.0 - t)) * math.cos(0.5 * _H * (3.0 + t))
         r = math.exp(-math.tau * y)
         v = list(map(mul, f.a[:nf], accumulate(repeat(r, nf), mul)))
-        u = list(map(mul, g.a[:ng], accumulate(repeat(r, ng), mul)))
+        u = v if g is f else list(map(mul, g.a[:ng], accumulate(repeat(r, ng), mul)))
         tw = math.tau * w
         s_d = [2.0 * w] + [(-1) ** d * math.sin(d * tw) / (d * math.pi) for d in range(1, n_t)]
-        band = s_d[:0:-1] + s_d  # band[n_t - 1 + d] = 2 S_d = band[n_t - 1 - d]
-        corr = sum(map(mul, v, [sum(map(mul, u, band[n_t - 1 - m:])) for m in range(nf)]))
+        if u is v:  # P = 2 S_0 c_0 + 2 sum_(d >= 1) 2 S_d c_d, c_d = sum_m v_m v_(m+d)
+            c_d = [sum(map(mul, v, v[d:])) for d in range(n_t)]
+            corr = s_d[0] * c_d[0] + 2.0 * sum(map(mul, s_d[1:], c_d[1:]))
+        else:
+            band = s_d[:0:-1] + s_d  # band[n_t - 1 + d] = 2 S_d = band[n_t - 1 - d]
+            corr = sum(map(mul, v, [sum(map(mul, u, band[n_t - 1 - m:])) for m in range(nf)]))
         node = wt * math.sin(theta) * y**power
         terms.append(node * corr)
         mass += node * 2.0 * w * sum(map(abs, v)) * sum(map(abs, u))
 
-    rem = math.inf
-    for rho in _RHO:
-        a = _H * (1.0 + (rho + 1.0 / rho) / 2.0)
-        beta = _H * (rho - 1.0 / rho) / 2.0
-        s = math.hypot(math.sin(a), math.sinh(beta))
-        bound = s * (1.0 + 2.0 * s) * math.cosh(beta) ** power * _majorant(
-            fm, gm, math.cos(a) * math.exp(-beta))
-        rem = min(rem, _H * _gauss_remainder(bound, rho, n))
+    one_cell = [(rho, *_ellipse_bound(fm, gm, k, rho, 1)) for rho in _RHO]
+    rho, _, _ = min(one_cell, key=lambda b: _gauss_remainder(b[1], b[0], n))
+    rem = _H * min(_gauss_remainder(_ellipse_bound(fm, gm, k, rho, _CELLS)[0], rho, n),
+                   *(_gauss_remainder(unsplit, r, n) for r, _, unsplit in one_cell))
     ulps = 35.0 * (nf + ng) + 3.0 * power + 25.0 + _WEIGHT_ULPS * n * n
     p, c = (k + 1) / 2, math.tau * _MIN_Y
     tf, tg = deligne_tail(p, c, nf + 1), deligne_tail(p, c, ng + 1)
-    sf, sg = math.sqrt(_majorant(fm, fm, _MIN_Y)), math.sqrt(_majorant(gm, gm, _MIN_Y))
+    sf, sg = _form_sum(fm, _MIN_Y), _form_sum(gm, _MIN_Y)
     return _ArcValue(
         value=_H * math.fsum(terms),
         rem=rem,

@@ -9,7 +9,10 @@ eigenform coefficients are assembled, one rounding each.  Products
 truncate to the minimum precision of their operands, never silently
 beyond it, and each is one integer multiply of the Kronecker-substituted
 operands.  The divisor sums sigma_{k-1}(n) of an Eisenstein series come
-from one divisor sieve.
+from one divisor sieve.  Each public builder checks its arguments before any
+work: a weight, precision or Hecke index that is not an integer (nan and
+inf included) raises `DomainError`, and an integral float gives the int's
+result.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import DomainError, PrecisionError, UnsupportedError
 from .ntheory import bernoulli
@@ -32,6 +36,17 @@ __all__ = [
     "hecke_matrix",
     "eigenforms",
 ]
+
+
+def _cleared(coeffs) -> tuple[list[int], int]:
+    """The coefficients times the lcm of their denominators, as ints, and that
+    lcm; the numerators themselves when it is 1, as for every integer series."""
+    dens = list(map(operator.attrgetter("denominator"), coeffs))
+    den = math.lcm(*dens)
+    nums = map(operator.attrgetter("numerator"), coeffs)
+    if den == 1:
+        return list(nums), 1
+    return list(map(operator.mul, nums, map(operator.floordiv, repeat(den), dens))), den
 
 
 @dataclass(frozen=True)
@@ -78,13 +93,12 @@ class QExpansion:
         coefficient c_i of the integer product.  For i < n,
         |c_i| <= n max|a| max|b|, so b is that bound's length plus a sign bit,
         rounded up to whole bytes, and adding 2^(b-1) to every slot makes the
-        low n slots of the product non-negative and carry-free.
+        low n slots of the product non-negative and carry-free.  A square
+        (`other is self`) clears and packs its operand once.
         """
         n = min(self.prec, other.prec)
-        den_a = math.lcm(*(c.denominator for c in self.coeffs[:n]))
-        den_b = math.lcm(*(c.denominator for c in other.coeffs[:n]))
-        a = [c.numerator * (den_a // c.denominator) for c in self.coeffs[:n]]
-        b = [c.numerator * (den_b // c.denominator) for c in other.coeffs[:n]]
+        a, den_a = _cleared(self.coeffs[:n])
+        b, den_b = (a, den_a) if other is self else _cleared(other.coeffs[:n])
         weight = self.weight + other.weight
         bound = n * max(map(abs, a)) * max(map(abs, b))
         if not bound:
@@ -98,8 +112,10 @@ class QExpansion:
                 b"".join((c + half).to_bytes(width, "little") for c in cs), "little"
             ) - bias
 
+        packed = pack(a)
+        product = packed * packed if other is self else packed * pack(b)
         size = width * n
-        low = ((pack(a) * pack(b) + bias) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+        low = ((product + bias) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
         out = [int.from_bytes(low[i : i + width], "little") - half for i in range(0, size, width)]
         den = den_a * den_b
         if den != 1:
@@ -146,8 +162,9 @@ def eisenstein(k: int, prec: int) -> QExpansion:
     """
     if k < 4 or k % 2:
         raise DomainError(f"eisenstein requires even k >= 4, got {k}")
-    if prec < 1:
-        raise DomainError("prec must be >= 1")
+    if prec < 1 or prec % 1:
+        raise DomainError(f"eisenstein requires an integer prec >= 1, got {prec}")
+    k, prec = int(k), int(prec)  # an integral float gives the int's series
     c = Fraction(-2 * k) / bernoulli(k)
     if c.denominator == 1:
         c = c.numerator
@@ -162,18 +179,23 @@ def eisenstein(k: int, prec: int) -> QExpansion:
 
 def delta(prec: int) -> QExpansion:
     """The discriminant cusp form (E4^3 - E6^2)/1728, weight 12, in integers."""
-    if prec < 1:
-        raise DomainError("prec must be >= 1")
-    e4 = eisenstein(4, prec)
-    e6 = eisenstein(6, prec)
-    diff = e4.pow(3) - e6.pow(2)
-    return QExpansion(12, tuple(c // 1728 for c in diff.coeffs))
+    if prec < 1 or prec % 1:
+        raise DomainError(f"delta requires an integer prec >= 1, got {prec}")
+    return _delta_and_e6_sq(int(prec))[0]
+
+
+def _delta_and_e6_sq(prec: int) -> tuple[QExpansion, QExpansion]:
+    """Delta and the E6^2 it is built from, both to prec >= 1 coefficients."""
+    e6_sq = eisenstein(6, prec).pow(2)
+    diff = eisenstein(4, prec).pow(3) - e6_sq
+    return QExpansion(12, tuple(c // 1728 for c in diff.coeffs)), e6_sq
 
 
 def dim_cusp(k: int) -> int:
     """dim S_k(Gamma(1)) for even k >= 0, by the classical formula."""
     if k < 0 or k % 2:
         raise DomainError(f"dim_cusp requires even k >= 0, got {k}")
+    k = int(k)
     if k < 4:
         return 0
     dim_m = k // 12 + (0 if k % 12 == 2 else 1)
@@ -190,17 +212,16 @@ def miller_basis(k: int, prec: int) -> list[QExpansion]:
     """
     if k < 4 or k % 2:
         raise DomainError(f"miller_basis requires even k >= 4, got {k}")
-    if prec < 1:
-        raise DomainError(f"miller_basis requires prec >= 1, got {prec}")
+    if prec < 1 or prec % 1:
+        raise DomainError(f"miller_basis requires an integer prec >= 1, got {prec}")
+    k, prec = int(k), int(prec)
     d = dim_cusp(k)
     if d == 0:
         return []
     if prec <= d:
         raise PrecisionError(f"miller_basis needs prec > dim S_k = {d}, got {prec}")
     k0 = k - 12 * d
-    dl = delta(prec)
-    e6 = eisenstein(6, prec)
-    e6_sq = e6 * e6
+    dl, e6_sq = _delta_and_e6_sq(prec)
     right = eisenstein(k0, prec) if k0 else e6_sq.pow(0)  # E6^(2(d-j)) E_k0
     dl_pows = [dl]
     while len(dl_pows) < d:
@@ -238,8 +259,9 @@ def hecke_matrix(k: int, n: int) -> list[list[int]]:
 
     Exact integer entries, from the basis at the precision n d + 1 it needs.
     """
-    if n < 2:
-        raise DomainError("hecke_matrix requires n >= 2")
+    if n < 2 or n % 1:
+        raise DomainError(f"hecke_matrix requires an integer n >= 2, got {n}")
+    n = int(n)
     d = dim_cusp(k)
     if d == 0:
         return []
@@ -414,8 +436,9 @@ def eigenforms(k: int, n_coeffs: int) -> list[Eigenform]:
     roots are isolated.
     """
     _check_weight(k)
-    if n_coeffs < 1:
-        raise DomainError(f"eigenforms requires n_coeffs >= 1, got {n_coeffs}")
+    if n_coeffs < 1 or n_coeffs % 1:
+        raise DomainError(f"eigenforms requires an integer n_coeffs >= 1, got {n_coeffs}")
+    k, n_coeffs = int(k), int(n_coeffs)
     d = dim_cusp(k)
     if d == 0:
         return []

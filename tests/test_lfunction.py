@@ -244,3 +244,23 @@ class TestCentralValues:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    def test_huge_weight_raises_without_overflow_or_hanging(self):
+        # ((n + 2) / (n + 1))^p overflowed in deligne_count for a huge finite p
+        def hung(signum, frame):
+            raise TimeoutError("no answer within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(5)
+        try:
+            for call, k in ((coefficient_count, 1e300), (coefficient_count, 2**70),
+                            (central_values, 1e300)):
+                with pytest.raises(PrecisionError):
+                    call(k)
+            with pytest.raises(PrecisionError):
+                deligne_count(1e300, 700.0, 1.0)
+            with pytest.raises(DomainError):  # past it e^c overflows
+                deligne_count(6.5, 701.0, 2.0**-74)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)

@@ -8,7 +8,7 @@ import pytest
 from ckkernel import petersson
 from ckkernel.errors import DomainError
 from ckkernel.kernel import r_k
-from ckkernel.lfunction import central_values, completed_l
+from ckkernel.lfunction import central_values, coefficient_count, completed_l
 from ckkernel.petersson import (
     QuadratureSpec,
     default_spec,
@@ -17,7 +17,7 @@ from ckkernel.petersson import (
     petersson_norm_sq,
     triangle_check,
 )
-from ckkernel.qexpansion import eigenforms
+from ckkernel.qexpansion import Eigenform, eigenforms
 
 EPS = 2.220446049250313e-16
 # (Delta, Delta) in the unnormalized measure: at 40 digits with the exact tau(n),
@@ -50,7 +50,7 @@ class TestQuadratureSpec:
 
     def test_x_integral_is_closed_form(self):
         # one rule in theta; x_nodes is a read-only 1
-        assert QuadratureSpec().y_nodes == 30 == default_spec(40).y_nodes
+        assert QuadratureSpec().y_nodes == 20 == default_spec(40).y_nodes
         assert QuadratureSpec(y_nodes=8).x_nodes == 1
         with pytest.raises(AttributeError):
             QuadratureSpec().x_nodes = 2
@@ -222,6 +222,30 @@ class TestPeterssonInner:
                     norm = petersson_norm_sq(f).value
                     arc = petersson._arc_value(f, f, k, default_spec(k))
                     assert arc.rem <= 1e-14 * norm, (k, n_coeffs)
+
+    def test_split_remainder_bounds_the_unconverged_rule(self):
+        # from 8 nodes up to default_spec(k) the rule is far from converged, so
+        # a majorant that undercut the true remainder would show against a
+        # 64-node rule; both rules keep the same coefficients, so the
+        # truncation is common to them
+        for k in range(12, 41, 4):
+            for n_coeffs in (coefficient_count(k), 120):
+                f = eigenforms(k, n_coeffs)[0]
+                ref = petersson._arc_value(f, f, k, QuadratureSpec(y_nodes=64))
+                for n in range(8, default_spec(k).y_nodes + 1):
+                    arc = petersson._arc_value(f, f, k, QuadratureSpec(y_nodes=n))
+                    slack = arc.rem + arc.rounding + ref.rem + ref.rounding
+                    assert abs(arc.value - ref.value) <= slack, (k, n_coeffs, n)
+
+    def test_symmetric_sum_agrees_with_the_general_path(self):
+        # petersson_inner(f, f) sums the autocorrelations of one form; a copy
+        # of f is another object, so it takes the path of two distinct forms
+        for k in range(12, 41, 2):
+            for n_coeffs in (coefficient_count(k), 120):
+                for f in eigenforms(k, n_coeffs):
+                    norm = petersson_inner(f, f)
+                    general = petersson_inner(f, Eigenform(f.weight, f.a))
+                    assert abs(norm.value - general.value) <= norm.abs_err + general.abs_err, k
 
     @pytest.mark.parametrize("k", [28, 40])
     def test_norm_bar_contains_40_digit_value(self, k):

@@ -145,6 +145,35 @@ class TestProduct:
         assert all(type(c) is int or c.denominator > 1 for c in prod.coeffs)
 
 
+# every public builder with valid integer arguments; each argument is swept below
+BUILDERS = [
+    (eisenstein, (4, 6)),
+    (delta, (6,)),
+    (dim_cusp, (24,)),
+    (miller_basis, (24, 6)),
+    (hecke_matrix, (12, 3)),
+    (hecke_matrix, (24, 3)),
+    (hecke_char_poly, (24,)),
+    (eigenforms, (24, 5)),
+]
+
+
+class TestDomainGates:
+    @pytest.mark.parametrize("build, args", BUILDERS)
+    def test_each_argument_must_be_an_integer(self, build, args):
+        for i, arg in enumerate(args):
+            for bad in (arg + 0.5, 2.5, math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError):
+                    build(*args[:i], bad, *args[i + 1:])
+
+    @pytest.mark.parametrize("build, args", BUILDERS)
+    def test_an_integral_float_gives_the_ints_result(self, build, args):
+        # repr, so that a float weight or a float count in the result shows
+        expected = repr(build(*args))
+        for i, arg in enumerate(args):
+            assert repr(build(*args[:i], float(arg), *args[i + 1:])) == expected, i
+
+
 class TestEisenstein:
     def test_e4(self):
         e4 = eisenstein(4, 3)
