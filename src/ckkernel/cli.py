@@ -137,10 +137,7 @@ def _parse_weights(text: str) -> list[int]:
         raise DomainError(f"malformed weight range {text!r}; expected start:stop:step")
     if step < 1 or stop < start:
         raise DomainError(f"malformed weight range {text!r}")
-    weights = list(range(start, stop + 1, step))
-    for k in weights:
-        _check_weight(k)
-    return weights
+    return [_check_weight(k) for k in range(start, stop + 1, step)]
 
 
 def _cmd_report(args) -> int:

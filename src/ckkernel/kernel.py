@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, PrecisionError
+from .errors import PrecisionError, _integer
 from .ntheory import ValueWithError, gamma_sum, zeta_even
 from .specfun import _EPS, MAX_SERIES_ARG, HalfIntOrder, bessel_envelope, bessel_j
 
@@ -45,10 +45,9 @@ _OMEGA_C = 2.69183
 _ZETA6 = 1.0174
 
 
-def _check_weight(k: int) -> None:
-    """The certified weights: k ≡ 0 (mod 4), 12 <= k <= 40."""
-    if k % 4 != 0 or not 12 <= k <= 40:
-        raise DomainError(f"weight must satisfy k ≡ 0 (mod 4) and 12 <= k <= 40, got {k}")
+def _check_weight(k: int) -> int:
+    """k as an int if it is a certified weight: k ≡ 0 (mod 4), 12 <= k <= 40."""
+    return _integer("the weight k", k, 12, 4, 40)
 
 
 @dataclass(frozen=True)
@@ -121,6 +120,7 @@ def series_tail_bound(k: int, n: int, m_stop: int) -> float:
     `_omega_tail`(k, m_stop), the smaller of a cube-root and a
     squarefree-divisor bound on sum_{m > m_stop} 2^omega(m) m^(-k/2).
     """
+    k, n, m_stop = _check_weight(k), _integer("n", n, 1), _integer("m_stop", m_stop, 1)
     return _tail_scale(k, n) * _omega_tail(k, m_stop)
 
 
@@ -133,12 +133,9 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     tail is held to eps: the Bessel and float-rounding parts of the bar grow
     with n pi and are not (r_k(12, 5, 1e-10) has a 4.1e-9 bar).
     """
-    _check_weight(k)
-    if n < 1 or n % 1:
-        raise DomainError(f"n must be an integer >= 1, got {n}")
-    n = int(n)  # an integral float gives the int's coefficient, bit for bit
+    k, n = _check_weight(k), _integer("n", n, 1)
     if not eps >= 1e-14:
-        raise PrecisionError(f"eps below 1e-14 is not achievable in double precision")
+        raise PrecisionError(f"eps must be a number >= 1e-14 for double precision, got {eps}")
     if n * math.pi > MAX_SERIES_ARG:
         raise PrecisionError(
             f"n = {n} puts the Bessel argument past the ascending-series contract"
@@ -214,7 +211,7 @@ def _deviation_bound(scale: float, scale_ulps: float, n: int) -> float:
 
 def per_k_bound(k: int) -> float:
     """2 (2 pi)^(k/2) ((k/2)! / k!) zeta(k/2)^2: the weight-k deviation bound."""
-    _check_weight(k)
+    k = _check_weight(k)
     h = k // 2
     # h math.pi errors in the power, then the power, quotient and product round once each
     scale = (2.0 * math.pi) ** h * (math.factorial(h) / math.factorial(k))
@@ -230,7 +227,7 @@ def global_bound() -> float:
 def certify(k: int, eps: float = 1e-10) -> Certificate:
     """Certify that the bracket rho_k(1) (hence r_k(1), hence L(f_k, k/2)) is nonzero."""
     coeff = r_k(k, 1, eps)
-    rho = coeff.rho
+    k, rho = coeff.k, coeff.rho  # r_k's int weight
     bound = per_k_bound(k)
     if rho.value < 1.0 - bound - rho.abs_err:
         raise PrecisionError(

@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, _integer
 from .ntheory import ValueWithError
-from .qexpansion import Eigenform, _check_weight, eigenforms
+from .qexpansion import Eigenform, eigenforms
 from .specfun import _EPS, _GAMMA_ULPS, upper_incomplete_gamma
 
 __all__ = [
@@ -51,15 +51,18 @@ def deligne_tail(p: float, c: float, n0: int) -> float:
     """A bound on sum_{n >= n0} n^p e^(-c n), p >= 0: the first term over
     1 - ((n0 + 1)/n0)^p e^-c, as the term ratio falls with n.
 
-    `PrecisionError` if that ratio is >= 1.  The float result is rounded up
-    past its own error: 2 (p ln n0 + c n0) _EPS in the exponent, (p/2 + 4)
-    _EPS / (1 - ratio) in 1 - ratio and 2 _EPS more, relatively, plus the
-    least subnormal past underflow.
+    `PrecisionError` unless that ratio is below 1 and the first term within
+    the float range.  Both are first tested in logarithms, the ratio's with
+    c <= 700, so neither power overflows whatever p and n0 are.  The float
+    result is rounded up past its own error: 2 (p ln n0 + c n0) _EPS in the
+    exponent, (p/2 + 4) _EPS / (1 - ratio) in 1 - ratio and 2 _EPS more,
+    relatively, plus the least subnormal past underflow.
     """
-    ratio = ((n0 + 1) / n0) ** p * math.exp(-c)
-    if ratio >= 1.0:
-        raise PrecisionError(f"n^{p} e^(-{c} n) is not geometrically decreasing from n = {n0}")
     log_t0 = p * math.log(n0) - c * n0
+    fits = p * math.log1p(1.0 / n0) < c <= 700.0 and log_t0 < 709.0
+    ratio = ((n0 + 1) / n0) ** p * math.exp(-c) if fits else 1.0
+    if ratio >= 1.0:
+        raise PrecisionError(f"n^{p} e^(-{c} n) from n = {n0} is not a geometric tail in floats")
     rel = (2.0 * (p * math.log(n0) + c * n0) + (p + 6.0) / (1.0 - ratio)) * _EPS
     return math.exp(log_t0) / (1.0 - ratio) * (1.0 + rel) + 5e-324
 
@@ -111,6 +114,7 @@ def coefficient_count(k: int) -> int:
       arc and, as Gamma(s, x) >= x^(s-1) e^-x, e^(-2 pi)/(2 pi) > 2^-12 and
       e^(-4 pi)/(4 pi) > 2^-22 for the series.  So one ulp is at least 2^-74.
     """
+    k = _integer("k", k, 12, 2)
     return deligne_count((k + 1) / 2, math.pi * math.sqrt(3.0), 2.0**-74)
 
 
@@ -186,14 +190,14 @@ def functional_equation_residual(f: Eigenform, s: float) -> float:
 
 def central_values(k: int, eps: float = 1e-10) -> list[tuple[Eigenform, ValueWithError]]:
     """L(f, k/2) for every eigenform f of weight k, built with `coefficient_count(k)`
-    coefficients; `DomainError` unless k is even and >= 12 (`eigenforms`)."""
-    _check_weight(k)  # before coefficient_count(k)
+    coefficients; `DomainError` unless k is even and >= 12 (`coefficient_count`),
+    `PrecisionError` unless every bar is at most eps (a nan eps included)."""
     out = []
     for f in eigenforms(k, coefficient_count(k)):
         lv = completed_l(f, k / 2)
-        if lv.finite.abs_err > eps:
+        if not lv.finite.abs_err <= eps:
             raise PrecisionError(
-                f"central value error {lv.finite.abs_err} exceeds target {eps}"
+                f"central value error {lv.finite.abs_err} is not within eps = {eps}"
             )
         out.append((f, lv.finite))
     return out

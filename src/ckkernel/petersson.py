@@ -33,7 +33,7 @@ from itertools import accumulate, repeat
 from operator import mul
 from typing import NamedTuple
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, _integer
 from .kernel import _check_weight, r_k
 from .lfunction import central_values, deligne_count, deligne_tail, gamma_series
 from .ntheory import ValueWithError
@@ -56,6 +56,9 @@ _ARC_AREA = 0.0434  # 1 - pi/6 - sqrt(3)/4 = 0.04338..., rounded up
 # Bernstein-ellipse parameters tried; each keeps _H (1 + (rho + 1/rho)/2) < pi/2
 _RHO = tuple(2.0 ** (j / 4) for j in range(1, 14))
 _CELLS = 8  # cells of |Im theta| on which the chosen ellipse's bound is refined
+# The most nodes a `QuadratureSpec` takes; `default_spec` asks for 13-20 up to
+# k = 40, and every reachable rule is one the tests check against 50 digits.
+_MAX_NODES = 64
 # `_gauss_legendre`'s charge: nodes within _NODE_ULPS _EPS, weights within
 # _WEIGHT_ULPS n^2 _EPS relatively
 _NODE_ULPS = 1.0
@@ -64,14 +67,14 @@ _WEIGHT_ULPS = 4.0
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """The Gauss-Legendre node count of the arc strip, in theta with y = cos theta;
-    20 by default, `default_spec(40)`'s count."""
+    """The Gauss-Legendre node count of the arc strip, in theta with y = cos theta:
+    an integer from 8 to _MAX_NODES = 64 (an integral float is stored as the
+    int), 20 by default, `default_spec(40)`'s count."""
 
     y_nodes: int = 20
 
     def __post_init__(self):
-        if self.y_nodes < 8:
-            raise DomainError("y_nodes must be >= 8")
+        object.__setattr__(self, "y_nodes", _integer("y_nodes", self.y_nodes, 8, 1, _MAX_NODES))
 
     @property
     def x_nodes(self) -> int:
@@ -84,8 +87,9 @@ def default_spec(k: int) -> QuadratureSpec:
     """The spec `petersson_inner` uses when given none: 10 + (k + 2) // 4 nodes,
     13 at k = 12 and 20 at k = 40, at which the proven remainder of `_arc_value`
     is <= 1e-14 of the norm for every eigenform of weight k <= 40 (the spec's
-    own default is k = 40's)."""
-    return QuadratureSpec(y_nodes=10 + (k + 2) // 4)
+    own default is k = 40's); `DomainError` unless k is even and >= 12, or
+    past k = 216, where the count would pass _MAX_NODES."""
+    return QuadratureSpec(y_nodes=10 + (_integer("k", k, 12, 2) + 2) // 4)
 
 
 def _parseval(f: Eigenform, g: Eigenform, k: int) -> ValueWithError:
@@ -172,10 +176,10 @@ def _kept_terms(f, k: int) -> tuple[float, ...]:
     return mags[:deligne_count(p, c, math.ulp(_form_sum(mags, _MIN_Y)))]
 
 
-def _ellipse_bound(fm, gm, k: int, rho: float, cells: int) -> tuple[float, float]:
+def _ellipse_bound(fm, gm, k: int, rho: float, cells: int) -> tuple[list[float], float]:
     """Bounds on |I| over the Bernstein ellipse E_rho of `_arc_value`, from the
-    magnitudes fm and gm of the kept coefficients: the split majorant's, the
-    largest over `cells` equal cells of |Im theta| in [0, beta], and the
+    magnitudes fm and gm of the kept coefficients: the split majorant's on each
+    of `cells` equal cells of |Im theta| in [0, beta], in order, and the
     unsplit one; `_arc_value`'s docstring proves both."""
     a = _H * (1.0 + (rho + 1.0 / rho) / 2.0)
     beta = _H * (rho - 1.0 / rho) / 2.0
@@ -186,11 +190,11 @@ def _ellipse_bound(fm, gm, k: int, rho: float, cells: int) -> tuple[float, float
     f_lo, f_hi = [_form_sum(fm, x) for x in lows], [_form_sum(fm, x) for x in highs]
     g_lo, g_hi = (f_lo, f_hi) if gm is fm else (
         [_form_sum(gm, x) for x in lows], [_form_sum(gm, x) for x in highs])
-    split = 0.0
+    split = []
     for t, fl, fh, gl, gh in zip(ends[1:], f_lo, f_hi, g_lo, g_hi):
         s = math.hypot(sin_a, math.sinh(t))
         scale = s * (1.0 + 2.0 * s) * math.cosh(t) ** (k - 2)
-        split = max(split, scale * (fl * gh + fh * gl))
+        split.append(scale * (fl * gh + fh * gl))
     return split, scale * f_hi[-1] * g_hi[-1]
 
 
@@ -309,8 +313,8 @@ def _arc_value(f, g, k: int, spec: QuadratureSpec) -> _ArcValue:
         mass += node * 2.0 * w * sum(map(abs, v)) * sum(map(abs, u))
 
     one_cell = [(rho, *_ellipse_bound(fm, gm, k, rho, 1)) for rho in _RHO]
-    rho, _, _ = min(one_cell, key=lambda b: _gauss_remainder(b[1], b[0], n))
-    rem = _H * min(_gauss_remainder(_ellipse_bound(fm, gm, k, rho, _CELLS)[0], rho, n),
+    rho, _, _ = min(one_cell, key=lambda b: _gauss_remainder(b[1][0], b[0], n))
+    rem = _H * min(_gauss_remainder(max(_ellipse_bound(fm, gm, k, rho, _CELLS)[0]), rho, n),
                    *(_gauss_remainder(unsplit, r, n) for r, _, unsplit in one_cell))
     ulps = 35.0 * (nf + ng) + 3.0 * power + 25.0 + _WEIGHT_ULPS * n * n
     p, c = (k + 1) / 2, math.tau * _MIN_Y
@@ -387,7 +391,7 @@ def kohnen_triangle(
     with explicit error bounds.  The ratio is reported as measured; no
     constant is fitted to it.
     """
-    _check_weight(k)
+    k = _check_weight(k)
     if len(values) != dim_cusp(k) or any(f.weight != k for f, _ in values):
         raise DomainError(f"kohnen_triangle needs the {dim_cusp(k)} forms of weight {k}")
     scale = 1.0 / (16.0 * (2.0 * math.pi) ** (k / 2))

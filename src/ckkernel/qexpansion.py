@@ -10,9 +10,9 @@ truncate to the minimum precision of their operands, never silently
 beyond it, and each is one integer multiply of the Kronecker-substituted
 operands.  The divisor sums sigma_{k-1}(n) of an Eisenstein series come
 from one divisor sieve.  Each public builder checks its arguments before any
-work: a weight, precision or Hecke index that is not an integer (nan and
-inf included) raises `DomainError`, and an integral float gives the int's
-result.
+work (`errors._integer`): a weight, precision or Hecke index that is not an
+integer in its range (nan and inf included) raises `DomainError`, and an
+integral float gives the int's result.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-from .errors import DomainError, PrecisionError, UnsupportedError
+from .errors import DomainError, PrecisionError, UnsupportedError, _integer
 from .ntheory import bernoulli
 
 __all__ = [
@@ -53,16 +53,18 @@ def _cleared(coeffs) -> tuple[list[int], int]:
 class QExpansion:
     """A truncated power series in q with exact coefficients.
 
-    The coefficients are `int`, or `Fraction` where a value is not integral,
-    and the precision `prec` is their number.  A product packs each operand
-    into one integer and multiplies once (Kronecker substitution), so it
-    costs one big-integer multiply.
+    The weight is an even integer >= 0.  The coefficients are `int`, or
+    `Fraction` where a value is not integral, and the precision `prec` is
+    their number.  A product packs each operand into one integer and
+    multiplies once (Kronecker substitution), so it costs one big-integer
+    multiply.
     """
 
     weight: int
     coeffs: tuple[int | Fraction, ...]  # coefficient of q^i at index i
 
     def __post_init__(self):
+        object.__setattr__(self, "weight", _integer("weight", self.weight, 0, 2))
         if not self.coeffs:
             raise ValueError("a q-expansion needs at least one coefficient")
 
@@ -123,8 +125,7 @@ class QExpansion:
         return QExpansion(weight, tuple(out))
 
     def pow(self, e: int) -> "QExpansion":
-        if e < 0:
-            raise DomainError("negative powers are not supported")
+        e = _integer("the exponent e", e, 0)
         result = QExpansion(0, (1,) + (0,) * (self.prec - 1))
         base = self
         while e:
@@ -137,18 +138,20 @@ class QExpansion:
 
 @dataclass(frozen=True)
 class Eigenform:
-    """A normalized Hecke eigenform: weight plus Fourier coefficients a_1..a_N."""
+    """A normalized Hecke eigenform: weight, even and >= 12, plus Fourier
+    coefficients a_1..a_N."""
 
     weight: int
     a: tuple[float, ...]  # a[i] is a_{i+1}; a[0] == 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "weight", _integer("weight", self.weight, 12, 2))
         if not self.a or self.a[0] != 1.0:
             raise ValueError("eigenform must be normalized with a_1 = 1")
 
     def coefficient(self, n: int) -> float:
         """a_n for 1 <= n <= len(a)."""
-        return self.a[n - 1]
+        return self.a[_integer("n", n, 1, 1, len(self.a)) - 1]
 
     @property
     def n_coeffs(self) -> int:
@@ -160,11 +163,7 @@ def eisenstein(k: int, prec: int) -> QExpansion:
 
     The coefficients are `int` when -2k/B_k is an integer (k = 4, 6, 8, 10, 14).
     """
-    if k < 4 or k % 2:
-        raise DomainError(f"eisenstein requires even k >= 4, got {k}")
-    if prec < 1 or prec % 1:
-        raise DomainError(f"eisenstein requires an integer prec >= 1, got {prec}")
-    k, prec = int(k), int(prec)  # an integral float gives the int's series
+    k, prec = _integer("k", k, 4, 2), _integer("prec", prec, 1)
     c = Fraction(-2 * k) / bernoulli(k)
     if c.denominator == 1:
         c = c.numerator
@@ -179,9 +178,7 @@ def eisenstein(k: int, prec: int) -> QExpansion:
 
 def delta(prec: int) -> QExpansion:
     """The discriminant cusp form (E4^3 - E6^2)/1728, weight 12, in integers."""
-    if prec < 1 or prec % 1:
-        raise DomainError(f"delta requires an integer prec >= 1, got {prec}")
-    return _delta_and_e6_sq(int(prec))[0]
+    return _delta_and_e6_sq(_integer("prec", prec, 1))[0]
 
 
 def _delta_and_e6_sq(prec: int) -> tuple[QExpansion, QExpansion]:
@@ -193,9 +190,7 @@ def _delta_and_e6_sq(prec: int) -> tuple[QExpansion, QExpansion]:
 
 def dim_cusp(k: int) -> int:
     """dim S_k(Gamma(1)) for even k >= 0, by the classical formula."""
-    if k < 0 or k % 2:
-        raise DomainError(f"dim_cusp requires even k >= 0, got {k}")
-    k = int(k)
+    k = _integer("k", k, 0, 2)
     if k < 4:
         return 0
     dim_m = k // 12 + (0 if k % 12 == 2 else 1)
@@ -210,11 +205,7 @@ def miller_basis(k: int, prec: int) -> list[QExpansion]:
     E_k0 = E4^b E6^a as dim M_k0 = 1); clearing the entries above the
     diagonal from the last row up keeps them integral.
     """
-    if k < 4 or k % 2:
-        raise DomainError(f"miller_basis requires even k >= 4, got {k}")
-    if prec < 1 or prec % 1:
-        raise DomainError(f"miller_basis requires an integer prec >= 1, got {prec}")
-    k, prec = int(k), int(prec)
+    k, prec = _integer("k", k, 4, 2), _integer("prec", prec, 1)
     d = dim_cusp(k)
     if d == 0:
         return []
@@ -259,9 +250,7 @@ def hecke_matrix(k: int, n: int) -> list[list[int]]:
 
     Exact integer entries, from the basis at the precision n d + 1 it needs.
     """
-    if n < 2 or n % 1:
-        raise DomainError(f"hecke_matrix requires an integer n >= 2, got {n}")
-    n = int(n)
+    n = _integer("n", n, 2)
     d = dim_cusp(k)
     if d == 0:
         return []
@@ -417,12 +406,6 @@ def _refine(hp: list[int], hdp: list[int], a: int, b: int) -> int:
     return b
 
 
-def _check_weight(k: int) -> None:
-    """The weights of `eigenforms`: even k >= 12 (inf and nan fail both tests)."""
-    if not (k >= 12 and k % 2 == 0):
-        raise DomainError(f"an eigenform weight must be even and >= 12, got {k}")
-
-
 def eigenforms(k: int, n_coeffs: int) -> list[Eigenform]:
     """All normalized Hecke eigenforms of weight k, with n_coeffs coefficients.
 
@@ -435,10 +418,7 @@ def eigenforms(k: int, n_coeffs: int) -> list[Eigenform]:
     Forms are ordered by increasing a_2, the T_2 eigenvalue, in which the
     roots are isolated.
     """
-    _check_weight(k)
-    if n_coeffs < 1 or n_coeffs % 1:
-        raise DomainError(f"eigenforms requires an integer n_coeffs >= 1, got {n_coeffs}")
-    k, n_coeffs = int(k), int(n_coeffs)
+    k, n_coeffs = _integer("k", k, 12, 2), _integer("n_coeffs", n_coeffs, 1)
     d = dim_cusp(k)
     if d == 0:
         return []

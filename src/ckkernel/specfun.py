@@ -12,7 +12,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, _integer
 from .ntheory import ValueWithError
 
 __all__ = [
@@ -36,13 +36,13 @@ _GAMMA_ULPS = 10.0
 
 @dataclass(frozen=True)
 class HalfIntOrder:
-    """A half-integer Bessel order nu = twice_nu / 2 with twice_nu odd."""
+    """A half-integer Bessel order nu = twice_nu / 2 with twice_nu odd and >= 1
+    (an integral float is stored as the int)."""
 
     twice_nu: int
 
     def __post_init__(self):
-        if self.twice_nu < 1 or self.twice_nu % 2 == 0:
-            raise DomainError(f"twice_nu must be odd and >= 1, got {self.twice_nu}")
+        object.__setattr__(self, "twice_nu", _integer("twice_nu", self.twice_nu, 1, 2))
 
     @property
     def nu(self) -> float:

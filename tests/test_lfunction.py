@@ -70,6 +70,14 @@ class TestDeligneTail:
                     checked += 1
                 assert checked >= 100
 
+    def test_overflow_is_a_precision_error(self):
+        # the first term n0^p e^(-c n0), then the ratio ((n0 + 1)/n0)^p, leave the
+        # float range; 9189 is the first n0 whose ratio is below 1 at p = 5e4
+        c = math.pi * math.sqrt(3.0)
+        for p, n0 in ((5e4, 9189), (1e6, 2)):
+            with pytest.raises(PrecisionError):
+                deligne_tail(p, c, n0)
+
 
 class TestCoefficientCount:
     def test_counts_at_the_2_pow_minus_74_floor(self):

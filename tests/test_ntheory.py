@@ -156,6 +156,9 @@ class TestGammaSum:
             with pytest.raises(DomainError):
                 gamma_sum(n, 7)
         assert [gamma_sum(2.0, m) for m in range(1, 60)] == [gamma_sum(2, m) for m in range(1, 60)]
+        # and a large one, whose float products n s would pass 2^53 unreduced
+        big, ms = 2**53 - 1, (1001, 30030)
+        assert [gamma_sum(float(big), m) for m in ms] == [gamma_sum(big, m) for m in ms]
 
     def test_non_integer_m_rejected(self):
         for m in (2.5, 7.5, 4.0 + 2.0**-40, math.nan, math.inf):

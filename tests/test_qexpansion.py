@@ -1,4 +1,5 @@
 import math
+import signal
 from fractions import Fraction
 
 import mpmath as mp
@@ -6,10 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ckkernel import qexpansion
+import ckkernel
+from ckkernel import kernel, lfunction, ntheory, petersson, qexpansion, specfun
 from ckkernel.errors import DomainError, PrecisionError, UnsupportedError
-from ckkernel.ntheory import bernoulli, divisor_count
+from ckkernel.kernel import certify, per_k_bound, r_k, series_tail_bound
+from ckkernel.lfunction import central_values, coefficient_count
+from ckkernel.ntheory import bernoulli, divisor_count, gamma_sum, zeta_even
+from ckkernel.petersson import QuadratureSpec, default_spec, kohnen_triangle, triangle_check
 from ckkernel.qexpansion import (
+    Eigenform,
     QExpansion,
     delta,
     dim_cusp,
@@ -20,6 +26,7 @@ from ckkernel.qexpansion import (
     miller_basis,
 )
 from ckkernel.qexpansion import _ROOT_BITS, _real_roots
+from ckkernel.specfun import HalfIntOrder
 
 
 def eta24_coefficients(prec: int) -> list[Fraction]:
@@ -145,7 +152,14 @@ class TestProduct:
         assert all(type(c) is int or c.denominator > 1 for c in prod.coeffs)
 
 
-# every public builder with valid integer arguments; each argument is swept below
+# Every public callable that takes an integer argument, with valid arguments:
+# each int among them is an integer argument and is swept below, while floats
+# (eps) and objects stay as given.  The first eight rows are the q-expansion
+# builders; the rest cover every other module.
+_LHS = r_k(12, 1).value
+_VALUES = central_values(12)
+_E4 = eisenstein(4, 3)
+_DELTA = Eigenform(12, (1.0, -24.0))
 BUILDERS = [
     (eisenstein, (4, 6)),
     (delta, (6,)),
@@ -155,23 +169,116 @@ BUILDERS = [
     (hecke_matrix, (24, 3)),
     (hecke_char_poly, (24,)),
     (eigenforms, (24, 5)),
+    (QExpansion, (4, (1, 240))),
+    (Eigenform, (12, (1.0, -24.0))),
+    (gamma_sum, (3, 10)),
+    (divisor_count, (12,)),
+    (bernoulli, (4,)),
+    (zeta_even, (4,)),
+    (HalfIntOrder, (11,)),
+    (r_k, (12, 2, 1e-10)),
+    (series_tail_bound, (12, 1, 10)),
+    (per_k_bound, (12,)),
+    (certify, (12, 1e-10)),
+    (coefficient_count, (12,)),
+    (central_values, (12, 1e-10)),
+    (QuadratureSpec, (20,)),
+    (default_spec, (12,)),
+    (kohnen_triangle, (12, _LHS, _VALUES)),
+    (triangle_check, (12, 1e-10)),
+    (_E4.pow, (2,)),
+    (_DELTA.coefficient, (2,)),
+]
+# Public callables without an integer argument, and the records that only
+# carry a result (KernelCoefficient, Certificate, LValue, TriangleCheck,
+# ValueWithError) and the exception types: nothing to sweep.
+NO_INTEGER_ARGUMENT = {
+    "global_bound", "completed_l", "functional_equation_residual", "petersson_norm_sq",
+    "petersson_inner", "bessel_j", "bessel_envelope", "upper_incomplete_gamma",
+    "KernelCoefficient", "Certificate", "LValue", "TriangleCheck", "ValueWithError",
+    "DomainError", "PrecisionError", "UnsupportedError",
+}
+# (callable, argument index, value) -> result: a swept value inside the domain
+IN_DOMAIN = {
+    (dim_cusp, 0, 0): 0,  # dim S_0 = 0
+    (hecke_matrix, 0, 0): [],  # T_n on S_0 = 0
+    (hecke_char_poly, 0, 0): [1],
+    (bernoulli, 0, 0): 1,  # B_0
+    (QExpansion, 0, 0): QExpansion(0, (1, 240)),  # constants have weight 0
+    (_E4.pow, 0, 0): QExpansion(0, (1, 0, 0)),
+}
+# The values every integer argument is swept with, besides its own value plus
+# 1/2: non-integral, nan, +-inf, and 0 and -1, which lie below every lower end
+# but those IN_DOMAIN names.
+SWEEP = (2.5, math.nan, math.inf, -math.inf, 0, -1)
+# Inputs past the sweep's values, and a nan eps: (call, args, error)
+LISTED = [
+    (QuadratureSpec, (65,), DomainError),  # past the 64-node cap
+    (default_spec, (10**6,), DomainError),  # 250,010 nodes
+    (coefficient_count, (-4,), DomainError),
+    (_DELTA.coefficient, (3,), DomainError),  # past the coefficients it carries
+    (central_values, (12, math.nan), PrecisionError),  # a nan eps
+    (r_k, (12, 1, math.nan), PrecisionError),
+    (certify, (12, math.nan), PrecisionError),
+    (triangle_check, (12, math.nan), PrecisionError),
 ]
 
 
+def public_callables():
+    """name -> object for every callable in ckkernel.__all__ and each module's __all__."""
+    modules = (ckkernel, kernel, lfunction, ntheory, petersson, qexpansion, specfun)
+    return {name: getattr(mod, name) for mod in modules for name in mod.__all__
+            if callable(getattr(mod, name))}
+
+
+@pytest.fixture
+def time_limit():
+    """Fail a test that takes more than 20 s, by SIGALRM in this process."""
+    def hung(signum, frame):
+        raise TimeoutError("no answer within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 class TestDomainGates:
+    def test_every_public_integer_argument_is_swept(self):
+        swept = {call.__name__ for call, _ in BUILDERS}
+        assert set(public_callables()) - NO_INTEGER_ARGUMENT <= swept
+
     @pytest.mark.parametrize("build, args", BUILDERS)
-    def test_each_argument_must_be_an_integer(self, build, args):
+    def test_each_argument_must_be_an_integer(self, build, args, time_limit):
         for i, arg in enumerate(args):
-            for bad in (arg + 0.5, 2.5, math.nan, math.inf, -math.inf):
+            if type(arg) is not int:
+                continue
+            for bad in (arg + 0.5, *SWEEP):
+                if (build, i, bad) in IN_DOMAIN:
+                    result = build(*args[:i], bad, *args[i + 1:])
+                    assert result == IN_DOMAIN[build, i, bad], (i, bad)
+                    continue
                 with pytest.raises(DomainError):
                     build(*args[:i], bad, *args[i + 1:])
 
     @pytest.mark.parametrize("build, args", BUILDERS)
-    def test_an_integral_float_gives_the_ints_result(self, build, args):
+    def test_an_integral_float_gives_the_ints_result(self, build, args, time_limit):
         # repr, so that a float weight or a float count in the result shows
         expected = repr(build(*args))
         for i, arg in enumerate(args):
-            assert repr(build(*args[:i], float(arg), *args[i + 1:])) == expected, i
+            if type(arg) is int:
+                assert repr(build(*args[:i], float(arg), *args[i + 1:])) == expected, i
+
+    @pytest.mark.parametrize("call, args, error", LISTED)
+    def test_listed_input_raises(self, call, args, error, time_limit):
+        with pytest.raises(error):
+            call(*args)
+
+    def test_nan_eps_is_not_called_too_small(self):
+        with pytest.raises(PrecisionError) as info:
+            r_k(12, 1, math.nan)
+        assert "below" not in str(info.value) and "nan" in str(info.value)
 
 
 class TestEisenstein:
