@@ -20,6 +20,7 @@ and `central_values(k, eps)` builds its eigenforms with that many.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, PrecisionError, _integer
@@ -51,20 +52,22 @@ def deligne_tail(p: float, c: float, n0: int) -> float:
     """A bound on sum_{n >= n0} n^p e^(-c n), p >= 0: the first term over
     1 - ((n0 + 1)/n0)^p e^-c, as the term ratio falls with n.
 
-    `PrecisionError` unless that ratio is below 1 and the first term within
-    the float range.  Both are first tested in logarithms, the ratio's with
-    c <= 700, so neither power overflows whatever p and n0 are.  The float
-    result is rounded up past its own error: 2 (p ln n0 + c n0) _EPS in the
-    exponent, (p/2 + 4) _EPS / (1 - ratio) in 1 - ratio and 2 _EPS more,
-    relatively, plus the least subnormal past underflow.
+    `PrecisionError` unless that ratio is below 1 and the whole bound, first
+    term over 1 - ratio, within the float range.  Both are first tested in
+    logarithms, the ratio's with c <= 700 and the first term's before either
+    power, so nothing overflows whatever p and n0 are.  The float result is
+    rounded up past its own error: 2 (p ln n0 + c n0) _EPS in the exponent,
+    (p/2 + 4) _EPS / (1 - ratio) in 1 - ratio and 2 _EPS more, relatively,
+    plus the least subnormal past underflow.
     """
     log_t0 = p * math.log(n0) - c * n0
     fits = p * math.log1p(1.0 / n0) < c <= 700.0 and log_t0 < 709.0
     ratio = ((n0 + 1) / n0) ** p * math.exp(-c) if fits else 1.0
-    if ratio >= 1.0:
-        raise PrecisionError(f"n^{p} e^(-{c} n) from n = {n0} is not a geometric tail in floats")
-    rel = (2.0 * (p * math.log(n0) + c * n0) + (p + 6.0) / (1.0 - ratio)) * _EPS
-    return math.exp(log_t0) / (1.0 - ratio) * (1.0 + rel) + 5e-324
+    if ratio < 1.0:
+        rel = (2.0 * (p * math.log(n0) + c * n0) + (p + 6.0) / (1.0 - ratio)) * _EPS
+        if log_t0 - math.log1p(-ratio) + math.log1p(rel) < 709.0:
+            return math.exp(log_t0) / (1.0 - ratio) * (1.0 + rel) + 5e-324
+    raise PrecisionError(f"n^{p} e^(-{c} n) from n = {n0} has no geometric tail bound in floats")
 
 
 # `deligne_count` gives up past this many terms: coefficient_count(k) is 28 at
@@ -115,6 +118,8 @@ def coefficient_count(k: int) -> int:
       e^(-4 pi)/(4 pi) > 2^-22 for the series.  So one ulp is at least 2^-74.
     """
     k = _integer("k", k, 12, 2)
+    if k > sys.float_info.max:  # (k + 1) / 2 would overflow
+        raise PrecisionError(f"a weight of {k.bit_length()} bits is past the float range")
     return deligne_count((k + 1) / 2, math.pi * math.sqrt(3.0), 2.0**-74)
 
 

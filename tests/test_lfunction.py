@@ -77,6 +77,9 @@ class TestDeligneTail:
         for p, n0 in ((5e4, 9189), (1e6, 2)):
             with pytest.raises(PrecisionError):
                 deligne_tail(p, c, n0)
+        # each power fits, but the first term e^701 over 1 - ratio ~ 1e-6 does not
+        with pytest.raises(PrecisionError):
+            deligne_tail(200, 200 * math.log1p(1 / 90) + 1e-6, 90)
 
 
 class TestCoefficientCount:
@@ -262,7 +265,8 @@ class TestCentralValues:
         signal.alarm(5)
         try:
             for call, k in ((coefficient_count, 1e300), (coefficient_count, 2**70),
-                            (central_values, 1e300)):
+                            (central_values, 1e300), (coefficient_count, 2**1100),
+                            (central_values, 2**1100)):
                 with pytest.raises(PrecisionError):
                     call(k)
             with pytest.raises(PrecisionError):

@@ -17,7 +17,7 @@ EPS = 2.220446049250313e-16
 
 def coprime_factor_pairs(m: int) -> list[tuple[int, int]]:
     """All ordered pairs (a, c) of positive integers with a*c = m, gcd(a, c) = 1,
-    by trial division: the oracle of the memoized walk behind `gamma_sum`."""
+    by trial division: the oracle of the sieved blocks behind `gamma_sum`."""
     pairs = []
     for a in range(1, math.isqrt(m) + 1):
         if m % a:
@@ -125,10 +125,24 @@ class TestGammaSum:
                 )
                 assert gamma_sum(n, m) == ref, (n, m)
 
+    def test_sieved_blocks_match_trial_division(self):
+        # each block tuple lists s = a' a - c' c, from the two inverses, for the
+        # oracle's pairs with a < c, in its (increasing a) order
+        def exponents(m):
+            return tuple(pow(a, -1, c) * a - (pow(c, -1, a) if a > 1 else 0) * c
+                         for a, c in coprime_factor_pairs(m) if a < c)
+
+        blocks = list(range(20_000 // 256 + 1)) + [(2**31 - 1) >> 8, (10**9 + 7) >> 8]
+        for b in blocks:
+            block = ntheory._pair_block(b)
+            assert len(block) == 256
+            for m in range(max(1, 256 * b), 256 * b + 256):
+                assert block[m - 256 * b] == exponents(m), m
+
     def test_call_order_does_not_matter(self):
-        # the pair exponents of m are memoized: values read through a memo
-        # filled in any order equal those of a pass from an empty memo
-        memo = ntheory._pair_exponents
+        # the pair exponents are memoized by blocks of m: values read through a
+        # memo filled in any order equal those of a pass from an empty memo
+        memo = ntheory._pair_block
         ms = range(1, 2049)
         ns = range(1, 6)
         memo.cache_clear()
@@ -217,12 +231,24 @@ class TestBernoulli:
             bernoulli(1)
 
     def test_independent_recurrence_oracle(self):
-        # recompute B_20 from scratch with the defining recurrence
+        # recompute B_0..B_60 anew with the defining recurrence
         b = [Fraction(1)]
-        for m in range(1, 21):
+        for m in range(1, 61):
             acc = sum(math.comb(m + 1, j) * b[j] for j in range(m))
             b.append(-acc / (m + 1))
-        assert bernoulli(20) == b[20]
+        for n in range(0, 61, 2):
+            assert bernoulli(n) == b[n], n
+
+    def test_request_order_does_not_matter(self, monkeypatch):
+        # the table grows by recomputation: values read after a descending and
+        # an ascending pass from an empty table agree
+        ns = range(0, 101, 2)
+        monkeypatch.setattr(ntheory, "_bernoulli_even", [Fraction(1)])
+        descending = [bernoulli(n) for n in reversed(ns)][::-1]
+        monkeypatch.setattr(ntheory, "_bernoulli_even", [Fraction(1)])
+        ascending = [bernoulli(n) for n in ns]
+        assert descending == ascending
+        assert len(ntheory._bernoulli_even) > 51
 
 
 class TestZeta:
