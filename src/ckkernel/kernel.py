@@ -171,11 +171,12 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
             # boundary pairs (1, m), (m, 1): (-1)^n cos(pi n/m) in g_n, cos(pi n/m) in gamma_n
             g -= 4.0 * math.cos(x)
         j = bessel_j(nu, x)
+        jv = j.value
         w = math.sqrt(x)
         gw = abs(g) * w
-        series += g * w * j.value
+        series += g * w * jv
         bessel_err += gw * j.abs_err
-        abs_acc += gw * abs(j.value)
+        abs_acc += gw * abs(jv)
 
     deviation = sign * sqrt_2pi * series
     float_err = (m_stop + 4) * _EPS * (sqrt_2pi * abs_acc + 1.0)

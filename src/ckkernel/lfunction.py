@@ -52,14 +52,18 @@ def deligne_tail(p: float, c: float, n0: int) -> float:
     """A bound on sum_{n >= n0} n^p e^(-c n), p >= 0: the first term over
     1 - ((n0 + 1)/n0)^p e^-c, as the term ratio falls with n.
 
-    `PrecisionError` unless that ratio is below 1 and the whole bound, first
-    term over 1 - ratio, within the float range.  Both are first tested in
-    logarithms, the ratio's with c <= 700 and the first term's before either
-    power, so nothing overflows whatever p and n0 are.  The float result is
+    `DomainError` unless p >= 0 (nan included): for p < 0 the ratio rises
+    with n, so that quotient is no bound.  `PrecisionError` unless that
+    ratio is below 1 and the whole bound, first term over 1 - ratio, within
+    the float range.  Both are first tested in logarithms, the ratio's with
+    c <= 700 and the first term's before either power, so nothing overflows
+    whatever p and n0 are.  The float result is
     rounded up past its own error: 2 (p ln n0 + c n0) _EPS in the exponent,
     (p/2 + 4) _EPS / (1 - ratio) in 1 - ratio and 2 _EPS more, relatively,
     plus the least subnormal past underflow.
     """
+    if not p >= 0.0:
+        raise DomainError(f"deligne_tail needs p >= 0, got {p}")
     log_t0 = p * math.log(n0) - c * n0
     fits = p * math.log1p(1.0 / n0) < c <= 700.0 and log_t0 < 709.0
     ratio = ((n0 + 1) / n0) ** p * math.exp(-c) if fits else 1.0
@@ -78,16 +82,17 @@ _MAX_COUNT = 2**16
 def deligne_count(p: float, c: float, floor: float) -> int:
     """The fewest N >= 1 from which `deligne_tail`(p, c, N + 1) holds (its term
     ratio is below 1) and is at most floor > 0; it falls with N from there.
-    p must be finite and c in (0, 700]: otherwise no N qualifies, p = nan
-    passes every test, or e^c overflows.  Both tests are first taken in
-    logarithms, the ratio's and the first term's against floor (the tail
+    p must be finite and >= 0 and c in (0, 700]: otherwise no N qualifies,
+    p = nan passes every test, `deligne_tail` gives no bound (p < 0, where
+    the ratio rises with n), or e^c overflows.  Both tests are first taken
+    in logarithms, the ratio's and the first term's against floor (the tail
     exceeds its first term), so no power overflows whatever p is;
     `PrecisionError` once N passes _MAX_COUNT.
     """
     if not floor > 0.0:
         raise DomainError(f"deligne_count needs a positive floor, got {floor}")
-    if not (math.isfinite(p) and 0.0 < c <= 700.0):
-        raise DomainError(f"deligne_count needs a finite p and 0 < c <= 700, got {p}, {c}")
+    if not (0.0 <= p < math.inf and 0.0 < c <= 700.0):
+        raise DomainError(f"deligne_count needs a finite p >= 0 and 0 < c <= 700, got {p}, {c}")
     n, log_floor = 1, math.log(floor)
     while (p * math.log1p(1.0 / (n + 1)) >= c
            or p * math.log(n + 1) - c * (n + 1) > log_floor

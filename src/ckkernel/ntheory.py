@@ -3,8 +3,10 @@
 The cosine sums gamma_n(m) over the coprime factor pairs of m, divisor
 counts, exact Bernoulli numbers and the closed form of zeta at even
 integers.  The exponents a' a - c' c of the coprime pairs of m are sieved
-256 consecutive m at a time, kept in a bounded memo of such blocks and
-shared across every n and weight k that asks for gamma_n(m).  The even
+256 consecutive m at a time and kept in a bounded memo of such blocks,
+shared across every n; gamma_n(m) is summed for one n and the 256 m of a
+block at once, and kept in a bounded memo of such (n, block) rows, shared
+across every weight k that asks the same n.  The even
 Bernoulli numbers come from the integer tangent-number recurrence, kept in
 a table that at least doubles when it grows.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,9 +40,15 @@ class ValueWithError:
     value: float
     abs_err: float
 
-    def __post_init__(self):
-        if not (self.abs_err >= 0.0 and math.isfinite(self.abs_err)):
-            raise ValueError(f"abs_err must be finite and >= 0, got {self.abs_err}")
+    def __init__(self, value: float, abs_err: float):
+        # one per Bessel term of the kernel series: one comparison, which nan
+        # fails, and the fields written to the instance dict, as the frozen
+        # class's __setattr__ raises
+        if not 0.0 <= abs_err < math.inf:
+            raise ValueError(f"abs_err must be finite and >= 0, got {abs_err}")
+        fields = self.__dict__
+        fields["value"] = value
+        fields["abs_err"] = abs_err
 
     def excludes_zero(self) -> bool:
         return abs(self.value) > self.abs_err
@@ -51,44 +60,58 @@ def gamma_sum(n: int, m: int) -> float:
     a' is the inverse of a mod c and c' that of c mod a; the boundary pairs
     (1, m) and (m, 1) contribute cos(pi n / m) each, and gamma_n(1) = 1.
 
-    The angle is pi n s / m with s = a' a - c' c read from `_pair_block`,
-    which sieves the exponents of 256 consecutive m at once and keeps them
-    for every n (and weight) that asks.  m is taken as an int and n s is
-    reduced exactly mod 2m, n first, so that for an integral float n or m
-    every product is exact (m below 2^26) and gives the int's value; the
-    residue is folded into t in [0, m], and the cosine is exact for t / m in
-    {0, 1, 1/2, 1/3, 2/3}.  The cosines are summed in the order
-    of the sorted pairs (a, c): the half with a < sqrt(m), then its mirror,
-    since the pair (c, a) negates the angle of (a, c).
+    The value is read off `_gamma_row`, which sums the 256 m of one
+    `_pair_block` block for one n at once and keeps the row for every
+    weight that asks the same n again.  An integral float n or m gives the
+    int's value.
 
     The argument check is written out rather than `errors._integer`: it runs
-    once per term of `kernel.r_k`'s series, where the call would cost ~3%.
+    once per term of `kernel.r_k`'s series, and two gate calls would take a
+    memoized call from ~150 to ~240 ns (Python 3.11, AMD EPYC), ~2% of a
+    sweep of every certified weight.
     """
     if n < 1 or m < 1 or n % 1 or m % 1:
         raise DomainError(f"gamma_sum requires positive integers n and m, got {n}, {m}")
-    if m == 1:
-        return 1.0
     m = int(m)
-    two_m = 2 * m
-    n %= two_m
-    half = []
-    for s in _pair_block(m >> 8)[m & 255]:
-        t = n * s % two_m
-        if t > m:
-            t = two_m - t
-        if t == 0:
-            half.append(1.0)
-        elif t == m:
-            half.append(-1.0)
-        elif 2 * t == m:
-            half.append(0.0)
-        elif 3 * t == m:
-            half.append(0.5)
-        elif 3 * t == two_m:
-            half.append(-0.5)
-        else:
-            half.append(math.cos(math.pi * (t / m)))
-    return sum(half + half[::-1])
+    return _gamma_row(n, m >> 8)[m & 255]
+
+
+# cos(pi q / 6) for the q = 6 t / m with an exact cosine
+_COS_SIXTHS = (1.0, None, 0.5, 0.0, -0.5, None, -1.0)
+
+
+# 64 rows of 2 KB: a kernel sweep, k = 12..40 step 4, n = 1..5 and
+# eps = 1e-13, reads 37 (n, block) rows, each by every weight asking that n.
+@functools.lru_cache(maxsize=64)
+def _gamma_row(n: int, b: int) -> array:
+    """gamma_n(m) for each m in [256 b, 256 b + 256), 1.0 at m = 0 and m = 1.
+
+    The angle of a pair is pi n s / m with s = a' a - c' c read from
+    `_pair_block`(b).  n is taken as an int and n s is reduced exactly mod
+    2m, n first, so every product is exact; the residue is folded into t in
+    [0, m], and the cosine is exact when 6 t / m is 0, 2, 3, 4 or 6
+    (t / m in {0, 1/3, 1/2, 2/3, 1}).  Each m sums its cosines in the order
+    of its sorted pairs (a, c): the half with a < sqrt(m), then its mirror,
+    since the pair (c, a) negates the angle of (a, c).
+    """
+    n = int(n)
+    cos, pi = math.cos, math.pi
+    row = array("d")
+    for m, exponents in enumerate(_pair_block(b), b << 8):
+        if m < 2:
+            row.append(1.0)
+            continue
+        two_m = 2 * m
+        r = n % two_m
+        half = []
+        for s in exponents:
+            t = r * s % two_m
+            if t > m:
+                t = two_m - t
+            c = None if 6 * t % m else _COS_SIXTHS[6 * t // m]
+            half.append(cos(pi * (t / m)) if c is None else c)
+        row.append(sum(half + half[::-1]))
+    return row
 
 
 # 32 blocks hold m < 8,192, above r_k's deepest cut (5,144 at k = 12, n = 5,
@@ -101,16 +124,16 @@ def _pair_block(b: int) -> list[tuple[int, ...]]:
     One sieve over a < c with a*c in the block and gcd(a, c) = 1 fills every
     tuple, a in the outer loop, so each lists its pairs as trial division
     up to sqrt(m) would.  e = a a' is 0 mod a and 1 mod c, c c' = (1 - e)
-    mod m, so s is 1 when e = 1 (a = 1) and 2e - 1 - m otherwise.  m = 0 and
-    m = 1 have no such pair.
+    mod m, so s is 1 when e = 1 (a = 1, the pair (1, m) of every m >= 2)
+    and 2e - 1 - m otherwise.  m = 0 and m = 1 have no such pair.
     """
     lo, hi = b << 8, (b + 1) << 8
-    block = [[] for _ in range(256)]
-    for a in range(1, math.isqrt(hi) + 1):
+    block = [[1] if m > 1 else [] for m in range(lo, hi)]
+    for a in range(2, math.isqrt(hi) + 1):
         for c in range(max(a + 1, -(-lo // a)), (hi - 1) // a + 1):
             if math.gcd(a, c) == 1:
                 m = a * c
-                block[m - lo].append(1 if a == 1 else 2 * a * pow(a, -1, c) - 1 - m)
+                block[m - lo].append(2 * a * pow(a, -1, c) - 1 - m)
     return [tuple(s) for s in block]
 
 

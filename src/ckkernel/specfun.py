@@ -8,9 +8,8 @@ incomplete gamma function used by the completed-L sums.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, PrecisionError, _integer
 from .ntheory import ValueWithError
@@ -37,12 +36,16 @@ _GAMMA_ULPS = 10.0
 @dataclass(frozen=True)
 class HalfIntOrder:
     """A half-integer Bessel order nu = twice_nu / 2 with twice_nu odd and >= 1
-    (an integral float is stored as the int)."""
+    (an integral float is stored as the int), with ln Gamma(nu + 1), the
+    constant of every J_nu term, taken once."""
 
     twice_nu: int
+    lgamma_nu_plus_one: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "twice_nu", _integer("twice_nu", self.twice_nu, 1, 2))
+        twice_nu = _integer("twice_nu", self.twice_nu, 1, 2)
+        object.__setattr__(self, "twice_nu", twice_nu)
+        object.__setattr__(self, "lgamma_nu_plus_one", math.lgamma(twice_nu / 2.0 + 1.0))
 
     @property
     def nu(self) -> float:
@@ -56,17 +59,11 @@ class HalfIntOrder:
 
 def bessel_envelope(nu: HalfIntOrder, x: float) -> float:
     """The classical bound (x/2)^nu / Gamma(nu + 1) on |J_nu(x)|, x >= 0."""
-    if x < 0:
+    if not x >= 0:
         raise DomainError(f"bessel_envelope requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
-    return math.exp(nu.nu * math.log(x / 2.0) - _lgamma_order_plus_one(nu.twice_nu))
-
-
-@functools.lru_cache(maxsize=128)
-def _lgamma_order_plus_one(twice_nu: int) -> float:
-    """ln Gamma(nu + 1) for nu = twice_nu / 2, the constant of every J_nu term."""
-    return math.lgamma(twice_nu / 2.0 + 1.0)
+    return math.exp(nu.nu * math.log(x / 2.0) - nu.lgamma_nu_plus_one)
 
 
 def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
@@ -106,7 +103,7 @@ def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
     v = nu.twice_nu / 2.0
     half = x / 2.0
     q = half * half
-    lg0 = v * math.log(half) - _lgamma_order_plus_one(nu.twice_nu)
+    lg0 = v * math.log(half) - nu.lgamma_nu_plus_one
     term = math.exp(lg0)
     # the leading term's exp argument carries ~|lg0| ulps of rounding
     lead_err = abs(lg0) * _EPS * term

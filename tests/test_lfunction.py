@@ -82,6 +82,22 @@ class TestDeligneTail:
             deligne_tail(200, 200 * math.log1p(1 / 90) + 1e-6, 90)
 
 
+    def test_negative_exponent_is_a_domain_error(self):
+        # for p < 0 the term ratio rises with n, so the first term over
+        # 1 - ratio at n0 is no bound: it gave 1.4298 at (-0.5, 0.2, 2), where
+        # the sum is 1.7253, and 6.38287e-8 at (-1, 3, 5), below 6.38321e-8
+        assert power_exp_sum(-0.5, 0.2, 2) > 1.72
+        assert power_exp_sum(-1, 3, 5) > 6.3832e-8
+        for p, c, n0 in ((-0.5, 0.2, 2), (-1, 3, 5), (-math.inf, 3, 5), (math.nan, 3, 5),
+                         (-5e-324, 3, 5)):
+            with pytest.raises(DomainError):
+                deligne_tail(p, c, n0)
+        for p in (-1, -5e-324, -math.inf):
+            with pytest.raises(DomainError):
+                deligne_count(p, 3, 1e-16)
+        assert deligne_tail(0.0, 3, 5) >= power_exp_sum(0.0, 3, 5)
+
+
 class TestCoefficientCount:
     def test_counts_at_the_2_pow_minus_74_floor(self):
         assert [coefficient_count(k) for k in range(12, 41, 4)] == [12, 13, 14, 15, 16, 18, 19, 20]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from ckkernel import ntheory
 from ckkernel.errors import DomainError
 from ckkernel.ntheory import (
+    ValueWithError,
     bernoulli,
     divisor_count,
     gamma_sum,
@@ -139,24 +141,66 @@ class TestGammaSum:
             for m in range(max(1, 256 * b), 256 * b + 256):
                 assert block[m - 256 * b] == exponents(m), m
 
+    def test_rows_match_the_per_call_reference(self):
+        # each m of a row summed as one call per m did: the exponents of the
+        # oracle's pairs with a < c, n reduced mod 2m first, the five exact
+        # cosines looked up one by one, the half then its mirror
+        def per_call(n, m):
+            if m == 1:
+                return 1.0
+            two_m = 2 * m
+            n %= two_m
+            half = []
+            for a, c in coprime_factor_pairs(m):
+                if a > c:
+                    continue
+                t = n * (pow(a, -1, c) * a - (pow(c, -1, a) if a > 1 else 0) * c) % two_m
+                if t > m:
+                    t = two_m - t
+                if t == 0:
+                    half.append(1.0)
+                elif t == m:
+                    half.append(-1.0)
+                elif 2 * t == m:
+                    half.append(0.0)
+                elif 3 * t == m:
+                    half.append(0.5)
+                elif 3 * t == two_m:
+                    half.append(-0.5)
+                else:
+                    half.append(math.cos(math.pi * (t / m)))
+            return sum(half + half[::-1])
+
+        for m in range(1, 8193):
+            for n in range(1, 6):
+                assert gamma_sum(n, m).hex() == per_call(n, m).hex(), (n, m)
+        big = float(2**53 - 1)
+        for m in (1001, 30030):
+            assert gamma_sum(big, m).hex() == per_call(big, m).hex(), m
+
     def test_call_order_does_not_matter(self):
-        # the pair exponents are memoized by blocks of m: values read through a
-        # memo filled in any order equal those of a pass from an empty memo
-        memo = ntheory._pair_block
+        # gamma_n(m) is memoized by rows of one n and 256 m, built from the
+        # memoized blocks of pair exponents: values read through memos filled
+        # in any order equal those of a pass from empty memos
+        memos = (ntheory._gamma_row, ntheory._pair_block)
         ms = range(1, 2049)
         ns = range(1, 6)
-        memo.cache_clear()
+        for memo in memos:
+            memo.cache_clear()
         ascending = {(n, m): gamma_sum(n, m) for m in ms for n in ns}
-        memo.cache_clear()
+        for memo in memos:
+            memo.cache_clear()
         descending = {(n, m): gamma_sum(n, m) for m in reversed(ms) for n in ns}
         n_major = {(n, m): gamma_sum(n, m) for n in ns for m in ms}
-        assert memo.cache_info().hits > 0
+        for memo in memos:
+            assert memo.cache_info().hits > 0
         assert descending == ascending
         assert n_major == ascending
         for m in range(1, 20_001):
             gamma_sum(1, m)
-        info = memo.cache_info()
-        assert info.currsize <= info.maxsize
+        for memo in memos:
+            info = memo.cache_info()
+            assert info.currsize <= info.maxsize
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -197,6 +241,31 @@ class TestGammaSum:
                 cp = pow(c, -1, a) if a > 1 else 0
                 direct += math.cos(math.pi * 1 * (ap / c - cp / a))
             assert gamma_sum(1, m) == pytest.approx(direct, abs=1e-9)
+
+
+class TestValueWithError:
+    def test_bar_must_be_finite_and_non_negative(self):
+        for bar in (math.nan, math.inf, -math.inf, -1.0, -5e-324):
+            with pytest.raises(ValueError):
+                ValueWithError(1.0, bar)
+        for bar in (0.0, -0.0, 5e-324, 1.0, 1.7976931348623157e308):
+            assert ValueWithError(math.nan, bar).abs_err == bar
+
+    def test_frozen_dataclass_with_its_repr_eq_and_hash(self):
+        v = ValueWithError(1.5, 0.25)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.value = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.abs_err = 0.5
+        assert repr(v) == "ValueWithError(value=1.5, abs_err=0.25)"
+        assert v == ValueWithError(value=1.5, abs_err=0.25)
+        assert hash(v) == hash(ValueWithError(1.5, 0.25))
+        assert v != ValueWithError(1.5, 0.5)
+        assert [f.name for f in dataclasses.fields(v)] == ["value", "abs_err"]
+        assert dataclasses.replace(v, abs_err=1.0) == ValueWithError(1.5, 1.0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(v, abs_err=math.nan)
+        assert v.excludes_zero() and not ValueWithError(0.25, 0.25).excludes_zero()
 
 
 class TestDivisorCount:

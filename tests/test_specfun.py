@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -57,6 +58,16 @@ class TestHalfIntOrder:
             HalfIntOrder(4)
         with pytest.raises(DomainError):
             HalfIntOrder(-1)
+
+    def test_repr_and_equality_ignore_the_lgamma_field(self):
+        nu = HalfIntOrder(11)
+        assert repr(nu) == "HalfIntOrder(twice_nu=11)"
+        assert nu == HalfIntOrder(11.0) == HalfIntOrder.for_weight(12)
+        assert hash(nu) == hash(HalfIntOrder(11))
+        assert nu != HalfIntOrder(13)
+        assert nu.lgamma_nu_plus_one == math.lgamma(6.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            nu.twice_nu = 13
 
 
 class TestBesselJ:
@@ -151,6 +162,12 @@ class TestBesselJ:
 class TestBesselEnvelope:
     def test_zero(self):
         assert bessel_envelope(HalfIntOrder(1), 0.0) == 0.0
+
+    def test_domain(self):
+        # nan passed the old x < 0 test and came back as the bound
+        for x in (-1.0, -5e-324, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                bessel_envelope(HalfIntOrder(1), x)
 
     def test_half_order_value(self):
         # Gamma(3/2) = sqrt(pi)/2
