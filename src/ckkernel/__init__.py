@@ -10,7 +10,7 @@ exact q-expansion arithmetic, central L-values, and Petersson quadrature.
 from .errors import DomainError, PrecisionError, UnsupportedError
 from .kernel import Certificate, KernelCoefficient, certify, global_bound, per_k_bound, r_k
 from .lfunction import LValue, central_values, completed_l, functional_equation_residual
-from .ntheory import ValueWithError, bernoulli, divisor_count, gamma_sum
+from .ntheory import ValueWithError, bernoulli, gamma_sum
 from .petersson import QuadratureSpec, petersson_norm_sq, triangle_check
 from .qexpansion import Eigenform, QExpansion, delta, dim_cusp, eigenforms, eisenstein, miller_basis
 
@@ -28,7 +28,6 @@ __all__ = [
     "Eigenform",
     "QuadratureSpec",
     "bernoulli",
-    "divisor_count",
     "gamma_sum",
     "certify",
     "global_bound",

@@ -22,6 +22,7 @@ non-vanishing certificate for r_k(1).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -128,10 +129,11 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     """The kernel Fourier coefficient r_k(n) with certified absolute error on rho.
 
     The m-series stops at the smallest M >= 1 whose certified tail
-    `series_tail_bound`(k, n, M) is below eps/4, found by doubling and then
-    bisecting; `PrecisionError` if no M up to 2^22 reaches it.  Only that
-    tail is held to eps: the Bessel and float-rounding parts of the bar grow
-    with n pi and are not (r_k(12, 5, 1e-10) has a 4.1e-9 bar).
+    `series_tail_bound`(k, n, M) is below eps/4, found by `bisect` over
+    M = 1..2^22, as the tail falls with M; `PrecisionError` if none there
+    reaches it.  Only that tail is held to eps: the Bessel and float-rounding
+    parts of the bar grow with n pi and are not (r_k(12, 5, 1e-10) has a
+    4.1e-9 bar).
     """
     k, n = _check_weight(k), _integer("n", n, 1)
     if not eps >= 1e-14:
@@ -145,18 +147,11 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     sign = -1 if (k // 4 + n) % 2 else 1
 
     scale = _tail_scale(k, n)
-    m_stop = 1
-    while scale * _omega_tail(k, m_stop) >= eps / 4:
-        if m_stop >= 1 << 22:
-            raise PrecisionError("could not reach the requested tail bound")
-        m_stop *= 2
-    lo = m_stop // 2  # its tail is >= eps/4 whenever m_stop > 1
-    while m_stop - lo > 1:
-        mid = (lo + m_stop) // 2
-        if scale * _omega_tail(k, mid) < eps / 4:
-            m_stop = mid
-        else:
-            lo = mid
+    cuts = range(1, 2**22 + 1)
+    i = bisect.bisect_left(cuts, True, key=lambda m: scale * _omega_tail(k, m) < eps / 4)
+    if i == len(cuts):
+        raise PrecisionError("could not reach the requested tail bound")
+    m_stop = cuts[i]
     tail = scale * _omega_tail(k, m_stop)
 
     series = 0.0

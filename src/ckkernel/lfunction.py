@@ -7,10 +7,11 @@ from the Mellin integral split symmetrically at t = 1:
                                + (-1)^(k/2) (2 pi n)^(s-k) Gamma(k-s, 2 pi n) ].
 
 The symmetric split makes the two halves exchange exactly under
-s <-> k - s, so the functional-equation residual tests numerics only.
-Each half is one series G(t) = sum_n a_n (2 pi n)^-t Gamma(t, 2 pi n),
-summed by `gamma_series` with a certified rounding bar and a Deligne tail
-from `deligne_tail`; `petersson` sums its Parseval series with the same two.
+s <-> k - s, so `functional_equation_residual` splits the k - s side at
+t = 5/4 instead: its two sides then share no sum.  Each half is one series
+G(t) = sum_n a_n (2 pi n)^-t Gamma(t, 2 pi n), summed by `gamma_series`
+with a certified rounding bar and a Deligne tail from `deligne_tail`;
+`petersson` sums its Parseval series with the same two.
 
 How many coefficients are enough is one rule, `deligne_count`; at weight k
 it gives `coefficient_count(k)`, within which every one of these sums stops,
@@ -52,18 +53,19 @@ def deligne_tail(p: float, c: float, n0: int) -> float:
     """A bound on sum_{n >= n0} n^p e^(-c n), p >= 0: the first term over
     1 - ((n0 + 1)/n0)^p e^-c, as the term ratio falls with n.
 
-    `DomainError` unless p >= 0 (nan included): for p < 0 the ratio rises
-    with n, so that quotient is no bound.  `PrecisionError` unless that
-    ratio is below 1 and the whole bound, first term over 1 - ratio, within
-    the float range.  Both are first tested in logarithms, the ratio's with
-    c <= 700 and the first term's before either power, so nothing overflows
-    whatever p and n0 are.  The float result is
+    `DomainError` unless p >= 0 (nan included), as for p < 0 the ratio rises
+    with n, so that quotient is no bound, and unless n0 is an integer >= 1.
+    `PrecisionError` unless that ratio is below 1 and the whole bound, first
+    term over 1 - ratio, within the float range.  Both are first tested in
+    logarithms, the ratio's with c <= 700 and the first term's before either
+    power, so nothing overflows whatever p and n0 are.  The float result is
     rounded up past its own error: 2 (p ln n0 + c n0) _EPS in the exponent,
     (p/2 + 4) _EPS / (1 - ratio) in 1 - ratio and 2 _EPS more, relatively,
     plus the least subnormal past underflow.
     """
     if not p >= 0.0:
         raise DomainError(f"deligne_tail needs p >= 0, got {p}")
+    n0 = _integer("n0", n0, 1)
     log_t0 = p * math.log(n0) - c * n0
     fits = p * math.log1p(1.0 / n0) < c <= 700.0 and log_t0 < 709.0
     ratio = ((n0 + 1) / n0) ** p * math.exp(-c) if fits else 1.0
@@ -191,10 +193,25 @@ def completed_l(f: Eigenform, s: float) -> LValue:
 
 
 def functional_equation_residual(f: Eigenform, s: float) -> float:
-    """|Lambda(f, s) - (-1)^(k/2) Lambda(f, k - s)|."""
-    root = 1.0 if f.weight % 4 == 0 else -1.0
+    """|Lambda(f, s) - (-1)^(k/2) Lambda(f, k - s)|, the two sides from
+    Mellin integrals split at different points, so that they share no sum.
+
+    Lambda(f, s) is `completed_l`'s, split at t = 1.  Split at t0 = 5/4,
+    with G_lam(t) the `gamma_series` of the a_n at rate lam,
+
+        Lambda(f, k - s) = t0^(k-s) G_(2 pi t0)(k - s) + (-1)^(k/2) t0^-s G_(2 pi/t0)(s),
+
+    as the part of the integral below t0 is, by f(i/y) = (-1)^(k/2) y^k f(iy),
+    the part above 1/t0 at k - (k - s).  So only a modular f makes the two
+    agree; both split at 1, they would be the same two sums for every f.
+    """
+    k = f.weight
+    root = 1.0 if k % 4 == 0 else -1.0
     lhs = completed_l(f, s).completed.value
-    rhs = completed_l(f, f.weight - s).completed.value
+    t0, p = 1.25, (k + 1) / 2
+    upper = gamma_series(f.a, k - s, 2.0 * math.pi * t0, p)[0].value
+    lower = gamma_series(f.a, s, 2.0 * math.pi / t0, p)[0].value
+    rhs = t0 ** (k - s) * upper + root * t0**-s * lower
     return abs(lhs - root * rhs)
 
 

@@ -1,14 +1,14 @@
 """Integer and arithmetic-function kernels.
 
-The cosine sums gamma_n(m) over the coprime factor pairs of m, divisor
-counts, exact Bernoulli numbers and the closed form of zeta at even
-integers.  The exponents a' a - c' c of the coprime pairs of m are sieved
-256 consecutive m at a time and kept in a bounded memo of such blocks,
-shared across every n; gamma_n(m) is summed for one n and the 256 m of a
-block at once, and kept in a bounded memo of such (n, block) rows, shared
-across every weight k that asks the same n.  The even
-Bernoulli numbers come from the integer tangent-number recurrence, kept in
-a table that at least doubles when it grows.
+The cosine sums gamma_n(m) over the coprime factor pairs of m, exact
+Bernoulli numbers and the closed form of zeta at even integers.  The
+exponents a' a - c' c of the coprime pairs of m are sieved 256 consecutive
+m at a time and kept in a bounded memo of such blocks, shared across every
+n; gamma_n(m) is summed for one n and the 256 m of a block at once, and
+kept in a bounded memo of such (n, block) rows, shared across every weight
+k that asks the same n.  The even Bernoulli numbers come from the integer
+tangent-number recurrence, kept in a table that at least doubles when it
+grows.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import DomainError, _integer
 __all__ = [
     "ValueWithError",
     "gamma_sum",
-    "divisor_count",
     "bernoulli",
     "zeta_even",
 ]
@@ -135,17 +134,6 @@ def _pair_block(b: int) -> list[tuple[int, ...]]:
                 m = a * c
                 block[m - lo].append(2 * a * pow(a, -1, c) - 1 - m)
     return [tuple(s) for s in block]
-
-
-def divisor_count(m: int) -> int:
-    """d(m), the number of positive divisors of the positive integer m.
-
-    Each divisor a <= sqrt(m) pairs with m / a >= sqrt(m): two per pair, one
-    where a = m / a.  An integral float m gives the int's count.
-    """
-    m = _integer("m", m, 1)
-    r = math.isqrt(m)
-    return 2 * sum(m % a == 0 for a in range(1, r + 1)) - (r * r == m)
 
 
 _bernoulli_even: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...

@@ -158,9 +158,8 @@ def _gauss_remainder(m: float, rho: float, n: int) -> float:
     """Trefethen, Approximation Theory and Approximation Practice, Thm 19.3:
     the n-point Gauss rule on [-1, 1] misses the integral of a function
     analytic in the Bernstein ellipse E_rho, and bounded there by m, by at
-    most 64 m / (15 (rho^2 - 1) rho^(2n)); inf if m is."""
-    if m == math.inf:
-        return m
+    most 64 m / (15 (rho^2 - 1) rho^(2n)); inf if m is, as rho^(-2n) >= 1e-126
+    for every rho of `_RHO` and n <= _MAX_NODES."""
     return 64.0 * m / (15.0 * (rho * rho - 1.0)) * rho ** (-2 * n)
 
 
@@ -176,11 +175,11 @@ def _kept_terms(f, k: int) -> tuple[float, ...]:
     return mags[:deligne_count(p, c, math.ulp(_form_sum(mags, _MIN_Y)))]
 
 
-def _ellipse_bound(fm, gm, k: int, rho: float, cells: int) -> tuple[list[float], float]:
+def _ellipse_bound(fm, gm, k: int, rho: float, cells: int) -> list[float]:
     """Bounds on |I| over the Bernstein ellipse E_rho of `_arc_value`, from the
     magnitudes fm and gm of the kept coefficients: the split majorant's on each
-    of `cells` equal cells of |Im theta| in [0, beta], in order, and the
-    unsplit one; `_arc_value`'s docstring proves both."""
+    of `cells` equal cells of |Im theta| in [0, beta], in order;
+    `_arc_value`'s docstring proves them."""
     a = _H * (1.0 + (rho + 1.0 / rho) / 2.0)
     beta = _H * (rho - 1.0 / rho) / 2.0
     c, sin_a = math.cos(a), math.sin(a)
@@ -195,7 +194,7 @@ def _ellipse_bound(fm, gm, k: int, rho: float, cells: int) -> tuple[list[float],
         s = math.hypot(sin_a, math.sinh(t))
         scale = s * (1.0 + 2.0 * s) * math.cosh(t) ** (k - 2)
         split.append(scale * (fl * gh + fh * gl))
-    return split, scale * f_hi[-1] * g_hi[-1]
+    return split
 
 
 class _ArcValue(NamedTuple):
@@ -254,10 +253,8 @@ def _arc_value(f, g, k: int, spec: QuadratureSpec) -> _ArcValue:
     (`_ellipse_bound`).  Every rho gives a proven bound, so choosing it by a
     cheaper one is sound: the rho of `_RHO` whose bound over the one cell
     [0, beta] has the least Thm 19.3 remainder is refined on _CELLS equal
-    cells.  Charged is H times the smaller of that remainder and the best over
-    `_RHO` of the unsplit one, which takes |m - n| <= m + n and so every pair
-    at c e^(-beta): s (1 + 2 s) cosh^(k-2) beta A_f(c e^-beta) A_g(c e^-beta),
-    s = s(beta).  A caller's spec is charged its own remainder.
+    cells, and H times that refined bound's remainder is charged.  A
+    caller's spec is charged its own remainder.
 
     Rounding, relative to the mass H w_i sin theta y^(k-2) 2 w V U of each
     node (V = sum |v_m|, U = sum |u_n|; |2 S_d| <= 2 w), to first order in
@@ -312,10 +309,8 @@ def _arc_value(f, g, k: int, spec: QuadratureSpec) -> _ArcValue:
         terms.append(node * corr)
         mass += node * 2.0 * w * sum(map(abs, v)) * sum(map(abs, u))
 
-    one_cell = [(rho, *_ellipse_bound(fm, gm, k, rho, 1)) for rho in _RHO]
-    rho, _, _ = min(one_cell, key=lambda b: _gauss_remainder(b[1][0], b[0], n))
-    rem = _H * min(_gauss_remainder(max(_ellipse_bound(fm, gm, k, rho, _CELLS)[0]), rho, n),
-                   *(_gauss_remainder(unsplit, r, n) for r, _, unsplit in one_cell))
+    rho = min(_RHO, key=lambda r: _gauss_remainder(_ellipse_bound(fm, gm, k, r, 1)[0], r, n))
+    rem = _H * _gauss_remainder(max(_ellipse_bound(fm, gm, k, rho, _CELLS)), rho, n)
     ulps = 35.0 * (nf + ng) + 3.0 * power + 25.0 + _WEIGHT_ULPS * n * n
     p, c = (k + 1) / 2, math.tau * _MIN_Y
     tf, tg = deligne_tail(p, c, nf + 1), deligne_tail(p, c, ng + 1)

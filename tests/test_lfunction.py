@@ -16,7 +16,7 @@ from ckkernel.lfunction import (
     functional_equation_residual,
     gamma_series,
 )
-from ckkernel.qexpansion import eigenforms
+from ckkernel.qexpansion import Eigenform, eigenforms
 
 
 def mpmath_l_value(f, s: float, terms: int = 120) -> float:
@@ -96,6 +96,13 @@ class TestDeligneTail:
             with pytest.raises(DomainError):
                 deligne_count(p, 3, 1e-16)
         assert deligne_tail(0.0, 3, 5) >= power_exp_sum(0.0, 3, 5)
+
+    def test_start_must_be_a_positive_integer(self):
+        # DomainError, not math.log's bare ValueError at 0 and -1
+        for n0 in (0, -1, 2.5, math.nan):
+            with pytest.raises(DomainError):
+                deligne_tail(1, 3, n0)
+        assert deligne_tail(1, 3, 5.0) == deligne_tail(1, 3, 5)
 
 
 class TestCoefficientCount:
@@ -226,6 +233,14 @@ class TestFunctionalEquation:
         # k ≡ 2 (mod 4): the sign is -1 and the center itself must cancel
         for f in eigenforms(18, 60):
             assert functional_equation_residual(f, 9.0) < 1e-9
+
+    def test_residual_shows_a_form_that_is_not_modular(self):
+        # Delta with a_2 + 1 is no modular form, so Lambda(s) and Lambda(k - s),
+        # taken from different splits of the Mellin integral, must disagree
+        (f,) = eigenforms(12, 60)
+        bent = Eigenform(12, (f.a[0], f.a[1] + 1.0) + f.a[2:])
+        for s in (5.0, 5.5, 6.7):
+            assert functional_equation_residual(bent, s) > 1e-9, s
 
 
 class TestCentralValues:

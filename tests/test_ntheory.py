@@ -9,7 +9,6 @@ from ckkernel.errors import DomainError
 from ckkernel.ntheory import (
     ValueWithError,
     bernoulli,
-    divisor_count,
     gamma_sum,
     zeta_even,
 )
@@ -228,7 +227,7 @@ class TestGammaSum:
 
     def test_divisor_bound(self):
         for m in range(1, 501):
-            d = divisor_count(m)
+            d = sum(1 for e in range(1, m + 1) if m % e == 0)
             for n in range(1, 21):
                 assert abs(gamma_sum(n, m)) <= d + 1e-12
 
@@ -266,25 +265,6 @@ class TestValueWithError:
         with pytest.raises(ValueError):
             dataclasses.replace(v, abs_err=math.nan)
         assert v.excludes_zero() and not ValueWithError(0.25, 0.25).excludes_zero()
-
-
-class TestDivisorCount:
-    def test_examples(self):
-        assert divisor_count(1) == 1
-        assert divisor_count(6) == 4
-        assert divisor_count(12) == 6
-
-    def test_enumeration_oracle(self):
-        for m in range(1, 2000):
-            brute = sum(1 for d in range(1, m + 1) if m % d == 0)
-            assert divisor_count(m) == brute
-
-    def test_non_integer_rejected(self):
-        for m in (0, -4, 2.5, 7.5, 36.0 + 2.0**-40, math.nan, math.inf):
-            with pytest.raises(DomainError):
-                divisor_count(m)
-        assert [divisor_count(float(m)) for m in range(1, 200)] == [
-            divisor_count(m) for m in range(1, 200)]
 
 
 class TestBernoulli:

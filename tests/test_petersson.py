@@ -254,7 +254,7 @@ class TestPeterssonInner:
                     a = petersson._H * (1.0 + (rho + 1.0 / rho) / 2.0)
                     beta = petersson._H * (rho - 1.0 / rho) / 2.0
                     c = math.cos(a)
-                    bounds, _ = petersson._ellipse_bound(fm, gm, k, rho, cells)
+                    bounds = petersson._ellipse_bound(fm, gm, k, rho, cells)
                     assert len(bounds) == cells
                     for j, bound in enumerate(bounds):
                         for t in np.linspace(beta * j / cells, beta * (j + 1) / cells, 5):
@@ -266,6 +266,12 @@ class TestPeterssonInner:
                                 for m, am in enumerate(fm, 1) for n, bn in enumerate(gm, 1))
                             majorant = s * (1.0 + 2.0 * s) * math.cosh(t) ** (k - 2) * total
                             assert bound >= majorant, (k, f is g, rho, j, t)
+
+    def test_an_infinite_majorant_gives_an_infinite_remainder(self):
+        # a sup that overflows to inf must never be charged as a finite remainder
+        for rho in petersson._RHO:
+            for n in range(8, petersson._MAX_NODES + 1):
+                assert petersson._gauss_remainder(math.inf, rho, n) == math.inf, (rho, n)
 
     def test_symmetric_sum_agrees_with_the_general_path(self):
         # petersson_inner(f, f) sums the autocorrelations of one form; a copy
