@@ -204,6 +204,12 @@ def functional_equation_residual(f: Eigenform, s: float) -> float:
     as the part of the integral below t0 is, by f(i/y) = (-1)^(k/2) y^k f(iy),
     the part above 1/t0 at k - (k - s).  So only a modular f makes the two
     agree; both split at 1, they would be the same two sums for every f.
+
+    The residual is absolute and carries no bar, so it grows with the sums:
+    compare it with |G(s)| + |G(k - s)|, the two sums of `completed_l`, not
+    with a fixed number.  For the eigenforms of even k = 30..60 at
+    `coefficient_count(k)` coefficients it stays below 2e-13 of them, while in
+    absolute terms it reaches 1.9e-7 at k = 60.
     """
     k = f.weight
     root = 1.0 if k % 4 == 0 else -1.0

@@ -9,16 +9,22 @@ eigenform coefficients are assembled, one rounding each.  Products
 truncate to the minimum precision of their operands, never silently
 beyond it, and each is one integer multiply of the Kronecker-substituted
 operands.  The divisor sums sigma_{k-1}(n) of an Eisenstein series come
-from one divisor sieve.  Each public builder checks its arguments before any
-work (`errors._integer`): a weight, precision or Hecke index that is not an
-integer in its range (nan and inf included) raises `DomainError`, and an
-integral float gives the int's result.
+from one divisor sieve.  Every weight's Miller basis takes Delta^j and
+E6^(2j) from one process-wide table, kept at one precision: it grows in j
+on demand, is rebuilt at twice its precision or more when a larger one is
+asked for, and answers a smaller one by truncating, which is exact, as a
+product's first n coefficients depend only on its operands' first n.
+`delta` builds afresh on every call.  Each public builder checks its
+arguments before any work (`errors._integer`): a weight, precision or Hecke
+index that is not an integer in its range (nan and inf included) raises
+`DomainError`, and an integral float gives the int's result.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -188,6 +194,33 @@ def _delta_and_e6_sq(prec: int) -> tuple[QExpansion, QExpansion]:
     return QExpansion(12, tuple(c // 1728 for c in diff.coeffs)), e6_sq
 
 
+# The table `miller_basis` shares across weights: Delta^j and E6^(2j) at index
+# j - 1, all to the precision of their first entry.  `delta` stays off it.
+_delta_pows: list[QExpansion] = []
+_e6_sq_pows: list[QExpansion] = []
+_powers_lock = threading.Lock()  # a power is read and appended, or the table refilled, as one step
+
+
+def _power(pows: list[QExpansion], j: int, prec: int) -> QExpansion:
+    """Delta^j or E6^(2j) to prec coefficients, as pows is `_delta_pows` or `_e6_sq_pows`; j >= 1.
+
+    Both lists hold one precision P and grow in j on demand, each power one
+    product of its predecessor and the first.  A prec above P refills them from
+    `_delta_and_e6_sq` at max(prec, 2P), as the `bernoulli` table grows, so
+    ascending requests rebuild them O(log prec) times; a prec below P is
+    answered by truncating, which is exact, since the first n coefficients of
+    a product depend only on its operands' first n.
+    """
+    with _powers_lock:
+        if not _delta_pows or _delta_pows[0].prec < prec:
+            dl, e6_sq = _delta_and_e6_sq(max(prec, 2 * _delta_pows[0].prec if _delta_pows else 0))
+            _delta_pows[:], _e6_sq_pows[:] = [dl], [e6_sq]
+        while len(pows) < j:
+            pows.append(pows[-1] * pows[0])
+        f = pows[j - 1]
+    return f if f.prec == prec else QExpansion(f.weight, f.coeffs[:prec])
+
+
 def dim_cusp(k: int) -> int:
     """dim S_k(Gamma(1)) for even k >= 0, by the classical formula."""
     k = _integer("k", k, 0, 2)
@@ -203,7 +236,10 @@ def miller_basis(k: int, prec: int) -> list[QExpansion]:
     With k = 12d + k0, k0 in {0, 4, 6, 8, 10, 14}, each Delta^j E6^(2(d-j)) E_k0
     is q^j + O(q^(j+1)) with integer coefficients (E_0 = 1, and otherwise
     E_k0 = E4^b E6^a as dim M_k0 = 1); clearing the entries above the
-    diagonal from the last row up keeps them integral.
+    diagonal from the last row up keeps them integral.  Delta^j and
+    E6^(2(d-j)) come from the table every weight shares (`_power`), so a
+    basis costs one product per row, or two when k0 != 0, less the one of
+    row d with E6^0 = 1.
     """
     k, prec = _integer("k", k, 4, 2), _integer("prec", prec, 1)
     d = dim_cusp(k)
@@ -212,20 +248,18 @@ def miller_basis(k: int, prec: int) -> list[QExpansion]:
     if prec <= d:
         raise PrecisionError(f"miller_basis needs prec > dim S_k = {d}, got {prec}")
     k0 = k - 12 * d
-    dl, e6_sq = _delta_and_e6_sq(prec)
-    right = eisenstein(k0, prec) if k0 else e6_sq.pow(0)  # E6^(2(d-j)) E_k0
-    dl_pows = [dl]
-    while len(dl_pows) < d:
-        dl_pows.append(dl_pows[-1] * dl)
+    e_k0 = eisenstein(k0, prec) if k0 else None
     rows = []
     for j in range(d, 0, -1):
-        g = right * dl_pows[j - 1]
+        g = _power(_delta_pows, j, prec)
+        if j < d:
+            g = g * _power(_e6_sq_pows, d - j, prec)
+        if k0:
+            g = g * e_k0
         for i, h in enumerate(rows):  # h = g_(d-i), already reduced
             if g[d - i]:
                 g = g - h.scale(g[d - i])
         rows.append(g)
-        if j > 1:
-            right = right * e6_sq
     return rows[::-1]
 
 

@@ -242,6 +242,16 @@ class TestFunctionalEquation:
         for s in (5.0, 5.5, 6.7):
             assert functional_equation_residual(bent, s) > 1e-9, s
 
+    def test_residual_is_small_relative_to_its_two_sums(self):
+        # the residual is absolute, so past k = 28 it is measured against the
+        # size of the two `gamma_series` sums G(s) and G(k - s) that Lambda adds
+        for k in range(30, 61, 2):
+            for f in eigenforms(k, coefficient_count(k)):
+                for s in (k / 2 - 2, k / 2 - 1, k / 2, k / 2 + 0.7, k / 2 + 2):
+                    mass = sum(abs(gamma_series(f.a, t, 2 * math.pi, (k + 1) / 2)[0].value)
+                               for t in (s, k - s))
+                    assert functional_equation_residual(f, s) <= 1e-12 * mass, (k, s)
+
 
 class TestCentralValues:
     def test_vanishing_for_odd_root_number(self):

@@ -1,5 +1,8 @@
 import math
+import random
 import signal
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath as mp
@@ -344,6 +347,17 @@ class TestDimCusp:
             dim_cusp(13)
 
 
+def empty_power_table():
+    """Empty the table of Delta^j and E6^(2j) that `miller_basis` shares across calls."""
+    qexpansion._delta_pows.clear()
+    qexpansion._e6_sq_pows.clear()
+
+
+def power_table() -> list[list[QExpansion]]:
+    """A copy of that table's two lists."""
+    return [list(qexpansion._delta_pows), list(qexpansion._e6_sq_pows)]
+
+
 class TestMillerBasis:
     def test_weight_12(self):
         (g,) = miller_basis(12, 8)
@@ -379,6 +393,65 @@ class TestMillerBasis:
                 basis = miller_basis(k, prec)
                 assert [list(g.coeffs) for g in basis] == monomial_miller_basis(k, prec), (k, prec)
                 assert all(g.weight == k and g.prec == prec for g in basis)
+
+    def test_call_order_does_not_matter(self):
+        # Delta^j and E6^(2j) come from one table that every weight and
+        # precision shares: bases read through a table filled in any order
+        # equal those built from an empty table, to the types of their
+        # coefficients, and a refused request leaves the table as it was
+        requests = [(k, prec) for k in range(4, 121, 2) for prec in (1, 2, 5, 13, 21, 40, 121, 250)]
+        random.Random(22).shuffle(requests)
+
+        def build(k, prec):
+            try:
+                return repr(miller_basis(k, prec))
+            except PrecisionError:
+                return None
+
+        fresh = {}
+        for k, prec in requests:
+            empty_power_table()
+            fresh[k, prec] = build(k, prec)
+        empty_power_table()
+        refused = 0
+        for k, prec in requests:
+            before = power_table()
+            basis = build(k, prec)
+            assert basis == fresh[k, prec], (k, prec)
+            if basis is None:
+                refused += 1
+                assert power_table() == before, (k, prec)
+        assert refused > 0
+        assert qexpansion._delta_pows[0].prec >= 250
+
+    def test_threads_share_the_table_safely(self):
+        # four threads ask for bases in different orders, with precisions that
+        # make the table grow and be rebuilt under them, while the interpreter
+        # switches threads every microsecond
+        requests = [(k, prec) for k in range(12, 81, 4) for prec in (13, 40, 121)]
+        expected = {}
+        for k, prec in requests:
+            empty_power_table()
+            expected[k, prec] = repr(miller_basis(k, prec))
+        empty_power_table()
+        results = {}
+
+        def work(seed):
+            order = random.Random(seed).sample(requests, len(requests))
+            results[seed] = {(k, prec): repr(miller_basis(k, prec)) for k, prec in order}
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [results.get(seed) for seed in range(4)] == [expected] * 4
 
     def test_integer_coefficients(self):
         prec = 61
@@ -540,6 +613,30 @@ class TestEigenforms:
         monkeypatch.setattr(qexpansion, "miller_basis", counting)
         eigenforms(36, 50)
         assert calls == [(36, 51)]
+
+    def test_weights_share_the_powers_of_delta_and_e6(self, monkeypatch):
+        products = []
+        mul = QExpansion.__mul__
+
+        def counting(a, b):
+            products.append((a.weight, b.weight))
+            return mul(a, b)
+
+        empty_power_table()
+        eigenforms(28, 120)  # Delta, Delta^2 and E6^2 enter the table
+        monkeypatch.setattr(QExpansion, "__mul__", counting)
+        # k = 40 = 12 * 3 + 4 adds Delta^3 and E6^4 to the table, then takes
+        # Delta^3 E4, Delta^2 E6^2 E4 and Delta E6^4 E4 in 5 products;
+        # rebuilt from nothing each time, the basis took 14
+        eigenforms(40, 120)
+        assert len(products) <= 7
+        products.clear()
+        eigenforms(40, 120)
+        assert len(products) <= 5
+        # delta stays off the table: its 7 products do not depend on what came before
+        products.clear()
+        delta(8)
+        assert len(products) == 7
 
     def test_deligne_bound_holds_empirically(self):
         d = lambda n: sum(1 for e in range(1, n + 1) if n % e == 0)
