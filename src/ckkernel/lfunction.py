@@ -174,8 +174,8 @@ def completed_l(f: Eigenform, s: float) -> LValue:
     2 pi, with Deligne's |a_n| <= d(n) n^((k-1)/2) <= n^((k+1)/2).
     """
     k = f.weight
-    if not (k / 2 - 2 <= s <= k / 2 + 2):
-        raise DomainError(f"s = {s} outside the supported strip around k/2 = {k / 2}")
+    if not (k - 4 <= 2 * s <= k + 4):  # exact, so no weight past the float range overflows
+        raise DomainError(f"s = {s} is more than 2 from the center k/2")
     root = 1.0 if k % 4 == 0 else -1.0  # (-1)^(k/2)
     g1, n1 = gamma_series(f.a, s, 2.0 * math.pi, (k + 1) / 2)
     g2, n2 = (g1, n1) if k - s == s else gamma_series(f.a, k - s, 2.0 * math.pi, (k + 1) / 2)

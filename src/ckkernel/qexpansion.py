@@ -1,23 +1,25 @@
 """Exact truncated q-series arithmetic and Hecke eigenform extraction.
 
-E4, E6, Delta and the Miller basis carry integer coefficients, and the
-Hecke matrices on that basis and their characteristic polynomials integer
-entries.  `Fraction` appears only in an Eisenstein series whose constant
--2k/B_k is not an integer (E12 and up).  The T_2 eigenvalues are bracketed
-between dyadic rationals, and floating conversion happens only when the
-eigenform coefficients are assembled, one rounding each.  Products
-truncate to the minimum precision of their operands, never silently
-beyond it, and each is one integer multiply of the Kronecker-substituted
-operands.  The divisor sums sigma_{k-1}(n) of an Eisenstein series come
-from one divisor sieve.  Every weight's Miller basis takes Delta^j and
-E6^(2j) from one process-wide table, kept at one precision: it grows in j
-on demand, is rebuilt at twice its precision or more when a larger one is
-asked for, and answers a smaller one by truncating, which is exact, as a
-product's first n coefficients depend only on its operands' first n.
-`delta` builds afresh on every call.  Each public builder checks its
-arguments before any work (`errors._integer`): a weight, precision or Hecke
-index that is not an integer in its range (nan and inf included) raises
-`DomainError`, and an integral float gives the int's result.
+The q-series layer is integer-only: a `QExpansion` holds `int` coefficients
+and refuses anything else, as every series the Miller basis is built from
+is integral: E4, E6, Delta, and E_k0 for k0 = 4, 6, 8, 10, 14, the only
+weights `eisenstein` builds, as there -2k/B_k is an integer.  The Hecke
+matrices on that basis and their characteristic polynomials are integral
+too.  The T_2 eigenvalues are bracketed between dyadic rationals, and
+floating conversion happens only when the eigenform coefficients are
+assembled, one rounding each.  Products truncate to the minimum precision
+of their operands, never silently beyond it, and each is one integer
+multiply of the Kronecker-substituted operands.  The divisor sums
+sigma_{k-1}(n) of an Eisenstein series come from one divisor sieve.  Every
+weight's Miller basis takes Delta^j and E6^(2j) from one process-wide
+table, kept at one precision: it grows in j on demand, is rebuilt at twice
+its precision or more when a larger one is asked for, and answers a smaller
+one by truncating, which is exact, as a product's first n coefficients
+depend only on its operands' first n.  `delta` builds afresh on every call.
+Each public builder checks its arguments before any work
+(`errors._integer`): a weight, precision or Hecke index that is not an
+integer in its range (nan and inf included) raises `DomainError`, and an
+integral float gives the int's result.
 """
 
 from __future__ import annotations
@@ -26,11 +28,8 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import repeat
 
 from .errors import DomainError, PrecisionError, UnsupportedError, _integer
-from .ntheory import bernoulli
 
 __all__ = [
     "QExpansion",
@@ -44,41 +43,31 @@ __all__ = [
 ]
 
 
-def _cleared(coeffs) -> tuple[list[int], int]:
-    """The coefficients times the lcm of their denominators, as ints, and that
-    lcm; the numerators themselves when it is 1, as for every integer series."""
-    dens = list(map(operator.attrgetter("denominator"), coeffs))
-    den = math.lcm(*dens)
-    nums = map(operator.attrgetter("numerator"), coeffs)
-    if den == 1:
-        return list(nums), 1
-    return list(map(operator.mul, nums, map(operator.floordiv, repeat(den), dens))), den
-
-
 @dataclass(frozen=True)
 class QExpansion:
-    """A truncated power series in q with exact coefficients.
+    """A truncated power series in q with integer coefficients.
 
-    The weight is an even integer >= 0.  The coefficients are `int`, or
-    `Fraction` where a value is not integral, and the precision `prec` is
-    their number.  A product packs each operand into one integer and
-    multiplies once (Kronecker substitution), so it costs one big-integer
-    multiply.
+    The weight is an even integer >= 0.  The coefficients are `int`, at
+    least one, and the precision `prec` is their number; anything else (no
+    coefficient, a rational, a float or a bool) raises `DomainError`, as
+    every series the Miller basis needs is integral.  A product packs each
+    operand into one integer and multiplies once (Kronecker substitution),
+    so it costs one big-integer multiply.
     """
 
     weight: int
-    coeffs: tuple[int | Fraction, ...]  # coefficient of q^i at index i
+    coeffs: tuple[int, ...]  # coefficient of q^i at index i
 
     def __post_init__(self):
         object.__setattr__(self, "weight", _integer("weight", self.weight, 0, 2))
-        if not self.coeffs:
-            raise ValueError("a q-expansion needs at least one coefficient")
+        if not self.coeffs or not {*map(type, self.coeffs)} <= {int}:
+            raise DomainError("a q-expansion needs one or more int coefficients")
 
     @property
     def prec(self) -> int:
         return len(self.coeffs)
 
-    def __getitem__(self, i: int) -> int | Fraction:
+    def __getitem__(self, i: int) -> int:
         return self.coeffs[i]
 
     def __add__(self, other: "QExpansion") -> "QExpansion":
@@ -96,17 +85,16 @@ class QExpansion:
     def __mul__(self, other: "QExpansion") -> "QExpansion":
         """The product, truncated to the smaller precision n, by Kronecker substitution.
 
-        Both sides are cleared of denominators and packed into one integer
-        each, b bits per coefficient; one integer multiply then gives every
-        coefficient c_i of the integer product.  For i < n,
-        |c_i| <= n max|a| max|b|, so b is that bound's length plus a sign bit,
-        rounded up to whole bytes, and adding 2^(b-1) to every slot makes the
-        low n slots of the product non-negative and carry-free.  A square
-        (`other is self`) clears and packs its operand once.
+        Both sides are packed into one integer each, b bits per coefficient;
+        one integer multiply then gives every coefficient c_i of the product.
+        For i < n, |c_i| <= n max|a| max|b|, so b is that bound's length plus
+        a sign bit, rounded up to whole bytes, and adding 2^(b-1) to every
+        slot makes the low n slots of the product non-negative and
+        carry-free.  A square (`other is self`) packs its operand once.
         """
         n = min(self.prec, other.prec)
-        a, den_a = _cleared(self.coeffs[:n])
-        b, den_b = (a, den_a) if other is self else _cleared(other.coeffs[:n])
+        a = self.coeffs[:n]
+        b = a if other is self else other.coeffs[:n]
         weight = self.weight + other.weight
         bound = n * max(map(abs, a)) * max(map(abs, b))
         if not bound:
@@ -115,7 +103,7 @@ class QExpansion:
         half = 1 << (8 * width - 1)
         bias = int.from_bytes(b"\x01".ljust(width, b"\0") * n, "little") << (8 * width - 1)
 
-        def pack(cs: list[int]) -> int:
+        def pack(cs: tuple[int, ...]) -> int:
             return int.from_bytes(
                 b"".join((c + half).to_bytes(width, "little") for c in cs), "little"
             ) - bias
@@ -125,9 +113,6 @@ class QExpansion:
         size = width * n
         low = ((product + bias) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
         out = [int.from_bytes(low[i : i + width], "little") - half for i in range(0, size, width)]
-        den = den_a * den_b
-        if den != 1:
-            out = [c // den if c % den == 0 else Fraction(c, den) for c in out]
         return QExpansion(weight, tuple(out))
 
     def pow(self, e: int) -> "QExpansion":
@@ -153,7 +138,7 @@ class Eigenform:
     def __post_init__(self):
         object.__setattr__(self, "weight", _integer("weight", self.weight, 12, 2))
         if not self.a or self.a[0] != 1.0:
-            raise ValueError("eigenform must be normalized with a_1 = 1")
+            raise DomainError("eigenform must be normalized with a_1 = 1")
 
     def coefficient(self, n: int) -> float:
         """a_n for 1 <= n <= len(a)."""
@@ -164,15 +149,21 @@ class Eigenform:
         return len(self.a)
 
 
-def eisenstein(k: int, prec: int) -> QExpansion:
-    """E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n, exact.
+# -2k/B_k at the weights where it is an integer, those where dim M_k = 1
+_EISENSTEIN_CONSTANT = {4: 240, 6: -504, 8: 480, 10: -264, 14: -24}
 
-    The coefficients are `int` when -2k/B_k is an integer (k = 4, 6, 8, 10, 14).
+
+def eisenstein(k: int, prec: int) -> QExpansion:
+    """E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n in integers, for k = 4, 6, 8, 10, 14.
+
+    These are the weights where E_k spans M_k, the only ones where -2k/B_k
+    is an integer, and the only ones `delta` and `miller_basis` use.  Every
+    other weight raises `DomainError` before any work.
     """
     k, prec = _integer("k", k, 4, 2), _integer("prec", prec, 1)
-    c = Fraction(-2 * k) / bernoulli(k)
-    if c.denominator == 1:
-        c = c.numerator
+    c = _EISENSTEIN_CONSTANT.get(k)
+    if c is None:
+        raise DomainError("eisenstein builds only k = 4, 6, 8, 10, 14, where E_k spans M_k")
     sigma = [0] * prec  # sigma_{k-1}(n), by sieving every divisor d into its multiples
     for d in range(1, prec):
         p = d ** (k - 1)

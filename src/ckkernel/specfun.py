@@ -37,7 +37,8 @@ _GAMMA_ULPS = 10.0
 class HalfIntOrder:
     """A half-integer Bessel order nu = twice_nu / 2 with twice_nu odd and >= 1
     (an integral float is stored as the int), with ln Gamma(nu + 1), the
-    constant of every J_nu term, taken once."""
+    constant of every J_nu term, taken once; `PrecisionError` if nu or that
+    logarithm leaves the float range."""
 
     twice_nu: int
     lgamma_nu_plus_one: float = field(init=False, repr=False, compare=False)
@@ -45,7 +46,12 @@ class HalfIntOrder:
     def __post_init__(self):
         twice_nu = _integer("twice_nu", self.twice_nu, 1, 2)
         object.__setattr__(self, "twice_nu", twice_nu)
-        object.__setattr__(self, "lgamma_nu_plus_one", math.lgamma(twice_nu / 2.0 + 1.0))
+        try:
+            lg = math.lgamma(twice_nu / 2.0 + 1.0)
+        except OverflowError:
+            bits = twice_nu.bit_length()
+            raise PrecisionError(f"a Bessel order of {bits} bits is past the float range") from None
+        object.__setattr__(self, "lgamma_nu_plus_one", lg)
 
     @property
     def nu(self) -> float:
