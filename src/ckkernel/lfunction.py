@@ -13,6 +13,13 @@ G(t) = sum_n a_n (2 pi n)^-t Gamma(t, 2 pi n), summed by `gamma_series`
 with a certified rounding bar and a Deligne tail from `deligne_tail`;
 `petersson` sums its Parseval series with the same two.
 
+What a term takes from (s, lam, n) alone, x^-s and Gamma(s, x) at x = lam n
+with its charge, is made once per process in a table shared by every form
+and weight (`_gamma_row`), keyed by (s, lam) and holding at most _MAX_COUNT
+terms.  It is made by the float operations a sum would make, so sharing
+changes no bit: all forms of weight k share (k/2, 2 pi) for `completed_l`
+at the center and (k - 1, 4 pi) for `petersson`'s Parseval sum.
+
 How many coefficients are enough is one rule, `deligne_count`; at weight k
 it gives `coefficient_count(k)`, within which every one of these sums stops,
 and `central_values(k, eps)` builds its eigenforms with that many.
@@ -22,9 +29,11 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
+from array import array
 from dataclasses import dataclass
 
-from .errors import DomainError, PrecisionError, _integer
+from .errors import _MAX_COUNT, DomainError, PrecisionError, _integer, _shown
 from .ntheory import ValueWithError
 from .qexpansion import Eigenform, eigenforms
 from .specfun import _EPS, _GAMMA_ULPS, upper_incomplete_gamma
@@ -76,11 +85,6 @@ def deligne_tail(p: float, c: float, n0: int) -> float:
     raise PrecisionError(f"n^{p} e^(-{c} n) from n = {n0} has no geometric tail bound in floats")
 
 
-# `deligne_count` gives up past this many terms: coefficient_count(k) is 28 at
-# k = 60 and reaches it only past k = 64,300.
-_MAX_COUNT = 2**16
-
-
 def deligne_count(p: float, c: float, floor: float) -> int:
     """The fewest N >= 1 from which `deligne_tail`(p, c, N + 1) holds (its term
     ratio is below 1) and is at most floor > 0; it falls with N from there.
@@ -89,7 +93,8 @@ def deligne_count(p: float, c: float, floor: float) -> int:
     the ratio rises with n), or e^c overflows.  Both tests are first taken
     in logarithms, the ratio's and the first term's against floor (the tail
     exceeds its first term), so no power overflows whatever p is;
-    `PrecisionError` once N passes _MAX_COUNT.
+    `PrecisionError` once N passes _MAX_COUNT: coefficient_count(k) is 28 at
+    k = 60 and reaches it only past k = 64,300.
     """
     if not floor > 0.0:
         raise DomainError(f"deligne_count needs a positive floor, got {floor}")
@@ -130,6 +135,41 @@ def coefficient_count(k: int) -> int:
     return deligne_count((k + 1) / 2, math.pi * math.sqrt(3.0), 2.0**-74)
 
 
+# The coefficient-independent part of `gamma_series`, which every form and
+# weight with the same (s, lam) shares: for x = lam n, n = 1, 2, ..., three
+# flat arrays hold x^-s, Gamma(s, x) and the term's charge per unit |c_n x^-s|,
+# grown one term at a time on demand.  A row is entered once its first term is
+# made, so an s the incomplete gamma refuses leaves nothing behind.  The table
+# holds at most _MAX_COUNT terms in all, and is emptied when a row would pass
+# that; `_gamma_size` counts them.
+_gamma_rows: dict[tuple[float, float], tuple[array, array, array]] = {}
+_gamma_size = 0
+_gamma_lock = threading.Lock()  # a row is read and grown as one step
+
+
+def _gamma_row(s: float, lam: float, n: int) -> tuple[array, array, array]:
+    """The shared row of (s, lam), holding at least its terms 1..n <= _MAX_COUNT."""
+    global _gamma_size
+    with _gamma_lock:
+        row = _gamma_rows.get((s, lam))
+        have = len(row[0]) if row else 0
+        if have < n:
+            if _gamma_size + n - have > _MAX_COUNT:
+                _gamma_rows.clear()
+                row, have, _gamma_size = None, 0, 0
+            row = row or (array("d"), array("d"), array("d"))
+            xpow, value, charge = row
+            for m in range(have + 1, n + 1):
+                x = lam * m
+                g = upper_incomplete_gamma(s, x)
+                xpow.append(x ** -s)
+                value.append(g.value)
+                charge.append(g.abs_err + (2.0 * (s + x) + 3.0) * _EPS * g.value)
+                _gamma_rows[s, lam] = row
+                _gamma_size += 1
+    return row
+
+
 def gamma_series(c, s: float, lam: float, p: float) -> tuple[ValueWithError, int]:
     """sum_n c_n (lam n)^-s Gamma(s, lam n) over c_1..c_N, 1 <= s, 1 <= p < 2s + 1,
     and the number of terms summed.
@@ -137,26 +177,37 @@ def gamma_series(c, s: float, lam: float, p: float) -> tuple[ValueWithError, int
     Past them |c_n| <= n^p (Deligne) and Gamma(s, x) <= 2 x^(s-1) e^-x for
     x >= 2s bound term n by (2/lam) n^(p-1) e^(-lam n), summed by
     `deligne_tail`.  The sum stops at the first n with lam (n + 1) >= 2s
-    whose tail from n + 1 is at most one ulp of sum |terms|, else after c_N.
+    whose tail from n + 1 is at most one ulp of sum |terms|, else after c_N;
+    `PrecisionError` past _MAX_COUNT terms.
 
     Rounding: x = fl(lam n) is within 2 _EPS of lam n (also for a rounded
     lam = 2 pi or 4 pi), and as Gamma(s, x) >= x^(s-1) e^-x, the term's
     logarithmic derivative is at most s/x + 1: it moves by 2 (s + x) _EPS.
     The power (one ulp), two products and the rounding of c_n add 3 _EPS,
     and `math.fsum` one more.
+
+    x^-s, Gamma(s, x) and the charge Gamma's bar + (2 (s + x) + 3) _EPS Gamma
+    depend on (s, lam, n) alone, so they come from the shared `_gamma_row`,
+    made once per process by the same float operations as here: each sum is
+    bit-identical to one made afresh.  An int s and its float share a row,
+    as every operation on either gives the same double.
     """
     if s < 1.0:
         raise DomainError(f"gamma_series requires s >= 1, got {s}")
     terms = []
     err = mass = 0.0
     tail = math.inf
+    xpow = value = charge = ()
     for n, cn in enumerate(c, 1):
-        x = lam * n
-        g = upper_incomplete_gamma(s, x)
-        w = cn * x ** -s
-        terms.append(w * g.value)
-        err += abs(w) * (g.abs_err + (2.0 * (s + x) + 3.0) * _EPS * g.value)
-        mass += abs(terms[-1])
+        if n > len(value):
+            if n > _MAX_COUNT:
+                raise PrecisionError(f"no tail bound within {_MAX_COUNT} terms")
+            xpow, value, charge = _gamma_row(s, lam, n)
+        w = cn * xpow[n - 1]
+        term = w * value[n - 1]
+        terms.append(term)
+        err += abs(w) * charge[n - 1]
+        mass += abs(term)
         if lam * (n + 1) >= 2.0 * s:
             tail = (2.0 / lam) * deligne_tail(p - 1.0, lam, n + 1)
             if tail <= math.ulp(mass):
@@ -172,10 +223,15 @@ def completed_l(f: Eigenform, s: float) -> LValue:
 
     G(s) + (-1)^(k/2) G(k - s), G the `gamma_series` of the a_n at rate
     2 pi, with Deligne's |a_n| <= d(n) n^((k-1)/2) <= n^((k+1)/2).
+    `DomainError` unless s is in that strip and s, k - s <= 60, the
+    incomplete gamma's contract, both tested before any float operation:
+    the strip exactly, and k - s only once s <= 60 has made k <= 124.
     """
     k = f.weight
     if not (k - 4 <= 2 * s <= k + 4):  # exact, so no weight past the float range overflows
-        raise DomainError(f"s = {s} is more than 2 from the center k/2")
+        raise DomainError(f"s = {_shown(s)} is more than 2 from the center k/2")
+    if not (s <= 60 and k - s <= 60):
+        raise DomainError(f"s = {_shown(s)} and k - s must be at most 60 for the incomplete gamma")
     root = 1.0 if k % 4 == 0 else -1.0  # (-1)^(k/2)
     g1, n1 = gamma_series(f.a, s, 2.0 * math.pi, (k + 1) / 2)
     g2, n2 = (g1, n1) if k - s == s else gamma_series(f.a, k - s, 2.0 * math.pi, (k + 1) / 2)

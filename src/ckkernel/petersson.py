@@ -15,6 +15,12 @@ Python (`_arc_value`), whose remainder is proven by the Bernstein-ellipse
 theorem rather than estimated.  The measure is the unnormalized
 y^k dx dy / y^2; no volume factor is applied.
 
+Two process-wide tables hold what depends on the weight and rule alone, and
+every form of a weight shares them: `lfunction`'s incomplete-gamma row
+(k - 1, 4 pi) for the Parseval sum, and `_arc_nodes`, keyed by (k, nodes),
+for the arc.  Each is made by the float operations a single call would make,
+so sharing changes no bit, and each is bounded by _MAX_COUNT (`errors`).
+
 In this normalization the kernel coefficient of `kernel.r_k` satisfies
 
     r_k(n) = sum_f L*(f, k/2) a_f(n) / (16 Gamma(k/2) ||f||^2),
@@ -28,12 +34,14 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
 from typing import NamedTuple
 
-from .errors import DomainError, PrecisionError, _integer
+from .errors import _MAX_COUNT, DomainError, PrecisionError, _integer
 from .kernel import _check_weight, r_k
 from .lfunction import central_values, deligne_count, deligne_tail, gamma_series
 from .ntheory import ValueWithError
@@ -197,6 +205,50 @@ def _ellipse_bound(fm, gm, k: int, rho: float, cells: int) -> list[float]:
     return split
 
 
+# The form-independent part of `_arc_value`, shared by every form and pair of
+# one weight: for each key (k, nodes), flat arrays over the rule's nodes i of
+# the node factor w_i sin theta y^(k-2), that factor times 2 w, and, N per
+# node, the powers r^1..r^N and 2 S_0(w)..2 S_(N-1)(w), N the largest N_t
+# asked for yet; a smaller N_t reads their first N_t, which do not depend on N.
+# It holds at most _MAX_COUNT doubles in all: it is emptied when a key would
+# pass that, and a key larger than that alone is made but not kept.
+_arc_tables: dict[tuple[int, int], tuple[array, array, array, array]] = {}
+_arc_size = 0
+_arc_lock = threading.Lock()  # a key is read, or made and entered, as one step
+
+
+def _arc_nodes(k: int, n: int, n_t: int) -> tuple[array, array, array, array]:
+    """The shared node table of `_arc_value` at weight k and n nodes, with N >= n_t."""
+    global _arc_size
+    with _arc_lock:
+        table = _arc_tables.get((k, n))
+        if table is not None and len(table[2]) >= n * n_t:
+            return table
+        if table is not None:
+            _arc_size -= sum(map(len, _arc_tables.pop((k, n))))
+        table = node, node_2w, r_pow, s_d = array("d"), array("d"), array("d"), array("d")
+        ts, ws = _gauss_legendre(n)
+        power = k - 2
+        for t, wt in zip(ts, ws):
+            theta = _H * (1.0 + t)
+            y = math.cos(theta)
+            w = 2.0 * math.sin(0.5 * _H * (1.0 - t)) * math.cos(0.5 * _H * (3.0 + t))
+            r_pow.extend(accumulate(repeat(math.exp(-math.tau * y), n_t), mul))
+            tw = math.tau * w
+            s_d.append(2.0 * w)
+            s_d.extend((-1) ** d * math.sin(d * tw) / (d * math.pi) for d in range(1, n_t))
+            node.append(wt * math.sin(theta) * y**power)
+            node_2w.append(node[-1] * 2.0 * w)
+        size = 2 * n * (n_t + 1)
+        if size <= _MAX_COUNT:
+            if _arc_size + size > _MAX_COUNT:
+                _arc_tables.clear()
+                _arc_size = 0
+            _arc_tables[k, n] = table
+            _arc_size += size
+    return table
+
+
 class _ArcValue(NamedTuple):
     """The arc strip's quadrature value and the parts of its bar."""
 
@@ -221,8 +273,12 @@ def _arc_value(f, g, k: int, spec: QuadratureSpec) -> _ArcValue:
     H = pi/12, makes it H int_(-1)^1 I dt, summed by the rule (t_i, w_i) of
     `_gauss_legendre`.  Per node 2 S_d is formed once for |d| < N_t, and P
     as sum_m v_m (sum_n u_n 2 S_(m-n)); for g is f, P is a symmetric Toeplitz
-    form, summed once over the autocorrelations of v (below).  w is taken as
-    2 sin(pi (1 - t)/24) cos(pi (3 + t)/24), free of cancellation.
+    form, summed once over the autocorrelations of v (below), whose mass
+    sum |v_m| is summed once.  w is taken as 2 sin(pi (1 - t)/24)
+    cos(pi (3 + t)/24), free of cancellation.  What a node takes from k and
+    the rule alone, w_i sin theta y^(k-2), w, the powers r^m and 2 S_d,
+    comes from the shared `_arc_nodes`, made by the same float operations,
+    so every value and bar is bit-identical to one made afresh.
 
     Truncation.  Only the first N_t coefficients of each form are summed
     (`_kept_terms`).  Past them Deligne's |a_n| <= n^((k+1)/2) bounds
@@ -286,28 +342,27 @@ def _arc_value(f, g, k: int, spec: QuadratureSpec) -> _ArcValue:
     gm = fm if g is f else _kept_terms(g, k)
     nf, ng = len(fm), len(gm)
     n_t, n = max(nf, ng), spec.y_nodes
-    ts, ws = _gauss_legendre(n)
+    node, node_2w, r_pow, s_ds = _arc_nodes(k, n, n_t)
+    stride = len(r_pow) // n
+    fa, ga = f.a[:nf], g.a[:ng]
     power = k - 2
     terms = []
     mass = 0.0
-    for t, wt in zip(ts, ws):
-        theta = _H * (1.0 + t)
-        y = math.cos(theta)
-        w = 2.0 * math.sin(0.5 * _H * (1.0 - t)) * math.cos(0.5 * _H * (3.0 + t))
-        r = math.exp(-math.tau * y)
-        v = list(map(mul, f.a[:nf], accumulate(repeat(r, nf), mul)))
-        u = v if g is f else list(map(mul, g.a[:ng], accumulate(repeat(r, ng), mul)))
-        tw = math.tau * w
-        s_d = [2.0 * w] + [(-1) ** d * math.sin(d * tw) / (d * math.pi) for d in range(1, n_t)]
-        if u is v:  # P = 2 S_0 c_0 + 2 sum_(d >= 1) 2 S_d c_d, c_d = sum_m v_m v_(m+d)
+    for i in range(n):
+        lo = i * stride
+        v = list(map(mul, fa, r_pow[lo : lo + nf]))
+        s_d = s_ds[lo : lo + n_t]
+        if g is f:  # P = 2 S_0 c_0 + 2 sum_(d >= 1) 2 S_d c_d, c_d = sum_m v_m v_(m+d)
             c_d = [sum(map(mul, v, v[d:])) for d in range(n_t)]
             corr = s_d[0] * c_d[0] + 2.0 * sum(map(mul, s_d[1:], c_d[1:]))
+            v_mass = u_mass = sum(map(abs, v))
         else:
+            u = list(map(mul, ga, r_pow[lo : lo + ng]))
             band = s_d[:0:-1] + s_d  # band[n_t - 1 + d] = 2 S_d = band[n_t - 1 - d]
             corr = sum(map(mul, v, [sum(map(mul, u, band[n_t - 1 - m:])) for m in range(nf)]))
-        node = wt * math.sin(theta) * y**power
-        terms.append(node * corr)
-        mass += node * 2.0 * w * sum(map(abs, v)) * sum(map(abs, u))
+            v_mass, u_mass = sum(map(abs, v)), sum(map(abs, u))
+        terms.append(node[i] * corr)
+        mass += node_2w[i] * v_mass * u_mass
 
     rho = min(_RHO, key=lambda r: _gauss_remainder(_ellipse_bound(fm, gm, k, r, 1)[0], r, n))
     rem = _H * _gauss_remainder(max(_ellipse_bound(fm, gm, k, rho, _CELLS)), rho, n)

@@ -10,16 +10,26 @@ floating conversion happens only when the eigenform coefficients are
 assembled, one rounding each.  Products truncate to the minimum precision
 of their operands, never silently beyond it, and each is one integer
 multiply of the Kronecker-substituted operands.  The divisor sums
-sigma_{k-1}(n) of an Eisenstein series come from one divisor sieve.  Every
-weight's Miller basis takes Delta^j and E6^(2j) from one process-wide
-table, kept at one precision: it grows in j on demand, is rebuilt at twice
-its precision or more when a larger one is asked for, and answers a smaller
-one by truncating, which is exact, as a product's first n coefficients
-depend only on its operands' first n.  `delta` builds afresh on every call.
+sigma_{k-1}(n) of an Eisenstein series come from one divisor sieve.
+
+Every weight's Miller basis takes its unreduced rows from one process-wide
+table (`_miller_row`), guarded by one lock:
+- Delta^j and E6^(2j), keyed by j and kept at one precision: they grow in
+  j on demand, and are rebuilt at twice their precision or more when a
+  larger one is asked for;
+- the rows Delta^j E6^(2i), i >= 1, keyed (j, i), each kept at the
+  precision it was last asked for, and shared by the weights of one
+  dimension j + i.
+A smaller precision is answered by truncating, which is exact, as a
+product's first n coefficients depend only on its operands' first n; so
+every basis equals the one built afresh, whatever came before it.  Keys and
+precisions are bounded by _MAX_COUNT (`errors`).  `delta` builds afresh on
+every call.
+
 Each public builder checks its arguments before any work
 (`errors._integer`): a weight, precision or Hecke index that is not an
-integer in its range (nan and inf included) raises `DomainError`, and an
-integral float gives the int's result.
+integer in its range (nan and inf included), or a count past _MAX_COUNT,
+raises `DomainError`, and an integral float gives the int's result.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import operator
 import threading
 from dataclasses import dataclass
 
-from .errors import DomainError, PrecisionError, UnsupportedError, _integer
+from .errors import _MAX_COUNT, DomainError, PrecisionError, UnsupportedError, _integer
 
 __all__ = [
     "QExpansion",
@@ -158,9 +168,10 @@ def eisenstein(k: int, prec: int) -> QExpansion:
 
     These are the weights where E_k spans M_k, the only ones where -2k/B_k
     is an integer, and the only ones `delta` and `miller_basis` use.  Every
-    other weight raises `DomainError` before any work.
+    other weight raises `DomainError` before any work, as does a prec past
+    _MAX_COUNT.
     """
-    k, prec = _integer("k", k, 4, 2), _integer("prec", prec, 1)
+    k, prec = _integer("k", k, 4, 2), _integer("prec", prec, 1, 1, _MAX_COUNT)
     c = _EISENSTEIN_CONSTANT.get(k)
     if c is None:
         raise DomainError("eisenstein builds only k = 4, 6, 8, 10, 14, where E_k spans M_k")
@@ -174,8 +185,9 @@ def eisenstein(k: int, prec: int) -> QExpansion:
 
 
 def delta(prec: int) -> QExpansion:
-    """The discriminant cusp form (E4^3 - E6^2)/1728, weight 12, in integers."""
-    return _delta_and_e6_sq(_integer("prec", prec, 1))[0]
+    """The discriminant cusp form (E4^3 - E6^2)/1728, weight 12, in integers,
+    to prec <= _MAX_COUNT coefficients."""
+    return _delta_and_e6_sq(_integer("prec", prec, 1, 1, _MAX_COUNT))[0]
 
 
 def _delta_and_e6_sq(prec: int) -> tuple[QExpansion, QExpansion]:
@@ -186,30 +198,51 @@ def _delta_and_e6_sq(prec: int) -> tuple[QExpansion, QExpansion]:
 
 
 # The table `miller_basis` shares across weights: Delta^j and E6^(2j) at index
-# j - 1, all to the precision of their first entry.  `delta` stays off it.
+# j - 1 of two lists, all to the precision of their first entry, and the
+# unreduced rows Delta^j E6^(2i), i >= 1, keyed (j, i), each to the precision
+# it was last built at.  j + i = dim S_k < prec <= _MAX_COUNT bounds all three.
+# `delta` stays off it.
 _delta_pows: list[QExpansion] = []
 _e6_sq_pows: list[QExpansion] = []
-_powers_lock = threading.Lock()  # a power is read and appended, or the table refilled, as one step
+_miller_rows: dict[tuple[int, int], QExpansion] = {}
+_powers_lock = threading.Lock()  # an entry is read and made, or the table refilled, as one step
 
 
-def _power(pows: list[QExpansion], j: int, prec: int) -> QExpansion:
-    """Delta^j or E6^(2j) to prec coefficients, as pows is `_delta_pows` or `_e6_sq_pows`; j >= 1.
+def _truncated(f: QExpansion, prec: int) -> QExpansion:
+    """f to its first prec <= f.prec coefficients."""
+    return f if f.prec == prec else QExpansion(f.weight, f.coeffs[:prec])
 
-    Both lists hold one precision P and grow in j on demand, each power one
-    product of its predecessor and the first.  A prec above P refills them from
-    `_delta_and_e6_sq` at max(prec, 2P), as the `bernoulli` table grows, so
-    ascending requests rebuild them O(log prec) times; a prec below P is
-    answered by truncating, which is exact, since the first n coefficients of
-    a product depend only on its operands' first n.
+
+def _grown(pows: list[QExpansion], j: int) -> QExpansion:
+    """pows[j - 1], growing pows in j by one product per power; hold `_powers_lock`."""
+    while len(pows) < j:
+        pows.append(pows[-1] * pows[0])
+    return pows[j - 1]
+
+
+def _miller_row(j: int, i: int, prec: int) -> QExpansion:
+    """Delta^j E6^(2i) to prec coefficients, j >= 1 and i >= 0, from the shared table.
+
+    The two lists hold one precision P and grow in j on demand.  A prec above
+    P refills them from `_delta_and_e6_sq` at max(prec, min(2P, _MAX_COUNT)),
+    as the `bernoulli` table grows, so ascending requests rebuild them
+    O(log prec) times.  A row with i >= 1 is one product of the two powers
+    truncated to prec, and is kept for every weight of the same dimension;
+    it is rebuilt only when a larger prec is asked for.  Smaller requests
+    are answered by truncating, which is exact, as the first n coefficients
+    of a product depend only on its operands' first n.  So every answer
+    equals the product taken afresh.
     """
     with _powers_lock:
         if not _delta_pows or _delta_pows[0].prec < prec:
-            dl, e6_sq = _delta_and_e6_sq(max(prec, 2 * _delta_pows[0].prec if _delta_pows else 0))
+            grown = min(2 * _delta_pows[0].prec, _MAX_COUNT) if _delta_pows else 0
+            dl, e6_sq = _delta_and_e6_sq(max(prec, grown))
             _delta_pows[:], _e6_sq_pows[:] = [dl], [e6_sq]
-        while len(pows) < j:
-            pows.append(pows[-1] * pows[0])
-        f = pows[j - 1]
-    return f if f.prec == prec else QExpansion(f.weight, f.coeffs[:prec])
+        f = _miller_rows.get((j, i)) if i else _grown(_delta_pows, j)
+        if f is None or f.prec < prec:
+            f = _miller_rows[j, i] = (_truncated(_grown(_delta_pows, j), prec)
+                                      * _truncated(_grown(_e6_sq_pows, i), prec))
+    return _truncated(f, prec)
 
 
 def dim_cusp(k: int) -> int:
@@ -227,12 +260,13 @@ def miller_basis(k: int, prec: int) -> list[QExpansion]:
     With k = 12d + k0, k0 in {0, 4, 6, 8, 10, 14}, each Delta^j E6^(2(d-j)) E_k0
     is q^j + O(q^(j+1)) with integer coefficients (E_0 = 1, and otherwise
     E_k0 = E4^b E6^a as dim M_k0 = 1); clearing the entries above the
-    diagonal from the last row up keeps them integral.  Delta^j and
-    E6^(2(d-j)) come from the table every weight shares (`_power`), so a
-    basis costs one product per row, or two when k0 != 0, less the one of
-    row d with E6^0 = 1.
+    diagonal from the last row up keeps them integral.  The rows
+    Delta^j E6^(2(d-j)) come from the table every weight shares
+    (`_miller_row`), which weights of the same d share, so once the powers
+    are in it a basis costs at most one product per row, plus one with E_k0
+    when k0 != 0.  `DomainError` past prec = _MAX_COUNT.
     """
-    k, prec = _integer("k", k, 4, 2), _integer("prec", prec, 1)
+    k, prec = _integer("k", k, 4, 2), _integer("prec", prec, 1, 1, _MAX_COUNT)
     d = dim_cusp(k)
     if d == 0:
         return []
@@ -242,9 +276,7 @@ def miller_basis(k: int, prec: int) -> list[QExpansion]:
     e_k0 = eisenstein(k0, prec) if k0 else None
     rows = []
     for j in range(d, 0, -1):
-        g = _power(_delta_pows, j, prec)
-        if j < d:
-            g = g * _power(_e6_sq_pows, d - j, prec)
+        g = _miller_row(j, d - j, prec)
         if k0:
             g = g * e_k0
         for i, h in enumerate(rows):  # h = g_(d-i), already reduced
@@ -273,10 +305,11 @@ def _hecke_on_basis(basis: list[QExpansion], n: int) -> list[list[int]]:
 def hecke_matrix(k: int, n: int) -> list[list[int]]:
     """The matrix of T_n on the Miller basis of S_k; column i holds T_n g_i.
 
-    Exact integer entries, from the basis at the precision n d + 1 it needs.
+    Exact integer entries, from the basis at the precision n d + 1 it needs,
+    so n d + 1 must not pass _MAX_COUNT (n < _MAX_COUNT for d = 0).
     """
-    n = _integer("n", n, 2)
     d = dim_cusp(k)
+    n = _integer("n", n, 2, 1, (_MAX_COUNT - 1) // max(d, 1))
     if d == 0:
         return []
     return _hecke_on_basis(miller_basis(k, n * d + 1), n)
@@ -441,9 +474,12 @@ def eigenforms(k: int, n_coeffs: int) -> list[Eigenform]:
     coefficient is one integer dot product with the exact basis, rounded once
     to the nearest float; `PrecisionError` if one leaves the float range.
     Forms are ordered by increasing a_2, the T_2 eigenvalue, in which the
-    roots are isolated.
+    roots are isolated.  The basis takes max(n_coeffs + 1, 2 d + 1)
+    coefficients, so n_coeffs stops at _MAX_COUNT - 1, and a weight whose
+    2 d + 1 passes _MAX_COUNT raises `DomainError` from `miller_basis`.
     """
-    k, n_coeffs = _integer("k", k, 12, 2), _integer("n_coeffs", n_coeffs, 1)
+    k = _integer("k", k, 12, 2)
+    n_coeffs = _integer("n_coeffs", n_coeffs, 1, 1, _MAX_COUNT - 1)
     d = dim_cusp(k)
     if d == 0:
         return []

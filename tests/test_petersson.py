@@ -1,14 +1,18 @@
 import math
+import random
+import sys
+import threading
 from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 import pytest
 
-from ckkernel import petersson
-from ckkernel.errors import DomainError
+from ckkernel import lfunction, petersson
+from ckkernel.errors import DomainError, PrecisionError
 from ckkernel.kernel import r_k
 from ckkernel.lfunction import central_values, coefficient_count, completed_l
+from ckkernel.ntheory import ValueWithError
 from ckkernel.petersson import (
     QuadratureSpec,
     default_spec,
@@ -394,3 +398,133 @@ class TestTriangleCheck:
             with pytest.raises(DomainError):
                 kohnen_triangle(k, lhs, vals)
         assert kohnen_triangle(24, lhs, values).ratio == pytest.approx(1.0)
+
+
+def empty_float_tables():
+    """Empty the incomplete-gamma rows and arc node tables every form shares."""
+    with lfunction._gamma_lock:
+        lfunction._gamma_rows.clear()
+        lfunction._gamma_size = 0
+    with petersson._arc_lock:
+        petersson._arc_tables.clear()
+        petersson._arc_size = 0
+
+
+def hexes(*values: ValueWithError) -> tuple[str, ...]:
+    return tuple(x.hex() for v in values for x in (v.value, v.abs_err))
+
+
+def spectral_requests(weights, counts=None) -> list[tuple]:
+    """(kind, args) for completed_l at four points of the strip, petersson_inner
+    of every pair at three specs and petersson_norm_sq, for every eigenform of
+    each weight at coefficient_count(k) and 120 coefficients (or `counts`)."""
+    requests = []
+    for k in weights:
+        for n in counts or (coefficient_count(k), 120):
+            forms = eigenforms(k, n)
+            for f in forms:
+                requests += [("L", f, s) for s in (k / 2 - 2, k / 2, k / 2 + 0.7, k / 2 + 2)]
+                requests += [("P", f, g, spec) for g in forms for spec in (None, 8, 64)]
+                requests.append(("N", f))
+    return requests
+
+
+def answer(request) -> tuple[str, ...]:
+    """The hex dump of one request's value and bar."""
+    kind, f, *rest = request
+    if kind == "L":
+        lv = completed_l(f, *rest)
+        return hexes(lv.completed, lv.finite) + (str(lv.terms_used),)
+    if kind == "P":
+        g, spec = rest
+        return hexes(petersson_inner(f, g, spec and QuadratureSpec(spec)))
+    return hexes(petersson_norm_sq(f))
+
+
+class TestSharedTables:
+    """completed_l and the Petersson sums share their form-independent terms
+    (lfunction._gamma_row, petersson._arc_nodes); every answer must be the
+    one made from emptied tables, whatever was asked before it."""
+
+    def test_call_order_does_not_matter(self):
+        requests = spectral_requests(range(12, 61, 2))
+        fresh = []
+        for r in requests:
+            empty_float_tables()
+            fresh.append(answer(r))
+        empty_float_tables()
+        for seed in (1, 2):  # the first pass starts from emptied tables, the second from full ones
+            order = random.Random(seed).sample(range(len(requests)), len(requests))
+            got = {i: answer(requests[i]) for i in order}
+            assert [got[i] for i in range(len(requests))] == fresh, seed
+
+    def test_threads_share_the_tables_safely(self):
+        # four threads ask in different orders, from emptied tables, while the
+        # interpreter switches threads every microsecond
+        requests = spectral_requests(range(12, 41, 4), (120,))
+        expected = []
+        for r in requests:
+            empty_float_tables()
+            expected.append(answer(r))
+        empty_float_tables()
+        results = {}
+
+        def work(seed):
+            order = random.Random(seed).sample(range(len(requests)), len(requests))
+            got = {i: answer(requests[i]) for i in order}
+            results[seed] = [got[i] for i in range(len(requests))]
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [results.get(seed) for seed in range(4)] == [expected] * 4
+        assert lfunction._gamma_size == sum(len(row[0]) for row in lfunction._gamma_rows.values())
+
+    def test_an_int_and_a_float_s_share_one_row(self):
+        # 20 == 20.0 and both hash alike, so they read one row; every
+        # operation on either gives the same double
+        f = eigenforms(40, 120)[0]
+        for first, second in ((20, 20.0), (20.0, 20)):
+            empty_float_tables()
+            a, b = completed_l(f, first), completed_l(f, second)
+            assert hexes(a.completed, a.finite) == hexes(b.completed, b.finite)
+            assert [key for key in lfunction._gamma_rows if key[0] == 20] == [(first, 2 * math.pi)]
+
+    def test_tables_stay_within_their_bound(self, monkeypatch):
+        # with caps small enough that both tables are emptied, and arc keys
+        # made but not kept, over and over, every answer is unchanged
+        requests = spectral_requests(range(12, 61, 6), (120,))
+        fresh = []
+        for r in requests:
+            empty_float_tables()
+            fresh.append(answer(r))
+        monkeypatch.setattr(lfunction, "_MAX_COUNT", 24)
+        monkeypatch.setattr(petersson, "_MAX_COUNT", 2000)
+        empty_float_tables()
+        for i in random.Random(3).sample(range(len(requests)), len(requests)):
+            assert answer(requests[i]) == fresh[i], requests[i][0]
+            rows = lfunction._gamma_rows.values()
+            assert lfunction._gamma_size == sum(len(row[0]) for row in rows) <= 24
+            tables = petersson._arc_tables.values()
+            assert petersson._arc_size == sum(sum(map(len, t)) for t in tables) <= 2000
+        # a sum of more terms than the cap refuses to run past it
+        monkeypatch.setattr(lfunction, "_MAX_COUNT", 4)
+        with pytest.raises(PrecisionError):
+            completed_l(eigenforms(40, 120)[0], 20)
+
+    def test_a_refused_s_leaves_no_row(self):
+        # the Parseval sum of weight 64 asks Gamma(63, x), past s <= 60
+        empty_float_tables()
+        f = eigenforms(64, 40)[0]
+        with pytest.raises(DomainError):
+            petersson_norm_sq(f)
+        assert not [key for key in lfunction._gamma_rows if key[0] == 63]
+        assert lfunction._gamma_size == sum(len(row[0]) for row in lfunction._gamma_rows.values())

@@ -231,6 +231,21 @@ LISTED = [
     (HalfIntOrder, (10**307 + 1,), PrecisionError),  # ln Gamma(nu + 1) past it
     (lfunction.completed_l, (Eigenform(10**400, (1.0, 2.0)), 1.0), DomainError),
     (lfunction.functional_equation_residual, (Eigenform(10**400, (1.0, 2.0)), 1.0), DomainError),
+    # counts past the one cap, 2^16, raised before any allocation
+    (eisenstein, (4, 10**5000), DomainError),
+    (eisenstein, (4, 2**16 + 1), DomainError),
+    (delta, (10**30,), DomainError),
+    (miller_basis, (12, 10**30), DomainError),
+    (eigenforms, (12, 10**30), DomainError),
+    (eigenforms, (12, 2**16), DomainError),  # its basis takes n_coeffs + 1
+    (eigenforms, (10**6, 5), DomainError),  # a basis of 83,333 forms takes 2 d + 1
+    (hecke_matrix, (24, 2**15), DomainError),  # n d + 1 = 2^16 + 1
+    (hecke_matrix, (24, 10**5000), DomainError),
+    (QuadratureSpec, (10**5000,), DomainError),  # past repr's 4,300 digits
+    # in the strip, but past the incomplete gamma's s <= 60, as an int and a float
+    (lfunction.completed_l, (Eigenform(10**400, (1.0, 2.0)), 5 * 10**399), DomainError),
+    (lfunction.completed_l, (Eigenform(124, (1.0, 2.0)), 62.0), DomainError),
+    (lfunction.functional_equation_residual, (Eigenform(124, (1.0, 2.0)), 61), DomainError),
 ]
 
 
@@ -284,6 +299,12 @@ class TestDomainGates:
     def test_listed_input_raises(self, call, args, error, time_limit):
         with pytest.raises(error):
             call(*args)
+
+    def test_a_huge_int_is_named_by_its_bit_length(self):
+        for call, args in ((QuadratureSpec, (10**5000,)), (eisenstein, (4, 10**5000)),
+                           (lfunction.completed_l, (Eigenform(10**5000, (1.0,)), 10**5000 // 2))):
+            with pytest.raises(DomainError, match=r"an int of 166\d\d bits"):
+                call(*args)
 
     def test_nan_eps_is_not_called_too_small(self):
         with pytest.raises(PrecisionError) as info:
@@ -352,14 +373,17 @@ class TestDimCusp:
 
 
 def empty_power_table():
-    """Empty the table of Delta^j and E6^(2j) that `miller_basis` shares across calls."""
+    """Empty the table of Delta^j, E6^(2j) and the rows Delta^j E6^(2i) that
+    `miller_basis` shares across calls."""
     qexpansion._delta_pows.clear()
     qexpansion._e6_sq_pows.clear()
+    qexpansion._miller_rows.clear()
 
 
-def power_table() -> list[list[QExpansion]]:
-    """A copy of that table's two lists."""
-    return [list(qexpansion._delta_pows), list(qexpansion._e6_sq_pows)]
+def power_table() -> list:
+    """A copy of that table's two lists and its rows."""
+    return [list(qexpansion._delta_pows), list(qexpansion._e6_sq_pows),
+            dict(qexpansion._miller_rows)]
 
 
 class TestMillerBasis:
@@ -427,6 +451,24 @@ class TestMillerBasis:
                 assert power_table() == before, (k, prec)
         assert refused > 0
         assert qexpansion._delta_pows[0].prec >= 250
+
+    def test_weights_of_one_dimension_share_their_rows(self, monkeypatch):
+        # k = 36 and 40 both have d = 3: the rows Delta^2 E6^2 and Delta E6^4
+        # are made once, so k = 40 makes only its three products with E4, and
+        # every kept row is the product taken afresh at its precision
+        empty_power_table()
+        miller_basis(36, 121)
+        products = []
+        mul = QExpansion.__mul__
+        monkeypatch.setattr(QExpansion, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        basis = miller_basis(40, 121)
+        monkeypatch.undo()
+        assert len(products) == 3
+        assert [list(g.coeffs) for g in basis] == monomial_miller_basis(40, 121)
+        assert set(qexpansion._miller_rows) == {(2, 1), (1, 2)}
+        for (j, i), row in qexpansion._miller_rows.items():
+            p = row.prec
+            assert row == delta(p).pow(j) * eisenstein(6, p).pow(2 * i), (j, i)
 
     def test_threads_share_the_table_safely(self):
         # four threads ask for bases in different orders, with precisions that
