@@ -5,8 +5,10 @@ import math
 
 # The most coefficients, terms or nodes any count may ask for: `eisenstein`,
 # `delta`, `miller_basis`, `eigenforms` and `hecke_matrix` refuse more, and
-# `deligne_count` and `gamma_series` give up past it, so it also bounds what
-# the shared tables of `qexpansion`, `lfunction` and `petersson` hold.
+# `deligne_count` and `gamma_series` give up past it.  It also bounds what is
+# shared across calls: the Miller table of `qexpansion`, the 64 incomplete-gamma
+# rows of `lfunction` (at most _MAX_COUNT // 64 terms each) and the 16 arc
+# node entries of `petersson` (at most 3,712 doubles each).
 _MAX_COUNT = 2**16
 
 

@@ -13,12 +13,14 @@ G(t) = sum_n a_n (2 pi n)^-t Gamma(t, 2 pi n), summed by `gamma_series`
 with a certified rounding bar and a Deligne tail from `deligne_tail`;
 `petersson` sums its Parseval series with the same two.
 
-What a term takes from (s, lam, n) alone, x^-s and Gamma(s, x) at x = lam n
-with its charge, is made once per process in a table shared by every form
-and weight (`_gamma_row`), keyed by (s, lam) and holding at most _MAX_COUNT
-terms.  It is made by the float operations a sum would make, so sharing
-changes no bit: all forms of weight k share (k/2, 2 pi) for `completed_l`
-at the center and (k - 1, 4 pi) for `petersson`'s Parseval sum.
+What a term takes from (s, lam, p, n) alone, x^-s and Gamma(s, x) at
+x = lam n, its charge and its Deligne tail (`_gamma_term`), is memoized
+per key (s, lam, p) by `_gamma_row`, an `lru_cache` of 64 rows, each
+holding the terms up to where the unit series stops and at most
+_MAX_COUNT // 64 of them.  A row holds the doubles a sum would make, by
+the same float operations, so sharing changes no bit: all forms of weight
+k share (k/2, 2 pi, (k + 1)/2) for `completed_l` at the center and
+(k - 1, 4 pi, k + 1) for `petersson`'s Parseval sum.
 
 How many coefficients are enough is one rule, `deligne_count`; at weight k
 it gives `coefficient_count(k)`, within which every one of these sums stops,
@@ -27,9 +29,9 @@ and `central_values(k, eps)` builds its eigenforms with that many.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-import threading
 from array import array
 from dataclasses import dataclass
 
@@ -135,38 +137,28 @@ def coefficient_count(k: int) -> int:
     return deligne_count((k + 1) / 2, math.pi * math.sqrt(3.0), 2.0**-74)
 
 
-# The coefficient-independent part of `gamma_series`, which every form and
-# weight with the same (s, lam) shares: for x = lam n, n = 1, 2, ..., three
-# flat arrays hold x^-s, Gamma(s, x) and the term's charge per unit |c_n x^-s|,
-# grown one term at a time on demand.  A row is entered once its first term is
-# made, so an s the incomplete gamma refuses leaves nothing behind.  The table
-# holds at most _MAX_COUNT terms in all, and is emptied when a row would pass
-# that; `_gamma_size` counts them.
-_gamma_rows: dict[tuple[float, float], tuple[array, array, array]] = {}
-_gamma_size = 0
-_gamma_lock = threading.Lock()  # a row is read and grown as one step
+def _gamma_term(s: float, lam: float, p: float, n: int) -> tuple[float, float, float, float]:
+    """What term n of `gamma_series` takes from (s, lam, p) alone: x^-s and
+    Gamma(s, x) at x = lam n, the term's charge per unit |c_n x^-s|, and the
+    tail bound from n + 1, (2/lam) `deligne_tail`(p - 1, lam, n + 1), inf
+    while lam (n + 1) < 2s."""
+    x = lam * n
+    g = upper_incomplete_gamma(s, x)
+    tail = (2.0 / lam) * deligne_tail(p - 1.0, lam, n + 1) if lam * (n + 1) >= 2.0 * s else math.inf
+    return x ** -s, g.value, g.abs_err + (2.0 * (s + x) + 3.0) * _EPS * g.value, tail
 
 
-def _gamma_row(s: float, lam: float, n: int) -> tuple[array, array, array]:
-    """The shared row of (s, lam), holding at least its terms 1..n <= _MAX_COUNT."""
-    global _gamma_size
-    with _gamma_lock:
-        row = _gamma_rows.get((s, lam))
-        have = len(row[0]) if row else 0
-        if have < n:
-            if _gamma_size + n - have > _MAX_COUNT:
-                _gamma_rows.clear()
-                row, have, _gamma_size = None, 0, 0
-            row = row or (array("d"), array("d"), array("d"))
-            xpow, value, charge = row
-            for m in range(have + 1, n + 1):
-                x = lam * m
-                g = upper_incomplete_gamma(s, x)
-                xpow.append(x ** -s)
-                value.append(g.value)
-                charge.append(g.abs_err + (2.0 * (s + x) + 3.0) * _EPS * g.value)
-                _gamma_rows[s, lam] = row
-                _gamma_size += 1
+@functools.lru_cache(maxsize=64)
+def _gamma_row(s: float, lam: float, p: float) -> tuple[array, array, array, array]:
+    """`_gamma_term` for n = 1, 2, ... in four flat arrays, up to the term at
+    which the sum of c = (1, 0, 0, ...) stops, and at most _MAX_COUNT // 64
+    terms, so the 64 rows kept hold at most _MAX_COUNT."""
+    row = array("d"), array("d"), array("d"), array("d")
+    for n in range(1, _MAX_COUNT // 64 + 1):
+        for column, x in zip(row, _gamma_term(s, lam, p, n)):
+            column.append(x)
+        if row[3][-1] <= math.ulp(row[0][0] * row[1][0]):
+            break
     return row
 
 
@@ -178,7 +170,8 @@ def gamma_series(c, s: float, lam: float, p: float) -> tuple[ValueWithError, int
     x >= 2s bound term n by (2/lam) n^(p-1) e^(-lam n), summed by
     `deligne_tail`.  The sum stops at the first n with lam (n + 1) >= 2s
     whose tail from n + 1 is at most one ulp of sum |terms|, else after c_N;
-    `PrecisionError` past _MAX_COUNT terms.
+    `PrecisionError` past _MAX_COUNT terms, or if sum |terms| passes the
+    float range.
 
     Rounding: x = fl(lam n) is within 2 _EPS of lam n (also for a rounded
     lam = 2 pi or 4 pi), and as Gamma(s, x) >= x^(s-1) e^-x, the term's
@@ -186,32 +179,41 @@ def gamma_series(c, s: float, lam: float, p: float) -> tuple[ValueWithError, int
     The power (one ulp), two products and the rounding of c_n add 3 _EPS,
     and `math.fsum` one more.
 
-    x^-s, Gamma(s, x) and the charge Gamma's bar + (2 (s + x) + 3) _EPS Gamma
-    depend on (s, lam, n) alone, so they come from the shared `_gamma_row`,
-    made once per process by the same float operations as here: each sum is
-    bit-identical to one made afresh.  An int s and its float share a row,
-    as every operation on either gives the same double.
+    What a term takes from (s, lam, p) alone is `_gamma_term`'s, read off
+    the memoized `_gamma_row` and made afresh past it, by the same float
+    operations either way: each sum is bit-identical to one made without
+    the memo.  An int s and its float share a row, as every operation on
+    either gives the same double.  A sum with |c_1| >= 1 stops within the
+    row, if the unit series did: its sum |terms| is at least that series'
+    (float products and sums are monotone), so is its ulp, and its tails
+    are the same numbers.
+    A `deligne_tail` raise while the row is made cannot come after a sum's
+    own stop, as the bound's term ratio is below 1 there and only falls as
+    n grows; every sum that reaches that term raises too.
     """
     if s < 1.0:
         raise DomainError(f"gamma_series requires s >= 1, got {s}")
+    xpow, value, charge, tails = _gamma_row(s, lam, p)
+    size = len(value)
     terms = []
     err = mass = 0.0
     tail = math.inf
-    xpow = value = charge = ()
     for n, cn in enumerate(c, 1):
-        if n > len(value):
-            if n > _MAX_COUNT:
-                raise PrecisionError(f"no tail bound within {_MAX_COUNT} terms")
-            xpow, value, charge = _gamma_row(s, lam, n)
-        w = cn * xpow[n - 1]
-        term = w * value[n - 1]
+        if n <= size:
+            xp, g, ch, tail = xpow[n - 1], value[n - 1], charge[n - 1], tails[n - 1]
+        elif n <= _MAX_COUNT:
+            xp, g, ch, tail = _gamma_term(s, lam, p, n)
+        else:
+            raise PrecisionError(f"no tail bound within {_MAX_COUNT} terms")
+        w = cn * xp
+        term = w * g
         terms.append(term)
-        err += abs(w) * charge[n - 1]
+        err += abs(w) * ch
         mass += abs(term)
-        if lam * (n + 1) >= 2.0 * s:
-            tail = (2.0 / lam) * deligne_tail(p - 1.0, lam, n + 1)
-            if tail <= math.ulp(mass):
-                break
+        if tail <= math.ulp(mass):
+            break
+    if not mass < math.inf:
+        raise PrecisionError("the terms' magnitudes sum past the float range")
     if tail == math.inf:
         raise PrecisionError("coefficient count too small for the tail bound")
     total = math.fsum(terms)

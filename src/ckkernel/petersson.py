@@ -15,11 +15,13 @@ Python (`_arc_value`), whose remainder is proven by the Bernstein-ellipse
 theorem rather than estimated.  The measure is the unnormalized
 y^k dx dy / y^2; no volume factor is applied.
 
-Two process-wide tables hold what depends on the weight and rule alone, and
-every form of a weight shares them: `lfunction`'s incomplete-gamma row
-(k - 1, 4 pi) for the Parseval sum, and `_arc_nodes`, keyed by (k, nodes),
-for the arc.  Each is made by the float operations a single call would make,
-so sharing changes no bit, and each is bounded by _MAX_COUNT (`errors`).
+What depends on the weight and rule alone is memoized, and every form of a
+weight shares it: `lfunction`'s incomplete-gamma row (k - 1, 4 pi, k + 1)
+for the Parseval sum, and `_arc_nodes`, an `lru_cache` of 16 entries keyed
+by (k, nodes, N_t), for the arc.  Each holds the doubles a single call
+would make, by the same float operations, so sharing changes no bit.  An
+arc entry holds at most 3,712 doubles, as `petersson_inner` refuses a
+weight past 60, so the 16 kept hold under _MAX_COUNT (`errors`).
 
 In this normalization the kernel coefficient of `kernel.r_k` satisfies
 
@@ -34,14 +36,13 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
 from typing import NamedTuple
 
-from .errors import _MAX_COUNT, DomainError, PrecisionError, _integer
+from .errors import DomainError, PrecisionError, _integer, _shown
 from .kernel import _check_weight, r_k
 from .lfunction import central_values, deligne_count, deligne_tail, gamma_series
 from .ntheory import ValueWithError
@@ -205,48 +206,30 @@ def _ellipse_bound(fm, gm, k: int, rho: float, cells: int) -> list[float]:
     return split
 
 
-# The form-independent part of `_arc_value`, shared by every form and pair of
-# one weight: for each key (k, nodes), flat arrays over the rule's nodes i of
-# the node factor w_i sin theta y^(k-2), that factor times 2 w, and, N per
-# node, the powers r^1..r^N and 2 S_0(w)..2 S_(N-1)(w), N the largest N_t
-# asked for yet; a smaller N_t reads their first N_t, which do not depend on N.
-# It holds at most _MAX_COUNT doubles in all: it is emptied when a key would
-# pass that, and a key larger than that alone is made but not kept.
-_arc_tables: dict[tuple[int, int], tuple[array, array, array, array]] = {}
-_arc_size = 0
-_arc_lock = threading.Lock()  # a key is read, or made and entered, as one step
-
-
+@functools.lru_cache(maxsize=16)
 def _arc_nodes(k: int, n: int, n_t: int) -> tuple[array, array, array, array]:
-    """The shared node table of `_arc_value` at weight k and n nodes, with N >= n_t."""
-    global _arc_size
-    with _arc_lock:
-        table = _arc_tables.get((k, n))
-        if table is not None and len(table[2]) >= n * n_t:
-            return table
-        if table is not None:
-            _arc_size -= sum(map(len, _arc_tables.pop((k, n))))
-        table = node, node_2w, r_pow, s_d = array("d"), array("d"), array("d"), array("d")
-        ts, ws = _gauss_legendre(n)
-        power = k - 2
-        for t, wt in zip(ts, ws):
-            theta = _H * (1.0 + t)
-            y = math.cos(theta)
-            w = 2.0 * math.sin(0.5 * _H * (1.0 - t)) * math.cos(0.5 * _H * (3.0 + t))
-            r_pow.extend(accumulate(repeat(math.exp(-math.tau * y), n_t), mul))
-            tw = math.tau * w
-            s_d.append(2.0 * w)
-            s_d.extend((-1) ** d * math.sin(d * tw) / (d * math.pi) for d in range(1, n_t))
-            node.append(wt * math.sin(theta) * y**power)
-            node_2w.append(node[-1] * 2.0 * w)
-        size = 2 * n * (n_t + 1)
-        if size <= _MAX_COUNT:
-            if _arc_size + size > _MAX_COUNT:
-                _arc_tables.clear()
-                _arc_size = 0
-            _arc_tables[k, n] = table
-            _arc_size += size
-    return table
+    """What `_arc_value` takes from the weight k, the n-node rule and N_t alone,
+    shared by every form and pair: flat arrays over the nodes i of the node
+    factor w_i sin theta y^(k-2), that factor times 2 w, and, n_t per node,
+    the powers r^1..r^(n_t) and 2 S_0(w)..2 S_(n_t - 1)(w).  An entry holds
+    2 n (n_t + 1) doubles, at most 3,712, so the 16 kept hold under
+    _MAX_COUNT: n <= 64, and n_t <= coefficient_count(60) = 28, as
+    `petersson_inner` refuses k > 60 and, with a_1 = 1, the floor of
+    `_kept_terms` is at least ulp(2^-8) > 2^-74."""
+    node, node_2w, r_pow, s_d = array("d"), array("d"), array("d"), array("d")
+    ts, ws = _gauss_legendre(n)
+    power = k - 2
+    for t, wt in zip(ts, ws):
+        theta = _H * (1.0 + t)
+        y = math.cos(theta)
+        w = 2.0 * math.sin(0.5 * _H * (1.0 - t)) * math.cos(0.5 * _H * (3.0 + t))
+        r_pow.extend(accumulate(repeat(math.exp(-math.tau * y), n_t), mul))
+        tw = math.tau * w
+        s_d.append(2.0 * w)
+        s_d.extend((-1) ** d * math.sin(d * tw) / (d * math.pi) for d in range(1, n_t))
+        node.append(wt * math.sin(theta) * y**power)
+        node_2w.append(node[-1] * 2.0 * w)
+    return node, node_2w, r_pow, s_d
 
 
 class _ArcValue(NamedTuple):
@@ -343,13 +326,12 @@ def _arc_value(f, g, k: int, spec: QuadratureSpec) -> _ArcValue:
     nf, ng = len(fm), len(gm)
     n_t, n = max(nf, ng), spec.y_nodes
     node, node_2w, r_pow, s_ds = _arc_nodes(k, n, n_t)
-    stride = len(r_pow) // n
     fa, ga = f.a[:nf], g.a[:ng]
     power = k - 2
     terms = []
     mass = 0.0
     for i in range(n):
-        lo = i * stride
+        lo = i * n_t
         v = list(map(mul, fa, r_pow[lo : lo + nf]))
         s_d = s_ds[lo : lo + n_t]
         if g is f:  # P = 2 S_0 c_0 + 2 sum_(d >= 1) 2 S_d c_d, c_d = sum_m v_m v_(m+d)
@@ -385,16 +367,23 @@ def petersson_inner(
 
     The bar is the Parseval bar, the arc's proven remainder, its
     rounding (the rule's included) and its truncation at N_t coefficients
-    (`_arc_value`), and one rounding of the sum.  `PrecisionError` if no
-    Deligne tail holds past the coefficients f and g carry.
+    (`_arc_value`), and one rounding of the sum.  `DomainError` for unequal
+    weights or a weight past 60, before any float operation: the Parseval
+    sum's s = k - 1 must be within the incomplete gamma's 60.
+    `PrecisionError` if no Deligne tail holds past the coefficients f and g
+    carry, or if the value or its bar passes the float range.
     """
     if f.weight != g.weight:
         raise DomainError("inner product requires equal weights")
     k = f.weight
+    if k > 60:
+        raise DomainError(f"weight {_shown(k)} puts the Parseval sum past Gamma(s, x)'s s <= 60")
     arc = _arc_value(f, g, k, spec or default_spec(k))
     upper = _parseval(f, g, k)
     value = upper.value + arc.value
     err = upper.abs_err + arc.rem + arc.rounding + arc.trunc + _EPS * abs(value)
+    if not abs(value) + err < math.inf:  # nan fails too
+        raise PrecisionError(f"the inner product of weight {k} passes the float range")
     return ValueWithError(value, err)
 
 

@@ -140,7 +140,9 @@ class QExpansion:
 @dataclass(frozen=True)
 class Eigenform:
     """A normalized Hecke eigenform: weight, even and >= 12, plus Fourier
-    coefficients a_1..a_N."""
+    coefficients a_1..a_N, each a finite int or float: nan, +-inf, an int
+    past the float range or anything else, a bool included, raises
+    `DomainError`."""
 
     weight: int
     a: tuple[float, ...]  # a[i] is a_{i+1}; a[0] == 1.0
@@ -149,6 +151,12 @@ class Eigenform:
         object.__setattr__(self, "weight", _integer("weight", self.weight, 12, 2))
         if not self.a or self.a[0] != 1.0:
             raise DomainError("eigenform must be normalized with a_1 = 1")
+        try:
+            finite = {*map(type, self.a)} <= {int, float} and all(map(math.isfinite, self.a))
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
+            raise DomainError("each eigenform coefficient must be a finite int or float")
 
     def coefficient(self, n: int) -> float:
         """a_n for 1 <= n <= len(a)."""

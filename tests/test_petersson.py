@@ -401,13 +401,9 @@ class TestTriangleCheck:
 
 
 def empty_float_tables():
-    """Empty the incomplete-gamma rows and arc node tables every form shares."""
-    with lfunction._gamma_lock:
-        lfunction._gamma_rows.clear()
-        lfunction._gamma_size = 0
-    with petersson._arc_lock:
-        petersson._arc_tables.clear()
-        petersson._arc_size = 0
+    """Empty the memoized incomplete-gamma rows and arc node tables every form shares."""
+    lfunction._gamma_row.cache_clear()
+    petersson._arc_nodes.cache_clear()
 
 
 def hexes(*values: ValueWithError) -> tuple[str, ...]:
@@ -443,8 +439,9 @@ def answer(request) -> tuple[str, ...]:
 
 class TestSharedTables:
     """completed_l and the Petersson sums share their form-independent terms
-    (lfunction._gamma_row, petersson._arc_nodes); every answer must be the
-    one made from emptied tables, whatever was asked before it."""
+    through two memos (lfunction._gamma_row, petersson._arc_nodes); every
+    answer must be the one made from emptied memos, whatever was asked
+    before it."""
 
     def test_call_order_does_not_matter(self):
         requests = spectral_requests(range(12, 61, 2))
@@ -453,13 +450,13 @@ class TestSharedTables:
             empty_float_tables()
             fresh.append(answer(r))
         empty_float_tables()
-        for seed in (1, 2):  # the first pass starts from emptied tables, the second from full ones
+        for seed in (1, 2):  # the first pass starts from emptied memos, the second from full ones
             order = random.Random(seed).sample(range(len(requests)), len(requests))
             got = {i: answer(requests[i]) for i in order}
             assert [got[i] for i in range(len(requests))] == fresh, seed
 
     def test_threads_share_the_tables_safely(self):
-        # four threads ask in different orders, from emptied tables, while the
+        # four threads ask in different orders, from emptied memos, while the
         # interpreter switches threads every microsecond
         requests = spectral_requests(range(12, 41, 4), (120,))
         expected = []
@@ -486,7 +483,9 @@ class TestSharedTables:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert [results.get(seed) for seed in range(4)] == [expected] * 4
-        assert lfunction._gamma_size == sum(len(row[0]) for row in lfunction._gamma_rows.values())
+        for memo in (lfunction._gamma_row, petersson._arc_nodes):
+            info = memo.cache_info()
+            assert 0 < info.currsize <= info.maxsize
 
     def test_an_int_and_a_float_s_share_one_row(self):
         # 20 == 20.0 and both hash alike, so they read one row; every
@@ -494,37 +493,65 @@ class TestSharedTables:
         f = eigenforms(40, 120)[0]
         for first, second in ((20, 20.0), (20.0, 20)):
             empty_float_tables()
-            a, b = completed_l(f, first), completed_l(f, second)
+            a = completed_l(f, first)
+            assert lfunction._gamma_row.cache_info()[:2] == (0, 1)  # (hits, misses)
+            b = completed_l(f, second)
             assert hexes(a.completed, a.finite) == hexes(b.completed, b.finite)
-            assert [key for key in lfunction._gamma_rows if key[0] == 20] == [(first, 2 * math.pi)]
+            assert lfunction._gamma_row.cache_info()[:2] == (1, 1)
 
     def test_tables_stay_within_their_bound(self, monkeypatch):
-        # with caps small enough that both tables are emptied, and arc keys
-        # made but not kept, over and over, every answer is unchanged
+        # rows of at most 4 terms, so that sums run past them, and more arc
+        # keys than the memo keeps: every answer is unchanged
         requests = spectral_requests(range(12, 61, 6), (120,))
         fresh = []
         for r in requests:
             empty_float_tables()
             fresh.append(answer(r))
-        monkeypatch.setattr(lfunction, "_MAX_COUNT", 24)
-        monkeypatch.setattr(petersson, "_MAX_COUNT", 2000)
+        assert lfunction._gamma_row.cache_info().maxsize == 64
+        assert petersson._arc_nodes.cache_info().maxsize == 16
+        monkeypatch.setattr(lfunction, "_MAX_COUNT", 64 * 4)
         empty_float_tables()
         for i in random.Random(3).sample(range(len(requests)), len(requests)):
             assert answer(requests[i]) == fresh[i], requests[i][0]
-            rows = lfunction._gamma_rows.values()
-            assert lfunction._gamma_size == sum(len(row[0]) for row in rows) <= 24
-            tables = petersson._arc_tables.values()
-            assert petersson._arc_size == sum(sum(map(len, t)) for t in tables) <= 2000
+        info = petersson._arc_nodes.cache_info()
+        assert info.currsize == 16 and info.misses > 16
+        row = lfunction._gamma_row(20.0, 2.0 * math.pi, 20.5)
+        assert len(row[0]) == 4 < completed_l(eigenforms(40, 120)[0], 20.0).terms_used
         # a sum of more terms than the cap refuses to run past it
         monkeypatch.setattr(lfunction, "_MAX_COUNT", 4)
         with pytest.raises(PrecisionError):
             completed_l(eigenforms(40, 120)[0], 20)
 
     def test_a_refused_s_leaves_no_row(self):
-        # the Parseval sum of weight 64 asks Gamma(63, x), past s <= 60
+        # Gamma(63, x) is past the incomplete gamma's s <= 60
         empty_float_tables()
-        f = eigenforms(64, 40)[0]
         with pytest.raises(DomainError):
-            petersson_norm_sq(f)
-        assert not [key for key in lfunction._gamma_rows if key[0] == 63]
-        assert lfunction._gamma_size == sum(len(row[0]) for row in lfunction._gamma_rows.values())
+            lfunction.gamma_series([1.0] * 40, 63.0, 4.0 * math.pi, 65)
+        assert lfunction._gamma_row.cache_info().currsize == 0
+
+    def test_every_normalized_sum_stops_within_its_row(self):
+        # a_1 = 1 (and a_1 b_1 = 1): the sum's mass is at least the unit
+        # series', so it stops within the row that series fills
+        for k in range(12, 61, 2):
+            p = (k + 1) / 2
+            for n in (coefficient_count(k), 120):
+                forms = eigenforms(k, n)
+                sums = [([a * b for a, b in zip(f.a, g.a)], k - 1, 4.0 * math.pi, k + 1)
+                        for f in forms for g in forms]
+                for f in forms:
+                    for s in (k / 2 - 2, k / 2 - 1, k / 2, k / 2 + 0.7, k / 2 + 2):
+                        sums += [(f.a, s, math.tau, p), (f.a, k - s, math.tau, p),
+                                 (f.a, k - s, math.tau * 1.25, p), (f.a, s, math.tau / 1.25, p)]
+                for c, s, lam, q in sums:
+                    used = lfunction.gamma_series(c, s, lam, q)[1]
+                    assert used <= len(lfunction._gamma_row(s, lam, q)[0]), (k, n, s, lam)
+
+    def test_the_weight_gate_comes_before_any_memo(self):
+        f = eigenforms(62, 40)[0]
+        empty_float_tables()
+        for call in (lambda: petersson_norm_sq(f),
+                     lambda: petersson_inner(f, f, QuadratureSpec(20))):
+            with pytest.raises(DomainError):
+                call()
+        assert lfunction._gamma_row.cache_info().currsize == 0
+        assert petersson._arc_nodes.cache_info().currsize == 0

@@ -246,6 +246,18 @@ LISTED = [
     (lfunction.completed_l, (Eigenform(10**400, (1.0, 2.0)), 5 * 10**399), DomainError),
     (lfunction.completed_l, (Eigenform(124, (1.0, 2.0)), 62.0), DomainError),
     (lfunction.functional_equation_residual, (Eigenform(124, (1.0, 2.0)), 61), DomainError),
+    # the Parseval sum's s = k - 1 <= 60, tested before any float operation
+    (petersson.petersson_inner,
+     (Eigenform(10**400, (1.0, 2.0)), Eigenform(10**400, (1.0, 2.0)), QuadratureSpec(20)), DomainError),
+    (petersson.petersson_norm_sq, (eigenforms(62, 40)[0],), DomainError),
+    # coefficients that are not finite ints or floats
+    (Eigenform, (12, (1.0, math.nan)), DomainError),
+    (Eigenform, (12, (1.0, math.inf)), DomainError),
+    (Eigenform, (12, (1.0, "x")), DomainError),
+    (Eigenform, (12, (1.0, True)), DomainError),
+    (Eigenform, (12, (1.0, 10**400)), DomainError),  # an int past the float range
+    # a_2^2 = 1e400 in the Parseval sum
+    (petersson.petersson_norm_sq, (Eigenform(12, (1.0, 1e200)),), PrecisionError),
 ]
 
 
