@@ -27,8 +27,15 @@ import math
 from dataclasses import dataclass
 
 from .errors import PrecisionError, _integer
-from .ntheory import ValueWithError, gamma_sum, zeta_even
-from .specfun import _EPS, MAX_SERIES_ARG, HalfIntOrder, bessel_envelope, bessel_j
+from .ntheory import _FIX_BITS, ValueWithError, _cos_pi_fixed, _gamma_fixed, gamma_sum, zeta_even
+from .specfun import (
+    _EPS,
+    MAX_SERIES_ARG,
+    HalfIntOrder,
+    _bessel_factor_fixed,
+    bessel_envelope,
+    bessel_j,
+)
 
 __all__ = [
     "KernelCoefficient",
@@ -44,6 +51,8 @@ __all__ = [
 _OMEGA_C = 2.69183
 # zeta(6) = pi^6 / 945 = 1.01734306198..., rounded up
 _ZETA6 = 1.0174
+# m < _PRIMORIALS[i] has at most i prime factors, so at most 2^i coprime pairs a*c = m
+_PRIMORIALS = (2, 6, 30, 210, 2310, 30030, 510510, 9699690)
 
 
 def _check_weight(k: int) -> int:
@@ -126,14 +135,23 @@ def series_tail_bound(k: int, n: int, m_stop: int) -> float:
 
 
 def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
-    """The kernel Fourier coefficient r_k(n) with certified absolute error on rho.
+    """The kernel Fourier coefficient r_k(n), with rho held to absolute error eps.
 
     The m-series stops at the smallest M >= 1 whose certified tail
-    `series_tail_bound`(k, n, M) is below eps/4, found by `bisect` over
-    M = 1..2^22, as the tail falls with M; `PrecisionError` if none there
-    reaches it.  Only that tail is held to eps: the Bessel and float-rounding
-    parts of the bar grow with n pi and are not (r_k(12, 5, 1e-10) has a
-    4.1e-9 bar).
+    `series_tail_bound`(k, n, M) is below eps/4, found by `bisect` up to the
+    M where the cube-root bound of `_omega_tail` falls below it (at most
+    2^22); `PrecisionError` if none there reaches it.
+
+    Each term g_n(m) sqrt(x) J_nu(x), x = n pi / m, takes one `gamma_sum`
+    and one `bessel_j`, and is charged its Bessel bar and the roundings of
+    x (pi's included), g, sqrt(x) and the products.  A term whose charge
+    would pass eps/64, where the float Bessel series cancels, is taken
+    exactly instead: g_n(m) from `ntheory._gamma_fixed` and
+    `_cos_pi_fixed` and the Bessel factor from
+    `specfun._bessel_factor_fixed`, in 256-bit fixed point at the exact
+    angles; these terms are summed in fixed point and rounded once, and the
+    others by `math.fsum`.  The whole bar on rho, tail, Bessel and rounding
+    parts together, is at most eps; `PrecisionError` otherwise.
     """
     k, n = _check_weight(k), _integer("n", n, 1)
     if not eps >= 1e-14:
@@ -143,40 +161,109 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
             f"n = {n} puts the Bessel argument past the ascending-series contract"
         )
     nu = HalfIntOrder.for_weight(k)
-    sqrt_2pi = math.sqrt(2 * math.pi)
     sign = -1 if (k // 4 + n) % 2 else 1
 
     scale = _tail_scale(k, n)
-    cuts = range(1, 2**22 + 1)
+    # the cube-root bound C M^(-p) / p, p = k/2 - 4/3, is below eps/4 from
+    # this M on, so the first cut is at most M; 2 more absorb its roundings
+    p = k / 2 - 4 / 3
+    top = int((4 * scale * _OMEGA_C / (p * eps)) ** (1 / p)) + 2
+    cuts = range(1, min(top, 2**22) + 1)
     i = bisect.bisect_left(cuts, True, key=lambda m: scale * _omega_tail(k, m) < eps / 4)
     if i == len(cuts):
         raise PrecisionError("could not reach the requested tail bound")
     m_stop = cuts[i]
     tail = scale * _omega_tail(k, m_stop)
 
-    series = 0.0
-    bessel_err = 0.0
-    abs_acc = 0.0
+    sqrt_2pi = math.sqrt(2 * math.pi)
+    flag = eps / (64 * sqrt_2pi)
     n_pi = n * math.pi
     odd = n % 2
-    for m in range(1, m_stop + 1):
-        x = n_pi / m
-        g = gamma_sum(n, m)
-        if odd and m > 1:
-            # boundary pairs (1, m), (m, 1): (-1)^n cos(pi n/m) in g_n, cos(pi n/m) in gamma_n
-            g -= 4.0 * math.cos(x)
-        j = bessel_j(nu, x)
-        jv = j.value
-        w = math.sqrt(x)
-        gw = abs(g) * w
-        series += g * w * jv
-        bessel_err += gw * j.abs_err
-        abs_acc += gw * abs(jv)
+    # x = n pi / m is within 1.2 _EPS of its value relatively, and
+    # |d/dx sqrt(x) J_nu(x)| <= (3 nu - 1/2) env / sqrt(x), env the envelope
+    # (x/2)^nu / Gamma(nu + 1): x's rounding moves the term by at most
+    # cx |g| sqrt(x) env (1.25 in place of 1.2 covers the second-order
+    # parts).  While x^2 <= k + 1 = 2 (nu + 1) the Bessel series falls from
+    # its first term, so env <= 2 |J_nu(x)| <= 2 (|jv| + jerr); past x_env
+    # the envelope itself is charged.  sqrt(x), the two products and g's
+    # last subtraction add 2 _EPS |g| sqrt(x) (|jv| + jerr).
+    cx = 1.25 * (3 * (k - 1) / 2 - 0.5) * _EPS
+    c1 = 2 * cx + 2 * _EPS
+    x_env = math.sqrt(k + 1)
+    m_env = 1  # x > x_env exactly for m < m_env
+    while n_pi / m_env > x_env:
+        m_env += 1
+    cos, sqrt, gamma, bessel = math.cos, math.sqrt, gamma_sum, bessel_j
+    exact = []
+    terms = []
+    keep = terms.append
+    float_err = 0.0
+    # [lo, hi) ranges of m: split at the primorials, as g's error bound
+    # depends on the number of pairs, and at m_env
+    bounds = sorted({m_stop + 1, *(b for b in (m_env, *_PRIMORIALS) if b <= m_stop)})
+    lo = 1
+    for hi in bounds:
+        if lo >= hi:
+            continue
+        # g is within ge of g_n(m) for m in [lo, hi): each of its 2^i
+        # cosines within 5 _EPS (the angle pi (t/m) within 1.2 _EPS
+        # relatively, cos within an ulp), their sum within 2^i (2^i + 1)/4
+        # _EPS, and 4 cos(x) within 4 (1.2 x + 1) _EPS; g_n(1) = 1 exactly
+        pairs = 1 << bisect.bisect_right(_PRIMORIALS, lo)
+        boundary = odd and lo > 1
+        ge = 0.0 if lo == 1 else (pairs * (5 + (pairs + 1) / 4) + boundary * 4 * (1.2 * n_pi / lo + 1)) * _EPS
+        hump = lo < m_env
+        for m in range(lo, hi):
+            x = n_pi / m
+            g = gamma(n, m)
+            if boundary:
+                # boundary pairs (1, m), (m, 1): (-1)^n cos(pi n/m) in g_n, cos(pi n/m) in gamma_n
+                g -= 4.0 * cos(x)
+            j = bessel(nu, x)
+            jv, jerr = j.value, j.abs_err
+            w = sqrt(x)
+            gs = g * w
+            gw = abs(gs)
+            # |J_nu(x)| is at most abs(jv) + jerr
+            charge = (c1 * gw + ge * w) * (abs(jv) + jerr) + gw * jerr
+            if hump:
+                charge += cx * gw * bessel_envelope(nu, x)
+            if charge > flag:
+                exact.append(m)
+            else:
+                keep(gs * jv)
+                float_err += charge
+        lo = hi
+    series = math.fsum(terms)  # rounds once
 
-    deviation = sign * sqrt_2pi * series
-    float_err = (m_stop + 4) * _EPS * (sqrt_2pi * abs_acc + 1.0)
-    rho_err = sqrt_2pi * bessel_err + tail + float_err
-    rho = ValueWithError(1.0 + deviation, rho_err)
+    s_lo = s_hi = 0
+    for m in exact:
+        g_lo, g_hi = _gamma_fixed(n, m)
+        if odd and m > 1:
+            c_lo, c_hi = _cos_pi_fixed(n, m)
+            g_lo, g_hi = g_lo - 4 * c_hi, g_hi - 4 * c_lo
+        b_lo, b_hi = _bessel_factor_fixed(nu, n, m)
+        products = (g_lo * b_lo, g_lo * b_hi, g_hi * b_lo, g_hi * b_hi)
+        s_lo += min(products)
+        s_hi += max(products)
+    unit = 1 << 2 * _FIX_BITS
+    exact_sum = (s_lo + s_hi) / (2 * unit)  # the int quotient rounds once
+
+    # sqrt_2pi is within 0.6 _EPS of sqrt(2 pi), and its product rounds once;
+    # the three-term fsum rounds once more
+    spread = sqrt_2pi * series
+    value = math.fsum((1.0, sign * exact_sum, sign * spread))
+    rho_err = (
+        tail
+        + sqrt_2pi * (float_err + 0.5 * _EPS * abs(series)) * (1.0 + _EPS)
+        + 1.2 * _EPS * abs(spread)
+        + (s_hi - s_lo) / unit
+        + _EPS * abs(exact_sum)
+        + 0.5 * _EPS * abs(value)
+    ) * (1.0 + 8.0 * _EPS)  # this sum's own roundings
+    if rho_err > eps:
+        raise PrecisionError(f"the bar on rho_{k}({n}) is {rho_err:.3g}, above eps = {eps:.3g}")
+    rho = ValueWithError(value, rho_err)
 
     h = k // 2 - 1
     # h math.pi errors in the power, then the power, the correctly rounded int

@@ -8,7 +8,10 @@ n; gamma_n(m) is summed for one n and the 256 m of a block at once, and
 kept in a bounded memo of such (n, block) rows, shared across every weight
 k that asks the same n.  The even Bernoulli numbers come from the integer
 tangent-number recurrence, kept in a table that at least doubles when it
-grows.
+grows.  For the kernel terms that cancel in floats, the module also holds
+pi bracketed in 256-bit fixed point, an alternating series summed between
+integer brackets, and gamma_n(m) and its cosines bracketed from the exact
+angles.
 """
 
 from __future__ import annotations
@@ -102,12 +105,13 @@ def _gamma_row(n: int, b: int) -> array:
             continue
         two_m = 2 * m
         r = n % two_m
+        sixths = 6 * r % m == 0  # m | 6t for some pair only if m | 6n, as s is a unit mod m
         half = []
         for s in exponents:
             t = r * s % two_m
             if t > m:
                 t = two_m - t
-            c = None if 6 * t % m else _COS_SIXTHS[6 * t // m]
+            c = _COS_SIXTHS[6 * t // m] if sixths else None
             half.append(cos(pi * (t / m)) if c is None else c)
         row.append(sum(half + half[::-1]))
     return row
@@ -134,6 +138,83 @@ def _pair_block(b: int) -> list[tuple[int, ...]]:
                 m = a * c
                 block[m - lo].append(2 * a * pow(a, -1, c) - 1 - m)
     return [tuple(s) for s in block]
+
+
+# Fixed point: an int v stands for v / 2^_FIX_BITS, and a pair (lo, hi) of such
+# ints brackets a real number.  pi * 2^256 lies strictly between these two
+# literals (a test checks them against 100-digit pi).
+_FIX_BITS = 256
+_PI_FIX_LO = 363771576891766324280234942777729862653393377328392429958772151117938894466185
+_PI_FIX_HI = 363771576891766324280234942777729862653393377328392429958772151117938894466186
+# an alternating sum stops at the first falling term below 2^-96
+_FIX_STOP = 1 << (_FIX_BITS - 96)
+
+
+@functools.lru_cache(maxsize=64)
+def _pi_power_bracket(p: int) -> tuple[int, int]:
+    """A fixed-point bracket of pi^p, p >= 1, from the p-th powers of the two
+    literals, rounded down at the lower end and up at the upper end."""
+    shift = _FIX_BITS * (p - 1)
+    return _PI_FIX_LO**p >> shift, -(-(_PI_FIX_HI**p) >> shift)
+
+
+def _pi_power_fixed(num: int, den: int, p: int) -> tuple[int, int]:
+    """A fixed-point bracket of (num / den) pi^p, for num >= 0, den > 0, p >= 1."""
+    lo, hi = _pi_power_bracket(p)
+    return num * lo // den, -(-num * hi // den)
+
+
+def _alternating_fixed(lead, y, a: int, b: int) -> tuple[int, int]:
+    """A fixed-point bracket of sum_j (-1)^j t_j, where t_0 is bracketed by
+    lead and t_(j+1) = t_j y / ((2j + a)(2j + b)), for brackets lead and y
+    of numbers >= 0 and ints a, b >= 1.
+
+    Each t_j is bracketed by rounding its lower end down and its upper end
+    up, and the even and the odd terms are summed apart.  Once
+    y <= (2j + a)(2j + b) the terms no longer rise from t_j on, so the
+    alternating tail from t_j lies in [-t_j, t_j]; the sum stops at the
+    first such t_j below _FIX_STOP.
+    """
+    t_lo, t_hi = lead
+    y_lo, y_hi = y
+    bits, stop = _FIX_BITS, _FIX_STOP
+    y_top = (y_hi >> bits) + 1  # y <= d once d >= y_top
+    lo, hi = [0, 0], [0, 0]  # the even and the odd terms' sums
+    j = 0
+    while True:
+        d = a * b
+        if d >= y_top and t_hi < stop:
+            return lo[0] - hi[1] - t_hi, hi[0] - lo[1] + t_hi
+        lo[j] += t_lo
+        hi[j] += t_hi
+        # floor(floor(u / 2^F) / d) = floor(u / (2^F d)), and so for the ceiling
+        t_lo = (t_lo * y_lo >> bits) // d
+        t_hi = -((-t_hi * y_hi >> bits) // d)
+        a += 2
+        b += 2
+        j ^= 1
+
+
+@functools.lru_cache(maxsize=256)
+def _cos_pi_fixed(t: int, m: int) -> tuple[int, int]:
+    """A fixed-point bracket of cos(pi t / m), for ints t and m >= 1, by the
+    Taylor series of cos at the angle folded into [0, pi]; kept for the
+    other weights that ask the same angle."""
+    t %= 2 * m
+    t = min(t, 2 * m - t)
+    return _alternating_fixed((1 << _FIX_BITS,) * 2, _pi_power_fixed(t * t, m * m, 2), 1, 2)
+
+
+def _gamma_fixed(n: int, m: int) -> tuple[int, int]:
+    """A fixed-point bracket of gamma_n(m) (`gamma_sum`), from the exact angles
+    pi n s / m of `_pair_block`; the pairs (a, c) and (c, a) share a cosine."""
+    if m == 1:
+        return (1 << _FIX_BITS,) * 2
+    lo = hi = 0
+    for s in _pair_block(m >> 8)[m & 255]:
+        c_lo, c_hi = _cos_pi_fixed(n * s, m)
+        lo, hi = lo + 2 * c_lo, hi + 2 * c_hi
+    return lo, hi
 
 
 _bernoulli_even: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...

@@ -1,8 +1,9 @@
 """Special functions with explicit error contracts.
 
 Bessel J of half-integer order via the ascending power series (small
-arguments only, which is all the kernel series ever needs), the classical
-power envelope |J_nu(x)| <= (x/2)^nu / Gamma(nu+1), and the upper
+arguments only, which is all the kernel series ever needs), in floats and,
+at the kernel's arguments n pi / m, in exact fixed point; the classical
+power envelope |J_nu(x)| <= (x/2)^nu / Gamma(nu+1); and the upper
 incomplete gamma function used by the completed-L sums.
 """
 
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, PrecisionError, _integer
-from .ntheory import ValueWithError
+from .ntheory import ValueWithError, _alternating_fixed, _pi_power_fixed
 
 __all__ = [
     "HalfIntOrder",
@@ -31,27 +32,37 @@ MAX_SERIES_ARG = 16.0
 # domain" in random tests (CPython, Modules/mathmodule.c): within _GAMMA_ULPS
 # _EPS of Gamma(s), relatively.
 _GAMMA_ULPS = 10.0
+# Gamma(nu + 1) is a finite float up to nu = 341 / 2 (Gamma(172.5) > 1.8e308)
+_MAX_TWICE_NU = 341
 
 
 @dataclass(frozen=True)
 class HalfIntOrder:
     """A half-integer Bessel order nu = twice_nu / 2 with twice_nu odd and >= 1
-    (an integral float is stored as the int), with ln Gamma(nu + 1), the
-    constant of every J_nu term, taken once; `PrecisionError` if nu or that
-    logarithm leaves the float range."""
+    (an integral float is stored as the int), with the constants of every
+    J_nu term taken once: the double factorial twice_nu!!, Gamma(nu + 1) =
+    twice_nu!! sqrt(pi) / 2^((twice_nu + 1) / 2) from it, within 2 _EPS, and
+    ln Gamma(nu + 1) by `math.lgamma` for the envelope.  `PrecisionError`
+    past twice_nu = 341, where Gamma(nu + 1) leaves the float range."""
 
     twice_nu: int
+    double_factorial: int = field(init=False, repr=False, compare=False)
+    gamma_nu_plus_one: float = field(init=False, repr=False, compare=False)
     lgamma_nu_plus_one: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         twice_nu = _integer("twice_nu", self.twice_nu, 1, 2)
-        object.__setattr__(self, "twice_nu", twice_nu)
-        try:
-            lg = math.lgamma(twice_nu / 2.0 + 1.0)
-        except OverflowError:
+        if twice_nu > _MAX_TWICE_NU:
             bits = twice_nu.bit_length()
-            raise PrecisionError(f"a Bessel order of {bits} bits is past the float range") from None
-        object.__setattr__(self, "lgamma_nu_plus_one", lg)
+            raise PrecisionError(f"a Bessel order of {bits} bits is past the float range")
+        object.__setattr__(self, "twice_nu", twice_nu)
+        df = math.prod(range(twice_nu, 0, -2))
+        object.__setattr__(self, "double_factorial", df)
+        # the int quotient and the product round once each, and sqrt(math.pi)
+        # is within 0.6 _EPS of sqrt(pi)
+        gamma = df / (1 << (twice_nu + 1) // 2) * math.sqrt(math.pi)
+        object.__setattr__(self, "gamma_nu_plus_one", gamma)
+        object.__setattr__(self, "lgamma_nu_plus_one", math.lgamma(twice_nu / 2.0 + 1.0))
 
     @property
     def nu(self) -> float:
@@ -109,12 +120,13 @@ def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
     v = nu.twice_nu / 2.0
     half = x / 2.0
     q = half * half
-    lg0 = v * math.log(half) - nu.lgamma_nu_plus_one
-    term = math.exp(lg0)
-    # the leading term's exp argument carries ~|lg0| ulps of rounding
-    lead_err = abs(lg0) * _EPS * term
-    total = term
-    max_abs = abs(term)
+    a = v * math.log(half)
+    term = math.exp(a) / nu.gamma_nu_plus_one
+    # log within an ulp, then the product: a is within 1.5 |a| _EPS, so exp(a)
+    # within 2 |a| _EPS relatively while that is far below 1; exp's ulp,
+    # Gamma's 2 _EPS and the quotient add 3.5 _EPS
+    lead_err = (2.0 * abs(a) + 4.0) * _EPS * term
+    total = max_abs = term  # >= 0
     j = 0
     while True:
         ratio = q / ((j + 1) * (v + j + 1))
@@ -130,6 +142,26 @@ def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
             raise PrecisionError("bessel_j series failed to converge")
     float_err = (j + 2) * _EPS * max_abs + lead_err
     return ValueWithError(total, tail + float_err)
+
+
+def _bessel_factor_fixed(nu: HalfIntOrder, n: int, m: int) -> tuple[int, int]:
+    """A fixed-point bracket (see `ntheory`) of sqrt(2 pi x) J_nu(x) at x = n pi / m.
+
+    With nu = l + 1/2 and Gamma(l + 3/2) = (2l+1)!! sqrt(pi) / 2^(l+1), the
+    ascending series is
+
+        sqrt(2 pi x) J_nu(x) = 2 sum_j (-1)^j x^(l+1+2j) / ((2j)!! (2l+2j+1)!!),
+
+    a polynomial in pi, summed by `ntheory._alternating_fixed` from its
+    leading term 2 x^(l+1) / (2l+1)!! with the term ratio
+    x^2 / ((2j + 2)(2l + 2j + 3)).  In integers its terms cancel without
+    loss, where the float series of `bessel_j` loses up to 5 digits at
+    x = 5 pi: the bracket is about 2^-95 wide at any x <= MAX_SERIES_ARG.
+    """
+    l = nu.twice_nu // 2
+    p = l + 1
+    lead = _pi_power_fixed(2 * n**p, nu.double_factorial * m**p, p)
+    return _alternating_fixed(lead, _pi_power_fixed(n * n, m * m, 2), 2, 2 * l + 3)
 
 
 def _upper_gamma_cf(s: float, x: float) -> tuple[float, float]:

@@ -245,6 +245,54 @@ class TestRk:
         assert r_k(12, 2.0) == r_k(12, 2)  # an integral float is the integer
 
 
+def _g_30_digits(n: int, m: int):
+    """g_n(m) at the working precision: cos(pi n (a'/c - c'/a)) over the
+    coprime pairs a*c = m, the boundary pairs (1, m), (m, 1) times (-1)^n."""
+    pairs = [(a, m // a) for a in range(1, math.isqrt(m) + 1) if m % a == 0]
+    pairs = {p for a, c in pairs if math.gcd(a, c) == 1 for p in ((a, c), (c, a))}
+    g = mp.mpf(0)
+    for a, c in pairs:
+        ap = pow(a, -1, c) if c > 1 else 0
+        cp = pow(c, -1, a) if a > 1 else 0
+        term = mp.cospi(n * (mp.mpf(ap) / c - mp.mpf(cp) / a))
+        g += (-1) ** n * term if m > 1 and 1 in (a, c) else term
+    return g
+
+
+class TestRkBar:
+    def test_bar_within_eps_and_around_the_30_digit_partial_sum(self):
+        # the whole bar is at most eps, and less the tail it still holds the
+        # 30-digit sum of the series up to the same cut
+        with mp.workdps(30):
+            for n in range(1, 6):
+                g = {}
+                for k in range(12, 41, 4):
+                    coeffs = {eps: r_k(k, n, eps) for eps in (1e-10, 1e-13, 1e-14)}
+                    cuts = {c.terms_used for c in coeffs.values()}
+                    v = mp.mpf(k - 1) / 2
+                    partial, total = {}, mp.mpf(0)
+                    for m in range(1, max(cuts) + 1):
+                        if m not in g:
+                            g[m] = _g_30_digits(n, m)
+                        x = n * mp.pi / m
+                        total += g[m] * mp.sqrt(x) * mp.besselj(v, x)
+                        if m in cuts:
+                            partial[m] = total
+                    sign = -1 if (k // 4 + n) % 2 else 1
+                    for eps, coeff in coeffs.items():
+                        rho, m_stop = coeff.rho, coeff.terms_used
+                        assert rho.abs_err <= eps, (k, n, eps)
+                        s = 1 + sign * mp.sqrt(2 * mp.pi) * partial[m_stop]
+                        room = rho.abs_err - series_tail_bound(k, n, m_stop)
+                        assert abs(rho.value - s) <= room, (k, n, eps)
+
+    def test_a_bar_over_eps_raises(self, monkeypatch):
+        # with a unit roundoff of 1e-9 the last rounding alone passes eps
+        monkeypatch.setattr(kernel, "_EPS", 1e-9)
+        with pytest.raises(PrecisionError, match="above eps"):
+            r_k(12, 1, 1e-10)
+
+
 class TestCertify:
     def test_all_supported_weights_nonvanish_positive(self):
         for k in range(12, 41, 4):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from ckkernel import ntheory
@@ -240,6 +241,34 @@ class TestGammaSum:
                 cp = pow(c, -1, a) if a > 1 else 0
                 direct += math.cos(math.pi * 1 * (ap / c - cp / a))
             assert gamma_sum(1, m) == pytest.approx(direct, abs=1e-9)
+
+
+class TestFixedPoint:
+    def test_pi_bracket_against_100_digits(self):
+        with mp.workdps(100):
+            scaled = mp.pi * mp.mpf(2) ** ntheory._FIX_BITS
+            assert ntheory._PI_FIX_LO < scaled < ntheory._PI_FIX_HI
+        assert ntheory._PI_FIX_HI == ntheory._PI_FIX_LO + 1
+
+    def test_cosine_brackets_hold_the_60_digit_cosine(self):
+        unit = 2**ntheory._FIX_BITS
+        with mp.workdps(60):
+            for m in range(1, 13):
+                for t in range(-2 * m, 4 * m + 1):
+                    lo, hi = ntheory._cos_pi_fixed(t, m)
+                    assert lo <= mp.cospi(mp.mpf(t) / m) * unit <= hi, (t, m)
+                    assert hi - lo < unit >> 90
+
+    def test_gamma_brackets_hold_the_float_sum(self):
+        # gamma_sum is within a few ulps of the bracket for every m of a block
+        unit = 2**ntheory._FIX_BITS
+        for n in (1, 2, 5):
+            for m in list(range(1, 300)) + [2310, 4199, 5005]:
+                lo, hi = ntheory._gamma_fixed(n, m)
+                pairs = len(coprime_factor_pairs(m))
+                g = Fraction(gamma_sum(n, m))
+                assert Fraction(lo, unit) - 8 * pairs * EPS <= g <= Fraction(hi, unit) + 8 * pairs * EPS
+                assert hi - lo < unit >> 88
 
 
 class TestValueWithError:

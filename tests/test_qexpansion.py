@@ -228,7 +228,7 @@ LISTED = [
     (Eigenform, (12, ()), DomainError),
     (Eigenform, (12, (2.0, -48.0)), DomainError),  # a_1 != 1
     (HalfIntOrder, (10**400 + 1,), PrecisionError),  # nu past the float range
-    (HalfIntOrder, (10**307 + 1,), PrecisionError),  # ln Gamma(nu + 1) past it
+    (HalfIntOrder, (10**307 + 1,), PrecisionError),  # Gamma(nu + 1) past it, as past twice_nu = 341
     (lfunction.completed_l, (Eigenform(10**400, (1.0, 2.0)), 1.0), DomainError),
     (lfunction.functional_equation_residual, (Eigenform(10**400, (1.0, 2.0)), 1.0), DomainError),
     # counts past the one cap, 2^16, raised before any allocation

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from ckkernel.errors import DomainError, PrecisionError
+from ckkernel.ntheory import _FIX_BITS, _PI_FIX_LO
 from ckkernel.specfun import (
     MAX_SERIES_ARG,
     HalfIntOrder,
+    _bessel_factor_fixed,
     bessel_envelope,
     bessel_j,
     upper_incomplete_gamma,
@@ -20,13 +23,17 @@ EPS = 2.220446049250313e-16
 
 
 def _reference_bessel_j(nu, x):
-    """bessel_j's ascending series as first written: exp(lgamma) per call, max() per step."""
+    """bessel_j's ascending series as first written, max() per step, with the
+    leading term (x/2)^nu / Gamma(nu + 1) over the double factorial's Gamma
+    taken per call."""
     v = nu.nu
     half = x / 2.0
     q = half * half
-    lg0 = v * math.log(half) - math.lgamma(v + 1.0)
-    term = math.exp(lg0)
-    lead_err = abs(lg0) * EPS * term
+    a = v * math.log(half)
+    twice_nu = nu.twice_nu
+    gamma = math.prod(range(twice_nu, 0, -2)) / 2 ** ((twice_nu + 1) // 2) * math.sqrt(math.pi)
+    term = math.exp(a) / gamma
+    lead_err = (2.0 * abs(a) + 4.0) * EPS * term
     total = term
     max_abs = abs(term)
     j = 0
@@ -48,7 +55,73 @@ def _reference_envelope(nu, x):
     return math.exp(v * math.log(x / 2.0) - math.lgamma(v + 1.0))
 
 
+def _finite_form(l, n, m, sqrt2, sqrt3):
+    """sqrt(2 pi x) J_(l+1/2)(x) at x = n pi / m, m in {1, 2, 3, 4, 6}, by
+    DLMF 10.49.2 in exact rationals, pi taken as _PI_FIX_LO / 2^_FIX_BITS:
+
+        2 [sin(x - l pi/2) sum_j (-1)^j a_(2j) x^(-2j)
+           + cos(x - l pi/2) sum_j (-1)^j a_(2j+1) x^(-2j-1)],
+
+    a_i = (l + i)! / (2^i i! (l - i)!).  The angle x - l pi/2 is a multiple
+    of pi/4 or pi/6, where sine and cosine are 0, +-1/2, +-1, +-sqrt(2)/2 or
+    +-sqrt(3)/2, the roots given as the Fractions sqrt2 and sqrt3."""
+    x = Fraction(n * _PI_FIX_LO, m << _FIX_BITS)
+    # x - l pi/2 = pi q / 12 with q = 12 n / m - 6 l
+    q = (12 * n // m - 6 * l) % 24
+    half, r2, r3 = Fraction(1, 2), sqrt2 / 2, sqrt3 / 2
+    sines = {0: 0, 2: half, 3: r2, 4: r3, 6: 1, 8: r3, 9: r2, 10: half}
+    sin = sines[q] if q < 12 else -sines[q - 12]
+    cos = sines[(q + 6) % 12] * (1 if (q + 6) % 24 < 12 else -1)
+    a = [Fraction(math.factorial(l + i), 2**i * math.factorial(i) * math.factorial(l - i))
+         for i in range(l + 1)]
+    even = sum((-1) ** j * a[2 * j] / x ** (2 * j) for j in range(l // 2 + 1))
+    odd = sum((-1) ** j * a[2 * j + 1] / x ** (2 * j + 1) for j in range((l + 1) // 2))
+    return 2 * (sin * even + cos * odd)
+
+
+class TestBesselFactorFixed:
+    def test_matches_the_finite_form(self):
+        # the 256-bit ascending series against DLMF 10.49.2, with no mpmath:
+        # the bracket is about 2^-96 wide and holds the finite form's value,
+        # which moves by far less than 2^-120 over pi's 2^-256 bracket
+        unit = 1 << _FIX_BITS
+        root = 1 << 300
+        sqrt2 = Fraction(math.isqrt(2 * root * root), root)
+        sqrt3 = Fraction(math.isqrt(3 * root * root), root)
+        slack = Fraction(1, 1 << 120)
+        for k in range(12, 41, 4):
+            nu = HalfIntOrder.for_weight(k)
+            for n in range(1, 6):
+                for m in (1, 2, 3, 4, 6):
+                    lo, hi = _bessel_factor_fixed(nu, n, m)
+                    exact = _finite_form(k // 2 - 1, n, m, sqrt2, sqrt3)
+                    assert hi - lo < unit >> 90, (k, n, m)
+                    assert Fraction(lo, unit) - slack <= exact <= Fraction(hi, unit) + slack, (k, n, m)
+
+    def test_matches_mpmath_at_other_m(self):
+        with mp.workdps(60):
+            for k in (12, 24, 40):
+                nu = HalfIntOrder.for_weight(k)
+                for n, m in ((5, 5), (3, 7), (1, 13), (4, 9)):
+                    x = n * mp.pi / m
+                    ref = mp.sqrt(2 * mp.pi * x) * mp.besselj(mp.mpf(k - 1) / 2, x)
+                    lo, hi = _bessel_factor_fixed(nu, n, m)
+                    assert mp.mpf(lo) / 2**_FIX_BITS <= ref <= mp.mpf(hi) / 2**_FIX_BITS, (k, n, m)
+
+
 class TestHalfIntOrder:
+    def test_gamma_from_the_double_factorial(self):
+        # Gamma(nu + 1) within 2 _EPS of the 40-digit value, for every order
+        # up to the float range's end
+        for twice_nu in range(1, 342, 2):
+            nu = HalfIntOrder(twice_nu)
+            assert nu.double_factorial == math.prod(range(twice_nu, 0, -2))
+            with mp.workdps(40):
+                ref = mp.gamma(mp.mpf(twice_nu) / 2 + 1)
+                assert abs(mp.mpf(nu.gamma_nu_plus_one) - ref) <= 2 * EPS * ref, twice_nu
+        with pytest.raises(PrecisionError, match="float range"):
+            HalfIntOrder(343)
+
     def test_nu(self):
         assert HalfIntOrder(11).nu == 5.5
         assert HalfIntOrder.for_weight(12).twice_nu == 11
@@ -97,6 +170,19 @@ class TestBesselJ:
             ref = float(mp.besselj(mp.mpf(11) / 2, mp.pi))
         assert bessel_j(HalfIntOrder(11), math.pi).value == pytest.approx(ref, abs=1e-14)
 
+    def test_bar_contains_50_digit_value_at_the_kernel_arguments(self):
+        # exp(lgamma) as the leading term's Gamma left 22 of 11,760 such bars
+        # short of the 50-digit value, by up to x1.09 at (12, 5 pi / 148)
+        with mp.workdps(50):
+            for k in range(12, 41, 4):
+                nu = HalfIntOrder.for_weight(k)
+                v = mp.mpf(k - 1) / 2
+                for n in (1, 5):
+                    for m in list(range(1, 40)) + [148, 1000, 4999]:
+                        x = n * math.pi / m
+                        j = bessel_j(nu, x)
+                        assert abs(j.value - mp.besselj(v, x)) <= j.abs_err, (k, n, m)
+
     def test_error_bound_honest_against_mpmath(self):
         for twice_nu in (1, 5, 11, 27, 79):
             for x in (0.01, 0.5, 1.0, math.pi, 4.0):
@@ -129,8 +215,9 @@ class TestBesselJ:
                 assert resid <= allowed
 
     def test_matches_parent_loop_bit_for_bit(self):
-        # the memoized ln Gamma(nu + 1) and the two comparisons in place of
-        # max() change no bit of the value or the bar, nor of the envelope
+        # the memoized Gamma(nu + 1) and ln Gamma(nu + 1) and the two
+        # comparisons in place of max() change no bit of the value or the
+        # bar, nor of the envelope
         xs = [n * math.pi / m for n in range(1, 6) for m in range(1, 257)]
         xs += [MAX_SERIES_ARG * i / 1024 for i in range(1, 1025)]
         for k in range(12, 41, 4):
