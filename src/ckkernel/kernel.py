@@ -17,7 +17,10 @@ of weight k it equals sum_f L*(f, k/2) a_f(n) / (16 Gamma(k/2) ||f||^2)
 (Kohnen, J. Number Theory 67 (1997), after Cohen 1981; see
 `petersson.kohnen_triangle`).  The module also carries a certified
 truncation tail, the per-weight and global deviation bounds, and the
-non-vanishing certificate for r_k(1).
+non-vanishing certificate for r_k(1).  The bounds, the tail's scale and
+the prefactor are rationals times a power of pi, taken from the 256-bit pi
+bracket of `ntheory`: the bounds and the scale are the least floats at or
+above their exact values, and the prefactor is rounded once.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import PrecisionError, _integer
-from .ntheory import _FIX_BITS, ValueWithError, _cos_pi_fixed, _gamma_fixed, gamma_sum, zeta_even
+from .ntheory import (_FIX_BITS, ValueWithError, _cos_pi_fixed, _gamma_fixed, _pi_power_fixed,
+                      _pi_power_up, bernoulli, gamma_sum)
 from .specfun import (
     _EPS,
     MAX_SERIES_ARG,
@@ -81,15 +85,17 @@ class Certificate:
     value: ValueWithError  # r_k(1) itself, the kernel side of `petersson.kohnen_triangle`
     per_k_bound: float
     global_bound: float
-    nonvanishing: bool
-    sign: int  # +1 / -1, 0 when undetermined
+    nonvanishing: bool  # per_k_bound < 1
+    sign: int  # +1: rho >= 1 - per_k_bound > 0 and the prefactor is positive
 
 
 def _tail_scale(k: int, n: int) -> float:
-    """sqrt(2 pi) A, A = sqrt(n pi) envelope((k-1)/2, n pi): the m-th term of
-    `series_tail_bound`'s series is at most A 2^omega(m) m^(-k/2)."""
-    x = n * math.pi
-    return math.sqrt(2 * math.pi) * (math.sqrt(x) * bessel_envelope(HalfIntOrder.for_weight(k), x))
+    """sqrt(2 pi) A = 2 (n pi)^h / (k-1)!!, h = k/2, rounded up to a float, for
+    A = sqrt(n pi) envelope((k-1)/2, n pi): the m-th term of
+    `series_tail_bound`'s series is at most A 2^omega(m) m^(-k/2).  It is the
+    leading term of `specfun._bessel_factor_fixed` at m = 1."""
+    h = k // 2
+    return _pi_power_up(2 * n**h, HalfIntOrder.for_weight(k).double_factorial, h)
 
 
 def _omega_tail(k: int, m_stop: int) -> float:
@@ -110,8 +116,8 @@ def _omega_tail(k: int, m_stop: int) -> float:
 
     The second is the smaller at k = 12, 16 for large M, the first at k >= 36
     and small M.  Either margin, 1.7e-6 or 1e-9, is far above the few
-    roundings of its bound and of `_tail_scale` (the envelope is an exp of an
-    argument below 64 in size).
+    roundings of its bound and of its product with `_tail_scale` (which is
+    rounded up).
     """
     s = k / 2
     cube_root = _OMEGA_C * m_stop ** (4 / 3 - s) / (s - 4 / 3)
@@ -266,61 +272,55 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     rho = ValueWithError(value, rho_err)
 
     h = k // 2 - 1
-    # h math.pi errors in the power, then the power, the correctly rounded int
-    # quotient and the product round once each: pref is within rel of exact
-    pref = (8.0 * math.pi) ** h * (n**h / (4 * math.factorial(k - 2)))
-    rel = (h / 4 + 3) * _EPS
-    # pref * rho rounds once more; the factor 1 + 2 rel covers pref's error in
-    # the first term and the four roundings of the bar itself
-    bar = pref * (rho.abs_err + (rel + _EPS) * abs(rho.value)) * (1.0 + 2.0 * rel)
+    lo, hi = _pi_power_fixed(8**h * n**h, 4 * math.factorial(k - 2), h)
+    # the midpoint is within (hi - lo) / 2, below 2^-240 relatively, of the
+    # prefactor, and the int quotient rounds it once: pref is within _EPS of
+    # it.  With pref * rho's rounding that charges 2 _EPS |rho|; the factor
+    # 1 + 4 _EPS covers pref's error in the first term and the four roundings
+    # of the bar itself.
+    pref = (lo + hi) / (2 << _FIX_BITS)
+    bar = pref * (rho.abs_err + 2.0 * _EPS * abs(rho.value)) * (1.0 + 4.0 * _EPS)
     value = ValueWithError(pref * rho.value, bar)
     return KernelCoefficient(k=k, n=n, rho=rho, log_prefactor=math.log(pref),
                              value=value, terms_used=m_stop)
 
 
-def _deviation_bound(scale: float, scale_ulps: float, n: int) -> float:
-    """2 scale zeta(n)^2 for even n, rounded up into a true upper bound.
-
-    scale is within scale_ulps _EPS of its exact value, relatively.  In
-    `zeta_even` the power (2 pi)^n carries n times math.pi's relative error
-    (under _EPS / 4), and float(B_n), the power, the product, float(2 n!)
-    and the quotient round once each: zeta(n) is within (n / 4 + 3) _EPS.
-    The four roundings below add 2 _EPS.
-    """
-    z = zeta_even(n)
-    rel = (scale_ulps + 2 * (n / 4 + 3) + 2) * _EPS
-    return 2.0 * scale * z * z * (1.0 + rel)
-
-
 def per_k_bound(k: int) -> float:
-    """2 (2 pi)^(k/2) ((k/2)! / k!) zeta(k/2)^2: the weight-k deviation bound."""
+    """2 (2 pi)^h (h! / k!) zeta(h)^2, h = k/2: the weight-k deviation bound.
+
+    With zeta(h) = |B_h| (2 pi)^h / (2 h!) it is (2 pi)^(3h) B_h^2 / (2 k! h!),
+    returned as the least float at or above it.
+    """
     k = _check_weight(k)
     h = k // 2
-    # h math.pi errors in the power, then the power, quotient and product round once each
-    scale = (2.0 * math.pi) ** h * (math.factorial(h) / math.factorial(k))
-    return _deviation_bound(scale, h / 4 + 2, h)
+    b = bernoulli(h)
+    den = 2 * math.factorial(k) * math.factorial(h) * b.denominator**2
+    return _pi_power_up(8**h * b.numerator**2, den, 3 * h)
 
 
 def global_bound() -> float:
-    """2 (2 pi / 7) (2 pi / 8)^5 zeta(6)^2, the weight-uniform deviation bound (< 1)."""
-    # 6 math.pi errors, then the quotient by 7, the power and the product round once each
-    return _deviation_bound((2 * math.pi / 7.0) * (2 * math.pi / 8.0) ** 5, 4, 6)
+    """2 (2 pi / 7) (2 pi / 8)^5 zeta(6)^2 = pi^18 / (2^8 7 945^2), the
+    weight-uniform deviation bound (< 1), as the least float at or above it."""
+    return _pi_power_up(1, 2**8 * 7 * 945**2, 18)
 
 
 def certify(k: int, eps: float = 1e-10) -> Certificate:
-    """Certify that the bracket rho_k(1) (hence r_k(1), hence L(f_k, k/2)) is nonzero."""
+    """Certify that the bracket rho_k(1) (hence r_k(1), hence L(f_k, k/2)) is nonzero.
+
+    The verdict is the paper's inequality |rho_k(1) - 1| <= per_k_bound(k) < 1,
+    so rho_k(1) > 0.  The float rho of `r_k` is a cross-check: it must lie
+    within per_k_bound(k) plus its bar of 1, `PrecisionError` otherwise.
+    """
     coeff = r_k(k, 1, eps)
     k, rho = coeff.k, coeff.rho  # r_k's int weight
     bound = per_k_bound(k)
-    if rho.value < 1.0 - bound - rho.abs_err:
+    if abs(rho.value - 1.0) > bound + rho.abs_err:
         raise PrecisionError(
-            f"rho fell below the certified window 1 - per_k_bound for k={k}; "
+            f"rho left the certified window 1 +- per_k_bound for k={k}; "
             "this contradicts the deviation bound"
         )
-    nonvanishing = rho.excludes_zero()
-    sign = 0
-    if nonvanishing:
-        sign = 1 if rho.value > 0 else -1
+    nonvanishing = bound < 1.0
+    sign = 1 if nonvanishing else 0
     return Certificate(
         k=k,
         rho=rho,

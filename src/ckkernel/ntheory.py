@@ -1,17 +1,17 @@
 """Integer and arithmetic-function kernels.
 
-The cosine sums gamma_n(m) over the coprime factor pairs of m, exact
-Bernoulli numbers and the closed form of zeta at even integers.  The
-exponents a' a - c' c of the coprime pairs of m are sieved 256 consecutive
-m at a time and kept in a bounded memo of such blocks, shared across every
-n; gamma_n(m) is summed for one n and the 256 m of a block at once, and
-kept in a bounded memo of such (n, block) rows, shared across every weight
-k that asks the same n.  The even Bernoulli numbers come from the integer
+The cosine sums gamma_n(m) over the coprime factor pairs of m and exact
+Bernoulli numbers.  The exponents a' a - c' c of the coprime pairs of m
+are sieved 256 consecutive m at a time and kept in a bounded memo of such
+blocks, shared across every n; gamma_n(m) is summed for one n and the 256
+m of a block at once, and kept in a bounded memo of such (n, block) rows,
+shared across every weight k that asks the same n.  The even Bernoulli numbers come from the integer
 tangent-number recurrence, kept in a table that at least doubles when it
-grows.  For the kernel terms that cancel in floats, the module also holds
-pi bracketed in 256-bit fixed point, an alternating series summed between
-integer brackets, and gamma_n(m) and its cosines bracketed from the exact
-angles.
+grows.  The module also holds pi bracketed in 256-bit fixed point, from
+which every kernel-side constant in pi is taken: rounded up to a float for
+the deviation bounds and the tail scale, and, for the kernel terms that
+cancel in floats, an alternating series summed between integer brackets,
+and gamma_n(m) and its cosines bracketed from the exact angles.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "ValueWithError",
     "gamma_sum",
     "bernoulli",
-    "zeta_even",
 ]
 
 
@@ -152,16 +151,28 @@ _FIX_STOP = 1 << (_FIX_BITS - 96)
 
 @functools.lru_cache(maxsize=64)
 def _pi_power_bracket(p: int) -> tuple[int, int]:
-    """A fixed-point bracket of pi^p, p >= 1, from the p-th powers of the two
-    literals, rounded down at the lower end and up at the upper end."""
-    shift = _FIX_BITS * (p - 1)
-    return _PI_FIX_LO**p >> shift, -(-(_PI_FIX_HI**p) >> shift)
+    """A fixed-point bracket of pi^p, p >= 0, by binary powering of the two
+    literals, each step's product rounded down at the lower end and up at
+    the upper; its relative width stays below 2^-240 for p <= 64."""
+    lo, hi = _pi_power_bracket(p // 2) if p > 1 else (1 << _FIX_BITS,) * 2
+    a, b = (_PI_FIX_LO, _PI_FIX_HI) if p % 2 else (1 << _FIX_BITS,) * 2
+    return lo * lo * a >> 2 * _FIX_BITS, -(-hi * hi * b >> 2 * _FIX_BITS)
 
 
 def _pi_power_fixed(num: int, den: int, p: int) -> tuple[int, int]:
     """A fixed-point bracket of (num / den) pi^p, for num >= 0, den > 0, p >= 1."""
     lo, hi = _pi_power_bracket(p)
     return num * lo // den, -(-num * hi // den)
+
+
+def _pi_power_up(num: int, den: int, p: int) -> float:
+    """The least float at or above the upper end of `_pi_power_fixed`(num,
+    den, p), an upper bound of (num / den) pi^p: the int quotient rounds
+    once, and one exact comparison decides a step to the next float up."""
+    hi = _pi_power_fixed(num, den, p)[1]
+    up = hi / (1 << _FIX_BITS)
+    a, b = up.as_integer_ratio()
+    return up if a << _FIX_BITS >= hi * b else math.nextafter(up, math.inf)
 
 
 def _alternating_fixed(lead, y, a: int, b: int) -> tuple[int, int]:
@@ -250,10 +261,3 @@ def _even_bernoulli(h: int) -> list[Fraction]:
     return [Fraction(1)] + [
         Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1)) for k in range(1, h + 1)
     ]
-
-
-def zeta_even(n: int) -> float:
-    """Closed form zeta(n) = |B_n| (2 pi)^n / (2 n!) for even n >= 2."""
-    n = _integer("n", n, 2, 2)
-    b = bernoulli(n)
-    return abs(b) * (2.0 * math.pi) ** n / (2 * math.factorial(n))

@@ -447,9 +447,11 @@ def kohnen_triangle(
             abs(norm.value) - norm.abs_err)
     # Rounding, each step counted as one _EPS, twice the unit roundoff, which
     # covers the second-order terms: scale is within k/8 + 2 of its exact value
-    # (per_k_bound's count), and each term's product and quotient add 2 and
-    # the sum d - 1, relative to sum |term|; rhs_err carries scale's k/8 + 2
-    # and at most d + 6 roundings of its own.
+    # (2 math.pi is within _EPS / 4 of 2 pi relatively, so its k/2-th power
+    # within k/8, and the power and the quotient round once each), and each
+    # term's product and quotient add 2 and the sum d - 1, relative to
+    # sum |term|; rhs_err carries scale's k/8 + 2 and at most d + 6
+    # roundings of its own.
     d = len(values)
     bar = rhs_err * (1.0 + (k / 8 + d + 8) * _EPS) + (k / 8 + d + 3) * _EPS * mass
     rhs = ValueWithError(rhs_val, bar)

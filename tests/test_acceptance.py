@@ -22,7 +22,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_global_bound():
-    global_bound()  # warm the Bernoulli cache before timing
+    global_bound()  # warm the pi-power cache before timing
     t0 = time.perf_counter()
     g = global_bound()
     elapsed = time.perf_counter() - t0

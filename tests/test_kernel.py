@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -14,7 +15,7 @@ from ckkernel.kernel import (
     r_k,
     series_tail_bound,
 )
-from ckkernel.ntheory import gamma_sum
+from ckkernel.ntheory import ValueWithError, gamma_sum
 from ckkernel.specfun import HalfIntOrder, bessel_envelope, bessel_j
 
 
@@ -67,14 +68,17 @@ class TestBounds:
         assert global_bound() == pytest.approx(direct, rel=1e-13)
 
     def test_bounds_are_upper_bounds_at_50_digits(self):
+        # each bound is the least float at or above its exact value, and below 1
         with mp.workdps(50):
             two_pi = 2 * mp.pi
             for k in range(12, 41, 4):
                 h = k // 2
                 exact = 2 * two_pi**h * mp.factorial(h) / mp.factorial(k) * mp.zeta(h) ** 2
-                assert mp.mpf(per_k_bound(k)) >= exact, k
+                b = per_k_bound(k)
+                assert mp.mpf(math.nextafter(b, 0)) < exact <= mp.mpf(b) < 1, k
             exact = 2 * (two_pi / 7) * (two_pi / 8) ** 5 * mp.zeta(6) ** 2
-            assert mp.mpf(global_bound()) >= exact
+            g = global_bound()
+            assert mp.mpf(math.nextafter(g, 0)) < exact <= mp.mpf(g) < 1
 
     def test_per_k_domain(self):
         with pytest.raises(DomainError):
@@ -94,6 +98,17 @@ class TestSeriesTailBound:
                 x = math.pi / m
                 extra += gamma_sum(1, m) * math.sqrt(x) * bessel_j(nu, x).value
             assert math.sqrt(2 * math.pi) * abs(extra) <= series_tail_bound(k, 1, m0)
+
+    def test_tail_scale_is_the_least_float_above_sqrt_2pi_a(self):
+        # sqrt(2 pi) sqrt(x) (x/2)^nu / Gamma(nu + 1), x = n pi, nu = (k-1)/2
+        with mp.workdps(50):
+            for k in range(12, 41, 4):
+                nu = mp.mpf(k - 1) / 2
+                for n in range(1, 6):
+                    x = n * mp.pi
+                    exact = mp.sqrt(2 * mp.pi * x) * (x / 2) ** nu / mp.gamma(nu + 1)
+                    scale = kernel._tail_scale(k, n)
+                    assert mp.mpf(math.nextafter(scale, 0)) < exact <= mp.mpf(scale), (k, n)
 
     def test_decreases_in_cutoff(self):
         assert series_tail_bound(12, 1, 64) < series_tail_bound(12, 1, 8)
@@ -300,6 +315,24 @@ class TestCertify:
             assert cert.nonvanishing
             assert cert.sign == 1
             assert cert.rho.value > 1.0 - cert.per_k_bound - cert.rho.abs_err
+
+    def test_verdict_rests_on_the_bound_not_on_the_bar(self, monkeypatch):
+        # a rho inside the window whose bar is wider than 1 still certifies
+        coeff = r_k(12, 1)
+        wide = dataclasses.replace(coeff, rho=ValueWithError(coeff.rho.value, 1.5))
+        monkeypatch.setattr(kernel, "r_k", lambda k, n, eps: wide)
+        cert = certify(12)
+        assert not cert.rho.excludes_zero()
+        assert cert.nonvanishing and cert.sign == 1
+
+    def test_rho_above_the_window_raises(self, monkeypatch):
+        coeff = r_k(12, 1)
+        bar = coeff.rho.abs_err
+        high = 1.0 + per_k_bound(12) + 2 * bar
+        monkeypatch.setattr(kernel, "r_k", lambda k, n, eps: dataclasses.replace(
+            coeff, rho=ValueWithError(high, bar)))
+        with pytest.raises(PrecisionError, match="window"):
+            certify(12)
 
     def test_certificate_carries_bounds(self):
         cert = certify(16)

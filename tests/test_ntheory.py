@@ -11,7 +11,6 @@ from ckkernel.ntheory import (
     ValueWithError,
     bernoulli,
     gamma_sum,
-    zeta_even,
 )
 
 EPS = 2.220446049250313e-16
@@ -250,6 +249,30 @@ class TestFixedPoint:
             assert ntheory._PI_FIX_LO < scaled < ntheory._PI_FIX_HI
         assert ntheory._PI_FIX_HI == ntheory._PI_FIX_LO + 1
 
+    def test_pi_power_brackets_hold_the_100_digit_power(self):
+        # and the bracket of the literals' own p-th powers, which each
+        # product's rounding outward keeps inside
+        bits = ntheory._FIX_BITS
+        with mp.workdps(100):
+            for p in range(1, 65):
+                lo, hi = ntheory._pi_power_bracket(p)
+                assert lo < mp.pi**p * mp.mpf(2) ** bits < hi, p
+                assert lo <= ntheory._PI_FIX_LO**p >> bits * (p - 1), p
+                assert hi >= -(-(ntheory._PI_FIX_HI**p) >> bits * (p - 1)), p
+                assert hi - lo < lo >> 240, p
+
+    def test_pi_power_up_is_the_least_float_at_or_above_the_bracket(self):
+        unit = 2**ntheory._FIX_BITS
+        stepped = 0  # calls whose quotient rounds down, so that nextafter steps up
+        for p in (1, 2, 6, 18, 60):
+            for num in range(1, 40):
+                for den in (1, 3, 7, 945, 2**20 + 1):
+                    up = ntheory._pi_power_up(num, den, p)
+                    top = Fraction(ntheory._pi_power_fixed(num, den, p)[1], unit)
+                    assert Fraction(math.nextafter(up, 0)) < top <= Fraction(up), (num, den, p)
+                    stepped += float(top) < top
+        assert 0 < stepped < 5 * 39 * 5  # both branches are taken
+
     def test_cosine_brackets_hold_the_60_digit_cosine(self):
         unit = 2**ntheory._FIX_BITS
         with mp.workdps(60):
@@ -327,36 +350,3 @@ class TestBernoulli:
         ascending = [bernoulli(n) for n in ns]
         assert descending == ascending
         assert len(ntheory._bernoulli_even) > 51
-
-
-class TestZeta:
-    def test_closed_forms(self):
-        assert zeta_even(2) == pytest.approx(math.pi**2 / 6, rel=1e-15)
-        assert zeta_even(6) == pytest.approx(math.pi**6 / 945, rel=1e-15)
-
-    def test_even_values_match_bernoulli_closed_form(self):
-        # an independent partial sum to M terms, its tail bracketed by the
-        # integrals from M and M + 1, against the allowance of
-        # kernel._deviation_bound
-        m = 5000
-        for n in range(2, 41, 2):
-            partial = math.fsum(j ** -float(n) for j in range(1, m + 1))
-            lo = partial + (m + 1) ** (1.0 - n) / (n - 1)
-            hi = partial + m ** (1.0 - n) / (n - 1)
-            z = zeta_even(n)
-            slack = (n / 4 + 3) * EPS * z
-            assert lo - slack <= z <= hi + slack
-
-    def test_domain(self):
-        for n in (-2, 0, 1, 3, 7):
-            with pytest.raises(DomainError):
-                zeta_even(n)
-
-    def test_error_bound_honest_against_mpmath(self):
-        # kernel._deviation_bound allows (n / 4 + 3) EPS of relative error
-        import mpmath as mp
-
-        with mp.workdps(50):
-            for n in range(2, 41, 2):
-                ref = mp.zeta(n)
-                assert abs(mp.mpf(zeta_even(n)) - ref) <= (n / 4 + 3) * EPS * ref

@@ -15,7 +15,7 @@ from ckkernel import kernel, lfunction, ntheory, petersson, qexpansion, specfun
 from ckkernel.errors import DomainError, PrecisionError, UnsupportedError
 from ckkernel.kernel import certify, per_k_bound, r_k, series_tail_bound
 from ckkernel.lfunction import central_values, coefficient_count, deligne_tail
-from ckkernel.ntheory import bernoulli, gamma_sum, zeta_even
+from ckkernel.ntheory import bernoulli, gamma_sum
 from ckkernel.petersson import QuadratureSpec, default_spec, kohnen_triangle, triangle_check
 from ckkernel.qexpansion import (
     Eigenform,
@@ -173,7 +173,7 @@ BUILDERS = [
     (gamma_sum, (3, 10)),
     (deligne_tail, (1.0, 3.0, 5)),  # its start n0
     (bernoulli, (4,)),
-    (zeta_even, (4,)),
+    (per_k_bound, (40,)),  # the top weight, whose bound takes the largest power of pi
     (HalfIntOrder, (11,)),
     (r_k, (12, 2, 1e-10)),
     (series_tail_bound, (12, 1, 10)),
