@@ -2,16 +2,19 @@
 
 The cosine sums gamma_n(m) over the coprime factor pairs of m and exact
 Bernoulli numbers.  The exponents a' a - c' c of the coprime pairs of m
-are sieved 256 consecutive m at a time and kept in a bounded memo of such
-blocks, shared across every n; gamma_n(m) is summed for one n and the 256
-m of a block at once, and kept in a bounded memo of such (n, block) rows,
-shared across every weight k that asks the same n.  The even Bernoulli numbers come from the integer
+are sieved 256 consecutive m at a time into two flat tuples, offsets and
+exponents, so the blocks hold no object per m for the garbage collector to
+scan, and kept in a bounded memo of such blocks, shared across every n;
+gamma_n(m) is summed for one n and the 256 m of a block at once, and kept
+in a bounded memo of such (n, block) rows, shared across every weight k
+that asks the same n.  The even Bernoulli numbers come from the integer
 tangent-number recurrence, kept in a table that at least doubles when it
 grows.  The module also holds pi bracketed in 256-bit fixed point, from
 which every kernel-side constant in pi is taken: rounded up to a float for
-the deviation bounds and the tail scale, and, for the kernel terms that
-cancel in floats, an alternating series summed between integer brackets,
-and gamma_n(m) and its cosines bracketed from the exact angles.
+the deviation bounds and the tail scale, rounded once for r_k's prefactor
+and the Kohnen triangle's scale, and, for the kernel terms that cancel in
+floats, an alternating series summed between integer brackets, and
+gamma_n(m) and its cosines bracketed from the exact angles.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
 
 from .errors import DomainError, _integer
 
@@ -41,15 +45,11 @@ class ValueWithError:
     value: float
     abs_err: float
 
-    def __init__(self, value: float, abs_err: float):
-        # one per Bessel term of the kernel series: one comparison, which nan
-        # fails, and the fields written to the instance dict, as the frozen
-        # class's __setattr__ raises
-        if not 0.0 <= abs_err < math.inf:
-            raise ValueError(f"abs_err must be finite and >= 0, got {abs_err}")
-        fields = self.__dict__
-        fields["value"] = value
-        fields["abs_err"] = abs_err
+    def __post_init__(self):
+        # nan fails the comparison; `specfun.bessel_j`, one per kernel term,
+        # writes the two fields to the instance dict without this check
+        if not 0.0 <= self.abs_err < math.inf:
+            raise ValueError(f"abs_err must be finite and >= 0, got {self.abs_err}")
 
     def excludes_zero(self) -> bool:
         return abs(self.value) > self.abs_err
@@ -90,44 +90,55 @@ def _gamma_row(n: int, b: int) -> array:
     The angle of a pair is pi n s / m with s = a' a - c' c read from
     `_pair_block`(b).  n is taken as an int and n s is reduced exactly mod
     2m, n first, so every product is exact; the residue is folded into t in
-    [0, m], and the cosine is exact when 6 t / m is 0, 2, 3, 4 or 6
-    (t / m in {0, 1/3, 1/2, 2/3, 1}).  Each m sums its cosines in the order
-    of its sorted pairs (a, c): the half with a < sqrt(m), then its mirror,
-    since the pair (c, a) negates the angle of (a, c).
+    [0, m].  The cosine is exact when 6 t / m is 0, 2, 3, 4 or 6
+    (t / m in {0, 1/3, 1/2, 2/3, 1}), which some pair of m can meet only if
+    m | 6n, as s is a unit mod m: that is tested once per m.  Each m sums
+    its cosines in the order of its sorted pairs (a, c): the half with
+    a < sqrt(m), then its mirror, since the pair (c, a) negates the angle
+    of (a, c); an m with one such pair, (1, m), sums c + c.
     """
     n = int(n)
     cos, pi = math.cos, math.pi
+    starts, exponents = _pair_block(b)
     row = array("d")
-    for m, exponents in enumerate(_pair_block(b), b << 8):
+    for m, lo, hi in zip(range(b << 8, (b + 1) << 8), starts, starts[1:]):
         if m < 2:
             row.append(1.0)
             continue
         two_m = 2 * m
         r = n % two_m
-        sixths = 6 * r % m == 0  # m | 6t for some pair only if m | 6n, as s is a unit mod m
         half = []
-        for s in exponents:
-            t = r * s % two_m
-            if t > m:
-                t = two_m - t
-            c = _COS_SIXTHS[6 * t // m] if sixths else None
-            half.append(cos(pi * (t / m)) if c is None else c)
-        row.append(sum(half + half[::-1]))
+        if 6 * r % m:
+            for s in exponents[lo:hi]:
+                t = r * s % two_m
+                if t > m:
+                    t = two_m - t
+                half.append(cos(pi * (t / m)))
+        else:
+            for s in exponents[lo:hi]:
+                t = r * s % two_m
+                if t > m:
+                    t = two_m - t
+                c = _COS_SIXTHS[6 * t // m]
+                half.append(cos(pi * (t / m)) if c is None else c)
+        row.append(half[0] + half[0] if hi - lo == 1 else sum(half + half[::-1]))
     return row
 
 
 # 32 blocks hold m < 8,192, above r_k's deepest cut (5,144 at k = 12, n = 5,
 # eps = 1e-14); a report's cuts, at most 112 terms, fill block 0 alone.
 @functools.lru_cache(maxsize=32)
-def _pair_block(b: int) -> list[tuple[int, ...]]:
-    """The exponents s = a' a - c' c of `gamma_sum`, for each m in [256 b, 256 b + 256):
-    one tuple per m of its coprime pairs a*c = m with a < c, in increasing a.
+def _pair_block(b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The exponents s = a' a - c' c of `gamma_sum` for the m in [256 b, 256 b + 256),
+    one per coprime pair a*c = m with a < c, in increasing a: those of the
+    i-th m run from the i-th of 257 offsets to the next, in one flat tuple.
+    Two tuples, not one per m, keep a sweep's blocks from the collector.
 
     One sieve over a < c with a*c in the block and gcd(a, c) = 1 fills every
-    tuple, a in the outer loop, so each lists its pairs as trial division
-    up to sqrt(m) would.  e = a a' is 0 mod a and 1 mod c, c c' = (1 - e)
-    mod m, so s is 1 when e = 1 (a = 1, the pair (1, m) of every m >= 2)
-    and 2e - 1 - m otherwise.  m = 0 and m = 1 have no such pair.
+    m, a in the outer loop, so each lists its pairs as trial division up to
+    sqrt(m) would.  e = a a' is 0 mod a and 1 mod c, c c' = (1 - e) mod m,
+    so s is 1 when e = 1 (a = 1, the pair (1, m) of every m >= 2) and
+    2e - 1 - m otherwise.  m = 0 and m = 1 have no such pair.
     """
     lo, hi = b << 8, (b + 1) << 8
     block = [[1] if m > 1 else [] for m in range(lo, hi)]
@@ -136,7 +147,7 @@ def _pair_block(b: int) -> list[tuple[int, ...]]:
             if math.gcd(a, c) == 1:
                 m = a * c
                 block[m - lo].append(2 * a * pow(a, -1, c) - 1 - m)
-    return [tuple(s) for s in block]
+    return tuple(accumulate(map(len, block), initial=0)), tuple(chain.from_iterable(block))
 
 
 # Fixed point: an int v stands for v / 2^_FIX_BITS, and a pair (lo, hi) of such
@@ -221,8 +232,9 @@ def _gamma_fixed(n: int, m: int) -> tuple[int, int]:
     pi n s / m of `_pair_block`; the pairs (a, c) and (c, a) share a cosine."""
     if m == 1:
         return (1 << _FIX_BITS,) * 2
+    starts, exponents = _pair_block(m >> 8)
     lo = hi = 0
-    for s in _pair_block(m >> 8)[m & 255]:
+    for s in exponents[starts[m & 255]:starts[(m & 255) + 1]]:
         c_lo, c_hi = _cos_pi_fixed(n * s, m)
         lo, hi = lo + 2 * c_lo, hi + 2 * c_hi
     return lo, hi

@@ -45,7 +45,7 @@ from typing import NamedTuple
 from .errors import DomainError, PrecisionError, _integer, _shown
 from .kernel import _check_weight, r_k
 from .lfunction import central_values, deligne_count, deligne_tail, gamma_series
-from .ntheory import ValueWithError
+from .ntheory import _FIX_BITS, ValueWithError, _pi_power_fixed
 from .qexpansion import Eigenform, dim_cusp
 from .specfun import _EPS
 
@@ -433,7 +433,9 @@ def kohnen_triangle(
     k = _check_weight(k)
     if len(values) != dim_cusp(k) or any(f.weight != k for f, _ in values):
         raise DomainError(f"kohnen_triangle needs the {dim_cusp(k)} forms of weight {k}")
-    scale = 1.0 / (16.0 * (2.0 * math.pi) ** (k / 2))
+    # 16 (2 pi)^(k/2) lies in a bracket [lo, hi] / 2^256 less than 2^-240
+    # wide relatively; the int quotient rounds 2^256 / mid, mid = (lo + hi) / 2, once
+    scale = (2 << _FIX_BITS) / sum(_pi_power_fixed(16 * 2 ** (k // 2), 1, k // 2))
     rhs_val = rhs_err = mass = 0.0
     for f, lv in values:
         norm = petersson_norm_sq(f)
@@ -446,14 +448,12 @@ def kohnen_triangle(
         rhs_err += scale * (lv.abs_err + abs(lv.value) * norm.abs_err / abs(norm.value)) / (
             abs(norm.value) - norm.abs_err)
     # Rounding, each step counted as one _EPS, twice the unit roundoff, which
-    # covers the second-order terms: scale is within k/8 + 2 of its exact value
-    # (2 math.pi is within _EPS / 4 of 2 pi relatively, so its k/2-th power
-    # within k/8, and the power and the quotient round once each), and each
-    # term's product and quotient add 2 and the sum d - 1, relative to
-    # sum |term|; rhs_err carries scale's k/8 + 2 and at most d + 6
-    # roundings of its own.
+    # covers the second-order terms: scale is within one of its exact value
+    # (half an ulp and the bracket's half width), and each term's product and
+    # quotient add 2 and the sum d - 1, relative to sum |term|; rhs_err
+    # carries scale's one and at most d + 6 roundings of its own.
     d = len(values)
-    bar = rhs_err * (1.0 + (k / 8 + d + 8) * _EPS) + (k / 8 + d + 3) * _EPS * mass
+    bar = rhs_err * (1.0 + (d + 7) * _EPS) + (d + 2) * _EPS * mass
     rhs = ValueWithError(rhs_val, bar)
     return TriangleCheck(k=k, lhs=lhs, rhs=rhs, ratio=lhs.value / rhs.value)
 

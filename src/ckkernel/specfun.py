@@ -9,8 +9,10 @@ incomplete gamma function used by the completed-L sums.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from math import exp, log
 
 from .errors import DomainError, PrecisionError, _integer
 from .ntheory import ValueWithError, _alternating_fixed, _pi_power_fixed
@@ -34,6 +36,11 @@ MAX_SERIES_ARG = 16.0
 _GAMMA_ULPS = 10.0
 # Gamma(nu + 1) is a finite float up to nu = 341 / 2 (Gamma(172.5) > 1.8e308)
 _MAX_TWICE_NU = 341
+# bessel_j's steps: at x <= MAX_SERIES_ARG its term j, (x/2)^(nu+2j) /
+# (j! Gamma(nu+j+1)), is below 2^-1075 / 1.01 from j = 177 on for every nu (the
+# largest at nu = 1/2), so the float term is 0 or 5e-324 there, which stops it
+_BESSEL_STEPS = 192
+_new = object.__new__
 
 
 @dataclass(frozen=True)
@@ -41,14 +48,16 @@ class HalfIntOrder:
     """A half-integer Bessel order nu = twice_nu / 2 with twice_nu odd and >= 1
     (an integral float is stored as the int), with the constants of every
     J_nu term taken once: the double factorial twice_nu!!, Gamma(nu + 1) =
-    twice_nu!! sqrt(pi) / 2^((twice_nu + 1) / 2) from it, within 2 _EPS, and
-    ln Gamma(nu + 1) by `math.lgamma` for the envelope.  `PrecisionError`
-    past twice_nu = 341, where Gamma(nu + 1) leaves the float range."""
+    twice_nu!! sqrt(pi) / 2^((twice_nu + 1) / 2) from it, within 2 _EPS,
+    ln Gamma(nu + 1) by `math.lgamma` for the envelope, and `bessel_j`'s
+    step denominators.  `PrecisionError` past twice_nu = 341, where
+    Gamma(nu + 1) leaves the float range."""
 
     twice_nu: int
     double_factorial: int = field(init=False, repr=False, compare=False)
     gamma_nu_plus_one: float = field(init=False, repr=False, compare=False)
     lgamma_nu_plus_one: float = field(init=False, repr=False, compare=False)
+    step_denominators: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         twice_nu = _integer("twice_nu", self.twice_nu, 1, 2)
@@ -63,6 +72,7 @@ class HalfIntOrder:
         gamma = df / (1 << (twice_nu + 1) // 2) * math.sqrt(math.pi)
         object.__setattr__(self, "gamma_nu_plus_one", gamma)
         object.__setattr__(self, "lgamma_nu_plus_one", math.lgamma(twice_nu / 2.0 + 1.0))
+        object.__setattr__(self, "step_denominators", _step_denominators(twice_nu))
 
     @property
     def nu(self) -> float:
@@ -72,6 +82,14 @@ class HalfIntOrder:
     def for_weight(cls, k: int) -> "HalfIntOrder":
         """The order (k-1)/2 attached to an even weight k."""
         return cls(k - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _step_denominators(twice_nu: int) -> tuple[float, ...]:
+    """(j + 1)(nu + j + 1) for the j < _BESSEL_STEPS of `bessel_j`, as
+    i (nu + i), i = j + 1, once per order: exact floats either way."""
+    v = twice_nu / 2.0
+    return tuple([i * (v + i) for i in range(1, _BESSEL_STEPS + 1)])
 
 
 def bessel_envelope(nu: HalfIntOrder, x: float) -> float:
@@ -89,7 +107,10 @@ def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
     sum_{j>=0} (-1)^j (x/2)^(nu+2j) / (j! Gamma(nu+j+1)).  The series is
     alternating; once the term ratio drops below 1 it is also decreasing,
     so the first omitted term bounds the tail.  Truncation stops only in
-    that regime, which every x <= MAX_SERIES_ARG reaches quickly.
+    that regime, which every x <= MAX_SERIES_ARG reaches within
+    _BESSEL_STEPS steps; a NaN x never does, and raises `PrecisionError`.
+    The ratio of step j is (x/2)^2 / ((j + 1)(nu + j + 1)), its denominator
+    read from nu's `step_denominators`, built once per order.
 
     No partial sum exceeds the largest term, so max_abs, the scale of the
     (j + 2) _EPS max_abs charged for the float sums (each of the j additions
@@ -120,16 +141,15 @@ def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
     v = nu.twice_nu / 2.0
     half = x / 2.0
     q = half * half
-    a = v * math.log(half)
-    term = math.exp(a) / nu.gamma_nu_plus_one
+    a = v * log(half)
+    term = exp(a) / nu.gamma_nu_plus_one
     # log within an ulp, then the product: a is within 1.5 |a| _EPS, so exp(a)
     # within 2 |a| _EPS relatively while that is far below 1; exp's ulp,
     # Gamma's 2 _EPS and the quotient add 3.5 _EPS
     lead_err = (2.0 * abs(a) + 4.0) * _EPS * term
     total = max_abs = term  # >= 0
-    j = 0
-    while True:
-        ratio = q / ((j + 1) * (v + j + 1))
+    for j, d in enumerate(nu.step_denominators):
+        ratio = q / d
         term = -term * ratio
         tail = abs(term)  # at the break, the first omitted term
         if ratio < 1.0 and tail <= 1e-18 * abs(total) + 5e-324:
@@ -137,11 +157,12 @@ def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
         total += term
         if tail > max_abs:
             max_abs = tail
-        j += 1
-        if j > 500:
-            raise PrecisionError("bessel_j series failed to converge")
-    float_err = (j + 2) * _EPS * max_abs + lead_err
-    return ValueWithError(total, tail + float_err)
+    else:
+        raise PrecisionError("bessel_j series failed to converge")
+    out = _new(ValueWithError)  # the bar is finite and >= 0: no check to rerun
+    fields = out.__dict__
+    fields["value"], fields["abs_err"] = total, tail + ((j + 2) * _EPS * max_abs + lead_err)
+    return out
 
 
 def _bessel_factor_fixed(nu: HalfIntOrder, n: int, m: int) -> tuple[int, int]:

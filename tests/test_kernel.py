@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
 import math
+import platform
+import sys
 
 import mpmath as mp
 import pytest
@@ -306,6 +309,35 @@ class TestRkBar:
         monkeypatch.setattr(kernel, "_EPS", 1e-9)
         with pytest.raises(PrecisionError, match="above eps"):
             r_k(12, 1, 1e-10)
+
+
+# r_k's outputs over k = 12..40 step 4, n = 1..5 and four eps, recorded with
+# CPython 3.11 and glibc's libm on x86-64 Linux: another libm's cos, exp or
+# log, or the compensated float sum() of CPython 3.12, may move a last bit
+_R_K_DIGEST = "0fd6c270ce4d737367a7ffd6c1cf931dc04e7682dc403a380935e1bac3f4863c"
+_R_K_DIGEST_PLATFORM = ("linux", "x86_64", (3, 11))
+
+
+def r_k_digest() -> str:
+    """sha256 over the hex of rho, its bar, r_k and its bar, and the cut."""
+    h = hashlib.sha256()
+    for k in range(12, 41, 4):
+        for n in range(1, 6):
+            for eps in (1e-8, 1e-10, 1e-13, 1e-14):
+                c = r_k(k, n, eps)
+                fields = (c.rho.value, c.rho.abs_err, c.value.value, c.value.abs_err)
+                h.update(" ".join([*(x.hex() for x in fields), str(c.terms_used)]).encode())
+                h.update(b"\n")
+    return h.hexdigest()
+
+
+class TestRkDigest:
+    @pytest.mark.skipif(
+        (sys.platform, platform.machine(), sys.version_info[:2]) != _R_K_DIGEST_PLATFORM,
+        reason="the digest was recorded with one libm and one float sum()",
+    )
+    def test_outputs_are_bit_identical_to_the_recorded_digest(self):
+        assert r_k_digest() == _R_K_DIGEST
 
 
 class TestCertify:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 from fractions import Fraction
 
@@ -127,18 +128,36 @@ class TestGammaSum:
                 assert gamma_sum(n, m) == ref, (n, m)
 
     def test_sieved_blocks_match_trial_division(self):
-        # each block tuple lists s = a' a - c' c, from the two inverses, for the
-        # oracle's pairs with a < c, in its (increasing a) order
+        # each block's flat exponents, read m by m between its 257 offsets, list
+        # s = a' a - c' c, from the two inverses, for the oracle's pairs with
+        # a < c, in its (increasing a) order
         def exponents(m):
             return tuple(pow(a, -1, c) * a - (pow(c, -1, a) if a > 1 else 0) * c
                          for a, c in coprime_factor_pairs(m) if a < c)
 
         blocks = list(range(20_000 // 256 + 1)) + [(2**31 - 1) >> 8, (10**9 + 7) >> 8]
         for b in blocks:
-            block = ntheory._pair_block(b)
-            assert len(block) == 256
+            starts, flat = ntheory._pair_block(b)
+            assert len(starts) == 257
+            assert starts[0] == 0 and starts[-1] == len(flat)
             for m in range(max(1, 256 * b), 256 * b + 256):
-                assert block[m - 256 * b] == exponents(m), m
+                i = m - 256 * b
+                assert flat[starts[i]:starts[i + 1]] == exponents(m), m
+
+    def test_a_kept_block_adds_a_handful_of_tracked_objects(self):
+        # a block is two flat tuples, not one tuple per m, so the blocks a
+        # sweep keeps do not feed the garbage collector
+        ntheory._pair_block.cache_clear()
+        enabled = gc.isenabled()
+        gc.disable()  # no collection may untrack the block's tuples meanwhile
+        try:
+            before = len(gc.get_objects())
+            ntheory._pair_block(19)
+            after = len(gc.get_objects())
+        finally:
+            if enabled:
+                gc.enable()
+        assert after - before <= 4
 
     def test_rows_match_the_per_call_reference(self):
         # each m of a row summed as one call per m did: the exponents of the

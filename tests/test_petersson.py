@@ -21,7 +21,7 @@ from ckkernel.petersson import (
     petersson_norm_sq,
     triangle_check,
 )
-from ckkernel.qexpansion import Eigenform, eigenforms
+from ckkernel.qexpansion import Eigenform, dim_cusp, eigenforms
 
 EPS = 2.220446049250313e-16
 # (Delta, Delta) in the unnormalized measure: at 40 digits with the exact tau(n),
@@ -389,6 +389,21 @@ class TestTriangleCheck:
             triangle_check(14)
         with pytest.raises(DomainError):
             triangle_check(44)
+
+    def test_scale_is_the_rounded_50_digit_value_charged_once(self, monkeypatch):
+        # with unit norms and one unit central value the spectral sum is the
+        # scale 1 / (16 (2 pi)^(k/2)) itself: correctly rounded from the pi
+        # bracket, and charged (d + 2) _EPS, one of them the scale's
+        monkeypatch.setattr(petersson, "petersson_norm_sq", lambda f: ValueWithError(1.0, 0.0))
+        for k in range(12, 41, 4):
+            d = dim_cusp(k)
+            values = [(Eigenform(k, (1.0,)), ValueWithError(float(i == 0), 0.0)) for i in range(d)]
+            rhs = kohnen_triangle(k, ValueWithError(1.0, 0.0), values).rhs
+            with mpmath.workdps(50):
+                exact = 1 / (16 * (2 * mpmath.pi) ** (k // 2))
+                assert rhs.value == float(exact), k
+                assert abs(rhs.value - exact) <= EPS / 2 * exact, k
+            assert rhs.abs_err == (d + 2) * EPS * rhs.value, k
 
     def test_kohnen_triangle_rejects_a_mismatched_weight_or_form_set(self):
         # the identity holds only for all the eigenforms of one certified weight

@@ -239,6 +239,20 @@ class TestBesselJ:
         j = bessel_j(nu, x)
         assert (j.value, j.abs_err) == _reference_bessel_j(nu, x)
 
+    def test_the_step_denominators_outlast_every_series(self):
+        # past the last step the term (x/2)^(nu+2j) / (j! Gamma(nu+j+1)) is below
+        # 2^-1075 / 1.01 at x = MAX_SERIES_ARG for every order, so the float term
+        # is 0 or 5e-324 there and the series has stopped; a NaN x never stops
+        with mp.workdps(30):
+            half = mp.mpf(MAX_SERIES_ARG) / 2
+            for twice_nu in range(1, 342, 2):
+                j = len(HalfIntOrder(twice_nu).step_denominators)
+                v = mp.mpf(twice_nu) / 2
+                term = half ** (v + 2 * j) / (mp.factorial(j) * mp.gamma(v + j + 1))
+                assert term < mp.mpf(2) ** -1075 / 1.01, twice_nu
+        with pytest.raises(PrecisionError, match="converge"):
+            bessel_j(HalfIntOrder(1), math.nan)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             bessel_j(HalfIntOrder(1), 0.0)
