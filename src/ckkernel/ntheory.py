@@ -45,11 +45,15 @@ class ValueWithError:
     value: float
     abs_err: float
 
-    def __post_init__(self):
-        # nan fails the comparison; `specfun.bessel_j`, one per kernel term,
-        # writes the two fields to the instance dict without this check
-        if not 0.0 <= self.abs_err < math.inf:
-            raise ValueError(f"abs_err must be finite and >= 0, got {self.abs_err}")
+    def __init__(self, value: float, abs_err: float):
+        # one per Bessel term of the kernel series: one comparison, which nan
+        # fails, and the fields written to the instance dict, as the frozen
+        # class's __setattr__ raises
+        if not 0.0 <= abs_err < math.inf:
+            raise ValueError(f"abs_err must be finite and >= 0, got {abs_err}")
+        fields = self.__dict__
+        fields["value"] = value
+        fields["abs_err"] = abs_err
 
     def excludes_zero(self) -> bool:
         return abs(self.value) > self.abs_err
@@ -90,12 +94,10 @@ def _gamma_row(n: int, b: int) -> array:
     The angle of a pair is pi n s / m with s = a' a - c' c read from
     `_pair_block`(b).  n is taken as an int and n s is reduced exactly mod
     2m, n first, so every product is exact; the residue is folded into t in
-    [0, m].  The cosine is exact when 6 t / m is 0, 2, 3, 4 or 6
-    (t / m in {0, 1/3, 1/2, 2/3, 1}), which some pair of m can meet only if
-    m | 6n, as s is a unit mod m: that is tested once per m.  Each m sums
-    its cosines in the order of its sorted pairs (a, c): the half with
-    a < sqrt(m), then its mirror, since the pair (c, a) negates the angle
-    of (a, c); an m with one such pair, (1, m), sums c + c.
+    [0, m], and the cosine is exact when 6 t / m is 0, 2, 3, 4 or 6
+    (t / m in {0, 1/3, 1/2, 2/3, 1}).  Each m sums its cosines in the order
+    of its sorted pairs (a, c): the half with a < sqrt(m), then its mirror,
+    since the pair (c, a) negates the angle of (a, c).
     """
     n = int(n)
     cos, pi = math.cos, math.pi
@@ -107,21 +109,15 @@ def _gamma_row(n: int, b: int) -> array:
             continue
         two_m = 2 * m
         r = n % two_m
+        sixths = 6 * r % m == 0  # m | 6t for some pair only if m | 6n, as s is a unit mod m
         half = []
-        if 6 * r % m:
-            for s in exponents[lo:hi]:
-                t = r * s % two_m
-                if t > m:
-                    t = two_m - t
-                half.append(cos(pi * (t / m)))
-        else:
-            for s in exponents[lo:hi]:
-                t = r * s % two_m
-                if t > m:
-                    t = two_m - t
-                c = _COS_SIXTHS[6 * t // m]
-                half.append(cos(pi * (t / m)) if c is None else c)
-        row.append(half[0] + half[0] if hi - lo == 1 else sum(half + half[::-1]))
+        for s in exponents[lo:hi]:
+            t = r * s % two_m
+            if t > m:
+                t = two_m - t
+            c = _COS_SIXTHS[6 * t // m] if sixths else None
+            half.append(cos(pi * (t / m)) if c is None else c)
+        row.append(sum(half + half[::-1]))
     return row
 
 

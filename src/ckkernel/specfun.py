@@ -49,8 +49,9 @@ class HalfIntOrder:
     (an integral float is stored as the int), with the constants of every
     J_nu term taken once: the double factorial twice_nu!!, Gamma(nu + 1) =
     twice_nu!! sqrt(pi) / 2^((twice_nu + 1) / 2) from it, within 2 _EPS,
-    ln Gamma(nu + 1) by `math.lgamma` for the envelope, and `bessel_j`'s
-    step denominators.  `PrecisionError` past twice_nu = 341, where
+    ln Gamma(nu + 1) by `math.lgamma` for the envelope, and the step
+    denominators (j + 1)(nu + j + 1), j < _BESSEL_STEPS, of `bessel_j`,
+    each an exact float.  `PrecisionError` past twice_nu = 341, where
     Gamma(nu + 1) leaves the float range."""
 
     twice_nu: int
@@ -72,24 +73,18 @@ class HalfIntOrder:
         gamma = df / (1 << (twice_nu + 1) // 2) * math.sqrt(math.pi)
         object.__setattr__(self, "gamma_nu_plus_one", gamma)
         object.__setattr__(self, "lgamma_nu_plus_one", math.lgamma(twice_nu / 2.0 + 1.0))
-        object.__setattr__(self, "step_denominators", _step_denominators(twice_nu))
+        steps = tuple([i * (twice_nu / 2.0 + i) for i in range(1, _BESSEL_STEPS + 1)])
+        object.__setattr__(self, "step_denominators", steps)
 
     @property
     def nu(self) -> float:
         return self.twice_nu / 2.0
 
     @classmethod
+    @functools.lru_cache(maxsize=32)
     def for_weight(cls, k: int) -> "HalfIntOrder":
-        """The order (k-1)/2 attached to an even weight k."""
+        """The order (k-1)/2 attached to an even weight k, built once per k."""
         return cls(k - 1)
-
-
-@functools.lru_cache(maxsize=None)
-def _step_denominators(twice_nu: int) -> tuple[float, ...]:
-    """(j + 1)(nu + j + 1) for the j < _BESSEL_STEPS of `bessel_j`, as
-    i (nu + i), i = j + 1, once per order: exact floats either way."""
-    v = twice_nu / 2.0
-    return tuple([i * (v + i) for i in range(1, _BESSEL_STEPS + 1)])
 
 
 def bessel_envelope(nu: HalfIntOrder, x: float) -> float:
@@ -110,7 +105,7 @@ def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
     that regime, which every x <= MAX_SERIES_ARG reaches within
     _BESSEL_STEPS steps; a NaN x never does, and raises `PrecisionError`.
     The ratio of step j is (x/2)^2 / ((j + 1)(nu + j + 1)), its denominator
-    read from nu's `step_denominators`, built once per order.
+    read from nu's `step_denominators`.
 
     No partial sum exceeds the largest term, so max_abs, the scale of the
     (j + 2) _EPS max_abs charged for the float sums (each of the j additions
@@ -159,7 +154,9 @@ def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
             max_abs = tail
     else:
         raise PrecisionError("bessel_j series failed to converge")
-    out = _new(ValueWithError)  # the bar is finite and >= 0: no check to rerun
+    # the bar is finite and >= 0: the fields go to the instance dict as
+    # ValueWithError's own __init__ writes them, without its check and frame
+    out = _new(ValueWithError)
     fields = out.__dict__
     fields["value"], fields["abs_err"] = total, tail + ((j + 2) * _EPS * max_abs + lead_err)
     return out
