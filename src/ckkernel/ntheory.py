@@ -46,9 +46,10 @@ class ValueWithError:
     abs_err: float
 
     def __init__(self, value: float, abs_err: float):
-        # one per Bessel term of the kernel series: one comparison, which nan
-        # fails, and the fields written to the instance dict, as the frozen
-        # class's __setattr__ raises
+        # one comparison, which nan fails, and the fields written to the
+        # instance dict, as the frozen class's __setattr__ raises;
+        # `specfun.bessel_j`, one per kernel term, fills its results' dicts
+        # alike without the check, which its own bar passes
         if not 0.0 <= abs_err < math.inf:
             raise ValueError(f"abs_err must be finite and >= 0, got {abs_err}")
         fields = self.__dict__

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from ckkernel.errors import DomainError, PrecisionError
-from ckkernel.ntheory import _FIX_BITS, _PI_FIX_LO
+from ckkernel.ntheory import _FIX_BITS, _PI_FIX_LO, ValueWithError
 from ckkernel.specfun import (
     MAX_SERIES_ARG,
     HalfIntOrder,
@@ -238,6 +238,17 @@ class TestBesselJ:
         nu = HalfIntOrder(2 * i + 1)
         j = bessel_j(nu, x)
         assert (j.value, j.abs_err) == _reference_bessel_j(nu, x)
+
+    def test_result_is_the_value_the_checked_constructor_builds(self):
+        # bessel_j fills its result's instance dict without ValueWithError's
+        # __init__: it must still be the same frozen value, field for field
+        j = bessel_j(HalfIntOrder(23), 3.0)
+        built = ValueWithError(j.value, j.abs_err)
+        assert type(j) is ValueWithError
+        assert j == built and repr(j) == repr(built) and hash(j) == hash(built)
+        assert vars(j) == vars(built) and dataclasses.astuple(j) == (j.value, j.abs_err)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            j.abs_err = 0.0
 
     def test_the_step_denominators_outlast_every_series(self):
         # past the last step the term (x/2)^(nu+2j) / (j! Gamma(nu+j+1)) is below
