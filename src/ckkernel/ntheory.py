@@ -47,9 +47,7 @@ class ValueWithError:
 
     def __init__(self, value: float, abs_err: float):
         # one comparison, which nan fails, and the fields written to the
-        # instance dict, as the frozen class's __setattr__ raises;
-        # `specfun.bessel_j`, one per kernel term, fills its results' dicts
-        # alike without the check, which its own bar passes
+        # instance dict, as the frozen class's __setattr__ raises
         if not 0.0 <= abs_err < math.inf:
             raise ValueError(f"abs_err must be finite and >= 0, got {abs_err}")
         fields = self.__dict__
@@ -58,6 +56,20 @@ class ValueWithError:
 
     def excludes_zero(self) -> bool:
         return abs(self.value) > self.abs_err
+
+
+_new = object.__new__
+
+
+def _unchecked(value: float, abs_err: float) -> ValueWithError:
+    """ValueWithError(value, abs_err) without the check of abs_err, for a bar
+    finite and >= 0 by construction: `specfun.bessel_j`'s, once per kernel
+    term, where the check and __init__'s frame cost 0.4 ms of a 21 ms kernel
+    sweep (Python 3.11, AMD EPYC)."""
+    out = _new(ValueWithError)
+    fields = out.__dict__
+    fields["value"], fields["abs_err"] = value, abs_err
+    return out
 
 
 def gamma_sum(n: int, m: int) -> float:
@@ -93,7 +105,8 @@ def _gamma_row(n: int, b: int) -> array:
     """gamma_n(m) for each m in [256 b, 256 b + 256), 1.0 at m = 0 and m = 1.
 
     The angle of a pair is pi n s / m with s = a' a - c' c read from
-    `_pair_block`(b).  n is taken as an int and n s is reduced exactly mod
+    `_pair_block`(b), the slice of its flat exponents between m's two
+    offsets.  n is taken as an int and n s is reduced exactly mod
     2m, n first, so every product is exact; the residue is folded into t in
     [0, m], and the cosine is exact when 6 t / m is 0, 2, 3, 4 or 6
     (t / m in {0, 1/3, 1/2, 2/3, 1}).  Each m sums its cosines in the order

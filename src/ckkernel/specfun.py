@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from math import exp, log
 
 from .errors import DomainError, PrecisionError, _integer
-from .ntheory import ValueWithError, _alternating_fixed, _pi_power_fixed
+from .ntheory import ValueWithError, _alternating_fixed, _pi_power_fixed, _unchecked
 
 __all__ = [
     "HalfIntOrder",
@@ -40,7 +40,6 @@ _MAX_TWICE_NU = 341
 # (j! Gamma(nu+j+1)), is below 2^-1075 / 1.01 from j = 177 on for every nu (the
 # largest at nu = 1/2), so the float term is 0 or 5e-324 there, which stops it
 _BESSEL_STEPS = 192
-_new = object.__new__
 
 
 @dataclass(frozen=True)
@@ -155,14 +154,8 @@ def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
             max_abs = tail
     else:
         raise PrecisionError("bessel_j series failed to converge")
-    # the bar is finite and >= 0: the fields go to the instance dict as
-    # ValueWithError's own __init__ writes them, without its check and frame
-    # (0.75 ms of a 21 ms kernel sweep, Python 3.11, AMD EPYC; a helper
-    # function in ntheory doing the same costs 0.3 ms of it)
-    out = _new(ValueWithError)
-    fields = out.__dict__
-    fields["value"], fields["abs_err"] = total, tail + ((j + 2) * _EPS * max_abs + lead_err)
-    return out
+    # the bar is finite and >= 0, so ValueWithError's check is skipped
+    return _unchecked(total, tail + ((j + 2) * _EPS * max_abs + lead_err))
 
 
 def _bessel_factor_fixed(nu: HalfIntOrder, n: int, m: int) -> tuple[int, int]:

@@ -240,8 +240,8 @@ class TestBesselJ:
         assert (j.value, j.abs_err) == _reference_bessel_j(nu, x)
 
     def test_result_is_the_value_the_checked_constructor_builds(self):
-        # bessel_j fills its result's instance dict without ValueWithError's
-        # __init__: it must still be the same frozen value, field for field
+        # bessel_j builds its result by ntheory._unchecked, without
+        # ValueWithError's __init__: still the same frozen value, field for field
         j = bessel_j(HalfIntOrder(23), 3.0)
         built = ValueWithError(j.value, j.abs_err)
         assert type(j) is ValueWithError
