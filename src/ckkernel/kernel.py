@@ -17,44 +17,32 @@ of weight k it equals sum_f L*(f, k/2) a_f(n) / (16 Gamma(k/2) ||f||^2)
 (Kohnen, J. Number Theory 67 (1997), after Cohen 1981; see
 `petersson.kohnen_triangle`).  The module also carries a certified
 truncation tail, the per-weight and global deviation bounds, and the
-non-vanishing certificate for r_k(1).  The bounds, the tail's scale and
-the prefactor are rationals times a power of pi, taken from the 256-bit pi
-bracket of `ntheory`: the bounds and the scale are the least floats at or
-above their exact values, and the prefactor is rounded once.
+non-vanishing certificate for r_k(1).  The tail's majorant of
+sum_{m > M} 2^omega(m) m^(-k/2) is the rational zeta(k/2)^2 / zeta(k) less
+its first M terms, in fixed point, kept per weight.  The bounds, the tail's
+scale and the prefactor are rationals times a power of pi, taken from the
+256-bit pi bracket of `ntheory`: the bounds and the tail are the least
+floats at or above their exact values, and the prefactor is rounded once.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate, count, repeat
+from operator import floordiv, lshift, mul, neg, sub
 
-from .errors import PrecisionError, _integer
-from .ntheory import (_FIX_BITS, ValueWithError, _cos_pi_fixed, _gamma_fixed, _pi_power_fixed,
-                      _pi_power_up, bernoulli, gamma_sum)
-from .specfun import (
-    _EPS,
-    MAX_SERIES_ARG,
-    HalfIntOrder,
-    _bessel_factor_fixed,
-    bessel_envelope,
-    bessel_j,
-)
+from .errors import _MAX_COUNT, PrecisionError, _integer
+from .ntheory import (_FIX_BITS, ValueWithError, _cos_pi_fixed, _gamma_fixed, _pair_block,
+                      _pi_power_bracket, _pi_power_fixed, _pi_power_up, bernoulli, gamma_sum)
+from .specfun import (_EPS, MAX_SERIES_ARG, HalfIntOrder, _bessel_factor_fixed, bessel_envelope,
+                      bessel_j)
 
-__all__ = [
-    "KernelCoefficient",
-    "Certificate",
-    "r_k",
-    "series_tail_bound",
-    "per_k_bound",
-    "global_bound",
-    "certify",
-]
+__all__ = ["KernelCoefficient", "Certificate", "r_k", "series_tail_bound", "per_k_bound",
+           "global_bound", "certify"]
 
-# 16 / 210^(1/3) = 2.69182538518..., rounded up: 2^omega(m) <= _OMEGA_C m^(1/3)
-_OMEGA_C = 2.69183
-# zeta(6) = pi^6 / 945 = 1.01734306198..., rounded up
-_ZETA6 = 1.0174
 # m < _PRIMORIALS[i] has at most i prime factors, so at most 2^i coprime pairs a*c = m
 _PRIMORIALS = (2, 6, 30, 210, 2310, 30030, 510510, 9699690)
 
@@ -89,64 +77,105 @@ class Certificate:
     sign: int  # +1: rho >= 1 - per_k_bound > 0 and the prefactor is positive
 
 
-def _tail_scale(k: int, n: int) -> float:
-    """sqrt(2 pi) A = 2 (n pi)^h / (k-1)!!, h = k/2, rounded up to a float, for
-    A = sqrt(n pi) envelope((k-1)/2, n pi): the m-th term of
-    `series_tail_bound`'s series is at most A 2^omega(m) m^(-k/2).  It is the
-    leading term of `specfun._bessel_factor_fixed` at m = 1."""
-    h = k // 2
-    return _pi_power_up(2 * n**h, HalfIntOrder.for_weight(k).double_factorial, h)
+def _tail_scale(k: int, n: int, t: float) -> float:
+    """The least float at or above t sqrt(2 pi) A = 2 t (n pi)^h / (k-1)!!, h = k/2,
+    for a float t > 0 and A = sqrt(n pi) envelope((k-1)/2, n pi), the leading term of
+    `specfun._bessel_factor_fixed` at m = 1: t = a / 2^j exactly, and the least
+    float at or above 2 a (n pi)^h / (k-1)!!, scaled by 2^-j, is the one of the
+    product, as the result is a normal float for every t of `_omega_tails`."""
+    a, b = t.as_integer_ratio()
+    df = HalfIntOrder.for_weight(k).double_factorial
+    return math.ldexp(_pi_power_up(2 * n ** (k // 2) * a, df, k // 2), 1 - b.bit_length())
 
 
-def _omega_tail(k: int, m_stop: int) -> float:
-    """The smaller of two proven bounds on sum_{m > m_stop} 2^omega(m) m^(-s), s = k/2.
+def _cut_threshold(k: int, n: int, eps: float) -> float:
+    """The largest float t with `_tail_scale`(k, n, t) < eps/4, for eps >= 1e-14.
 
-    Cube root: 2^omega(m) <= C m^(1/3) with C = prod_{p in {2,3,5,7}} 2/p^(1/3)
-    = 16/210^(1/3), since 2^omega(m) / m^(1/3) = prod_{p^e || m} 2/p^(e/3) is at
-    most prod_{p | m} 2/p^(1/3), and 2/p^(1/3) > 1 only for p < 8.  C m^(1/3-s)
-    decreases in m, so the sum is at most the integral from M = m_stop,
-    C M^(4/3-s) / (s - 4/3).  _OMEGA_C is C rounded up by 1.7e-6 relative.
-
-    Squarefree divisors: 2^omega(m) = sum_{d | m} mu^2(d), so with m = d j the
-    sum is sum_d mu^2(d) d^-s sum_{j > M/d} j^-s.  For d <= M the inner sum is
-    at most y^-s + y^(1-s)/(s - 1), y = M/d, and sum_{d <= M} mu^2(d)/d <= ln M + 1;
-    for d > M it is at most zeta(s), and sum_{d > M} d^-s <= M^(1-s)/(s - 1).
-    Together M^(1-s) [1 + (ln M + 1 + zeta(s))/(s - 1)], with zeta(s) <= zeta(6)
-    <= _ZETA6 for k >= 12; it is rounded up by 1e-9 relative.
-
-    The second is the smaller at k = 12, 16 for large M, the first at k >= 36
-    and small M.  Either margin, 1.7e-6 or 1e-9, is far above the few
-    roundings of its bound and of its product with `_tail_scale` (which is
-    rounded up).
+    With P the upper end of `ntheory._pi_power_bracket`(h), `_tail_scale` is
+    below eps/4 exactly when its least float is at most e, the float below
+    eps/4, that is when the bracket's ceiling of 2^256 2 a n^h P / (k-1)!! is
+    at most e 2^(256 + j), an int as e's denominator is a power of two below
+    2^256: when t <= e 2^256 (k-1)!! / (2 n^h P).  That quotient is rounded to
+    a float and stepped down if above; past 2 > T(0) it decides nothing and
+    is taken as 2.
     """
-    s = k / 2
-    cube_root = _OMEGA_C * m_stop ** (4 / 3 - s) / (s - 4 / 3)
-    squarefree = m_stop ** (1 - s) * (1 + (math.log(m_stop) + 1 + _ZETA6) / (s - 1))
-    return min(cube_root, squarefree * (1 + 1e-9))
+    p, q = math.nextafter(eps / 4, 0.0).as_integer_ratio()
+    den = 2 * q * n ** (k // 2) * _pi_power_bracket(k // 2)[1]
+    num = min((p << _FIX_BITS) * HalfIntOrder.for_weight(k).double_factorial, 2 * den)
+    t_cut = num / den
+    a, b = t_cut.as_integer_ratio()
+    return t_cut if a * den <= num * b else math.nextafter(t_cut, 0.0)
+
+
+# per weight k: [T(M) in fixed point, the table of `_omega_tails` up to M]
+_TAILS: dict[int, list] = {}
+
+
+def _omega_tails(k: int, top: int, t_cut: float = -1.0) -> array:
+    """The table T(0), T(1), ... of upper bounds on sum_{m > M} 2^omega(m) m^(-s),
+    s = k/2, taken at least to M = top or to the first T(M) <= t_cut.
+
+    For even s the whole sum is zeta(s)^2 / zeta(2s) = B_s^2 (2s)! / (2 (s!)^2
+    |B_2s|) (Hardy and Wright, Thm 301, with Euler's zeta(2j)).  T(M) is that
+    rational less the terms m <= M, in fixed point with F = 64 + 17 s bits: the
+    rational rounded up and each term 2^omega(m) / m^s down, so it is an upper
+    bound, above the exact tail by less than (M + 1) 2^-F, which is below
+    (M + 1)^(s+1) 2^-F T(M) < 2^-54 T(M) for M <= _MAX_COUNT = 2^16, as T(M)
+    > (M + 1)^-s.  The table holds each T(M) as the float nearest to its
+    fixed-point int times the float (1 + 2^-52) 2^-F: that exact product is
+    at least an ulp above the nearest float, so it rounds to a float at or
+    above T(M), and within 3 2^-52 of it.  2^omega(m), m >= 2, is
+    twice m's count of coprime pairs a < c, a c = m, in `ntheory._pair_block`.
+
+    The table is kept for the next call of weight k.  It grows in steps that
+    double its length, each within one block of 256 m, so it reads no block
+    past the one holding the M that ends it.
+    """
+    s, bits = k // 2, 64 + 17 * (k // 2)
+    up = math.ldexp(1 + 2**-52, -bits)
+    if k not in _TAILS:
+        r = bernoulli(s) ** 2 * math.factorial(k) / (2 * math.factorial(s) ** 2 * abs(bernoulli(k)))
+        t = -(-(r.numerator << bits) // r.denominator) - (1 << bits)  # T(1)
+        _TAILS[k] = [t, array("d", ((t + (1 << bits)) * up, t * up))]
+    memo = _TAILS[k]
+    table = memo[1]
+    while len(table) <= top and table[-1] > t_cut:
+        lo = len(table)
+        hi = min(2 * lo, (lo | 255) + 1, _MAX_COUNT + 1)
+        starts = _pair_block(lo >> 8)[0][lo & 255:]
+        pairs = map(sub, starts[1:], starts)  # past hi too, but range(lo, hi) ends the terms
+        terms = map(floordiv, map(lshift, pairs, repeat(bits + 1)),
+                    map(pow, range(lo, hi), repeat(s)))
+        sums = list(accumulate(terms, sub, initial=memo[0]))
+        memo[0] = sums[-1]
+        table.extend(map(mul, map(float, sums[1:]), repeat(up)))
+    return table
 
 
 def series_tail_bound(k: int, n: int, m_stop: int) -> float:
-    """Certified bound on sqrt(2 pi) |sum_{m > m_stop} g_n(m) sqrt(n pi/m) J(n pi/m)|.
+    """Certified bound on sqrt(2 pi) |sum_{m > m_stop} g_n(m) sqrt(n pi/m) J(n pi/m)|,
+    for 1 <= m_stop <= 2^16 (`errors._MAX_COUNT`).
 
     g_n(m) is a sum of 2^omega(m) unit cosines, one per coprime pair, and
     |J_nu(x)| <= (x/2)^nu / Gamma(nu + 1) = envelope(nu, x), so with
     nu = (k-1)/2 the m-th term is at most
     2^omega(m) sqrt(n pi/m) envelope(nu, n pi/m) = A 2^omega(m) m^(-k/2),
-    A = sqrt(n pi) envelope(nu, n pi).  The bound is sqrt(2 pi) A times
-    `_omega_tail`(k, m_stop), the smaller of a cube-root and a
-    squarefree-divisor bound on sum_{m > m_stop} 2^omega(m) m^(-k/2).
+    A = sqrt(n pi) envelope(nu, n pi).  The bound is the least float at or
+    above sqrt(2 pi) A T(m_stop), T(M) the upper bound of `_omega_tails` on
+    sum_{m > M} 2^omega(m) m^(-k/2), above that sum by less than 2^-48 of it.
     """
-    k, n, m_stop = _check_weight(k), _integer("n", n, 1), _integer("m_stop", m_stop, 1)
-    return _tail_scale(k, n) * _omega_tail(k, m_stop)
+    k, n, m_stop = _check_weight(k), _integer("n", n, 1), _integer("m_stop", m_stop, 1, 1, _MAX_COUNT)
+    return _tail_scale(k, n, _omega_tails(k, m_stop)[m_stop])
 
 
 def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     """The kernel Fourier coefficient r_k(n), with rho held to absolute error eps.
 
     The m-series stops at the smallest M >= 1 whose certified tail
-    `series_tail_bound`(k, n, M) is below eps/4, found by `bisect` up to the
-    M where the cube-root bound of `_omega_tail` falls below it (at most
-    2^22); `PrecisionError` if none there reaches it.
+    `series_tail_bound`(k, n, M) is below eps/4: the first M whose entry of
+    weight k's table of `_omega_tails` is at most `_cut_threshold`(k, n,
+    eps), which decides the same, found by one `bisect` on the table grown
+    to that entry; `PrecisionError` if none up to M = 2^16 reaches it.
 
     Each term g_n(m) sqrt(x) J_nu(x), x = n pi / m, takes one `gamma_sum`
     and one `bessel_j`, and is charged its Bessel bar and the roundings of
@@ -163,23 +192,17 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     if not eps >= 1e-14:
         raise PrecisionError(f"eps must be a number >= 1e-14 for double precision, got {eps}")
     if n * math.pi > MAX_SERIES_ARG:
-        raise PrecisionError(
-            f"n = {n} puts the Bessel argument past the ascending-series contract"
-        )
+        raise PrecisionError(f"n = {n} puts the Bessel argument past the ascending-series contract")
     nu = HalfIntOrder.for_weight(k)
     sign = -1 if (k // 4 + n) % 2 else 1
 
-    scale = _tail_scale(k, n)
-    # the cube-root bound C M^(-p) / p, p = k/2 - 4/3, is below eps/4 from
-    # this M on, so the first cut is at most M; 2 more absorb its roundings
-    p = k / 2 - 4 / 3
-    top = int((4 * scale * _OMEGA_C / (p * eps)) ** (1 / p)) + 2
-    cuts = range(1, min(top, 2**22) + 1)
-    i = bisect.bisect_left(cuts, True, key=lambda m: scale * _omega_tail(k, m) < eps / 4)
-    if i == len(cuts):
+    # series_tail_bound(k, n, M) < eps/4 exactly when T(M) <= t_cut
+    t_cut = _cut_threshold(k, n, eps)
+    table = _omega_tails(k, _MAX_COUNT, t_cut)
+    m_stop = bisect.bisect_left(table, -t_cut, 1, key=neg)
+    if m_stop == len(table):
         raise PrecisionError("could not reach the requested tail bound")
-    m_stop = cuts[i]
-    tail = scale * _omega_tail(k, m_stop)
+    tail = _tail_scale(k, n, table[m_stop])
 
     sqrt_2pi = math.sqrt(2 * math.pi)
     flag = eps / (64 * sqrt_2pi)
@@ -196,9 +219,7 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     cx = 1.25 * (3 * (k - 1) / 2 - 0.5) * _EPS
     c1 = 2 * cx + 2 * _EPS
     x_env = math.sqrt(k + 1)
-    m_env = 1  # x > x_env exactly for m < m_env
-    while n_pi / m_env > x_env:
-        m_env += 1
+    m_env = next(m for m in count(1) if not n_pi / m > x_env)  # x > x_env exactly for m < m_env
     cos, sqrt, gamma, bessel = math.cos, math.sqrt, gamma_sum, bessel_j
     exact = []
     terms = []
@@ -320,13 +341,6 @@ def certify(k: int, eps: float = 1e-10) -> Certificate:
             "this contradicts the deviation bound"
         )
     nonvanishing = bound < 1.0
-    sign = 1 if nonvanishing else 0
-    return Certificate(
-        k=k,
-        rho=rho,
-        value=coeff.value,
-        per_k_bound=bound,
-        global_bound=global_bound(),
-        nonvanishing=nonvanishing,
-        sign=sign,
-    )
+    return Certificate(k=k, rho=rho, value=coeff.value, per_k_bound=bound,
+                       global_bound=global_bound(), nonvanishing=nonvanishing,
+                       sign=1 if nonvanishing else 0)

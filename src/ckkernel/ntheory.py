@@ -99,7 +99,7 @@ _COS_SIXTHS = (1.0, None, 0.5, 0.0, -0.5, None, -1.0)
 
 
 # 64 rows of 2 KB: a kernel sweep, k = 12..40 step 4, n = 1..5 and
-# eps = 1e-13, reads 37 (n, block) rows, each by every weight asking that n.
+# eps = 1e-13, reads 32 (n, block) rows, each by every weight asking that n.
 @functools.lru_cache(maxsize=64)
 def _gamma_row(n: int, b: int) -> array:
     """gamma_n(m) for each m in [256 b, 256 b + 256), 1.0 at m = 0 and m = 1.
@@ -135,8 +135,9 @@ def _gamma_row(n: int, b: int) -> array:
     return row
 
 
-# 32 blocks hold m < 8,192, above r_k's deepest cut (5,144 at k = 12, n = 5,
-# eps = 1e-14); a report's cuts, at most 112 terms, fill block 0 alone.
+# 32 blocks hold m < 8,192, above r_k's deepest cut (4,333 at k = 12, n = 5,
+# eps = 1e-14); a report's cuts, at most 91 terms, fill block 0 alone.  The
+# offsets also give `kernel._omega_tails` its 2^omega(m), twice m's pair count.
 @functools.lru_cache(maxsize=32)
 def _pair_block(b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The exponents s = a' a - c' c of `gamma_sum` for the m in [256 b, 256 b + 256),

@@ -2,8 +2,9 @@
 
 Bessel J of half-integer order via the ascending power series (small
 arguments only, which is all the kernel series ever needs), in floats and,
-at the kernel's arguments n pi / m, in exact fixed point; the classical
-power envelope |J_nu(x)| <= (x/2)^nu / Gamma(nu+1); and the upper
+at the kernel's arguments n pi / m, in exact fixed point; a float at or
+above the classical power envelope |J_nu(x)| <= (x/2)^nu / Gamma(nu+1);
+and the upper
 incomplete gamma function used by the completed-L sums.
 """
 
@@ -48,15 +49,13 @@ class HalfIntOrder:
     (an integral float is stored as the int), with the constants of every
     J_nu term taken once: the double factorial twice_nu!!, Gamma(nu + 1) =
     twice_nu!! sqrt(pi) / 2^((twice_nu + 1) / 2) from it, within 2 _EPS,
-    ln Gamma(nu + 1) by `math.lgamma` for the envelope, and the step
-    denominators (j + 1)(nu + j + 1), j < _BESSEL_STEPS, of `bessel_j`,
+    and the step denominators (j + 1)(nu + j + 1), j < _BESSEL_STEPS, of `bessel_j`,
     each an exact float.  `PrecisionError` past twice_nu = 341, where
     Gamma(nu + 1) leaves the float range."""
 
     twice_nu: int
     double_factorial: int = field(init=False, repr=False, compare=False)
     gamma_nu_plus_one: float = field(init=False, repr=False, compare=False)
-    lgamma_nu_plus_one: float = field(init=False, repr=False, compare=False)
     step_denominators: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -72,7 +71,6 @@ class HalfIntOrder:
         gamma = df / (1 << (twice_nu + 1) // 2) * math.sqrt(math.pi)
         object.__setattr__(self, "gamma_nu_plus_one", gamma)
         v = twice_nu / 2.0
-        object.__setattr__(self, "lgamma_nu_plus_one", math.lgamma(v + 1.0))
         steps = tuple([i * (v + i) for i in range(1, _BESSEL_STEPS + 1)])
         object.__setattr__(self, "step_denominators", steps)
 
@@ -88,12 +86,28 @@ class HalfIntOrder:
 
 
 def bessel_envelope(nu: HalfIntOrder, x: float) -> float:
-    """The classical bound (x/2)^nu / Gamma(nu + 1) on |J_nu(x)|, x >= 0."""
-    if not x >= 0:
-        raise DomainError(f"bessel_envelope requires x >= 0, got {x}")
+    """An upper bound on (x/2)^nu / Gamma(nu + 1), the classical bound on
+    |J_nu(x)|, for 0 <= x <= MAX_SERIES_ARG.
+
+    exp(a) / Gamma(nu + 1), a = nu log(x/2), is within (2 |a| + 4) _EPS of it
+    relatively, by `bessel_j`'s count for its leading term (the same three
+    roundings).  It is multiplied by 1 + (2 |a| + 6) _EPS; that factor and
+    the product round by _EPS / 2 each, which leaves at least
+    1 + (2 |a| + 5) _EPS less second-order amounts.  In the subnormal range those
+    roundings are absolute instead, at most 2.2 units of 5e-324 (exp's ulp
+    over Gamma(nu + 1) >= 0.88, the quotient's and the product's half
+    units), and three units are added.  `DomainError` for x = 5e-324, whose
+    half rounds to 0, as for x < 0, x past MAX_SERIES_ARG or a NaN x.
+    """
+    if not 0 <= x <= MAX_SERIES_ARG:
+        raise DomainError(f"bessel_envelope requires 0 <= x <= {MAX_SERIES_ARG}, got {x}")
     if x == 0.0:
         return 0.0
-    return math.exp(nu.nu * math.log(x / 2.0) - nu.lgamma_nu_plus_one)
+    half = x / 2.0
+    if half == 0.0:
+        raise DomainError(f"bessel_envelope requires x / 2 > 0 in floats, got {x}")
+    a = nu.nu * log(half)
+    return exp(a) / nu.gamma_nu_plus_one * (1.0 + (2.0 * abs(a) + 6.0) * _EPS) + 1.5e-323
 
 
 def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
@@ -127,14 +141,14 @@ def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
     ulp of M, a second-order (j + 2) _EPS^2 M the bar, first order in
     _EPS, does not track.
     """
-    if x <= 0:
-        raise DomainError(f"bessel_j requires x > 0, got {x}")
+    half = x / 2.0
+    if half <= 0:  # x <= 0, or x = 5e-324, whose half rounds to 0
+        raise DomainError(f"bessel_j requires x / 2 > 0 in floats, got {x}")
     if x > MAX_SERIES_ARG:
         raise DomainError(
             f"bessel_j ascending-series contract covers x <= {MAX_SERIES_ARG}, got {x}"
         )
     v = nu.twice_nu / 2.0
-    half = x / 2.0
     q = half * half
     a = v * log(half)
     term = exp(a) / nu.gamma_nu_plus_one

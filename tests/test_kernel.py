@@ -10,15 +10,13 @@ import pytest
 from ckkernel import kernel
 from ckkernel.errors import DomainError, PrecisionError
 from ckkernel.kernel import (
-    _OMEGA_C,
-    _ZETA6,
     certify,
     global_bound,
     per_k_bound,
     r_k,
     series_tail_bound,
 )
-from ckkernel.ntheory import ValueWithError, gamma_sum
+from ckkernel.ntheory import ValueWithError, _pair_block, gamma_sum
 from ckkernel.specfun import HalfIntOrder, bessel_envelope, bessel_j
 
 
@@ -103,32 +101,37 @@ class TestSeriesTailBound:
             assert math.sqrt(2 * math.pi) * abs(extra) <= series_tail_bound(k, 1, m0)
 
     def test_tail_scale_is_the_least_float_above_sqrt_2pi_a(self):
-        # sqrt(2 pi) sqrt(x) (x/2)^nu / Gamma(nu + 1), x = n pi, nu = (k-1)/2
+        # t sqrt(2 pi) sqrt(x) (x/2)^nu / Gamma(nu + 1), x = n pi, nu = (k-1)/2,
+        # at t = 1 and at two entries of the tail table, the later one below 1e-36
         with mp.workdps(50):
             for k in range(12, 41, 4):
                 nu = mp.mpf(k - 1) / 2
+                table = kernel._omega_tails(k, 64)
                 for n in range(1, 6):
                     x = n * mp.pi
-                    exact = mp.sqrt(2 * mp.pi * x) * (x / 2) ** nu / mp.gamma(nu + 1)
-                    scale = kernel._tail_scale(k, n)
-                    assert mp.mpf(math.nextafter(scale, 0)) < exact <= mp.mpf(scale), (k, n)
+                    for t in (1.0, table[5], table[64]):
+                        exact = t * mp.sqrt(2 * mp.pi * x) * (x / 2) ** nu / mp.gamma(nu + 1)
+                        scale = kernel._tail_scale(k, n, t)
+                        assert mp.mpf(math.nextafter(scale, 0)) < exact <= mp.mpf(scale), (k, n, t)
 
     def test_decreases_in_cutoff(self):
         assert series_tail_bound(12, 1, 64) < series_tail_bound(12, 1, 8)
 
-    def test_omega_constant_rounded_up(self):
-        with mp.workdps(50):
-            assert mp.mpf(_OMEGA_C) >= 16 / mp.cbrt(210)
-
-    def test_two_to_omega_below_constant_times_cube_root(self):
-        top = 10**5
+    def test_two_to_omega_is_twice_the_pair_count(self):
+        # _omega_tails reads 2^omega(m), m >= 2, as twice the number of coprime
+        # pairs a < c, a c = m, that ntheory._pair_block lists for m
+        top = 2**16
         omega = omega_sieve(top)
-        for m in range(1, top + 1):
-            assert 2 ** omega[m] <= _OMEGA_C * m ** (1 / 3), m
+        for b in range(top // 256 + 1):
+            starts = _pair_block(b)[0]
+            for i, m in enumerate(range(256 * b, min(256 * b + 256, top + 1))):
+                if m >= 2:
+                    assert 2 * (starts[i + 1] - starts[i]) == 2 ** omega[m], m
 
     def test_not_above_the_divisor_bound(self):
-        # the d(m) <= 2 sqrt(m) tail, 2 A m_stop^((3-k)/2) 2/(k-3)
-        cutoffs = [8 << j for j in range(20)] + [12 << j for j in range(19)]
+        # the d(m) <= 2 sqrt(m) tail, 2 A m_stop^((3-k)/2) 2/(k-3), at every
+        # power-of-two and three-times-power-of-two cutoff up to the 2^16 cap
+        cutoffs = [8 << j for j in range(14)] + [12 << j for j in range(13)]
         for k in range(12, 41, 4):
             nu = HalfIntOrder.for_weight(k)
             for n in range(1, 6):
@@ -137,34 +140,31 @@ class TestSeriesTailBound:
                 for m_stop in cutoffs:
                     old = math.sqrt(2 * math.pi) * a * (4.0 / (k - 3)) * m_stop ** ((3 - k) / 2)
                     assert series_tail_bound(k, n, m_stop) <= old, (k, n, m_stop)
-
-
-    def test_zeta_six_rounded_up(self):
-        with mp.workdps(50):
-            assert mp.mpf(_ZETA6) >= mp.zeta(6)
+        for m_stop in (2**16 + 1, 2**22):
+            with pytest.raises(DomainError):
+                series_tail_bound(12, 1, m_stop)
 
     def test_bound_dominates_the_enumerated_tail(self):
-        # sum_{m_stop < m <= top} 2^omega(m) m^(-k/2) from a sieve, plus the
-        # cube-root bound past top, times sqrt(2 pi) A
-        top = 10**5
+        # T(M) of _omega_tails against zeta(s)^2 / zeta(2s) less the terms
+        # 2^omega(m) m^-s, m <= M, at 130 digits: at or above it and within
+        # 2^-40 of it; and series_tail_bound at or above sqrt(2 pi) A times it
+        top = 2**12
         omega = omega_sieve(top)
-        cutoffs = list(range(1, 201)) + [1 << j for j in range(8, 16)]
-        for k in range(12, 41, 4):
-            s = k / 2
-            past = _OMEGA_C * top ** (4 / 3 - s) / (s - 4 / 3)
-            tail = [0.0] * (top + 1)  # tail[M] = sum over M < m <= top
-            for m in range(top, 0, -1):
-                tail[m - 1] = tail[m] + 2 ** omega[m] * m**-s
-            for n in (1, 5):
-                x = n * math.pi
-                scale = math.sqrt(2 * math.pi) * math.sqrt(x) * bessel_envelope(HalfIntOrder.for_weight(k), x)
-                for m_stop in cutoffs:
-                    assert scale * (tail[m_stop] + past) <= series_tail_bound(k, n, m_stop), (k, n, m_stop)
-        # the squarefree-divisor bound is the one that counts at k = 12, large M
-        x = math.pi
-        scale = math.sqrt(2 * math.pi) * math.sqrt(x) * bessel_envelope(HalfIntOrder.for_weight(12), x)
-        cube_root = scale * _OMEGA_C * (2**15) ** (4 / 3 - 6) / (6 - 4 / 3)
-        assert series_tail_bound(12, 1, 2**15) < cube_root / 5
+        cutoffs = set(range(1, 201)) | {1 << j for j in range(8, 13)}
+        with mp.workdps(130):
+            for k in range(12, 41, 4):
+                s = k // 2
+                table = kernel._omega_tails(k, top)
+                nu = mp.mpf(k - 1) / 2
+                scales = [mp.sqrt(2 * mp.pi * x) * (x / 2) ** nu / mp.gamma(nu + 1)
+                          for x in (mp.pi, 5 * mp.pi)]
+                tail = mp.zeta(s) ** 2 / mp.zeta(2 * s)
+                for m in range(1, top + 1):
+                    tail -= 2 ** omega[m] / mp.mpf(m) ** s
+                    if m in cutoffs:
+                        assert tail <= table[m] <= tail * (1 + mp.mpf(2) ** -40), (k, m)
+                        for n, scale in zip((1, 5), scales):
+                            assert scale * tail <= series_tail_bound(k, n, m), (k, n, m)
 
 
 class TestRk:
@@ -186,12 +186,18 @@ class TestRk:
         # the tightest run must land inside each looser certified interval
         for k in range(12, 41, 4):
             for n in range(1, 6):
-                tight = r_k(k, n, 1e-14).rho
+                tight = r_k(k, n, 1e-14)
                 for eps in (1e-8, 1e-10, 1e-13):
-                    rho = r_k(k, n, eps).rho
-                    assert abs(rho.value - tight.value) <= rho.abs_err, (k, n, eps)
+                    coeff = r_k(k, n, eps)
+                    rho = coeff.rho
+                    assert abs(rho.value - tight.rho.value) <= rho.abs_err, (k, n, eps)
                     if eps >= 1e-10:  # at 1e-13 the rounding charge of the longer cut can dominate
-                        assert tight.abs_err < rho.abs_err, (k, n, eps)
+                        # the same cut gives the same bar: one term already meets
+                        # 1e-14 at k = 36 and 40, n = 1
+                        if coeff.terms_used == tight.terms_used:
+                            assert tight.rho.abs_err == rho.abs_err, (k, n, eps)
+                        else:
+                            assert tight.rho.abs_err < rho.abs_err, (k, n, eps)
 
     def test_cutoff_is_the_first_m_whose_tail_is_below_a_quarter_eps(self):
         for k in range(12, 41, 4):
@@ -201,6 +207,24 @@ class TestRk:
                     assert series_tail_bound(k, n, m_stop) < eps / 4, (k, n, eps)
                     if m_stop > 1:
                         assert series_tail_bound(k, n, m_stop - 1) >= eps / 4, (k, n, eps)
+
+    def test_cut_threshold_is_the_largest_float_below_a_quarter_eps(self):
+        # the bisect's threshold t decides as series_tail_bound does: the tail
+        # at t is below eps/4, and at the next float up it is not, unless t is
+        # the cap 2, above every T(M)
+        capped = 0
+        for k in range(12, 41, 4):
+            for n in range(1, 6):
+                for eps in (1e-14, 1e-13, 3e-11, 1e-10, 1e-8, 1e-3):
+                    t = kernel._cut_threshold(k, n, eps)
+                    assert kernel._tail_scale(k, n, t) < eps / 4, (k, n, eps)
+                    if t < 2.0:
+                        assert kernel._tail_scale(k, n, math.nextafter(t, 2.0)) >= eps / 4, (k, n, eps)
+                    capped += t == 2.0
+        assert 0 < capped < 120
+        # an infinite eps is capped too, and its cut is one term
+        assert kernel._cut_threshold(12, 1, math.inf) == 2.0
+        assert r_k(12, 1, math.inf).terms_used == 1
 
     def test_value_is_prefactor_times_rho(self):
         for k in (12, 20, 32):
@@ -314,7 +338,7 @@ class TestRkBar:
 # r_k's outputs over k = 12..40 step 4, n = 1..5 and four eps, recorded with
 # CPython 3.11 and glibc's libm on x86-64 Linux: another libm's cos, exp or
 # log, or the compensated float sum() of CPython 3.12, may move a last bit
-_R_K_DIGEST = "0fd6c270ce4d737367a7ffd6c1cf931dc04e7682dc403a380935e1bac3f4863c"
+_R_K_DIGEST = "8909def5920345aab2b3c12c483f34649db3ae5a3dcc6929e366408407560dee"
 _R_K_DIGEST_PLATFORM = ("linux", "x86_64", (3, 11))
 
 

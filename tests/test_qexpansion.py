@@ -258,6 +258,11 @@ LISTED = [
     (Eigenform, (12, (1.0, 10**400)), DomainError),  # an int past the float range
     # a_2^2 = 1e400 in the Parseval sum
     (petersson.petersson_norm_sq, (Eigenform(12, (1.0, 1e200)),), PrecisionError),
+    # the smallest subnormal x, whose half rounds to 0
+    (specfun.bessel_j, (HalfIntOrder(1), 5e-324), DomainError),
+    (specfun.bessel_envelope, (HalfIntOrder(1), 5e-324), DomainError),
+    # a series cut past the 2^16 cap
+    (series_tail_bound, (12, 1, 2**16 + 1), DomainError),
 ]
 
 

@@ -50,11 +50,6 @@ def _reference_bessel_j(nu, x):
     return total, tail + ((j + 2) * EPS * max_abs + lead_err)
 
 
-def _reference_envelope(nu, x):
-    v = nu.nu
-    return math.exp(v * math.log(x / 2.0) - math.lgamma(v + 1.0))
-
-
 def _finite_form(l, n, m, sqrt2, sqrt3):
     """sqrt(2 pi x) J_(l+1/2)(x) at x = n pi / m, m in {1, 2, 3, 4, 6}, by
     DLMF 10.49.2 in exact rationals, pi taken as _PI_FIX_LO / 2^_FIX_BITS:
@@ -132,13 +127,13 @@ class TestHalfIntOrder:
         with pytest.raises(DomainError):
             HalfIntOrder(-1)
 
-    def test_repr_and_equality_ignore_the_lgamma_field(self):
+    def test_repr_and_equality_ignore_the_derived_fields(self):
         nu = HalfIntOrder(11)
         assert repr(nu) == "HalfIntOrder(twice_nu=11)"
         assert nu == HalfIntOrder(11.0) == HalfIntOrder.for_weight(12)
         assert hash(nu) == hash(HalfIntOrder(11))
         assert nu != HalfIntOrder(13)
-        assert nu.lgamma_nu_plus_one == math.lgamma(6.5)
+        assert nu.double_factorial == 10395
         with pytest.raises(dataclasses.FrozenInstanceError):
             nu.twice_nu = 13
 
@@ -215,9 +210,8 @@ class TestBesselJ:
                 assert resid <= allowed
 
     def test_matches_parent_loop_bit_for_bit(self):
-        # the memoized Gamma(nu + 1) and ln Gamma(nu + 1) and the two
-        # comparisons in place of max() change no bit of the value or the
-        # bar, nor of the envelope
+        # the memoized Gamma(nu + 1) and the two comparisons in place of max()
+        # change no bit of the value or the bar
         xs = [n * math.pi / m for n in range(1, 6) for m in range(1, 257)]
         xs += [MAX_SERIES_ARG * i / 1024 for i in range(1, 1025)]
         for k in range(12, 41, 4):
@@ -225,7 +219,6 @@ class TestBesselJ:
             for x in xs:
                 j = bessel_j(nu, x)
                 assert (j.value, j.abs_err) == _reference_bessel_j(nu, x), (k, x)
-                assert bessel_envelope(nu, x) == _reference_envelope(nu, x), (k, x)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 39), st.floats(0.01, MAX_SERIES_ARG))
@@ -265,10 +258,10 @@ class TestBesselJ:
             bessel_j(HalfIntOrder(1), math.nan)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            bessel_j(HalfIntOrder(1), 0.0)
-        with pytest.raises(DomainError):
-            bessel_j(HalfIntOrder(1), -1.0)
+        # 5e-324 passed the old x > 0 test, and its half rounds to 0
+        for x in (0.0, -1.0, 5e-324, MAX_SERIES_ARG * (1 + EPS)):
+            with pytest.raises(DomainError):
+                bessel_j(HalfIntOrder(1), x)
 
 
 class TestBesselEnvelope:
@@ -276,8 +269,9 @@ class TestBesselEnvelope:
         assert bessel_envelope(HalfIntOrder(1), 0.0) == 0.0
 
     def test_domain(self):
-        # nan passed the old x < 0 test and came back as the bound
-        for x in (-1.0, -5e-324, -math.inf, math.nan):
+        # nan passed the old x < 0 test and came back as the bound; 5e-324
+        # passed it too, and its half rounds to 0
+        for x in (-1.0, -5e-324, -math.inf, math.nan, 5e-324, MAX_SERIES_ARG * (1 + EPS), math.inf):
             with pytest.raises(DomainError):
                 bessel_envelope(HalfIntOrder(1), x)
 
@@ -288,7 +282,7 @@ class TestBesselEnvelope:
         )
 
     def test_two_closed_forms_agree(self):
-        # the exp-lgamma form against (x/2)^nu / Gamma(nu + 1) at 40 digits
+        # exp(nu log(x/2)) / Gamma(nu + 1) against (x/2)^nu / Gamma(nu + 1) at 40 digits
         for k in (12, 16, 24, 40, 80):
             nu = HalfIntOrder.for_weight(k)
             for x in (0.1, 1.0, math.pi, 2 * math.pi):
@@ -296,6 +290,21 @@ class TestBesselEnvelope:
                     v = mp.mpf(k - 1) / 2
                     ref = float((mp.mpf(x) / 2) ** v / mp.gamma(v + 1))
                 assert bessel_envelope(nu, x) == pytest.approx(ref, rel=1e-12)
+
+    def test_upper_bound_at_50_digits(self):
+        # at or above (x/2)^nu / Gamma(nu + 1), and within 1e-12 of it, for
+        # every weight's order at bessel_j's grid of kernel arguments and
+        # steps of 1/64 up to MAX_SERIES_ARG
+        xs = [n * math.pi / m for n in range(1, 6) for m in range(1, 257)]
+        xs += [MAX_SERIES_ARG * i / 1024 for i in range(1, 1025)]
+        with mp.workdps(50):
+            for k in range(12, 41, 4):
+                nu = HalfIntOrder.for_weight(k)
+                v = mp.mpf(k - 1) / 2
+                gamma = mp.gamma(v + 1)
+                for x in xs:
+                    ref = (mp.mpf(x) / 2) ** v / gamma
+                    assert ref <= bessel_envelope(nu, x) <= ref * (1 + mp.mpf(1e-12)), (k, x)
 
 
 class TestUpperIncompleteGamma:
