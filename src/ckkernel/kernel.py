@@ -31,17 +31,30 @@ import bisect
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, count, repeat
+from itertools import accumulate, repeat
 from operator import floordiv, lshift, mul, neg, sub
 
 from .errors import _MAX_COUNT, PrecisionError, _integer
 from .ntheory import (_FIX_BITS, ValueWithError, _cos_pi_fixed, _gamma_fixed, _pair_block,
                       _pi_power_bracket, _pi_power_fixed, _pi_power_up, bernoulli, gamma_sum)
-from .specfun import (_EPS, MAX_SERIES_ARG, HalfIntOrder, _bessel_factor_fixed, bessel_envelope,
-                      bessel_j)
+from .specfun import (
+    _EPS,
+    MAX_SERIES_ARG,
+    HalfIntOrder,
+    _bessel_factor_fixed,
+    bessel_envelope,
+    bessel_j,
+)
 
-__all__ = ["KernelCoefficient", "Certificate", "r_k", "series_tail_bound", "per_k_bound",
-           "global_bound", "certify"]
+__all__ = [
+    "KernelCoefficient",
+    "Certificate",
+    "r_k",
+    "series_tail_bound",
+    "per_k_bound",
+    "global_bound",
+    "certify",
+]
 
 # m < _PRIMORIALS[i] has at most i prime factors, so at most 2^i coprime pairs a*c = m
 _PRIMORIALS = (2, 6, 30, 210, 2310, 30030, 510510, 9699690)
@@ -83,9 +96,10 @@ def _tail_scale(k: int, n: int, t: float) -> float:
     `specfun._bessel_factor_fixed` at m = 1: t = a / 2^j exactly, and the least
     float at or above 2 a (n pi)^h / (k-1)!!, scaled by 2^-j, is the one of the
     product, as the result is a normal float for every t of `_omega_tails`."""
+    h = k // 2
     a, b = t.as_integer_ratio()
     df = HalfIntOrder.for_weight(k).double_factorial
-    return math.ldexp(_pi_power_up(2 * n ** (k // 2) * a, df, k // 2), 1 - b.bit_length())
+    return math.ldexp(_pi_power_up(2 * n**h * a, df, h), 1 - b.bit_length())
 
 
 def _cut_threshold(k: int, n: int, eps: float) -> float:
@@ -107,8 +121,8 @@ def _cut_threshold(k: int, n: int, eps: float) -> float:
     return t_cut if a * den <= num * b else math.nextafter(t_cut, 0.0)
 
 
-# per weight k: [T(M) in fixed point, the table of `_omega_tails` up to M]
-_TAILS: dict[int, list] = {}
+# per weight k: T(M) in fixed point and the table of `_omega_tails` up to M
+_TAILS: dict[int, tuple[int, array]] = {}
 
 
 def _omega_tails(k: int, top: int, t_cut: float = -1.0) -> array:
@@ -120,7 +134,7 @@ def _omega_tails(k: int, top: int, t_cut: float = -1.0) -> array:
     rational less the terms m <= M, in fixed point with F = 64 + 17 s bits: the
     rational rounded up and each term 2^omega(m) / m^s down, so it is an upper
     bound, above the exact tail by less than (M + 1) 2^-F, which is below
-    (M + 1)^(s+1) 2^-F T(M) < 2^-54 T(M) for M <= _MAX_COUNT = 2^16, as T(M)
+    (M + 1)^(s+1) 2^-F T(M) < 2^-53 T(M) for M <= _MAX_COUNT = 2^16, as T(M)
     > (M + 1)^-s.  The table holds each T(M) as the float nearest to its
     fixed-point int times the float (1 + 2^-52) 2^-F: that exact product is
     at least an ulp above the nearest float, so it rounds to a float at or
@@ -129,26 +143,29 @@ def _omega_tails(k: int, top: int, t_cut: float = -1.0) -> array:
 
     The table is kept for the next call of weight k.  It grows in steps that
     double its length, each within one block of 256 m, so it reads no block
-    past the one holding the M that ends it.
+    past the one holding the M that ends it.  A grown table is a new array,
+    stored with its fixed-point end in one assignment, so a thread that
+    grows it never changes a table another thread holds.
     """
     s, bits = k // 2, 64 + 17 * (k // 2)
     up = math.ldexp(1 + 2**-52, -bits)
     if k not in _TAILS:
-        r = bernoulli(s) ** 2 * math.factorial(k) / (2 * math.factorial(s) ** 2 * abs(bernoulli(k)))
-        t = -(-(r.numerator << bits) // r.denominator) - (1 << bits)  # T(1)
-        _TAILS[k] = [t, array("d", ((t + (1 << bits)) * up, t * up))]
-    memo = _TAILS[k]
-    table = memo[1]
+        b, b2 = bernoulli(s), bernoulli(k)
+        num = b.numerator**2 * math.factorial(k) * b2.denominator << bits
+        den = 2 * math.factorial(s) ** 2 * b.denominator**2 * abs(b2.numerator)
+        t = -(-num // den) - (1 << bits)  # T(1)
+        _TAILS[k] = t, array("d", ((t + (1 << bits)) * up, t * up))
+    t, table = _TAILS[k]
     while len(table) <= top and table[-1] > t_cut:
         lo = len(table)
         hi = min(2 * lo, (lo | 255) + 1, _MAX_COUNT + 1)
-        starts = _pair_block(lo >> 8)[0][lo & 255:]
-        pairs = map(sub, starts[1:], starts)  # past hi too, but range(lo, hi) ends the terms
+        starts = _pair_block(lo >> 8)[0][lo & 255:((hi - 1) & 255) + 2]
+        pairs = map(sub, starts[1:], starts)
         terms = map(floordiv, map(lshift, pairs, repeat(bits + 1)),
                     map(pow, range(lo, hi), repeat(s)))
-        sums = list(accumulate(terms, sub, initial=memo[0]))
-        memo[0] = sums[-1]
-        table.extend(map(mul, map(float, sums[1:]), repeat(up)))
+        sums = list(accumulate(terms, sub, initial=t))
+        t, table = sums[-1], table + array("d", map(mul, map(float, sums[1:]), repeat(up)))
+    _TAILS[k] = t, table
     return table
 
 
@@ -192,7 +209,9 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     if not eps >= 1e-14:
         raise PrecisionError(f"eps must be a number >= 1e-14 for double precision, got {eps}")
     if n * math.pi > MAX_SERIES_ARG:
-        raise PrecisionError(f"n = {n} puts the Bessel argument past the ascending-series contract")
+        raise PrecisionError(
+            f"n = {n} puts the Bessel argument past the ascending-series contract"
+        )
     nu = HalfIntOrder.for_weight(k)
     sign = -1 if (k // 4 + n) % 2 else 1
 
@@ -219,7 +238,9 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     cx = 1.25 * (3 * (k - 1) / 2 - 0.5) * _EPS
     c1 = 2 * cx + 2 * _EPS
     x_env = math.sqrt(k + 1)
-    m_env = next(m for m in count(1) if not n_pi / m > x_env)  # x > x_env exactly for m < m_env
+    m_env = 1  # x > x_env exactly for m < m_env
+    while n_pi / m_env > x_env:
+        m_env += 1
     cos, sqrt, gamma, bessel = math.cos, math.sqrt, gamma_sum, bessel_j
     exact = []
     terms = []
@@ -341,6 +362,13 @@ def certify(k: int, eps: float = 1e-10) -> Certificate:
             "this contradicts the deviation bound"
         )
     nonvanishing = bound < 1.0
-    return Certificate(k=k, rho=rho, value=coeff.value, per_k_bound=bound,
-                       global_bound=global_bound(), nonvanishing=nonvanishing,
-                       sign=1 if nonvanishing else 0)
+    sign = 1 if nonvanishing else 0
+    return Certificate(
+        k=k,
+        rho=rho,
+        value=coeff.value,
+        per_k_bound=bound,
+        global_bound=global_bound(),
+        nonvanishing=nonvanishing,
+        sign=sign,
+    )

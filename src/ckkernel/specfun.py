@@ -4,8 +4,7 @@ Bessel J of half-integer order via the ascending power series (small
 arguments only, which is all the kernel series ever needs), in floats and,
 at the kernel's arguments n pi / m, in exact fixed point; a float at or
 above the classical power envelope |J_nu(x)| <= (x/2)^nu / Gamma(nu+1);
-and the upper
-incomplete gamma function used by the completed-L sums.
+and the upper incomplete gamma function used by the completed-L sums.
 """
 
 from __future__ import annotations
@@ -49,9 +48,9 @@ class HalfIntOrder:
     (an integral float is stored as the int), with the constants of every
     J_nu term taken once: the double factorial twice_nu!!, Gamma(nu + 1) =
     twice_nu!! sqrt(pi) / 2^((twice_nu + 1) / 2) from it, within 2 _EPS,
-    and the step denominators (j + 1)(nu + j + 1), j < _BESSEL_STEPS, of `bessel_j`,
-    each an exact float.  `PrecisionError` past twice_nu = 341, where
-    Gamma(nu + 1) leaves the float range."""
+    and the step denominators (j + 1)(nu + j + 1), j < _BESSEL_STEPS, of
+    `bessel_j`, each an exact float.  `PrecisionError` past twice_nu = 341,
+    where Gamma(nu + 1) leaves the float range."""
 
     twice_nu: int
     double_factorial: int = field(init=False, repr=False, compare=False)
@@ -92,12 +91,12 @@ def bessel_envelope(nu: HalfIntOrder, x: float) -> float:
     exp(a) / Gamma(nu + 1), a = nu log(x/2), is within (2 |a| + 4) _EPS of it
     relatively, by `bessel_j`'s count for its leading term (the same three
     roundings).  It is multiplied by 1 + (2 |a| + 6) _EPS; that factor and
-    the product round by _EPS / 2 each, which leaves at least
-    1 + (2 |a| + 5) _EPS less second-order amounts.  In the subnormal range those
-    roundings are absolute instead, at most 2.2 units of 5e-324 (exp's ulp
-    over Gamma(nu + 1) >= 0.88, the quotient's and the product's half
-    units), and three units are added.  `DomainError` for x = 5e-324, whose
-    half rounds to 0, as for x < 0, x past MAX_SERIES_ARG or a NaN x.
+    the product round by _EPS / 2 each, which leaves at least 1 + (2 |a| + 5)
+    _EPS less second-order amounts.  In the subnormal range those roundings
+    are absolute instead, at most 2.2 units of 5e-324 (exp's ulp over
+    Gamma(nu + 1) >= 0.88, the quotient's and the product's half units), and
+    three units are added.  `DomainError` for x = 5e-324, whose half rounds
+    to 0, as for x < 0, x past MAX_SERIES_ARG or a NaN x.
     """
     if not 0 <= x <= MAX_SERIES_ARG:
         raise DomainError(f"bessel_envelope requires 0 <= x <= {MAX_SERIES_ARG}, got {x}")

@@ -2,7 +2,9 @@ import dataclasses
 import hashlib
 import math
 import platform
+import random
 import sys
+import threading
 
 import mpmath as mp
 import pytest
@@ -165,6 +167,32 @@ class TestSeriesTailBound:
                         assert tail <= table[m] <= tail * (1 + mp.mpf(2) ** -40), (k, m)
                         for n, scale in zip((1, 5), scales):
                             assert scale * tail <= series_tail_bound(k, n, m), (k, n, m)
+
+
+    def test_threads_share_the_tables_safely(self):
+        # four threads grow the emptied tables in different orders, while the
+        # interpreter switches threads every microsecond
+        requests = [(k, m) for k in (12, 16, 20) for m in (1, 3, 40, 255, 256, 700, 1100)]
+        expected = {(k, m): series_tail_bound(k, 1, m) for k, m in requests}
+        kernel._TAILS.clear()
+        results = {}
+
+        def work(seed):
+            order = random.Random(seed).sample(requests, len(requests))
+            results[seed] = {(k, m): series_tail_bound(k, 1, m) for k, m in order}
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [results.get(seed) for seed in range(4)] == [expected] * 4
 
 
 class TestRk:
