@@ -168,7 +168,6 @@ class TestSeriesTailBound:
                         for n, scale in zip((1, 5), scales):
                             assert scale * tail <= series_tail_bound(k, n, m), (k, n, m)
 
-
     def test_threads_share_the_tables_safely(self):
         # four threads grow the emptied tables in different orders, while the
         # interpreter switches threads every microsecond
