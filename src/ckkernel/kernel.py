@@ -19,8 +19,9 @@ of weight k it equals sum_f L*(f, k/2) a_f(n) / (16 Gamma(k/2) ||f||^2)
 truncation tail, the per-weight and global deviation bounds, and the
 non-vanishing certificate for r_k(1).  The tail's majorant of
 sum_{m > M} 2^omega(m) m^(-k/2) is the rational zeta(k/2)^2 / zeta(k) less
-its first M terms, in fixed point, kept per weight.  The bounds, the tail's
-scale and the prefactor are rationals times a power of pi, taken from the
+its first M terms, a table of fixed-point ints kept per weight, which the
+series' cut and its charged tail both read as they are.  The bounds, the
+tail and the prefactor are rationals times a power of pi, taken from the
 256-bit pi bracket of `ntheory`: the bounds and the tail are the least
 floats at or above their exact values, and the prefactor is rounded once.
 """
@@ -29,10 +30,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from array import array
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import floordiv, lshift, mul, neg, sub
+from operator import floordiv, lshift, neg, sub
 
 from .errors import _MAX_COUNT, PrecisionError, _integer
 from .ntheory import (_FIX_BITS, ValueWithError, _cos_pi_fixed, _gamma_fixed, _pair_block,
@@ -90,72 +90,60 @@ class Certificate:
     sign: int  # +1: rho >= 1 - per_k_bound > 0 and the prefactor is positive
 
 
-def _tail_scale(k: int, n: int, t: float) -> float:
-    """The least float at or above t sqrt(2 pi) A = 2 t (n pi)^h / (k-1)!!, h = k/2,
-    for a float t > 0 and A = sqrt(n pi) envelope((k-1)/2, n pi), the leading term of
-    `specfun._bessel_factor_fixed` at m = 1: t = a / 2^j exactly, and the least
-    float at or above 2 a (n pi)^h / (k-1)!!, scaled by 2^-j, is the one of the
-    product, as the result is a normal float for every t of `_omega_tails`."""
-    h = k // 2
-    a, b = t.as_integer_ratio()
-    df = HalfIntOrder.for_weight(k).double_factorial
-    return math.ldexp(_pi_power_up(2 * n**h * a, df, h), 1 - b.bit_length())
+def _tail_bits(k: int) -> int:
+    """F = 64 + 17 k/2, the fraction bits of weight k's tail table (`_omega_tails`)."""
+    return 64 + 17 * (k // 2)
 
 
-def _cut_threshold(k: int, n: int, eps: float) -> float:
-    """The largest float t with `_tail_scale`(k, n, t) < eps/4, for eps >= 1e-14.
+def _cut_threshold(k: int, n: int, eps: float) -> int:
+    """The largest int t whose tail charged by `series_tail_bound`, with t in
+    place of T(M), is below eps/4, for eps >= 1e-14; above every T(M) for an
+    infinite eps.
 
-    With P the upper end of `ntheory._pi_power_bracket`(h), `_tail_scale` is
-    below eps/4 exactly when its least float is at most e, the float below
-    eps/4, that is when the bracket's ceiling of 2^256 2 a n^h P / (k-1)!! is
-    at most e 2^(256 + j), an int as e's denominator is a power of two below
-    2^256: when t <= e 2^256 (k-1)!! / (2 n^h P).  That quotient is rounded to
-    a float and stepped down if above; past 2 > T(0) it decides nothing and
-    is taken as 2.
+    That charge is the least float at or above hi / 2^(256 + F), hi the
+    ceiling of 2 n^h P t / (k-1)!!, h = k/2, F = `_tail_bits`(k) and P / 2^256
+    the upper end of `ntheory._pi_power_bracket`(h).  It is below eps/4
+    exactly when hi / 2^(256 + F) is at most e = p / q, the float below eps/4,
+    that is when hi <= 2^F (p 2^256 / q), an int as q is a power of two below
+    2^256: when t <= (k-1)!! 2^F (p 2^256 / q) / (2 n^h P).
     """
+    h = k // 2
     p, q = math.nextafter(eps / 4, 0.0).as_integer_ratio()
-    den = 2 * q * n ** (k // 2) * _pi_power_bracket(k // 2)[1]
-    num = min((p << _FIX_BITS) * HalfIntOrder.for_weight(k).double_factorial, 2 * den)
-    t_cut = num / den
-    a, b = t_cut.as_integer_ratio()
-    return t_cut if a * den <= num * b else math.nextafter(t_cut, 0.0)
+    df = HalfIntOrder.for_weight(k).double_factorial
+    return (p * df << _FIX_BITS + _tail_bits(k)) // (2 * q * n**h * _pi_power_bracket(h)[1])
 
 
-# per weight k: T(M) in fixed point and the table of `_omega_tails` up to M
-_TAILS: dict[int, tuple[int, array]] = {}
+# per weight k: the table of `_omega_tails` up to the deepest M asked so far
+_TAILS: dict[int, tuple[int, ...]] = {}
 
 
-def _omega_tails(k: int, top: int, t_cut: float = -1.0) -> array:
+def _omega_tails(k: int, top: int, t_cut: int = -1) -> tuple[int, ...]:
     """The table T(0), T(1), ... of upper bounds on sum_{m > M} 2^omega(m) m^(-s),
-    s = k/2, taken at least to M = top or to the first T(M) <= t_cut.
+    s = k/2, as ints in fixed point with F = `_tail_bits`(k) = 64 + 17 s
+    fraction bits, taken at least to M = top or to the first T(M) <= t_cut.
 
     For even s the whole sum is zeta(s)^2 / zeta(2s) = B_s^2 (2s)! / (2 (s!)^2
     |B_2s|) (Hardy and Wright, Thm 301, with Euler's zeta(2j)).  T(M) is that
-    rational less the terms m <= M, in fixed point with F = 64 + 17 s bits: the
-    rational rounded up and each term 2^omega(m) / m^s down, so it is an upper
-    bound, above the exact tail by less than (M + 1) 2^-F, which is below
-    (M + 1)^(s+1) 2^-F T(M) < 2^-53 T(M) for M <= _MAX_COUNT = 2^16, as T(M)
-    > (M + 1)^-s.  The table holds each T(M) as the float nearest to its
-    fixed-point int times the float (1 + 2^-52) 2^-F: that exact product is
-    at least an ulp above the nearest float, so it rounds to a float at or
-    above T(M), and within 3 2^-52 of it.  2^omega(m), m >= 2, is
-    twice m's count of coprime pairs a < c, a c = m, in `ntheory._pair_block`.
+    rational rounded up less the terms m <= M, each 2^omega(m) / m^s rounded
+    down, so it is an upper bound, above the exact tail by less than (M + 1)
+    2^-F, which is below (M + 1)^(s+1) 2^-F T(M) < 2^-53 T(M) for M <=
+    _MAX_COUNT = 2^16, as T(M) > (M + 1)^-s.  2^omega(m), m >= 2, is twice
+    m's count of coprime pairs a < c, a c = m, in `ntheory._pair_block`.
 
-    The table is kept for the next call of weight k.  It grows in steps that
-    double its length, each within one block of 256 m, so it reads no block
-    past the one holding the M that ends it.  A grown table is a new array,
-    stored with its fixed-point end in one assignment, so a thread that
+    The table is kept for the next call of weight k, a tuple of ints below
+    2^(F+1).  It grows in steps that double its length, each within one block
+    of 256 m, so it reads no block past the one holding the M that ends it.
+    A grown table is a new tuple, stored in one assignment, so a thread that
     grows it never changes a table another thread holds.
     """
-    s, bits = k // 2, 64 + 17 * (k // 2)
-    up = math.ldexp(1 + 2**-52, -bits)
-    if k not in _TAILS:
+    s, bits = k // 2, _tail_bits(k)
+    table = _TAILS.get(k)
+    if table is None:
         b, b2 = bernoulli(s), bernoulli(k)
         num = b.numerator**2 * math.factorial(k) * b2.denominator << bits
         den = 2 * math.factorial(s) ** 2 * b.denominator**2 * abs(b2.numerator)
-        t = -(-num // den) - (1 << bits)  # T(1)
-        _TAILS[k] = t, array("d", ((t + (1 << bits)) * up, t * up))
-    t, table = _TAILS[k]
+        t = -(-num // den)  # T(0)
+        table = t, t - (1 << bits)
     while len(table) <= top and table[-1] > t_cut:
         lo = len(table)
         hi = min(2 * lo, (lo | 255) + 1, _MAX_COUNT + 1)
@@ -163,9 +151,9 @@ def _omega_tails(k: int, top: int, t_cut: float = -1.0) -> array:
         pairs = map(sub, starts[1:], starts)
         terms = map(floordiv, map(lshift, pairs, repeat(bits + 1)),
                     map(pow, range(lo, hi), repeat(s)))
-        sums = list(accumulate(terms, sub, initial=t))
-        t, table = sums[-1], table + array("d", map(mul, map(float, sums[1:]), repeat(up)))
-    _TAILS[k] = t, table
+        # the sums start from T(lo - 1), the entry they replace
+        table = table[:-1] + tuple(accumulate(terms, sub, initial=table[-1]))
+    _TAILS[k] = table
     return table
 
 
@@ -177,12 +165,18 @@ def series_tail_bound(k: int, n: int, m_stop: int) -> float:
     |J_nu(x)| <= (x/2)^nu / Gamma(nu + 1) = envelope(nu, x), so with
     nu = (k-1)/2 the m-th term is at most
     2^omega(m) sqrt(n pi/m) envelope(nu, n pi/m) = A 2^omega(m) m^(-k/2),
-    A = sqrt(n pi) envelope(nu, n pi).  The bound is the least float at or
-    above sqrt(2 pi) A T(m_stop), T(M) the upper bound of `_omega_tails` on
-    sum_{m > M} 2^omega(m) m^(-k/2), above that sum by less than 2^-48 of it.
+    A = sqrt(n pi) envelope(nu, n pi), the leading term of
+    `specfun._bessel_factor_fixed` at m = 1, and sqrt(2 pi) A = 2 (n pi)^h /
+    (k-1)!!, h = k/2.  The bound is the least float at or above that times
+    T(m_stop) / 2^F, T the fixed-point upper bound of `_omega_tails` on
+    sum_{m > M} 2^omega(m) m^(-k/2): one `ntheory._pi_power_up` of the int
+    T(m_stop) scaled by 2^-F, exactly, as the bound is a normal float.
     """
     k, n, m_stop = _check_weight(k), _integer("n", n, 1), _integer("m_stop", m_stop, 1, 1, _MAX_COUNT)
-    return _tail_scale(k, n, _omega_tails(k, m_stop)[m_stop])
+    h = k // 2
+    t = _omega_tails(k, m_stop)[m_stop]
+    df = HalfIntOrder.for_weight(k).double_factorial
+    return math.ldexp(_pi_power_up(2 * n**h * t, df, h), -_tail_bits(k))
 
 
 def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
@@ -221,7 +215,7 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     m_stop = bisect.bisect_left(table, -t_cut, 1, key=neg)
     if m_stop == len(table):
         raise PrecisionError("could not reach the requested tail bound")
-    tail = _tail_scale(k, n, table[m_stop])
+    tail = series_tail_bound(k, n, m_stop)
 
     sqrt_2pi = math.sqrt(2 * math.pi)
     flag = eps / (64 * sqrt_2pi)

@@ -18,7 +18,7 @@ y^k dx dy / y^2; no volume factor is applied.
 What depends on the weight and rule alone is memoized, and every form of a
 weight shares it: `lfunction`'s incomplete-gamma row (k - 1, 4 pi, k + 1)
 for the Parseval sum, and `_arc_nodes`, an `lru_cache` of 16 entries keyed
-by (k, nodes, N_t), for the arc.  Each holds the doubles a single call
+by (k, nodes), for the arc.  Each holds the doubles a single call
 would make, by the same float operations, so sharing changes no bit.  An
 arc entry holds at most 3,712 doubles, as `petersson_inner` refuses a
 weight past 60, so the 16 kept hold under _MAX_COUNT (`errors`).
@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, PrecisionError, _integer, _shown
 from .kernel import _check_weight, r_k
-from .lfunction import central_values, deligne_count, deligne_tail, gamma_series
+from .lfunction import central_values, coefficient_count, deligne_count, deligne_tail, gamma_series
 from .ntheory import _FIX_BITS, ValueWithError, _pi_power_fixed
 from .qexpansion import Eigenform, dim_cusp
 from .specfun import _EPS
@@ -177,11 +177,15 @@ def _kept_terms(f, k: int) -> tuple[float, ...]:
     Deligne tail at y = sqrt(3)/2, T(N_t) = sum_(n > N_t) n^((k+1)/2)
     e^(-2 pi n sqrt(3)/2), is at most one ulp of the form's sup on the arc,
     S = sum |a_n| e^(-2 pi n sqrt(3)/2) (`deligne_count`); all of them if f
-    carries fewer, whose tail `_arc_value` charges.
+    carries fewer, and at most `coefficient_count`(k), the stride of
+    `_arc_nodes`; `_arc_value` charges the tail past them.  The cap binds no
+    normalized form (a_1 = 1): its S >= e^(-pi sqrt(3)) > 2^-8, so its floor,
+    one ulp of S, is at least 2^-60, above coefficient_count's 2^-74.
     """
     p, c = (k + 1) / 2, math.tau * _MIN_Y
     mags = tuple(map(abs, f.a))
-    return mags[:deligne_count(p, c, math.ulp(_form_sum(mags, _MIN_Y)))]
+    kept = deligne_count(p, c, math.ulp(_form_sum(mags, _MIN_Y)))
+    return mags[:min(kept, coefficient_count(k))]
 
 
 def _ellipse_bound(fm, gm, k: int, rho: float, cells: int) -> list[float]:
@@ -207,15 +211,16 @@ def _ellipse_bound(fm, gm, k: int, rho: float, cells: int) -> list[float]:
 
 
 @functools.lru_cache(maxsize=16)
-def _arc_nodes(k: int, n: int, n_t: int) -> tuple[array, array, array, array]:
-    """What `_arc_value` takes from the weight k, the n-node rule and N_t alone,
+def _arc_nodes(k: int, n: int) -> tuple[array, array, array, array]:
+    """What `_arc_value` takes from the weight k and the n-node rule alone,
     shared by every form and pair: flat arrays over the nodes i of the node
-    factor w_i sin theta y^(k-2), that factor times 2 w, and, n_t per node,
-    the powers r^1..r^(n_t) and 2 S_0(w)..2 S_(n_t - 1)(w).  An entry holds
-    2 n (n_t + 1) doubles, at most 3,712, so the 16 kept hold under
-    _MAX_COUNT: n <= 64, and n_t <= coefficient_count(60) = 28, as
-    `petersson_inner` refuses k > 60 and, with a_1 = 1, the floor of
-    `_kept_terms` is at least ulp(2^-8) > 2^-74."""
+    factor w_i sin theta y^(k-2), that factor times 2 w, and, at a stride of
+    N = `coefficient_count`(k) per node, which bounds every `_kept_terms`,
+    the powers r^1..r^N and 2 S_0(w)..2 S_(N-1)(w).  An entry holds
+    2 n (N + 1) doubles, at most 3,712, so the 16 kept hold under
+    _MAX_COUNT: n <= 64, and N <= coefficient_count(60) = 28, as
+    `petersson_inner` refuses k > 60."""
+    n_t = coefficient_count(k)
     node, node_2w, r_pow, s_d = array("d"), array("d"), array("d"), array("d")
     ts, ws = _gauss_legendre(n)
     power = k - 2
@@ -325,13 +330,14 @@ def _arc_value(f, g, k: int, spec: QuadratureSpec) -> _ArcValue:
     gm = fm if g is f else _kept_terms(g, k)
     nf, ng = len(fm), len(gm)
     n_t, n = max(nf, ng), spec.y_nodes
-    node, node_2w, r_pow, s_ds = _arc_nodes(k, n, n_t)
+    node, node_2w, r_pow, s_ds = _arc_nodes(k, n)
+    stride = len(r_pow) // n
     fa, ga = f.a[:nf], g.a[:ng]
     power = k - 2
     terms = []
     mass = 0.0
     for i in range(n):
-        lo = i * n_t
+        lo = i * stride
         v = list(map(mul, fa, r_pow[lo : lo + nf]))
         s_d = s_ds[lo : lo + n_t]
         if g is f:  # P = 2 S_0 c_0 + 2 sum_(d >= 1) 2 S_d c_d, c_d = sum_m v_m v_(m+d)

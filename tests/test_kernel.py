@@ -5,6 +5,7 @@ import platform
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -30,6 +31,21 @@ def omega_sieve(top: int) -> list[int]:
             for q in range(p, top + 1, p):
                 omega[q] += 1
     return omega
+
+
+def zeta_ratio(s: int) -> Fraction:
+    """zeta(s)^2 / zeta(2s) = B_s^2 (2s)! / (2 (s!)^2 |B_2s|) for even s, with
+    the Bernoulli numbers from their defining recurrence."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * s + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b[s] ** 2 * math.factorial(2 * s) / (2 * math.factorial(s) ** 2 * abs(b[2 * s]))
+
+
+def tail_bound_at(monkeypatch, k: int, n: int, t: int) -> float:
+    """series_tail_bound(k, n, 1) with t, in weight k's fixed point, in place of T(1)."""
+    monkeypatch.setitem(kernel._TAILS, k, (t, t))
+    return series_tail_bound(k, n, 1)
 
 
 class TestBounds:
@@ -102,19 +118,21 @@ class TestSeriesTailBound:
                 extra += gamma_sum(1, m) * math.sqrt(x) * bessel_j(nu, x).value
             assert math.sqrt(2 * math.pi) * abs(extra) <= series_tail_bound(k, 1, m0)
 
-    def test_tail_scale_is_the_least_float_above_sqrt_2pi_a(self):
-        # t sqrt(2 pi) sqrt(x) (x/2)^nu / Gamma(nu + 1), x = n pi, nu = (k-1)/2,
-        # at t = 1 and at two entries of the tail table, the later one below 1e-36
+    def test_bound_is_the_least_float_above_sqrt_2pi_a_t(self, monkeypatch):
+        # t / 2^F sqrt(2 pi) sqrt(x) (x/2)^nu / Gamma(nu + 1), x = n pi,
+        # nu = (k-1)/2, at t / 2^F = 1 and at T(5) and T(64), the later below 1e-36
         with mp.workdps(50):
             for k in range(12, 41, 4):
                 nu = mp.mpf(k - 1) / 2
+                bits = kernel._tail_bits(k)
                 table = kernel._omega_tails(k, 64)
                 for n in range(1, 6):
                     x = n * mp.pi
-                    for t in (1.0, table[5], table[64]):
-                        exact = t * mp.sqrt(2 * mp.pi * x) * (x / 2) ** nu / mp.gamma(nu + 1)
-                        scale = kernel._tail_scale(k, n, t)
-                        assert mp.mpf(math.nextafter(scale, 0)) < exact <= mp.mpf(scale), (k, n, t)
+                    for t in (1 << bits, table[5], table[64]):
+                        scale = mp.sqrt(2 * mp.pi * x) * (x / 2) ** nu / mp.gamma(nu + 1)
+                        exact = mp.mpf(t) / 2**bits * scale
+                        bound = tail_bound_at(monkeypatch, k, n, t)
+                        assert mp.mpf(math.nextafter(bound, 0)) < exact <= mp.mpf(bound), (k, n, t)
 
     def test_decreases_in_cutoff(self):
         assert series_tail_bound(12, 1, 64) < series_tail_bound(12, 1, 8)
@@ -147,26 +165,46 @@ class TestSeriesTailBound:
                 series_tail_bound(12, 1, m_stop)
 
     def test_bound_dominates_the_enumerated_tail(self):
-        # T(M) of _omega_tails against zeta(s)^2 / zeta(2s) less the terms
-        # 2^omega(m) m^-s, m <= M, at 130 digits: at or above it and within
-        # 2^-40 of it; and series_tail_bound at or above sqrt(2 pi) A times it
+        # T(M) of _omega_tails against the exact rational zeta(s)^2 / zeta(2s)
+        # less the terms 2^omega(m) m^-s, m <= M, all over one common
+        # denominator D: at or above it, by less than (M + 1) 2^-F and less
+        # than 2^-53 of it; and series_tail_bound at or above sqrt(2 pi) A
+        # times it at 60 digits
         top = 2**12
         omega = omega_sieve(top)
         cutoffs = set(range(1, 201)) | {1 << j for j in range(8, 13)}
-        with mp.workdps(130):
-            for k in range(12, 41, 4):
-                s = k // 2
-                table = kernel._omega_tails(k, top)
-                nu = mp.mpf(k - 1) / 2
-                scales = [mp.sqrt(2 * mp.pi * x) * (x / 2) ** nu / mp.gamma(nu + 1)
-                          for x in (mp.pi, 5 * mp.pi)]
-                tail = mp.zeta(s) ** 2 / mp.zeta(2 * s)
-                for m in range(1, top + 1):
-                    tail -= 2 ** omega[m] / mp.mpf(m) ** s
-                    if m in cutoffs:
-                        assert tail <= table[m] <= tail * (1 + mp.mpf(2) ** -40), (k, m)
-                        for n, scale in zip((1, 5), scales):
-                            assert scale * tail <= series_tail_bound(k, n, m), (k, n, m)
+        lcm = math.lcm(*range(1, top + 1))
+        for k in range(12, 41, 4):
+            s = k // 2
+            bits = kernel._tail_bits(k)
+            table = kernel._omega_tails(k, top)
+            whole = zeta_ratio(s)
+            with mp.workdps(60):
+                assert abs(mp.mpf(whole.numerator) / whole.denominator
+                           - mp.zeta(s) ** 2 / mp.zeta(2 * s)) < mp.mpf(10) ** -55, k
+            d = lcm**s
+            partial = 0
+            for m in range(1, top + 1):
+                partial += 2 ** omega[m] * (d // m**s)
+                if m in cutoffs:
+                    # the exact tail is x / (zd d), and T(M) stands for T(M) / 2^F
+                    x = whole.numerator * d - partial * whole.denominator
+                    zd_d = whole.denominator * d
+                    assert x > 0 and table[m] * zd_d >= x << bits, (k, m)
+                    assert (table[m] - m - 1) * zd_d < x << bits, (k, m)
+                    assert table[m] * zd_d << 53 < (x << bits) * (2**53 + 1), (k, m)
+                    if m in (1, 17, 200, top):
+                        self.check_scale(k, m, x, zd_d)
+
+    @staticmethod
+    def check_scale(k, m, num, den):
+        with mp.workdps(60):
+            tail = mp.mpf(num) / den
+            nu = mp.mpf(k - 1) / 2
+            for n in (1, 5):
+                x = n * mp.pi
+                scale = mp.sqrt(2 * mp.pi * x) * (x / 2) ** nu / mp.gamma(nu + 1)
+                assert scale * tail <= series_tail_bound(k, n, m), (k, n, m)
 
     def test_threads_share_the_tables_safely(self):
         # four threads grow the emptied tables in different orders, while the
@@ -235,22 +273,17 @@ class TestRk:
                     if m_stop > 1:
                         assert series_tail_bound(k, n, m_stop - 1) >= eps / 4, (k, n, eps)
 
-    def test_cut_threshold_is_the_largest_float_below_a_quarter_eps(self):
+    def test_cut_threshold_is_the_largest_int_below_a_quarter_eps(self, monkeypatch):
         # the bisect's threshold t decides as series_tail_bound does: the tail
-        # at t is below eps/4, and at the next float up it is not, unless t is
-        # the cap 2, above every T(M)
-        capped = 0
+        # charged for T(M) = t is below eps/4, and for t + 1 it is not; an
+        # infinite eps's threshold is above T(0), so its cut is one term
         for k in range(12, 41, 4):
             for n in range(1, 6):
                 for eps in (1e-14, 1e-13, 3e-11, 1e-10, 1e-8, 1e-3):
                     t = kernel._cut_threshold(k, n, eps)
-                    assert kernel._tail_scale(k, n, t) < eps / 4, (k, n, eps)
-                    if t < 2.0:
-                        assert kernel._tail_scale(k, n, math.nextafter(t, 2.0)) >= eps / 4, (k, n, eps)
-                    capped += t == 2.0
-        assert 0 < capped < 120
-        # an infinite eps is capped too, and its cut is one term
-        assert kernel._cut_threshold(12, 1, math.inf) == 2.0
+                    assert tail_bound_at(monkeypatch, k, n, t) < eps / 4, (k, n, eps)
+                    assert tail_bound_at(monkeypatch, k, n, t + 1) >= eps / 4, (k, n, eps)
+                assert kernel._cut_threshold(k, n, math.inf) > kernel._omega_tails(k, 1)[0], (k, n)
         assert r_k(12, 1, math.inf).terms_used == 1
 
     def test_value_is_prefactor_times_rho(self):
@@ -365,7 +398,7 @@ class TestRkBar:
 # r_k's outputs over k = 12..40 step 4, n = 1..5 and four eps, recorded with
 # CPython 3.11 and glibc's libm on x86-64 Linux: another libm's cos, exp or
 # log, or the compensated float sum() of CPython 3.12, may move a last bit
-_R_K_DIGEST = "8909def5920345aab2b3c12c483f34649db3ae5a3dcc6929e366408407560dee"
+_R_K_DIGEST = "6dc1adbcc7de528d247f52454c9811a1d45f2cd6d64f62001b524c1118fbd5b6"
 _R_K_DIGEST_PLATFORM = ("linux", "x86_64", (3, 11))
 
 

@@ -561,6 +561,21 @@ class TestSharedTables:
                     used = lfunction.gamma_series(c, s, lam, q)[1]
                     assert used <= len(lfunction._gamma_row(s, lam, q)[0]), (k, n, s, lam)
 
+    def test_one_arc_entry_per_weight_and_rule(self):
+        # weight 40's forms keep 16, 15 and 15 terms and still share one entry,
+        # so the norms of weights 28, 36 and 40 at two lengths keep three; the
+        # entry's stride, coefficient_count(k), caps every form's kept terms
+        kept = sorted(len(petersson._kept_terms(f, 40)) for f in eigenforms(40, 120))
+        assert kept == [15, 15, 16]
+        empty_float_tables()
+        for k in (28, 36, 40):
+            for n in (coefficient_count(k), 120):
+                for f in eigenforms(k, n):
+                    petersson_norm_sq(f)
+        assert petersson._arc_nodes.cache_info().currsize == 3
+        tiny = ScaledForm(40, (2.0**-100,) * 40)
+        assert len(petersson._kept_terms(tiny, 40)) == coefficient_count(40)
+
     def test_the_weight_gate_comes_before_any_memo(self):
         f = eigenforms(62, 40)[0]
         empty_float_tables()

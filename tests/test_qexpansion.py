@@ -138,7 +138,7 @@ COEFF_LISTS = st.sampled_from([
 
 
 class TestProduct:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(a=COEFF_LISTS, b=COEFF_LISTS)
     @example(a=[7], b=[-3])
     @example(a=[0, 0, 0], b=[5, -1])
@@ -577,7 +577,7 @@ class TestRootIsolation:
             _real_roots(poly_from_roots([Fraction(1, 2 ** (_ROOT_BITS + 2)),
                                          Fraction(1, 2 ** (_ROOT_BITS + 1))]))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.fractions(-100, 100, max_denominator=20), min_size=1, max_size=7,
                     unique=True))
     @example([Fraction(0), Fraction(1), Fraction(-1)])  # roots on cell ends
