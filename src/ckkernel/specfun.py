@@ -141,17 +141,19 @@ def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
     _EPS, does not track.
 
     Below 2^-1022 roundings are absolute, in units of u = 5e-324, and the
-    charges above may round to 0.  If the leading term is that small,
-    (x/2)^nu < 2^-1022 Gamma(nu + 1) gives x/2 < 1.005 for every order, so
-    each ratio is below 0.006 and the terms fall.  The leading term is then
-    off by exp's ulp over Gamma(nu + 1) >= 0.88 and the quotient's half unit,
-    1.64 u; each of the j + 1 products, the omitted term's last, by u/2,
-    carried into later terms at most 1.006-fold; sums of subnormals are
-    exact; and the bar's two products may round down by u/2 each.  That is
-    at most 1.006 (1.64 + (j + 1)/2) u + u < (j + 4) u, which the bar adds,
-    so where the leading term underflows, as for J_39.5(1e-8) ~ 1e-375, the
-    bar still holds J.  If it is normal, max_abs >= 2^-1022, and the
-    (j + 4) u covers what its subnormal products and charges lose.
+    charges above may round to 0, so the bar adds (j + 2) u to the sums'
+    charge and 2 u to the leading term's.  If the leading term is that
+    small, (x/2)^nu < 2^-1022 Gamma(nu + 1) gives x/2 < 1.005 for every
+    order, so each ratio is below 0.006, the terms fall and j < 8.  The
+    leading term is then off by exp's ulp over Gamma(nu + 1) >= 0.88 and the
+    quotient's half unit, 1.64 u; each of the j + 1 products, the omitted
+    term's last, by u/2, carried into later terms at most 1.006-fold; sums
+    of subnormals and their small multiples are exact.  That is at most
+    1.006 (1.64 + (j + 1)/2) u, below the (j + 2) u/2 + 1.5 u the two added
+    amounts keep after the two charges' own roundings: where the leading
+    term underflows, as for J_39.5(1e-8) ~ 1e-375, the bar still holds J.
+    If it is normal, those charges round relatively, and the (j + 4) u added
+    covers the j + 1 products.
     """
     half = x / 2.0
     if half <= 0:  # x <= 0, or x = 5e-324, whose half rounds to 0
@@ -167,7 +169,7 @@ def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
     # log within an ulp, then the product: a is within 1.5 |a| _EPS, so exp(a)
     # within 2 |a| _EPS relatively while that is far below 1; exp's ulp,
     # Gamma's 2 _EPS and the quotient add 3.5 _EPS
-    lead_err = (2.0 * abs(a) + 4.0) * _EPS * term
+    lead_err = (2.0 * abs(a) + 4.0) * _EPS * term + 1e-323
     total = max_abs = term  # >= 0
     for j, d in enumerate(nu.step_denominators):
         ratio = q / d
@@ -181,7 +183,7 @@ def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
     else:
         raise PrecisionError("bessel_j series failed to converge")
     # the bar is finite and >= 0, so ValueWithError's check is skipped
-    return _unchecked(total, tail + ((j + 2) * _EPS * max_abs + lead_err + (j + 4) * 5e-324))
+    return _unchecked(total, tail + ((j + 2) * (_EPS * max_abs + 5e-324) + lead_err))
 
 
 def _bessel_factor_fixed(nu: HalfIntOrder, n: int, m: int) -> tuple[int, int]:

@@ -189,7 +189,7 @@ class TestBesselJ:
     def test_bar_holds_j_where_the_leading_term_underflows(self):
         # J_39.5(1e-20) and J_39.5(1e-8) are positive, below 5e-324, and their
         # leading terms round to 0; and for orders up to the largest, x where
-        # the leading term (x/2)^nu / Gamma(nu + 1) is 2^-1020 to 2^-1081
+        # the leading term (x/2)^nu / Gamma(nu + 1) is 2^-1020 to 2^-1080
         with mp.workdps(50):
             nu = HalfIntOrder(79)
             for x in (1e-20, 1e-8):
