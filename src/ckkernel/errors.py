@@ -8,7 +8,7 @@ import math
 # `deligne_count` and `gamma_series` give up past it.  It also bounds what is
 # shared across calls: the Miller table of `qexpansion`, the 64 incomplete-gamma
 # rows of `lfunction` (at most _MAX_COUNT // 64 terms each), the 16 arc node
-# entries of `petersson` (at most 3,712 doubles each) and the tail table of
+# entries of `petersson` (at most 3,328 doubles each) and the tail table of
 # `kernel`, one per weight of at most _MAX_COUNT + 1 fixed-point ints, about
 # 3 MB at that depth (the deepest cut `r_k` makes, 4,333 terms, takes 0.2 MB).
 _MAX_COUNT = 2**16

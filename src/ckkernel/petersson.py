@@ -20,7 +20,7 @@ weight shares it: `lfunction`'s incomplete-gamma row (k - 1, 4 pi, k + 1)
 for the Parseval sum, and `_arc_nodes`, an `lru_cache` of 16 entries keyed
 by (k, nodes), for the arc.  Each holds the doubles a single call
 would make, by the same float operations, so sharing changes no bit.  An
-arc entry holds at most 3,712 doubles, as `petersson_inner` refuses a
+arc entry holds at most 3,328 doubles, as `petersson_inner` refuses a
 weight past 60, so the 16 kept hold under _MAX_COUNT (`errors`).
 
 In this normalization the kernel coefficient of `kernel.r_k` satisfies
@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, PrecisionError, _integer, _shown
 from .kernel import _check_weight, r_k
-from .lfunction import central_values, coefficient_count, deligne_count, deligne_tail, gamma_series
+from .lfunction import central_values, deligne_count, deligne_tail, gamma_series
 from .ntheory import _FIX_BITS, ValueWithError, _pi_power_fixed
 from .qexpansion import Eigenform, dim_cusp
 from .specfun import _EPS
@@ -62,6 +62,8 @@ __all__ = [
 _MIN_Y = math.sqrt(3.0) / 2.0
 _H = math.pi / 12.0  # theta = _H (1 + t) maps t in [-1, 1] onto [0, pi/6]
 _ARC_AREA = 0.0434  # 1 - pi/6 - sqrt(3)/4 = 0.04338..., rounded up
+# `_kept_terms`' least floor: for a_1 = 1 the sup on the arc is >= e^(-pi sqrt(3)) > 2^-8
+_ARC_FLOOR = math.ulp(2.0**-8)
 # Bernstein-ellipse parameters tried; each keeps _H (1 + (rho + 1/rho)/2) < pi/2
 _RHO = tuple(2.0 ** (j / 4) for j in range(1, 14))
 _CELLS = 8  # cells of |Im theta| on which the chosen ellipse's bound is refined
@@ -176,16 +178,15 @@ def _kept_terms(f, k: int) -> tuple[float, ...]:
     """|a_1| .. |a_(N_t)|: the fewest leading coefficient magnitudes whose
     Deligne tail at y = sqrt(3)/2, T(N_t) = sum_(n > N_t) n^((k+1)/2)
     e^(-2 pi n sqrt(3)/2), is at most one ulp of the form's sup on the arc,
-    S = sum |a_n| e^(-2 pi n sqrt(3)/2) (`deligne_count`); all of them if f
-    carries fewer, and at most `coefficient_count`(k), the stride of
-    `_arc_nodes`; `_arc_value` charges the tail past them.  The cap binds no
-    normalized form (a_1 = 1): its S >= e^(-pi sqrt(3)) > 2^-8, so its floor,
-    one ulp of S, is at least 2^-60, above coefficient_count's 2^-74.
+    S = sum |a_n| e^(-2 pi n sqrt(3)/2), or _ARC_FLOOR = ulp(2^-8) if that
+    is larger (`deligne_count`); all of them if f carries fewer.  The floor
+    binds no normalized form, whose S > 2^-8, and caps every form at the
+    stride of `_arc_nodes`, the count at _ARC_FLOOR; `_arc_value` charges
+    the tail past the kept terms.
     """
     p, c = (k + 1) / 2, math.tau * _MIN_Y
     mags = tuple(map(abs, f.a))
-    kept = deligne_count(p, c, math.ulp(_form_sum(mags, _MIN_Y)))
-    return mags[:min(kept, coefficient_count(k))]
+    return mags[:deligne_count(p, c, max(math.ulp(_form_sum(mags, _MIN_Y)), _ARC_FLOOR))]
 
 
 def _ellipse_bound(fm, gm, k: int, rho: float, cells: int) -> list[float]:
@@ -215,12 +216,11 @@ def _arc_nodes(k: int, n: int) -> tuple[array, array, array, array]:
     """What `_arc_value` takes from the weight k and the n-node rule alone,
     shared by every form and pair: flat arrays over the nodes i of the node
     factor w_i sin theta y^(k-2), that factor times 2 w, and, at a stride of
-    N = `coefficient_count`(k) per node, which bounds every `_kept_terms`,
-    the powers r^1..r^N and 2 S_0(w)..2 S_(N-1)(w).  An entry holds
-    2 n (N + 1) doubles, at most 3,712, so the 16 kept hold under
-    _MAX_COUNT: n <= 64, and N <= coefficient_count(60) = 28, as
-    `petersson_inner` refuses k > 60."""
-    n_t = coefficient_count(k)
+    N per node, the most terms `_kept_terms` keeps at weight k, the powers
+    r^1..r^N and 2 S_0(w)..2 S_(N-1)(w).  An entry holds 2 n (N + 1)
+    doubles, at most 3,328, so the 16 kept hold under _MAX_COUNT: n <= 64,
+    and N <= 25, its value at k = 60, as `petersson_inner` refuses k > 60."""
+    n_t = deligne_count((k + 1) / 2, math.tau * _MIN_Y, _ARC_FLOOR)
     node, node_2w, r_pow, s_d = array("d"), array("d"), array("d"), array("d")
     ts, ws = _gauss_legendre(n)
     power = k - 2

@@ -564,7 +564,7 @@ class TestSharedTables:
     def test_one_arc_entry_per_weight_and_rule(self):
         # weight 40's forms keep 16, 15 and 15 terms and still share one entry,
         # so the norms of weights 28, 36 and 40 at two lengths keep three; the
-        # entry's stride, coefficient_count(k), caps every form's kept terms
+        # entry's stride, 18 at k = 40, caps every form's kept terms
         kept = sorted(len(petersson._kept_terms(f, 40)) for f in eigenforms(40, 120))
         assert kept == [15, 15, 16]
         empty_float_tables()
@@ -573,8 +573,9 @@ class TestSharedTables:
                 for f in eigenforms(k, n):
                     petersson_norm_sq(f)
         assert petersson._arc_nodes.cache_info().currsize == 3
+        assert len(petersson._arc_nodes(40, 20)[2]) == 18 * 20
         tiny = ScaledForm(40, (2.0**-100,) * 40)
-        assert len(petersson._kept_terms(tiny, 40)) == coefficient_count(40)
+        assert len(petersson._kept_terms(tiny, 40)) == 18
 
     def test_the_weight_gate_comes_before_any_memo(self):
         f = eigenforms(62, 40)[0]
