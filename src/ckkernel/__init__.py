@@ -9,7 +9,7 @@ exact q-expansion arithmetic, central L-values, and Petersson quadrature.
 
 from .errors import DomainError, PrecisionError, UnsupportedError
 from .kernel import Certificate, KernelCoefficient, certify, global_bound, per_k_bound, r_k
-from .lfunction import LValue, central_values, completed_l, functional_equation_residual
+from .lfunction import LValue, central_values, completed_l
 from .ntheory import ValueWithError, bernoulli, gamma_sum
 from .petersson import QuadratureSpec, petersson_norm_sq, triangle_check
 from .qexpansion import Eigenform, QExpansion, delta, dim_cusp, eigenforms, eisenstein, miller_basis
@@ -35,7 +35,6 @@ __all__ = [
     "r_k",
     "central_values",
     "completed_l",
-    "functional_equation_residual",
     "petersson_norm_sq",
     "triangle_check",
     "delta",

@@ -100,8 +100,7 @@ def _cmd_rk(args) -> int:
     coeff = r_k(args.weight, args.n, args.eps)
     sys.stdout.write(
         f"r_{args.weight}({args.n}) = {coeff.value.value:.15g} ± {coeff.value.abs_err:.3g}\n"
-        f"rho = {coeff.rho.value:.15g} ± {coeff.rho.abs_err:.3g}\n"
-        f"log-prefactor = {coeff.log_prefactor:.15g}   terms used: {coeff.terms_used}\n"
+        f"rho = {coeff.rho.value:.15g} ± {coeff.rho.abs_err:.3g}   terms used: {coeff.terms_used}\n"
     )
     return 0
 

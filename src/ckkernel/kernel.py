@@ -72,8 +72,7 @@ class KernelCoefficient:
     k: int
     n: int
     rho: ValueWithError
-    log_prefactor: float  # ln[(8 pi)^(k/2-1) / (4 (k-2)!) * n^(k/2-1)]
-    value: ValueWithError  # r_k(n) = exp(log_prefactor) * rho
+    value: ValueWithError  # r_k(n) = (8 pi)^(k/2-1) n^(k/2-1) / (4 (k-2)!) * rho
     terms_used: int
 
 
@@ -317,8 +316,7 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     pref = (lo + hi) / (2 << _FIX_BITS)
     bar = pref * (rho.abs_err + 2.0 * _EPS * abs(rho.value)) * (1.0 + 4.0 * _EPS)
     value = ValueWithError(pref * rho.value, bar)
-    return KernelCoefficient(k=k, n=n, rho=rho, log_prefactor=math.log(pref),
-                             value=value, terms_used=m_stop)
+    return KernelCoefficient(k=k, n=n, rho=rho, value=value, terms_used=m_stop)
 
 
 def per_k_bound(k: int) -> float:

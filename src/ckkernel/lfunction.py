@@ -7,11 +7,10 @@ from the Mellin integral split symmetrically at t = 1:
                                + (-1)^(k/2) (2 pi n)^(s-k) Gamma(k-s, 2 pi n) ].
 
 The symmetric split makes the two halves exchange exactly under
-s <-> k - s, so `functional_equation_residual` splits the k - s side at
-t = 5/4 instead: its two sides then share no sum.  Each half is one series
-G(t) = sum_n a_n (2 pi n)^-t Gamma(t, 2 pi n), summed by `gamma_series`
-with a certified rounding bar and a Deligne tail from `deligne_tail`;
-`petersson` sums its Parseval series with the same two.
+s <-> k - s.  Each half is one series G(t) = sum_n a_n (2 pi n)^-t
+Gamma(t, 2 pi n), summed by `gamma_series` with a certified rounding bar
+and a Deligne tail from `deligne_tail`; `petersson` sums its Parseval
+series with the same two.
 
 What a term takes from (s, lam, p, n) alone, x^-s and Gamma(s, x) at
 x = lam n, its charge and its Deligne tail (`_gamma_term`), is memoized
@@ -43,7 +42,6 @@ from .specfun import _EPS, _GAMMA_ULPS, upper_incomplete_gamma
 __all__ = [
     "LValue",
     "completed_l",
-    "functional_equation_residual",
     "central_values",
     "coefficient_count",
 ]
@@ -248,35 +246,6 @@ def completed_l(f: Eigenform, s: float) -> LValue:
     bar = conv * (err + (rel + _EPS) * abs(total)) * (1.0 + 2.0 * rel)
     finite = ValueWithError(conv * total, bar)
     return LValue(k=k, s=s, completed=completed, finite=finite, terms_used=max(n1, n2))
-
-
-def functional_equation_residual(f: Eigenform, s: float) -> float:
-    """|Lambda(f, s) - (-1)^(k/2) Lambda(f, k - s)|, the two sides from
-    Mellin integrals split at different points, so that they share no sum.
-
-    Lambda(f, s) is `completed_l`'s, split at t = 1.  Split at t0 = 5/4,
-    with G_lam(t) the `gamma_series` of the a_n at rate lam,
-
-        Lambda(f, k - s) = t0^(k-s) G_(2 pi t0)(k - s) + (-1)^(k/2) t0^-s G_(2 pi/t0)(s),
-
-    as the part of the integral below t0 is, by f(i/y) = (-1)^(k/2) y^k f(iy),
-    the part above 1/t0 at k - (k - s).  So only a modular f makes the two
-    agree; both split at 1, they would be the same two sums for every f.
-
-    The residual is absolute and carries no bar, so it grows with the sums:
-    compare it with |G(s)| + |G(k - s)|, the two sums of `completed_l`, not
-    with a fixed number.  For the eigenforms of even k = 30..60 at
-    `coefficient_count(k)` coefficients it stays below 2e-13 of them, while in
-    absolute terms it reaches 1.9e-7 at k = 60.
-    """
-    k = f.weight
-    root = 1.0 if k % 4 == 0 else -1.0
-    lhs = completed_l(f, s).completed.value
-    t0, p = 1.25, (k + 1) / 2
-    upper = gamma_series(f.a, k - s, 2.0 * math.pi * t0, p)[0].value
-    lower = gamma_series(f.a, s, 2.0 * math.pi / t0, p)[0].value
-    rhs = t0 ** (k - s) * upper + root * t0**-s * lower
-    return abs(lhs - root * rhs)
 
 
 def central_values(k: int, eps: float = 1e-10) -> list[tuple[Eigenform, ValueWithError]]:

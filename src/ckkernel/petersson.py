@@ -117,9 +117,8 @@ def _legendre(n: int, x: float) -> tuple[float, float, float]:
     return p0, p1, p2
 
 
-@functools.lru_cache(maxsize=64)
 def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The n-point Gauss-Legendre nodes and weights on [-1, 1], ascending, built once per n.
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], ascending.
 
     Newton's method on the recurrence for P_n, from cos(pi (i + 3/4) / (n + 1/2)),
     stops once a step is below one ulp of 1; the rule is mirrored, so it is
@@ -131,8 +130,7 @@ def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     recurrence's O(n) ulps of rounding are relative to |P_(n-1)(x*)| >= ~1/n at
     the outermost nodes.  The rule's tests check both charges against 50-digit
     rules, and against an independent float construction of the rule, whose
-    outermost weights are themselves off by up to ~2.5 n^2 ulps.  Tuples, so
-    no caller can alter the memoized rule.
+    outermost weights are themselves off by up to ~2.5 n^2 ulps.
     """
     half = []
     for i in range(n // 2):

@@ -5,7 +5,7 @@ import math
 import time
 
 from ckkernel.kernel import certify, global_bound, per_k_bound
-from ckkernel.lfunction import central_values, functional_equation_residual
+from ckkernel.lfunction import central_values
 from ckkernel.ntheory import gamma_sum
 from ckkernel.petersson import triangle_check
 from ckkernel.qexpansion import delta, eigenforms, hecke_char_poly
@@ -15,6 +15,8 @@ from ckkernel.specfun import (
     bessel_j,
     upper_incomplete_gamma,
 )
+
+from modularity import functional_equation_residual
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

@@ -1,6 +1,10 @@
+import ast
+import glob
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -228,3 +232,46 @@ def test_sources_compile_with_warnings_as_errors():
         with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.simplefilter("error")
             compile(fh.read(), path, "exec")
+
+
+def test_every_exported_name_is_used_by_the_program_or_the_benchmark():
+    # a name in a layer module's __all__ is used as code in the package outside
+    # its own def or class: as an attribute, or as a bare name in its own module
+    # or one that imports it (not in a string or a docstring, and not a local of
+    # the same name elsewhere); or it is named in perfbench, whose tracer, hooks
+    # and tests read it.  The rest is test-only code.
+    src = os.path.dirname(ckkernel.__file__)
+    trees = {}
+    for name in sorted(n for n in os.listdir(src) if n.endswith(".py")):
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            trees[name[:-3]] = ast.parse(fh.read())
+    bench_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    bench = []
+    for name in glob.glob("**/*.py", root_dir=bench_dir, recursive=True) + ["layers.json"]:
+        with open(os.path.join(bench_dir, name), encoding="utf-8") as fh:
+            bench.append(fh.read())
+    bench_text = "\n".join(bench)
+
+    def used(node, name, bare):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            return False
+        if isinstance(node, ast.Name) and node.id == name:
+            return bare
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+        return any(used(child, name, bare) for child in ast.iter_child_nodes(node))
+
+    def imports(tree):
+        return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+
+    unused = [
+        f"{module}.{name}"
+        for module in trees
+        if module != "__init__"
+        for name in getattr(importlib.import_module(f"ckkernel.{module}"), "__all__", ())
+        if not any(used(tree, name, user == module or name in imports(tree))
+                   for user, tree in trees.items() if user != "__init__")
+        and not re.search(rf"\b{re.escape(name)}\b", bench_text)
+    ]
+    assert unused == []

@@ -286,13 +286,6 @@ class TestRk:
                 assert kernel._cut_threshold(k, n, math.inf) > kernel._omega_tails(k, 1)[0], (k, n)
         assert r_k(12, 1, math.inf).terms_used == 1
 
-    def test_value_is_prefactor_times_rho(self):
-        for k in (12, 20, 32):
-            coeff = r_k(k, 1)
-            assert coeff.value.value == pytest.approx(
-                math.exp(coeff.log_prefactor) * coeff.rho.value, rel=1e-12
-            )
-
     def test_value_bar_covers_the_prefactor(self):
         # P * rho's bar, plus the distance to P * rho, with P the 50-digit prefactor
         for k in range(12, 41, 4):

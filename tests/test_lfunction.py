@@ -13,10 +13,11 @@ from ckkernel.lfunction import (
     completed_l,
     deligne_count,
     deligne_tail,
-    functional_equation_residual,
     gamma_series,
 )
 from ckkernel.qexpansion import Eigenform, eigenforms
+
+from modularity import functional_equation_residual
 
 
 def mpmath_l_value(f, s: float, terms: int = 120) -> float:

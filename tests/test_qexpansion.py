@@ -31,6 +31,8 @@ from ckkernel.qexpansion import (
 from ckkernel.qexpansion import _ROOT_BITS, _real_roots
 from ckkernel.specfun import HalfIntOrder
 
+from modularity import functional_equation_residual
+
 
 def eta24_coefficients(prec: int) -> list[Fraction]:
     """Independent oracle for Delta: q * prod_n (1 - q^n)^24."""
@@ -192,7 +194,7 @@ BUILDERS = [
 # carry a result (KernelCoefficient, Certificate, LValue, TriangleCheck,
 # ValueWithError) and the exception types: nothing to sweep.
 NO_INTEGER_ARGUMENT = {
-    "global_bound", "completed_l", "functional_equation_residual", "petersson_norm_sq",
+    "global_bound", "completed_l", "petersson_norm_sq",
     "petersson_inner", "bessel_j", "bessel_envelope", "upper_incomplete_gamma",
     "KernelCoefficient", "Certificate", "LValue", "TriangleCheck", "ValueWithError",
     "DomainError", "PrecisionError", "UnsupportedError",
@@ -230,7 +232,7 @@ LISTED = [
     (HalfIntOrder, (10**400 + 1,), PrecisionError),  # nu past the float range
     (HalfIntOrder, (10**307 + 1,), PrecisionError),  # Gamma(nu + 1) past it, as past twice_nu = 341
     (lfunction.completed_l, (Eigenform(10**400, (1.0, 2.0)), 1.0), DomainError),
-    (lfunction.functional_equation_residual, (Eigenform(10**400, (1.0, 2.0)), 1.0), DomainError),
+    (functional_equation_residual, (Eigenform(10**400, (1.0, 2.0)), 1.0), DomainError),
     # counts past the one cap, 2^16, raised before any allocation
     (eisenstein, (4, 10**5000), DomainError),
     (eisenstein, (4, 2**16 + 1), DomainError),
@@ -245,7 +247,7 @@ LISTED = [
     # in the strip, but past the incomplete gamma's s <= 60, as an int and a float
     (lfunction.completed_l, (Eigenform(10**400, (1.0, 2.0)), 5 * 10**399), DomainError),
     (lfunction.completed_l, (Eigenform(124, (1.0, 2.0)), 62.0), DomainError),
-    (lfunction.functional_equation_residual, (Eigenform(124, (1.0, 2.0)), 61), DomainError),
+    (functional_equation_residual, (Eigenform(124, (1.0, 2.0)), 61), DomainError),
     # the Parseval sum's s = k - 1 <= 60, tested before any float operation
     (petersson.petersson_inner,
      (Eigenform(10**400, (1.0, 2.0)), Eigenform(10**400, (1.0, 2.0)), QuadratureSpec(20)), DomainError),
