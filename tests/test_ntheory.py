@@ -1,12 +1,15 @@
+import contextlib
 import dataclasses
 import gc
+import io
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from ckkernel import ntheory
+from ckkernel import cli, kernel, ntheory
 from ckkernel.errors import DomainError
 from ckkernel.ntheory import (
     ValueWithError,
@@ -369,3 +372,34 @@ class TestBernoulli:
         ascending = [bernoulli(n) for n in ns]
         assert descending == ascending
         assert len(ntheory._bernoulli_even) > 51
+
+    def test_any_request_order_gives_the_table_of_one_build(self, monkeypatch):
+        # the entries do not depend on where a build stops, and requests up to
+        # B_40, the largest the certified weights ask for, build the table once
+        one_build = ntheory._even_bernoulli(50)
+        builds = []
+        build = ntheory._even_bernoulli
+        monkeypatch.setattr(ntheory, "_even_bernoulli", lambda h: builds.append(h) or build(h))
+        ns = list(range(0, 101, 2))
+        for order in (ns, ns[::-1], random.Random(1).sample(ns, len(ns)), [12, 6, 100, 40, 2]):
+            monkeypatch.setattr(ntheory, "_bernoulli_even", [Fraction(1)])
+            assert [bernoulli(n) for n in order] == [one_build[n // 2] for n in order]
+        for order in (ns[:21], ns[20::-1], [6, 12, 8, 16, 40], [4, 2]):
+            monkeypatch.setattr(ntheory, "_bernoulli_even", [Fraction(1)])
+            builds.clear()
+            assert [bernoulli(n) for n in order] == [one_build[n // 2] for n in order]
+            assert builds == [20], order
+
+    def test_a_report_triangle_process_builds_the_table_once(self, monkeypatch):
+        # one weight per report, as the report-triangle workload calls them,
+        # each weight asking B_(k/2) and B_k: a table grown on demand from
+        # B_6 was built at h = 3, 6, 12 and 24
+        builds = []
+        build = ntheory._even_bernoulli
+        monkeypatch.setattr(ntheory, "_even_bernoulli", lambda h: builds.append(h) or build(h))
+        monkeypatch.setattr(ntheory, "_bernoulli_even", [Fraction(1)])
+        monkeypatch.setattr(kernel, "_TAILS", {})
+        for k in range(12, 41, 4):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["report", "--weights", f"{k}:{k}:4", "--triangle", "--json"]) == 0
+        assert builds == [20]

@@ -23,31 +23,32 @@ EPS = 2.220446049250313e-16
 
 
 def _reference_bessel_j(nu, x):
-    """bessel_j's ascending series as first written, max() per step, with the
-    leading term (x/2)^nu / Gamma(nu + 1) over the double factorial's Gamma
-    taken per call."""
+    """bessel_j's two-phase ascending series written plainly: max() over
+    every term and partial sum per step, the step denominators and the
+    leading term's Gamma(nu + 1) over the double factorial taken per call."""
     v = nu.nu
     half = x / 2.0
     q = half * half
-    a = v * math.log(half)
     twice_nu = nu.twice_nu
     gamma = math.prod(range(twice_nu, 0, -2)) / 2 ** ((twice_nu + 1) // 2) * math.sqrt(math.pi)
-    term = math.exp(a) / gamma
-    lead_err = (2.0 * abs(a) + 4.0) * EPS * term
-    total = term
-    max_abs = abs(term)
+    term = half**v / gamma
+    lead_err = 4.0 * EPS * term + 1e-323
+    total = max_abs = term
     j = 0
-    while True:
-        ratio = q / ((j + 1) * (v + j + 1))
-        next_term = -term * ratio
-        if ratio < 1.0 and abs(next_term) <= 1e-18 * abs(total) + 5e-324:
-            tail = abs(next_term)
-            break
-        term = next_term
+    while q >= (j + 1) * (v + j + 1):  # rising: the ratio is at least 1
+        term = -term * (q / ((j + 1) * (v + j + 1)))
         total += term
         max_abs = max(max_abs, abs(term), abs(total))
         j += 1
-    return total, tail + ((j + 2) * EPS * max_abs + lead_err)
+    stop = 1e-19 * max_abs + 5e-324
+    while True:
+        term = -term * (q / ((j + 1) * (v + j + 1)))
+        if abs(term) <= stop:
+            break
+        total += term
+        max_abs = max(max_abs, abs(term), abs(total))
+        j += 1
+    return total, abs(term) + ((j + 2) * (EPS * max_abs + 5e-324) + lead_err)
 
 
 def _finite_form(l, n, m, sqrt2, sqrt3):
@@ -228,8 +229,9 @@ class TestBesselJ:
                 assert resid <= allowed
 
     def test_matches_parent_loop_bit_for_bit(self):
-        # the memoized Gamma(nu + 1) and the two comparisons in place of max()
-        # change no bit of the value or the bar
+        # the memoized Gamma(nu + 1) and step denominators, the peak taken as
+        # max_abs and the falling phase's one comparison change no bit of the
+        # value or the bar
         xs = [n * math.pi / m for n in range(1, 6) for m in range(1, 257)]
         xs += [MAX_SERIES_ARG * i / 1024 for i in range(1, 1025)]
         for k in range(12, 41, 4):
@@ -274,6 +276,22 @@ class TestBesselJ:
                 assert term < mp.mpf(2) ** -1075 / 1.01, twice_nu
         with pytest.raises(PrecisionError, match="converge"):
             bessel_j(HalfIntOrder(1), math.nan)
+
+    def test_halving_x_is_exact_from_the_least_argument_on(self):
+        # below 2^-1021 the half of x may round: at x = 7 * 5e-324 it rounded
+        # up by 1/7, and J_1/2's value came back 7% high under a 1e-13 bar
+        for x in (7 * 5e-324, 2.0**-1021 - 5e-324):
+            with pytest.raises(DomainError):
+                bessel_j(HalfIntOrder(1), x)
+            with pytest.raises(DomainError):
+                bessel_envelope(HalfIntOrder(1), x)
+        x = 2.0**-1021
+        with mp.workdps(50):
+            for twice_nu in (1, 3, 11):
+                v = mp.mpf(twice_nu) / 2
+                j = bessel_j(HalfIntOrder(twice_nu), x)
+                assert abs(j.value - mp.besselj(v, x)) <= j.abs_err, twice_nu
+                assert bessel_envelope(HalfIntOrder(twice_nu), x) >= (x / mp.mpf(2)) ** v / mp.gamma(v + 1)
 
     def test_domain(self):
         # 5e-324 passed the old x > 0 test, and its half rounds to 0
