@@ -37,14 +37,7 @@ from operator import floordiv, lshift, neg, sub
 from .errors import _MAX_COUNT, PrecisionError, _integer
 from .ntheory import (_FIX_BITS, ValueWithError, _cos_pi_fixed, _gamma_fixed, _pair_block,
                       _pi_power_bracket, _pi_power_fixed, _pi_power_up, bernoulli, gamma_sum)
-from .specfun import (
-    _EPS,
-    MAX_SERIES_ARG,
-    HalfIntOrder,
-    _bessel_factor_fixed,
-    bessel_envelope,
-    bessel_j,
-)
+from .specfun import _EPS, HalfIntOrder, _bessel_factor_fixed, bessel_j
 
 __all__ = [
     "KernelCoefficient",
@@ -56,6 +49,9 @@ __all__ = [
     "certify",
 ]
 
+# The largest Bessel argument n pi the series takes, so n <= 5:
+# `specfun._bessel_factor_fixed`'s bracket is about 2^-95 wide up to it
+MAX_SERIES_ARG = 16.0
 # m < _PRIMORIALS[i] has at most i prime factors, so at most 2^i coprime pairs a*c = m
 _PRIMORIALS = (2, 6, 30, 210, 2310, 30030, 510510, 9699690)
 
@@ -187,16 +183,19 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     eps), which decides the same, found by one `bisect` on the table grown
     to that entry; `PrecisionError` if none up to M = 2^16 reaches it.
 
-    Each term g_n(m) sqrt(x) J_nu(x), x = n pi / m, takes one `gamma_sum`
-    and one `bessel_j`, and is charged its Bessel bar and the roundings of
-    x (pi's included), g, sqrt(x) and the products.  A term whose charge
-    would pass eps/64, where the float Bessel series cancels, is taken
-    exactly instead: g_n(m) from `ntheory._gamma_fixed` and
-    `_cos_pi_fixed` and the Bessel factor from
+    Each term is g_n(m) sqrt(x) J_nu(x), x = n pi / m.  A hump term,
+    x * x > k + 1, where the Bessel series rises before it falls, lies past
+    `bessel_j`'s domain (the same float test on the same x), and it is
+    taken exactly, as is any other term whose float charge would pass
+    eps/64, where the float Bessel series cancels: g_n(m) from
+    `ntheory._gamma_fixed` and `_cos_pi_fixed` and the Bessel factor from
     `specfun._bessel_factor_fixed`, in 256-bit fixed point at the exact
-    angles; these terms are summed in fixed point and rounded once, and the
-    others by `math.fsum`.  The whole bar on rho, tail, Bessel and rounding
-    parts together, is at most eps; `PrecisionError` otherwise.
+    angles.  Every other term takes one `gamma_sum` and one `bessel_j`, and
+    is charged its Bessel bar and the roundings of x (pi's included), g,
+    sqrt(x) and the products.  The exact terms are summed in fixed point
+    and rounded once, and the float terms by `math.fsum`.  The whole bar on
+    rho, tail, Bessel and rounding parts together, is at most eps;
+    `PrecisionError` otherwise.
     """
     k, n = _check_weight(k), _integer("n", n, 1)
     if not eps >= 1e-14:
@@ -224,28 +223,24 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     # |d/dx sqrt(x) J_nu(x)| <= (3 nu - 1/2) env / sqrt(x), env the envelope
     # (x/2)^nu / Gamma(nu + 1): x's rounding moves the term by at most
     # cx |g| sqrt(x) env (1.25 in place of 1.2 covers the second-order
-    # parts).  While x^2 <= k + 1 = 2 (nu + 1) the Bessel series falls from
-    # its first term, so env <= 2 |J_nu(x)| <= 2 (|jv| + jerr); past x_env
-    # the envelope itself is charged.  sqrt(x), the two products and g's
-    # last subtraction add 2 _EPS |g| sqrt(x) (|jv| + jerr).
+    # parts).  On bessel_j's domain, x^2 <= k + 1 = 2 (nu + 1), every ratio
+    # of the Bessel series is at most 1/2, so env <= 2 |J_nu(x)| <= 2 (|jv| +
+    # jerr).  sqrt(x), the two products and g's last subtraction add
+    # 2 _EPS |g| sqrt(x) (|jv| + jerr).
     cx = 1.25 * (3 * (k - 1) / 2 - 0.5) * _EPS
     c1 = 2 * cx + 2 * _EPS
-    x_env = math.sqrt(k + 1)
-    m_env = 1  # x > x_env exactly for m < m_env
-    while n_pi / m_env > x_env:
+    m_env = 1  # the hump terms, x * x > k + 1, are those with m < m_env
+    while (x := n_pi / m_env) * x > k + 1:
         m_env += 1
     cos, sqrt, gamma, bessel = math.cos, math.sqrt, gamma_sum, bessel_j
-    exact = []
+    exact = list(range(1, min(m_env, m_stop + 1)))
     terms = []
     keep = terms.append
     float_err = 0.0
-    # [lo, hi) ranges of m: split at the primorials, as g's error bound
-    # depends on the number of pairs, and at m_env
-    bounds = sorted({m_stop + 1, *(b for b in (m_env, *_PRIMORIALS) if b <= m_stop)})
-    lo = 1
-    for hi in bounds:
-        if lo >= hi:
-            continue
+    # [lo, hi) ranges of m past the hump: split at the primorials, as g's
+    # error bound depends on the number of pairs
+    lo = m_env
+    for hi in sorted({m_stop + 1, *(b for b in _PRIMORIALS if lo < b <= m_stop)}):
         # g is within ge of g_n(m) for m in [lo, hi): each of its 2^i
         # cosines within 5 _EPS (the angle pi (t/m) within 1.2 _EPS
         # relatively, cos within an ulp), their sum within 2^i (2^i + 1)/4
@@ -253,7 +248,6 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
         pairs = 1 << bisect.bisect_right(_PRIMORIALS, lo)
         boundary = odd and lo > 1
         ge = 0.0 if lo == 1 else (pairs * (5 + (pairs + 1) / 4) + boundary * 4 * (1.2 * n_pi / lo + 1)) * _EPS
-        hump = lo < m_env
         for m in range(lo, hi):
             x = n_pi / m
             g = gamma(n, m)
@@ -267,8 +261,6 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
             gw = abs(gs)
             # |J_nu(x)| is at most abs(jv) + jerr
             charge = (c1 * gw + ge * w) * (abs(jv) + jerr) + gw * jerr
-            if hump:
-                charge += cx * gw * bessel_envelope(nu, x)
             if charge > flag:
                 exact.append(m)
             else:

@@ -1,14 +1,12 @@
 """Special functions with explicit error contracts.
 
-Bessel J of half-integer order via the ascending power series (small
-arguments only, which is all the kernel series ever needs), in floats and,
-at the kernel's arguments n pi / m, in exact fixed point; a float at or
-above the classical power envelope |J_nu(x)| <= (x/2)^nu / Gamma(nu+1);
-and the upper incomplete gamma function used by the completed-L sums.
-The float series and the envelope take one leading term, (x/2)**nu /
-Gamma(nu + 1) by one pow and one quotient, charged 4 _EPS relatively;
-the series then rises while its ratio is at least 1 and falls to one
-fixed stop threshold.
+Bessel J of half-integer order via the ascending power series, and the
+upper incomplete gamma function used by the completed-L sums.  The float
+series takes the arguments x * x <= 2 nu + 2, where its terms fall from
+the first, from one leading term (x/2)**nu / Gamma(nu + 1), one pow and
+one quotient charged 4 _EPS relatively, to one fixed stop threshold.  At
+the kernel's arguments n pi / m the series is also summed in exact fixed
+point, which takes the larger arguments too, where it rises and cancels.
 """
 
 from __future__ import annotations
@@ -23,29 +21,24 @@ from .ntheory import ValueWithError, _alternating_fixed, _pi_power_fixed, _unche
 __all__ = [
     "HalfIntOrder",
     "bessel_j",
-    "bessel_envelope",
     "upper_incomplete_gamma",
 ]
 
 # 2^-52, the unit in which every module counts its roundings
 _EPS = 2.220446049250313e-16
-# Largest argument the ascending-series contract covers.  Beyond this the
-# partial sums grow enough that the float-cancellation budget is no longer
-# comfortably below the certified tail bounds.
-MAX_SERIES_ARG = 16.0
 # math.gamma "proved accurate to within <= 10 ulps across the entire float
 # domain" in random tests (CPython, Modules/mathmodule.c): within _GAMMA_ULPS
 # _EPS of Gamma(s), relatively.
 _GAMMA_ULPS = 10.0
 # The least Bessel argument: from it on x / 2 >= 2^-1022 is a normal float, so
-# halving x is exact, which the leading terms' charges assume
+# halving x is exact, which the leading term's charge assumes
 _MIN_ARG = 2.0**-1021
 # Gamma(nu + 1) is a finite float up to nu = 341 / 2 (Gamma(172.5) > 1.8e308)
 _MAX_TWICE_NU = 341
-# bessel_j's steps: at x <= MAX_SERIES_ARG its term j, (x/2)^(nu+2j) /
-# (j! Gamma(nu+j+1)), is below 2^-1075 / 1.01 from j = 177 on for every nu (the
-# largest at nu = 1/2), so the float term is 0 or 5e-324 there, which stops it
-_BESSEL_STEPS = 192
+# bessel_j's steps: at x * x <= 2 nu + 2 the product of its first 17 ratios
+# (x/2)^2 / ((j + 1)(nu + j + 1)) is below 1e-19 / 1.01 for every nu (16 fall
+# short from nu = 109/2 on), so its term is within the stop threshold there
+_BESSEL_STEPS = 17
 
 
 @dataclass(frozen=True)
@@ -90,112 +83,82 @@ class HalfIntOrder:
         return cls(k - 1)
 
 
-def bessel_envelope(nu: HalfIntOrder, x: float) -> float:
-    """An upper bound on (x/2)^nu / Gamma(nu + 1), the classical bound on
-    |J_nu(x)|, for x = 0 and 2^-1021 <= x <= MAX_SERIES_ARG.
-
-    Its leading term is `bessel_j`'s, (x/2)**nu / Gamma(nu + 1) in floats,
-    within 3.5 _EPS of it relatively less second-order amounts (pow's ulp,
-    Gamma's 2 _EPS and the quotient's half ulp).  It is multiplied by
-    1 + 6 _EPS, an exact float, and the product rounds by _EPS / 2, which
-    leaves at least 1 + 2 _EPS less second-order amounts.  In the subnormal
-    range those roundings are absolute instead, at most 2.2 units of 5e-324
-    (pow's ulp over Gamma(nu + 1) >= 0.88, the quotient's and the product's
-    half units), and three units are added.
-    `DomainError` for x < 0, 0 < x < 2^-1021, where x / 2 may round, x past
-    MAX_SERIES_ARG or a NaN x.
-    """
-    if x == 0.0:
-        return 0.0
-    if not _MIN_ARG <= x <= MAX_SERIES_ARG:
-        raise DomainError(
-            f"bessel_envelope requires x = 0 or 2^-1021 <= x <= {MAX_SERIES_ARG}, got {x}"
-        )
-    half = x / 2.0
-    return half ** (nu.twice_nu / 2.0) / nu.gamma_nu_plus_one * (1.0 + 6.0 * _EPS) + 1.5e-323
-
-
 def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
     """J_nu(x) by the ascending series, with a certified truncation bound,
-    for 2^-1021 <= x <= MAX_SERIES_ARG, where x / 2 is exact.
+    for 2^-1021 <= x, where x / 2 is exact, and x * x <= 2 nu + 2, where
+    the series falls from its first term; `DomainError` otherwise, a NaN x
+    included.
 
     sum_{j>=0} (-1)^j (x/2)^(nu+2j) / (j! Gamma(nu+j+1)).  The leading term
-    is (x/2)**nu / Gamma(nu + 1) in floats, pow within an ulp (glibc's pow,
-    like its exp, log and cos, is documented below 1 ULP), Gamma(nu + 1)
-    within 2 _EPS (`HalfIntOrder`) and the quotient within _EPS / 2: within
-    3.5 _EPS relatively, and 4 _EPS covers the second-order parts.  Step j
-    multiplies the term by the ratio (x/2)^2 / d_j, d_j = (j + 1)(nu + j + 1)
-    read from nu's `step_denominators`.  The series runs in two phases.
-    The rising phase, at hump arguments only, takes the steps while
-    (x/2)^2 >= d_j, where the terms do not fall; it ends at the peak term,
-    whose size is max_abs.  In the falling phase every later ratio is below
-    1, as d_j rises with j, so the series is alternating and decreasing and
-    the first omitted term bounds the tail.  It has no ratio or max_abs test:
-    it stops at the first term within 1e-19 max_abs + 5e-324 of 0, one
-    chained comparison per step, and charges that term in full.  Every
-    x <= MAX_SERIES_ARG stops within _BESSEL_STEPS steps; a NaN x never
-    does, and raises `PrecisionError`.
+    b_0 is (x/2)**nu / Gamma(nu + 1) in floats, pow within an ulp (glibc's
+    pow, like its exp, log and cos, is documented below 1 ULP), Gamma(nu +
+    1) within 2 _EPS (`HalfIntOrder`) and the quotient within _EPS / 2:
+    within 3.5 _EPS relatively, and 4 _EPS covers the second-order parts.
+    Step j multiplies the term by the ratio q / d_j, q = (x/2)^2 and d_j =
+    (j + 1)(nu + j + 1) read from nu's `step_denominators`.  On the domain q
+    <= (nu + 1) / 2 = d_0 / 2, and d_j rises with j, so every ratio is at
+    most 1/2, in floats too, as 1/2 is a float and rounding is monotone: the
+    series is alternating and decreasing from b_0, and the first omitted
+    term bounds the tail.  The loop has no ratio test: it stops at the first
+    term within 1e-19 b_0 + 5e-324 of 0, one chained comparison per step,
+    and charges that term in full.  The product of the first _BESSEL_STEPS
+    ratios is below 1e-19 / 1.01 at the domain's end for every order, so
+    the series stops within those steps; a loop that ran past them would
+    raise `PrecisionError`.
 
-    No partial sum exceeds the largest term, so max_abs, the scale of the
-    (j + 2) _EPS max_abs charged for the float sums (each of the j additions
-    is within _EPS / 2 of a |total| <= max_abs), needs only the peak.  In
-    exact arithmetic: while |terms| rise, each sum lies between 0 and the
-    last term, as it is that term plus a smaller amount of the other sign;
-    once they fall, all later sums are nested between two consecutive ones.
-    In floats: let b_i be the computed |term| and P_i the computed sum
-    signed like term i.  Terms alternate exactly, so P_(i+1) =
-    fl(b_(i+1) - P_i).  The computed ratio does not rise with i (rounding
-    is monotone), so b rises up to a peak b_p = M and then does not rise,
-    as fl(b r) <= b for r <= 1; that peak is the last term of the rising
-    phase, or the leading term, and is max_abs.  While b rises, P_i is in
-    [0, b_i]: b_(i+1) - P_i is in [0, b_(i+1)], whose ends are floats.
-    From p on, P_i is in [L_i, M], L_i = fl(b_i - M) >= -M:
-    P_(i+1) >= fl(b_(i+1) - M), and b_(i+1) - L_i <= M + U/2 -
-    (b_i - b_(i+1)) < M + U/2, U the float spacing above M, which rounds to
-    at most M, as b falls strictly: fl(b r) < b for r < 1 and normal b.
-    Only the first falling ratio, just below 1, can round to 1; there b_i =
-    M and L_i = 0, so b_(i+1) - L_i = M.  A subnormal b (no strict fall) is
-    below U/2, which keeps the inequality strict, unless M < 2^-969; there
-    max_abs may miss one ulp of M, a second-order (j + 2) _EPS^2 M the bar,
-    first order in _EPS, does not track.
+    The j sums are charged (j + 2) _EPS max_abs, max_abs = b_0, a
+    first-order bound on the series' rounding (Higham 2002, section 3.3).
+    Let b_i be the computed |term i| and P_i the computed sum up to term i,
+    signed like it.  Term i is off by at most 1.5 i _EPS relatively (q's
+    rounding, taken i times, and i roundings each of q / d and the product),
+    and sum i by |P_i| _EPS / 2, so the series is off by at most
+    sum_i (1.5 i b_i + |P_i| / 2) _EPS over the sums i = 1..j, with the
+    omitted term's 1.5 (j + 1) b_(j+1) _EPS.  Every ratio is at most 1/2, so
+    b_i <= b_0 2^-i, and every |P_i| <= b_0 (below).  As sum_(i <= j+1)
+    1.5 i 2^-i is below 3, and at most 1.5 for j < 2, the bound is below
+    (3 + j/2) b_0 <= (j + 2) b_0 for j >= 2, and at most (1.5 + j/2) b_0 <
+    (j + 2) b_0 for j < 2.  The error of b_0 scales the whole sum, at most
+    b_0 in size, and 4 _EPS b_0 holds it.
+
+    No partial sum exceeds b_0.  Terms alternate exactly, so P_(i+1) =
+    fl(b_(i+1) - P_i); P_i is in [L_i, M], M = b_0 and L_i = fl(b_i - M) >=
+    -M.  P_(i+1) >= fl(b_(i+1) - M), and b_(i+1) - L_i <= M + U/2 - (b_i -
+    b_(i+1)) < M + U/2, U the float spacing above M, which rounds to at most
+    M, as b falls strictly: fl(b r) < b for r <= 1/2 and normal b.  A
+    subnormal b (no strict fall) is below U/2, which keeps the inequality
+    strict, unless M < 2^-969; there a sum may pass M by one ulp, a
+    second-order (j + 2) _EPS^2 M the bar, first order in _EPS, does not
+    track.
 
     Below 2^-1022 roundings are absolute, in units of u = 5e-324, and the
     charges above may round to 0, so the bar adds (j + 2) u to the sums'
     charge and 2 u to the leading term's.  If the leading term is that
     small, (x/2)^nu < 2^-1022 Gamma(nu + 1) gives x/2 < 1.005 for every
-    order, so each ratio is below 0.006, the terms fall from the first and
-    j < 8.  The leading term is then off by pow's ulp over Gamma(nu + 1) >=
-    0.88 and the quotient's half unit, 1.64 u; each of the j + 1 products,
-    the omitted term's last, by u/2, carried into later terms at most
-    1.006-fold; sums of subnormals and their small multiples are exact.
-    That is at most 1.006 (1.64 + (j + 1)/2) u, below the (j + 2) u/2 +
-    1.5 u the two added amounts keep after the two charges' own roundings:
-    where the leading term underflows, as for J_39.5(1e-8) ~ 1e-375, the
-    bar still holds J.  If it is normal, those charges round relatively,
-    and the (j + 4) u added covers the j + 1 products.
+    order, so each ratio is below 0.006 and j < 8.  The leading term is
+    then off by pow's ulp over Gamma(nu + 1) >= 0.88 and the quotient's half
+    unit, 1.64 u; each of the j + 1 products, the omitted term's last, by
+    u/2, carried into later terms at most 1.006-fold; sums of subnormals
+    and their small multiples are exact.  That is at most 1.006 (1.64 + (j
+    + 1)/2) u, below the (j + 2) u/2 + 1.5 u the two added amounts keep
+    after the two charges' own roundings: where the leading term
+    underflows, as for J_39.5(1e-8) ~ 1e-375, the bar still holds J.  If it
+    is normal, those charges round relatively, and the (j + 4) u added
+    covers the j + 1 products.
     """
-    if x < _MIN_ARG:  # x <= 0, or x / 2 may round
-        raise DomainError(f"bessel_j requires x >= 2^-1021, where x / 2 is exact, got {x}")
-    if x > MAX_SERIES_ARG:
+    if not (_MIN_ARG <= x and x * x <= nu.twice_nu + 2):
         raise DomainError(
-            f"bessel_j ascending-series contract covers x <= {MAX_SERIES_ARG}, got {x}"
+            f"bessel_j requires 2^-1021 <= x, where x / 2 is exact, and x * x <= 2 nu + 2, "
+            f"where its series falls, got {x} at nu = {nu.nu}"
         )
     half = x / 2.0
-    q = half * half
     term = half ** (nu.twice_nu / 2.0) / nu.gamma_nu_plus_one
     lead_err = 4.0 * _EPS * term + 1e-323
-    total = term  # >= 0
-    steps = nu.step_denominators
-    j = 0
-    while q >= steps[j]:  # the rising phase
-        term = -term * (q / steps[j])
-        total += term
-        j += 1
-    max_abs = abs(term)
+    total = max_abs = term  # >= 0
     hi = 1e-19 * max_abs + 5e-324
     lo = -hi
-    nq = -q  # term * (-q / d) is -term * (q / d), bit for bit
-    for j in range(j, _BESSEL_STEPS):
+    nq = -half * half  # term * (-q / d) is -term * (q / d), bit for bit
+    steps = nu.step_denominators
+    for j in range(_BESSEL_STEPS):
         term *= nq / steps[j]
         if lo <= term <= hi:  # at the break, the first omitted term
             break
@@ -218,7 +181,7 @@ def _bessel_factor_fixed(nu: HalfIntOrder, n: int, m: int) -> tuple[int, int]:
     leading term 2 x^(l+1) / (2l+1)!! with the term ratio
     x^2 / ((2j + 2)(2l + 2j + 3)).  In integers its terms cancel without
     loss, where the float series of `bessel_j` loses up to 5 digits at
-    x = 5 pi: the bracket is about 2^-95 wide at any x <= MAX_SERIES_ARG.
+    x = 5 pi: the bracket is about 2^-95 wide at any x <= 16.
     """
     l = nu.twice_nu // 2
     p = l + 1

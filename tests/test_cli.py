@@ -1,6 +1,6 @@
 import ast
 import glob
-import importlib
+import importlib.util
 import io
 import json
 import os
@@ -274,3 +274,37 @@ def test_every_exported_name_is_used_by_the_program_or_the_benchmark():
         and not re.search(rf"\b{re.escape(name)}\b", bench_text)
     ]
     assert unused == []
+
+
+def test_code_lines_counts_only_code():
+    # tools/code_lines.py skips blank lines, comments and docstrings, and counts
+    # each line of a statement that spans several, and of a string that is code
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools",
+                        "code_lines.py")
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    source = '''"""Module docstring,
+over two lines."""
+
+import math  # a comment
+
+# a comment line
+
+
+def f(x):
+    """One line."""
+    return math.fsum((x,
+                      1.0))
+
+
+class C:
+    """Two
+    lines."""
+
+    text = """a string
+    that is code"""
+'''
+    assert tool.code_lines(source) == 7
+    out = subprocess.run([sys.executable, path], capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1].split()[0] == "total"

@@ -20,7 +20,7 @@ from ckkernel.kernel import (
     series_tail_bound,
 )
 from ckkernel.ntheory import ValueWithError, _pair_block, gamma_sum
-from ckkernel.specfun import HalfIntOrder, bessel_envelope, bessel_j
+from ckkernel.specfun import HalfIntOrder, bessel_j
 
 
 def omega_sieve(top: int) -> list[int]:
@@ -150,16 +150,18 @@ class TestSeriesTailBound:
 
     def test_not_above_the_divisor_bound(self):
         # the d(m) <= 2 sqrt(m) tail, 2 A m_stop^((3-k)/2) 2/(k-3), at every
-        # power-of-two and three-times-power-of-two cutoff up to the 2^16 cap
+        # power-of-two and three-times-power-of-two cutoff up to the 2^16 cap,
+        # A = sqrt(x) (x/2)^nu / Gamma(nu + 1) at x = n pi, taken at 30 digits
         cutoffs = [8 << j for j in range(14)] + [12 << j for j in range(13)]
-        for k in range(12, 41, 4):
-            nu = HalfIntOrder.for_weight(k)
-            for n in range(1, 6):
-                x = n * math.pi
-                a = math.sqrt(x) * bessel_envelope(nu, x)
-                for m_stop in cutoffs:
-                    old = math.sqrt(2 * math.pi) * a * (4.0 / (k - 3)) * m_stop ** ((3 - k) / 2)
-                    assert series_tail_bound(k, n, m_stop) <= old, (k, n, m_stop)
+        with mp.workdps(30):
+            for k in range(12, 41, 4):
+                nu = mp.mpf(k - 1) / 2
+                for n in range(1, 6):
+                    x = n * mp.pi
+                    a = mp.sqrt(x) * (x / 2) ** nu / mp.gamma(nu + 1)
+                    for m_stop in cutoffs:
+                        old = mp.sqrt(2 * mp.pi) * a * 4 / (k - 3) * mp.mpf(m_stop) ** (mp.mpf(3 - k) / 2)
+                        assert series_tail_bound(k, n, m_stop) <= old, (k, n, m_stop)
         for m_stop in (2**16 + 1, 2**22):
             with pytest.raises(DomainError):
                 series_tail_bound(12, 1, m_stop)
@@ -299,21 +301,32 @@ class TestRk:
                     assert lhs <= coeff.value.abs_err, (k, n)
 
     def test_one_gamma_sum_and_one_bessel_j_per_term(self, monkeypatch):
-        # each m up to terms_used costs exactly one cosine sum and one Bessel value
-        calls = {}
+        # each m up to terms_used costs exactly one cosine sum and one Bessel
+        # value, but for the hump terms, x * x > k + 1, which cost neither:
+        # r_k never passes bessel_j an argument past its domain
+        calls = {"gamma_sum": 0}
+        args = []
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
+        def counted(*a):
+            calls["gamma_sum"] += 1
+            return gamma_sum(*a)
 
-        monkeypatch.setattr(kernel, "gamma_sum", counted("gamma_sum", gamma_sum))
-        monkeypatch.setattr(kernel, "bessel_j", counted("bessel_j", bessel_j))
+        def recorded(nu, x):
+            args.append(x)
+            return bessel_j(nu, x)
+
+        monkeypatch.setattr(kernel, "gamma_sum", counted)
+        monkeypatch.setattr(kernel, "bessel_j", recorded)
+        humps = []
         for k, n, eps in ((12, 1, 1e-10), (24, 3, 1e-13), (40, 5, 1e-8), (16, 2, 1e-14)):
-            calls.update(gamma_sum=0, bessel_j=0)
+            calls["gamma_sum"] = 0
+            args.clear()
             coeff = r_k(k, n, eps)
-            assert calls == {"gamma_sum": coeff.terms_used, "bessel_j": coeff.terms_used}
+            hump = sum((x := n * math.pi / m) * x > k + 1 for m in range(1, coeff.terms_used + 1))
+            humps.append(hump)
+            assert calls["gamma_sum"] == len(args) == coeff.terms_used - hump, (k, n, eps)
+            assert all(x * x <= k + 1 for x in args), (k, n, eps)
+        assert humps == [0, 1, 2, 1]
 
     def test_n_two(self):
         coeff = r_k(12, 2, 1e-9)
@@ -391,7 +404,7 @@ class TestRkBar:
 # r_k's outputs over k = 12..40 step 4, n = 1..5 and four eps, recorded with
 # CPython 3.11 and glibc's libm on x86-64 Linux: another libm's cos or
 # pow, or the compensated float sum() of CPython 3.12, may move a last bit
-_R_K_DIGEST = "35a20367904fcf6a9537279a70fe16baa93330f2a85dab0d8eae9a7c7c9db295"
+_R_K_DIGEST = "335b6759b410a2d09add0bb866e81bdcdda1147e17c54b036292f13cf1cabfd4"
 _R_K_DIGEST_PLATFORM = ("linux", "x86_64", (3, 11))
 
 
