@@ -10,7 +10,10 @@ The symmetric split makes the two halves exchange exactly under
 s <-> k - s.  Each half is one series G(t) = sum_n a_n (2 pi n)^-t
 Gamma(t, 2 pi n), summed by `gamma_series` with a certified rounding bar
 and a Deligne tail from `deligne_tail`; `petersson` sums its Parseval
-series with the same two.
+series with the same two.  Every s is an integer, the center k/2 and the
+points within 2 of it, so each Gamma(t, x) has the closed form of
+`specfun.upper_incomplete_gamma`, and the conversion (2 pi)^s / (s-1)! to
+L(f, s) is one rounding of the 256-bit pi bracket of `ntheory`.
 
 What a term takes from (s, lam, p, n) alone, x^-s and Gamma(s, x) at
 x = lam n, its charge and its Deligne tail (`_gamma_term`), is memoized
@@ -34,10 +37,10 @@ import sys
 from array import array
 from dataclasses import dataclass
 
-from .errors import _MAX_COUNT, DomainError, PrecisionError, _integer, _shown
-from .ntheory import ValueWithError
+from .errors import _MAX_COUNT, DomainError, PrecisionError, _integer
+from .ntheory import _FIX_BITS, ValueWithError, _pi_power_fixed
 from .qexpansion import Eigenform, eigenforms
-from .specfun import _EPS, _GAMMA_ULPS, upper_incomplete_gamma
+from .specfun import _EPS, upper_incomplete_gamma
 
 __all__ = [
     "LValue",
@@ -49,10 +52,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LValue:
-    """A completed and finite L-value at a real point s."""
+    """A completed and finite L-value at an integer point s."""
 
     k: int
-    s: float
+    s: int
     completed: ValueWithError
     finite: ValueWithError
     terms_used: int
@@ -135,7 +138,7 @@ def coefficient_count(k: int) -> int:
     return deligne_count((k + 1) / 2, math.pi * math.sqrt(3.0), 2.0**-74)
 
 
-def _gamma_term(s: float, lam: float, p: float, n: int) -> tuple[float, float, float, float]:
+def _gamma_term(s: int, lam: float, p: float, n: int) -> tuple[float, float, float, float]:
     """What term n of `gamma_series` takes from (s, lam, p) alone: x^-s and
     Gamma(s, x) at x = lam n, the term's charge per unit |c_n x^-s|, and the
     tail bound from n + 1, (2/lam) `deligne_tail`(p - 1, lam, n + 1), inf
@@ -147,7 +150,7 @@ def _gamma_term(s: float, lam: float, p: float, n: int) -> tuple[float, float, f
 
 
 @functools.lru_cache(maxsize=64)
-def _gamma_row(s: float, lam: float, p: float) -> tuple[array, array, array, array]:
+def _gamma_row(s: int, lam: float, p: float) -> tuple[array, array, array, array]:
     """`_gamma_term` for n = 1, 2, ... in four flat arrays, up to the term at
     which the sum of c = (1, 0, 0, ...) stops, and at most _MAX_COUNT // 64
     terms, so the 64 rows kept hold at most _MAX_COUNT."""
@@ -160,9 +163,10 @@ def _gamma_row(s: float, lam: float, p: float) -> tuple[array, array, array, arr
     return row
 
 
-def gamma_series(c, s: float, lam: float, p: float) -> tuple[ValueWithError, int]:
-    """sum_n c_n (lam n)^-s Gamma(s, lam n) over c_1..c_N, 1 <= s, 1 <= p < 2s + 1,
-    and the number of terms summed.
+def gamma_series(c, s: int, lam: float, p: float) -> tuple[ValueWithError, int]:
+    """sum_n c_n (lam n)^-s Gamma(s, lam n) over c_1..c_N, for an integer s =
+    1..60 (`DomainError` otherwise, before any float operation) and
+    1 <= p < 2s + 1, and the number of terms summed.
 
     Past them |c_n| <= n^p (Deligne) and Gamma(s, x) <= 2 x^(s-1) e^-x for
     x >= 2s bound term n by (2/lam) n^(p-1) e^(-lam n), summed by
@@ -180,8 +184,8 @@ def gamma_series(c, s: float, lam: float, p: float) -> tuple[ValueWithError, int
     What a term takes from (s, lam, p) alone is `_gamma_term`'s, read off
     the memoized `_gamma_row` and made afresh past it, by the same float
     operations either way: each sum is bit-identical to one made without
-    the memo.  An int s and its float share a row, as every operation on
-    either gives the same double.  A sum with |c_1| >= 1 stops within the
+    the memo.  An integral float s is taken as the int, so both share a
+    row.  A sum with |c_1| >= 1 stops within the
     row, if the unit series did: its sum |terms| is at least that series'
     (float products and sums are monotone), so is its ulp, and its tails
     are the same numbers.
@@ -189,8 +193,7 @@ def gamma_series(c, s: float, lam: float, p: float) -> tuple[ValueWithError, int
     own stop, as the bound's term ratio is below 1 there and only falls as
     n grows; every sum that reaches that term raises too.
     """
-    if s < 1.0:
-        raise DomainError(f"gamma_series requires s >= 1, got {s}")
+    s = _integer("s", s, 1, 1, 60)
     xpow, value, charge, tails = _gamma_row(s, lam, p)
     size = len(value)
     terms = []
@@ -218,32 +221,36 @@ def gamma_series(c, s: float, lam: float, p: float) -> tuple[ValueWithError, int
     return ValueWithError(total, err + _EPS * abs(total) + tail), len(terms)
 
 
-def completed_l(f: Eigenform, s: float) -> LValue:
-    """Lambda(f, s) with certified error, for s within 2 of the center k/2.
+def completed_l(f: Eigenform, s: int) -> LValue:
+    """Lambda(f, s) with certified error, for an integer s within 2 of the
+    center k/2.
 
     G(s) + (-1)^(k/2) G(k - s), G the `gamma_series` of the a_n at rate
     2 pi, with Deligne's |a_n| <= d(n) n^((k-1)/2) <= n^((k+1)/2).
-    `DomainError` unless s is in that strip and s, k - s <= 60, the
-    incomplete gamma's contract, both tested before any float operation:
-    the strip exactly, and k - s only once s <= 60 has made k <= 124.
+    `DomainError` unless s is an integer from 1 to 60 in that strip and
+    k - s <= 60, the incomplete gamma's contract, all tested before any
+    float operation: s by `_integer`, then the strip and k - s exactly.
     """
+    s = _integer("s", s, 1, 1, 60)
     k = f.weight
     if not (k - 4 <= 2 * s <= k + 4):  # exact, so no weight past the float range overflows
-        raise DomainError(f"s = {_shown(s)} is more than 2 from the center k/2")
-    if not (s <= 60 and k - s <= 60):
-        raise DomainError(f"s = {_shown(s)} and k - s must be at most 60 for the incomplete gamma")
+        raise DomainError(f"s = {s} is more than 2 from the center k/2")
+    if not k - s <= 60:
+        raise DomainError(f"k - s must be at most 60 for the incomplete gamma, got s = {s}")
     root = 1.0 if k % 4 == 0 else -1.0  # (-1)^(k/2)
     g1, n1 = gamma_series(f.a, s, 2.0 * math.pi, (k + 1) / 2)
     g2, n2 = (g1, n1) if k - s == s else gamma_series(f.a, k - s, 2.0 * math.pi, (k + 1) / 2)
     total = g1.value + root * g2.value
     err = g1.abs_err + g2.abs_err + _EPS * abs(total)
     completed = ValueWithError(total, err)
-    # (2 pi)^s / Gamma(s): s math.pi errors (each under _EPS / 4), then the
-    # power (one ulp), math.gamma and the quotient; the product with total
-    # rounds once more, and 1 + 2 rel covers the bar's own roundings
-    conv = (2.0 * math.pi) ** s / math.gamma(s)
-    rel = (s / 4 + 1.5 + _GAMMA_ULPS) * _EPS
-    bar = conv * (err + (rel + _EPS) * abs(total)) * (1.0 + 2.0 * rel)
+    # (2 pi)^s / (s-1)!: the midpoint of its 256-bit bracket is within 2^-240
+    # of it relatively, and the int quotient rounds it once: conv is within
+    # _EPS of it, as `kernel.r_k`'s prefactor.  With conv * total's rounding
+    # that charges 2 _EPS |total|; the factor 1 + 4 _EPS covers conv's error
+    # in the first term and the four roundings of the bar itself.
+    lo, hi = _pi_power_fixed(2**s, math.factorial(s - 1), s)
+    conv = (lo + hi) / (2 << _FIX_BITS)
+    bar = conv * (err + 2.0 * _EPS * abs(total)) * (1.0 + 4.0 * _EPS)
     finite = ValueWithError(conv * total, bar)
     return LValue(k=k, s=s, completed=completed, finite=finite, terms_used=max(n1, n2))
 
@@ -254,7 +261,7 @@ def central_values(k: int, eps: float = 1e-10) -> list[tuple[Eigenform, ValueWit
     `PrecisionError` unless every bar is at most eps (a nan eps included)."""
     out = []
     for f in eigenforms(k, coefficient_count(k)):
-        lv = completed_l(f, k / 2)
+        lv = completed_l(f, k // 2)
         if not lv.finite.abs_err <= eps:
             raise PrecisionError(
                 f"central value error {lv.finite.abs_err} is not within eps = {eps}"

@@ -1,12 +1,18 @@
 """Special functions with explicit error contracts.
 
 Bessel J of half-integer order via the ascending power series, and the
-upper incomplete gamma function used by the completed-L sums.  The float
-series takes the arguments x * x <= 2 nu + 2, where its terms fall from
-the first, from one leading term (x/2)**nu / Gamma(nu + 1), one pow and
-one quotient charged 4 _EPS relatively, to one fixed stop threshold.  At
-the kernel's arguments n pi / m the series is also summed in exact fixed
-point, which takes the larger arguments too, where it rises and cancels.
+upper incomplete gamma function used by the completed-L and Parseval sums.
+The float Bessel series takes the arguments x * x <= 2 nu + 2, where its
+terms fall from the first, from one leading term (x/2)**nu / Gamma(nu + 1),
+one pow and one quotient charged 4 _EPS relatively, to one fixed stop
+threshold.  At the kernel's arguments n pi / m the series is also summed in
+exact fixed point, which takes the larger arguments too, where it rises and
+cancels.
+
+Every incomplete gamma the program takes has an integer order s = 1..60,
+so Gamma(s, x) is taken in closed form: (s-1)! e^-x times a Horner sum of
+positive terms with a derived first-order bar, in log form past x = 708,
+where e^-x leaves the normal floats.
 """
 
 from __future__ import annotations
@@ -26,10 +32,9 @@ __all__ = [
 
 # 2^-52, the unit in which every module counts its roundings
 _EPS = 2.220446049250313e-16
-# math.gamma "proved accurate to within <= 10 ulps across the entire float
-# domain" in random tests (CPython, Modules/mathmodule.c): within _GAMMA_ULPS
-# _EPS of Gamma(s), relatively.
-_GAMMA_ULPS = 10.0
+# Up to it e^-x is a normal float (e^-708 > 3.3e-308), and `upper_incomplete_gamma`
+# takes it as one; past it, the log form
+_LOG_FORM = 708.0
 # The least Bessel argument: from it on x / 2 >= 2^-1022 is a normal float, so
 # halving x is exact, which the leading term's charge assumes
 _MIN_ARG = 2.0**-1021
@@ -189,75 +194,52 @@ def _bessel_factor_fixed(nu: HalfIntOrder, n: int, m: int) -> tuple[int, int]:
     return _alternating_fixed(lead, _pi_power_fixed(n * n, m * m, 2), 2, 2 * l + 3)
 
 
-def _upper_gamma_cf(s: float, x: float) -> tuple[float, float]:
-    """Gamma(s, x) by the Lentz continued fraction, for x >= s + 1.
+def upper_incomplete_gamma(s: int, x: float) -> ValueWithError:
+    """Gamma(s, x) = integral_x^inf t^(s-1) e^-t dt for an integer s = 1..60
+    and a finite x > 0; `DomainError` otherwise, s tested by `_integer`
+    before any float operation (an integral float gives the int's result).
 
-    Returns (value, abs_err).
+    Gamma(s, x) = (s-1)! e^-x b, b = sum_{i<s} x^i / i! (DLMF section 8.4), summed
+    by Horner from the top, b = 1 + b x / j for j = s-1..1, every term
+    positive.  Term i of b passes i products, i quotients and i + 1 sums
+    (the last term one sum fewer), so b is off by at most
+    sum_i (3 i + 1) u x^i / i! = u (b + 3 x sum_{i<s-1} x^i / i!), u = _EPS/2,
+    to first order (Higham 2002, section 3.3): (1/2 + 3/2 m) _EPS b relatively,
+    m = min(x, s - 1).  (s-1)! as a float, exp(-x) (glibc documents exp
+    below 1 ULP) and the two products add 5/2 _EPS, and the charge
+    (7/2 + 3/2 m) _EPS keeps 1/2 _EPS for the second-order parts and the
+    bar's own roundings.  A product or quotient that underflows (x below
+    2^-1022) is off by 2^-1075 at most against b >= 1, far inside that.
+
+    Past x = _LOG_FORM, e^-x is no longer a normal float, and the same sum is
+    taken in log form: b = x^(s-1) c / (s-1)!, c = sum_{i<s} (s-1)! / (s-1-i)!
+    x^-i by Horner, c = 1 + c j / x for j = 1..s-1, and Gamma(s, x) =
+    exp(L) c with L = (s-1) log x - x.  The term ratios of c are at most
+    59 / 708, so its mean degree is below 0.091 and c is off by at most
+    0.64 _EPS relatively, as above.  With A = (s-1) log x, L is off by at
+    most 3/2 _EPS A (log's ulp and the product's rounding) and _EPS |L| / 2
+    (the difference's), each moving exp(L) relatively by as much; exp and
+    the product with c add 3/2 _EPS, and the charge (3 + 3/2 A + |L| / 2)
+    _EPS keeps 0.86 _EPS for the rest.  Where exp(L) is subnormal or 0 its
+    error is absolute, below 2^-1074, carried at most 1.1-fold by c, and the
+    product and the bar's last product round by 2^-1075 each: the bar adds
+    2e-323 (four units) for them.  A value that rounds to 0 has L below
+    -745.1, where the error of L is a relative 2^-53 of it and a term below
+    1e-10, so the true value is below 1e-323 too.
     """
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
-    h = d
-    for i in range(1, 400):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    else:
-        raise PrecisionError("incomplete-gamma continued fraction failed to converge")
-    slx = s * math.log(x)
-    lg = slx - x
-    value = math.exp(lg) * h if lg > -745 else 0.0
-    # the exp argument carries ~(|s ln x| + x) ulps of rounding, and each of
-    # the i steps up to 2 ulps (63 ulps were measured after ~90 steps near
-    # x = s + 1, small s)
-    return value, (20.0 + 2.0 * i + abs(slx) + x) * _EPS * abs(value) + 5e-324
-
-
-def _lower_gamma_series(s: float, x: float) -> tuple[float, float]:
-    """gamma(s, x) (lower) by the ascending series, for x < s + 1."""
-    term = 1.0 / s
-    if not math.isfinite(term):
-        # s below ~5.6e-309: the stop test relative to 1/s could never hold
-        raise PrecisionError(f"1/s overflows for s = {s}: Gamma(s) is past the float range")
-    terms = [term]
-    k = 1
-    while True:
-        term *= x / (s + k)
-        terms.append(term)
-        if term < 1e-17 * terms[0]:
-            break
-        k += 1
-        if k > 10_000:
-            raise PrecisionError("lower incomplete-gamma series failed to converge")
-    slx = s * math.log(x)
-    value = math.exp(slx - x) * math.fsum(terms)
-    return value, (8.0 + abs(slx) + x) * _EPS * abs(value)
-
-
-def upper_incomplete_gamma(s: float, x: float) -> ValueWithError:
-    """Gamma(s, x) = integral_x^inf t^(s-1) e^-t dt, for 0 < s <= 60, x > 0."""
-    if not (s > 0 and x > 0):
-        raise DomainError("upper_incomplete_gamma requires s > 0 and x > 0")
-    if s > 60:
-        raise DomainError(f"upper_incomplete_gamma contract covers s <= 60, got {s}")
-    if x >= s + 1.0:
-        value, err = _upper_gamma_cf(s, x)
-        return ValueWithError(value, err)
-    lower, lerr = _lower_gamma_series(s, x)
-    full = math.gamma(s)
-    value = full - lower
-    # cancellation is mild here (x < s+1 keeps lower/full away from 1); the
-    # difference rounds once
-    err = lerr + _GAMMA_ULPS * _EPS * full + _EPS * abs(value)
-    return ValueWithError(value, err)
+    s = _integer("s", s, 1, 1, 60)
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"upper_incomplete_gamma requires a finite x > 0, got {x}")
+    if x <= _LOG_FORM:
+        b = 1.0
+        for j in range(s - 1, 0, -1):
+            b = 1.0 + b * x / j
+        value = math.factorial(s - 1) * math.exp(-x) * b
+        return ValueWithError(value, (3.5 + 1.5 * min(x, s - 1)) * _EPS * value)
+    c = 1.0
+    for j in range(1, s):
+        c = 1.0 + c * j / x
+    log_power = (s - 1) * math.log(x)
+    log_scale = log_power - x  # below -320 (x - 59 log x rises past x = 59), so -log_scale is |L|
+    value = math.exp(log_scale) * c
+    return ValueWithError(value, (3.0 + 1.5 * log_power - 0.5 * log_scale) * _EPS * value + 2e-323)

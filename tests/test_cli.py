@@ -276,6 +276,26 @@ def test_every_exported_name_is_used_by_the_program_or_the_benchmark():
     assert unused == []
 
 
+def test_no_module_calls_math_gamma():
+    # every Gamma the program takes has an integer or half-integer argument and
+    # comes in closed form from exact factorials, with a derived bar; math.gamma
+    # and math.lgamma carry only CPython's tested, unproved ulp claims
+    src = os.path.dirname(ckkernel.__file__)
+    calls = []
+    for name in sorted(n for n in os.listdir(src) if n.endswith(".py")):
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "math":
+                calls += [f"{name}: from math import {a.name}" for a in node.names
+                          if a.name in ("gamma", "lgamma")]
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "math"
+                    and node.func.attr in ("gamma", "lgamma")):
+                calls.append(f"{name}:{node.lineno}: math.{node.func.attr}")
+    assert calls == []
+
+
 def test_code_lines_counts_only_code():
     # tools/code_lines.py skips blank lines, comments and docstrings, and counts
     # each line of a statement that spans several, and of a string that is code

@@ -433,7 +433,7 @@ def spectral_requests(weights, counts=None) -> list[tuple]:
         for n in counts or (coefficient_count(k), 120):
             forms = eigenforms(k, n)
             for f in forms:
-                requests += [("L", f, s) for s in (k / 2 - 2, k / 2, k / 2 + 0.7, k / 2 + 2)]
+                requests += [("L", f, s) for s in (k // 2 - 2, k // 2, k // 2 + 1, k // 2 + 2)]
                 requests += [("P", f, g, spec) for g in forms for spec in (None, 8, 64)]
                 requests.append(("N", f))
     return requests
@@ -553,7 +553,7 @@ class TestSharedTables:
                 sums = [([a * b for a, b in zip(f.a, g.a)], k - 1, 4.0 * math.pi, k + 1)
                         for f in forms for g in forms]
                 for f in forms:
-                    for s in (k / 2 - 2, k / 2 - 1, k / 2, k / 2 + 0.7, k / 2 + 2):
+                    for s in (k // 2 - 2, k // 2 - 1, k // 2, k // 2 + 1, k // 2 + 2):
                         sums += [(f.a, s, math.tau, p), (f.a, k - s, math.tau, p),
                                  (f.a, k - s, math.tau * 1.25, p), (f.a, s, math.tau / 1.25, p)]
                 for c, s, lam, q in sums:

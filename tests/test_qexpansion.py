@@ -189,13 +189,14 @@ BUILDERS = [
     (triangle_check, (12, 1e-10)),
     (_E4.pow, (2,)),
     (_DELTA.coefficient, (2,)),
+    (specfun.upper_incomplete_gamma, (6, 2.0)),
+    (lfunction.completed_l, (_VALUES[0][0], 6)),
 ]
 # Public callables without an integer argument, and the records that only
 # carry a result (KernelCoefficient, Certificate, LValue, TriangleCheck,
 # ValueWithError) and the exception types: nothing to sweep.
 NO_INTEGER_ARGUMENT = {
-    "global_bound", "completed_l", "petersson_norm_sq",
-    "petersson_inner", "bessel_j", "upper_incomplete_gamma",
+    "global_bound", "petersson_norm_sq", "petersson_inner", "bessel_j",
     "KernelCoefficient", "Certificate", "LValue", "TriangleCheck", "ValueWithError",
     "DomainError", "PrecisionError", "UnsupportedError",
 }

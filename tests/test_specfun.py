@@ -362,6 +362,45 @@ class TestBesselJ:
                 bessel_j(HalfIntOrder(twice_nu), math.nextafter(top, math.inf))
 
 
+def _running_incomplete_gamma(s, x):
+    """upper_incomplete_gamma's two loops written out with the first-order
+    running error bound of every rounding (Higham 2002, section 3.3), each
+    u = EPS / 2 of the computed quantity it rounds.  Returns the value and
+    the bound on |value - Gamma(s, x)|."""
+    u = EPS / 2
+    if x <= 708.0:
+        b, e = 1.0, 0.0  # |b - sum_{i<s} x^i / i!| <= e u
+        for j in range(s - 1, 0, -1):
+            p = b * x
+            q = p / j
+            b_next = 1.0 + q
+            e = e * x / j + p / j + q + b_next
+            b = b_next
+        fac = math.factorial(s - 1)
+        value = float(fac) * math.exp(-x) * b
+        # (s-1)! as a float, exp's ulp (at most 2 u relatively) and two products
+        rel = u * e / b + (u if float(fac) != fac else 0.0) + 2 * u + 2 * u
+        return value, rel * value
+    c, e = 1.0, 0.0  # |c - sum_{i<s} (s-1)! / (s-1-i)! x^-i| <= e u
+    for j in range(1, s):
+        p = c * j
+        q = p / x
+        c_next = 1.0 + q
+        e = e * j / x + p / x + q + c_next
+        c = c_next
+    lx = math.log(x)
+    a = (s - 1) * lx
+    el = a - x
+    scale = math.exp(el)
+    value = scale * c
+    # the exponent's error: log's ulp carried s - 1 times, the product's and the difference's
+    d = 2 * u * (s - 1) * lx + u * abs(a) + u * abs(el)
+    bound = (d + u * e / c + 2 * u + u) * value
+    if scale < 2.0**-1022:  # exp's ulp and the product's rounding are absolute
+        bound += c * 2.0**-1074 + 2.0**-1075
+    return value, bound
+
+
 class TestUpperIncompleteGamma:
     def test_s_one(self):
         g = upper_incomplete_gamma(1.0, 1.0)
@@ -389,54 +428,63 @@ class TestUpperIncompleteGamma:
         assert upper_incomplete_gamma(s, x).value == pytest.approx(ref, rel=1e-12)
 
     def test_recursion_residual(self):
-        for s in (0.7, 2.5, 6.0, 19.5, 40.0):
+        for s in (1, 3, 6, 19, 40):
             for x in (0.3, 2.0, 6.28, 30.0):
-                a = upper_incomplete_gamma(s + 1.0, x).value
+                a = upper_incomplete_gamma(s + 1, x).value
                 b = upper_incomplete_gamma(s, x).value
                 rhs = s * b + x**s * math.exp(-x)
                 assert a == pytest.approx(rhs, rel=1e-12)
 
     def test_error_bound_honest_against_mpmath(self):
         with mp.workdps(40):
-            for s in (1.0, 3.5, 6.0, 20.0, 59.0):
+            for s in (1, 4, 6, 20, 59):
                 for x in (0.5, 2.0, 6.28, 25.0, 80.0):
                     g = upper_incomplete_gamma(s, x)
                     ref = float(mp.gammainc(s, x))
                     assert abs(g.value - ref) <= g.abs_err + 1e-300
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @given(s=st.floats(0.0, 60.0, exclude_min=True), x=st.floats(0.0, 1e6, exclude_min=True))
-    @example(s=55.0, x=4 * math.pi * 3)  # the Parseval sum at k = 56, n = 3
-    @example(s=17.954459688131454, x=2 * math.pi)  # completed_l's strip, n = 1
+    @given(s=st.integers(1, 60), x=st.floats(0.0, 1e6, exclude_min=True))
+    @example(s=55, x=4 * math.pi * 3)  # the Parseval sum at k = 56, n = 3
+    @example(s=18, x=2 * math.pi)  # completed_l's strip, n = 1
+    @example(s=60, x=math.nextafter(708.0, math.inf))  # the first x of the log form
     def test_bar_contains_50_digit_value(self, s, x):
-        try:
-            g = upper_incomplete_gamma(s, x)
-        except PrecisionError:
-            assert 1.0 / s == math.inf  # Gamma(s) ~ 1/s is past the float range
-            return
+        g = upper_incomplete_gamma(s, x)
         with mp.workdps(50):
             ref = mp.gammainc(s, x)
             assert abs(g.value - ref) <= g.abs_err, (s, x)
 
     def test_overflowing_reciprocal_raises_before_the_series(self):
-        # 1/s = inf: the series' stop test relative to 1/s could never hold,
-        # so the check raises up front rather than after 10,000 steps
+        # a non-integer s is refused by the gate before any float operation
         for s in (5e-324, 1e-310):
-            with pytest.raises(PrecisionError, match="1/s overflows"):
+            with pytest.raises(DomainError, match="s must be an integer"):
                 upper_incomplete_gamma(s, 0.5)
 
     def test_error_bound_stays_small_at_moderate_arguments(self):
-        # the reported error tracks (|s ln x| + x) ulps, so stay within a
+        # the charge is (3.5 + 1.5 min(x, s - 1)) ulps, so stay within a
         # 100-ulp relative budget across the moderate-argument box
-        for s in (1.0, 3.5, 6.0, 12.0):
+        for s in (1, 4, 6, 12):
             for x in (0.5, 2.0, 6.28, 15.0):
                 g = upper_incomplete_gamma(s, x)
                 assert g.abs_err <= 100 * 2.3e-16 * abs(g.value) + 1e-300
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            upper_incomplete_gamma(0.0, 1.0)
-        with pytest.raises(DomainError):
-            upper_incomplete_gamma(2.0, 0.0)
-        with pytest.raises(DomainError):
-            upper_incomplete_gamma(61.0, 1.0)
+        for s, x in ((0.0, 1.0), (2.0, 0.0), (61.0, 1.0), (2.5, 1.0),
+                     (2, math.inf), (2, math.nan), (2, -1.0)):
+            with pytest.raises(DomainError):
+                upper_incomplete_gamma(s, x)
+
+    def test_rounding_charge_holds_the_running_error_bound(self):
+        # every s on the rates' grids (completed_l's 2 pi n, Parseval's 4 pi n,
+        # the modularity oracle's 2 pi n 5/4 and 2 pi n / (5/4), n <= 30), small
+        # x, and both sides of the log form's switch at 708
+        rates = (2 * math.pi, 4 * math.pi, 2 * math.pi * 1.25, 2 * math.pi / 1.25)
+        xs = [lam * n for lam in rates for n in range(1, 31)]
+        xs += [1e-320, 1e-10, 0.01, 0.5, 1.0, 600.0, 700.0, 708.0, math.nextafter(708.0, math.inf),
+               720.0, 745.0, 800.0, 1000.0, 1100.0, 1200.0, 1e4, 1e300]
+        for s in range(1, 61):
+            for x in xs:
+                g = upper_incomplete_gamma(s, x)
+                value, bound = _running_incomplete_gamma(s, x)
+                assert value == g.value, (s, x)
+                assert bound <= g.abs_err, (s, x)
