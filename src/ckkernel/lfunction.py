@@ -146,7 +146,7 @@ def _gamma_term(s: int, lam: float, p: float, n: int) -> tuple[float, float, flo
     x = lam * n
     g = upper_incomplete_gamma(s, x)
     tail = (2.0 / lam) * deligne_tail(p - 1.0, lam, n + 1) if lam * (n + 1) >= 2.0 * s else math.inf
-    return x ** -s, g.value, g.abs_err + (2.0 * (s + x) + 3.0) * _EPS * g.value, tail
+    return x ** -s, g.value, g.abs_err + (s + x + 3.0) * _EPS * g.value, tail
 
 
 @functools.lru_cache(maxsize=64)
@@ -175,11 +175,16 @@ def gamma_series(c, s: int, lam: float, p: float) -> tuple[ValueWithError, int]:
     `PrecisionError` past _MAX_COUNT terms, or if sum |terms| passes the
     float range.
 
-    Rounding: x = fl(lam n) is within 2 _EPS of lam n (also for a rounded
-    lam = 2 pi or 4 pi), and as Gamma(s, x) >= x^(s-1) e^-x, the term's
-    logarithmic derivative is at most s/x + 1: it moves by 2 (s + x) _EPS.
-    The power (one ulp), two products and the rounding of c_n add 3 _EPS,
-    and `math.fsum` one more.
+    Rounding: lam is exact, or a rounded 2 pi or 4 pi.  Those are 2.0 * math.pi
+    and 4.0 * math.pi, exactly 2 fl(pi) and 4 fl(pi), so within _EPS/2 of
+    2 pi and 4 pi relatively, as fl(pi) is of pi; x = fl(lam n) adds _EPS/2,
+    so x is within _EPS (1 + _EPS/4) of lam n relatively.  As Gamma(s, x) >=
+    x^(s-1) e^-x, the term's logarithmic derivative is at most s/x + 1: it
+    moves by (s + x) _EPS to first order.  The power (one ulp), two products
+    and the rounding of c_n add 2.5 _EPS, charged as 3; the half _EPS over
+    covers the second-order terms, below ((s + x + 3) _EPS)^2 < 2^-60 as
+    s <= 60 and x <= 4 pi _MAX_COUNT for every caller's lam <= 4 pi.
+    `math.fsum` adds one _EPS more.
 
     What a term takes from (s, lam, p) alone is `_gamma_term`'s, read off
     the memoized `_gamma_row` and made afresh past it, by the same float

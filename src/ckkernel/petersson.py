@@ -71,9 +71,10 @@ _CELLS = 8  # cells of |Im theta| on which the chosen ellipse's bound is refined
 # k = 40, and every reachable rule is one the tests check against 50 digits.
 _MAX_NODES = 64
 # `_gauss_legendre`'s charge: nodes within _NODE_ULPS _EPS, weights within
-# _WEIGHT_ULPS n^2 _EPS relatively
+# _WEIGHT_ULPS n^2 _EPS relatively.  Against 50-digit rules at every n = 8..64
+# the nodes are within 0.51 _EPS and the weights within 0.128 n^2 _EPS (n = 11)
 _NODE_ULPS = 1.0
-_WEIGHT_ULPS = 4.0
+_WEIGHT_ULPS = 0.25
 
 
 @dataclass(frozen=True)
@@ -128,9 +129,8 @@ def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     to first order.  Charge: each node is within _NODE_ULPS _EPS of the true one;
     each weight within _WEIGHT_ULPS n^2 _EPS of it, relatively, as the
     recurrence's O(n) ulps of rounding are relative to |P_(n-1)(x*)| >= ~1/n at
-    the outermost nodes.  The rule's tests check both charges against 50-digit
-    rules, and against an independent float construction of the rule, whose
-    outermost weights are themselves off by up to ~2.5 n^2 ulps.
+    the outermost nodes.  Both charges are proven by enumeration: the rule's
+    tests check every n a `QuadratureSpec` admits against 50-digit rules.
     """
     half = []
     for i in range(n // 2):

@@ -374,70 +374,36 @@ def _horner(coeffs: list[int], x: int) -> int:
     return acc
 
 
-def _sturm_chain(p: list[int]) -> list[list[int]]:
-    """The Sturm sequence of p (coefficients low to high) in primitive integers.
-
-    p_0 = p, p_1 = p' and p_{i+1} = -rem(p_{i-1}, p_i); every remainder is
-    scaled by a positive rational, which keeps every sign the theorem counts.
-    The last entry is gcd(p, p') up to such a factor.
-    """
-    chain = [p, [j * c for j, c in enumerate(p)][1:]]
-    while len(chain[-1]) > 1:
-        r, b = chain[-2], chain[-1]
-        lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
-        while len(r) >= len(b):  # pseudo-division, multiplying r by |lead| only
-            top, shift = sign * r[-1], len(r) - len(b)
-            r = [lead * c for c in r]
-            for j, c in enumerate(b):
-                r[shift + j] -= top * c
-            while r and not r[-1]:
-                r.pop()
-        if not r:
-            break
-        g = math.gcd(*r)
-        chain.append([-c // g for c in r])
-    return chain
-
-
 def _real_roots(p: list[int]) -> list[int]:
     """Isolate the real roots of the integer polynomial p, which must all be real and simple.
 
     Points are integers on the grid x = m / 2^_ROOT_BITS.  Each returned c
     says that p has exactly one root in the cell ((c - 1) / 2^_ROOT_BITS,
-    c / 2^_ROOT_BITS]; the list is ascending.  Sturm's theorem counts the
-    distinct roots in (a, b] as V(a) - V(b), V the number of sign changes of
-    the sequence with zeros dropped, so both checks are exact: a non-constant
-    gcd(p, p') means a repeated root, and fewer than deg p roots in a box
-    holding every root (Fujiwara's bound) means a complex one.
+    c / 2^_ROOT_BITS]; the list is ascending.  The points tried are -B and +B,
+    B Fujiwara's bound on |root|, and between them the cells' right ends of
+    the d - 1 roots of p' (d = deg p), isolated by this function in turn.  If
+    p changes sign between each neighbouring pair, the intermediate value
+    theorem puts a root in each of the d gaps, so exactly one, as p has at
+    most d; each gap is then narrowed by `_refine`.  If p has d simple real
+    roots, Rolle's theorem puts a root of p' strictly between each two, so p'
+    has d - 1 simple real roots too, and by the Gauss-Lucas theorem they lie
+    within p's bound.  Any missing sign change raises `UnsupportedError`: a
+    repeated root, a complex one, or two roots (of p, or of p and p') within
+    one cell.
     """
-    chain = _sturm_chain(p)
-    if len(chain[-1]) > 1:
-        raise UnsupportedError("repeated T_2 eigenvalues are not supported")
-    homog = [_homogenize(q, _ROOT_BITS) for q in chain]
-
-    def changes(m: int) -> int:
-        signs = [v > 0 for v in (_horner(q, m) for q in homog) if v]
-        return sum(s != t for s, t in zip(signs, signs[1:]))
-
-    # Fujiwara: every root has |z| < 2 max_i |c_(d-i) / c_d|^(1/i) < 2^(1 + max_i e_i)
     d, lead = len(p) - 1, p[-1].bit_length()
+    dp = [j * c for j, c in enumerate(p)][1:]
+    # Fujiwara: every root has |z| < 2 max_i |c_(d-i) / c_d|^(1/i) < 2^(1 + max_i e_i)
     exps = [-((lead - 1 - p[d - i].bit_length()) // i) for i in range(1, d + 1) if p[d - i]]
     bound = 1 << (_ROOT_BITS + max([0, *exps]) + 1)
-    stack = [(-bound, changes(-bound), bound, changes(bound))]
-    if stack[0][1] - stack[0][3] < d:
-        raise UnsupportedError("complex T_2 eigenvalue encountered")
-    cells = []
-    while stack:
-        a, va, b, vb = stack.pop()
-        if va - vb == 1:
-            cells.append(_refine(homog[0], homog[1], a, b))
-        elif va - vb > 1:
-            if b - a == 1:
-                raise PrecisionError(f"two roots closer than 2^-{_ROOT_BITS}")
-            m = (a + b) // 2
-            vm = changes(m)
-            stack += [(a, va, m, vm), (m, vm, b, vb)]
-    return sorted(cells)
+    points = [-bound, *(_real_roots(dp) if d > 1 else []), bound]
+    hp = _homogenize(p, _ROOT_BITS)
+    signs = [_horner(hp, x) for x in points]
+    if any(u * v >= 0 for u, v in zip(signs, signs[1:])):
+        raise UnsupportedError("a repeated or complex T_2 eigenvalue, "
+                               f"or two roots closer than 2^-{_ROOT_BITS}")
+    hdp = _homogenize(dp, _ROOT_BITS)
+    return [_refine(hp, hdp, a, b) for a, b in zip(points, points[1:])]
 
 
 def _refine(hp: list[int], hdp: list[int], a: int, b: int) -> int:
@@ -476,8 +442,9 @@ def eigenforms(k: int, n_coeffs: int) -> list[Eigenform]:
     """All normalized Hecke eigenforms of weight k, with n_coeffs coefficients.
 
     Obtained by diagonalizing T_2 on the Miller basis in exact arithmetic:
-    the real roots of its integer characteristic polynomial are isolated by a
-    Sturm sequence and refined to cells of width 2^-200, each eigenvector is
+    the real roots of its integer characteristic polynomial are isolated by
+    its sign changes between the roots of its derivative (Rolle's theorem,
+    `_real_roots`) and refined to cells of width 2^-200, each eigenvector is
     the exact adjugate column at its cell's dyadic midpoint, and each
     coefficient is one integer dot product with the exact basis, rounded once
     to the nearest float; `PrecisionError` if one leaves the float range.

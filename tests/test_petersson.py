@@ -63,15 +63,16 @@ class TestQuadratureSpec:
 class TestGaussLegendre:
     def test_rule_is_within_its_charge_of_leggauss_and_moments(self):
         # the charge petersson._gauss_legendre states: nodes within _NODE_ULPS EPS,
-        # weights within _WEIGHT_ULPS n^2 EPS relatively
+        # weights within _WEIGHT_ULPS n^2 EPS relatively; numpy's own weights are
+        # off by up to 3.1 n^2 EPS from 50-digit rules (n = 41), so the comparison
+        # with them allows 4 n^2 EPS
         node_err = petersson._NODE_ULPS * EPS
         for n in (8, 12, 26, 40, 48, 80, 96):
             nodes, weights = petersson._gauss_legendre(n)
-            weight_err = petersson._WEIGHT_ULPS * n * n * EPS
             ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
             assert len(nodes) == len(weights) == n
             assert np.max(np.abs(np.array(nodes) - ref_nodes)) <= node_err, n
-            assert np.max(np.abs(np.array(weights) / ref_weights - 1.0)) <= weight_err, n
+            assert np.max(np.abs(np.array(weights) / ref_weights - 1.0)) <= 4.0 * n * n * EPS, n
             # x^j on [-1, 1], j <= 2n - 1: the rule's charge plus the power, the
             # product with the weight and the sum, one EPS each
             for j in range(2 * n):

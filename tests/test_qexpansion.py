@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import signal
@@ -553,9 +554,8 @@ class TestHeckeMatrix:
             assert prod(t2, t3) == prod(t3, t2)
 
 
-def poly_from_roots(roots) -> list[int]:
-    """prod (q x - p) over the roots p/q, integer coefficients low to high."""
-    poly = [1]
+def poly_from_roots(roots, poly=(1,)) -> list[int]:
+    """poly times prod (q x - p) over the roots p/q, integer coefficients low to high."""
     for r in roots:
         out = [0] * (len(poly) + 1)
         for j, c in enumerate(poly):
@@ -563,6 +563,13 @@ def poly_from_roots(roots) -> list[int]:
             out[j + 1] += r.denominator * c
         poly = out
     return poly
+
+
+# `_real_roots` over T_2's characteristic polynomial at every even k = 12..60
+# with d >= 1 and at k = 64, 72, 80, 96, 120, up to degree 10; the cells are
+# computed in integers only, so the digest holds on every platform
+_CELL_WEIGHTS = (*(k for k in range(12, 62, 2) if k != 14), 64, 72, 80, 96, 120)
+_CELL_DIGEST = "026c72d6c46035d9ac0eb320b9184fa94ed4809e195c4108a64a05d2bfd38193"
 
 
 class TestRootIsolation:
@@ -576,9 +583,25 @@ class TestRootIsolation:
                 _real_roots(poly)
 
     def test_roots_in_one_cell_rejected(self):
-        with pytest.raises(PrecisionError):  # 2^-(B+2) and 2^-(B+1) share the cell (0, 2^-B]
+        # 2^-(B+2) and 2^-(B+1) share the cell (0, 2^-B], and so does the root of
+        # p' between them: no sign change at its cell's end tells them from a double root
+        with pytest.raises(UnsupportedError):
             _real_roots(poly_from_roots([Fraction(1, 2 ** (_ROOT_BITS + 2)),
                                          Fraction(1, 2 ** (_ROOT_BITS + 1))]))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.fractions(-100, 100, max_denominator=20), max_size=4),
+           st.fractions(-100, 100, max_denominator=20),
+           st.one_of(st.none(), st.fractions(-100, 100, max_denominator=20).filter(bool)))
+    def test_complex_pair_or_double_root_rejected(self, roots, a, b):
+        # b None: the double root a; otherwise the pair a +- b i, from (x - a)^2 + b^2
+        if b is None:
+            factor = poly_from_roots([a, a])
+        else:
+            den = (a.denominator * b.denominator) ** 2
+            factor = [int(den * (a * a + b * b)), int(-2 * a * den), den]
+        with pytest.raises(UnsupportedError):
+            _real_roots(poly_from_roots(roots, factor))
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.fractions(-100, 100, max_denominator=20), min_size=1, max_size=7,
@@ -595,6 +618,12 @@ class TestRootIsolation:
         s = math.isqrt(144 * 144169 << (2 * _ROOT_BITS))  # floor(12 sqrt(144169) 2^B)
         mid = 540 << _ROOT_BITS
         assert _real_roots(hecke_char_poly(24)) == [mid - s, mid + s + 1]
+
+    def test_cells_match_the_recorded_digest(self):
+        h = hashlib.sha256()
+        for k in _CELL_WEIGHTS:
+            h.update(f"{k} {' '.join(map(str, _real_roots(hecke_char_poly(k))))}\n".encode())
+        assert h.hexdigest() == _CELL_DIGEST
 
 
 class TestEigenforms:
