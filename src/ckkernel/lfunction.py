@@ -16,13 +16,14 @@ points within 2 of it, so each Gamma(t, x) has the closed form of
 L(f, s) is one rounding of the 256-bit pi bracket of `ntheory`.
 
 What a term takes from (s, lam, p, n) alone, x^-s and Gamma(s, x) at
-x = lam n, its charge and its Deligne tail (`_gamma_term`), is memoized
-per key (s, lam, p) by `_gamma_row`, an `lru_cache` of 64 rows, each
-holding the terms up to where the unit series stops and at most
-_MAX_COUNT // 64 of them.  A row holds the doubles a sum would make, by
-the same float operations, so sharing changes no bit: all forms of weight
-k share (k/2, 2 pi, (k + 1)/2) for `completed_l` at the center and
-(k - 1, 4 pi, k + 1) for `petersson`'s Parseval sum.
+x = lam n, its charge and its Deligne tail, is memoized per key
+(s, lam, p) by `_gamma_row`, an `lru_cache` of 64 rows, each holding the
+terms up to where the unit series stops, none past x = 708 and at most
+_MAX_COUNT // 64 of them; every sum reads its terms there alone.  A row
+holds the doubles a sum would make, by the same float operations, so
+sharing changes no bit: all forms of weight k share (k/2, 2 pi, (k + 1)/2)
+for `completed_l` at the center and (k - 1, 4 pi, k + 1) for
+`petersson`'s Parseval sum.
 
 How many coefficients are enough is one rule, `deligne_count`; at weight k
 it gives `coefficient_count(k)`, within which every one of these sums stops,
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from .errors import _MAX_COUNT, DomainError, PrecisionError, _integer
 from .ntheory import _FIX_BITS, ValueWithError, _pi_power_fixed
 from .qexpansion import Eigenform, eigenforms
-from .specfun import _EPS, upper_incomplete_gamma
+from .specfun import _EPS, _MAX_X, upper_incomplete_gamma
 
 __all__ = [
     "LValue",
@@ -138,42 +139,44 @@ def coefficient_count(k: int) -> int:
     return deligne_count((k + 1) / 2, math.pi * math.sqrt(3.0), 2.0**-74)
 
 
-def _gamma_term(s: int, lam: float, p: float, n: int) -> tuple[float, float, float, float]:
-    """What term n of `gamma_series` takes from (s, lam, p) alone: x^-s and
-    Gamma(s, x) at x = lam n, the term's charge per unit |c_n x^-s|, and the
-    tail bound from n + 1, (2/lam) `deligne_tail`(p - 1, lam, n + 1), inf
-    while lam (n + 1) < 2s."""
-    x = lam * n
-    g = upper_incomplete_gamma(s, x)
-    tail = (2.0 / lam) * deligne_tail(p - 1.0, lam, n + 1) if lam * (n + 1) >= 2.0 * s else math.inf
-    return x ** -s, g.value, g.abs_err + (s + x + 3.0) * _EPS * g.value, tail
-
-
 @functools.lru_cache(maxsize=64)
 def _gamma_row(s: int, lam: float, p: float) -> tuple[array, array, array, array]:
-    """`_gamma_term` for n = 1, 2, ... in four flat arrays, up to the term at
-    which the sum of c = (1, 0, 0, ...) stops, and at most _MAX_COUNT // 64
-    terms, so the 64 rows kept hold at most _MAX_COUNT."""
-    row = array("d"), array("d"), array("d"), array("d")
+    """What term n = 1, 2, ... of `gamma_series` takes from (s, lam, p) alone,
+    in four flat arrays: x^-s and Gamma(s, x) at x = lam n, the term's
+    charge per unit |c_n x^-s|, and the tail bound from n + 1, (2/lam)
+    `deligne_tail`(p - 1, lam, n + 1), inf while lam (n + 1) < 2s.  The row
+    ends at the first of three points: the term at which the sum of c =
+    (1, 0, 0, ...) stops, the last n with x <= 708, the end of
+    `upper_incomplete_gamma`'s domain, and _MAX_COUNT // 64 terms, so the
+    64 rows kept hold at most _MAX_COUNT."""
+    xpow, value, charge, tails = row = array("d"), array("d"), array("d"), array("d")
     for n in range(1, _MAX_COUNT // 64 + 1):
-        for column, x in zip(row, _gamma_term(s, lam, p, n)):
-            column.append(x)
-        if row[3][-1] <= math.ulp(row[0][0] * row[1][0]):
+        x = lam * n
+        if x > _MAX_X:
+            break
+        g = upper_incomplete_gamma(s, x)
+        xpow.append(x ** -s)
+        value.append(g.value)
+        charge.append(g.abs_err + (s + x + 3.0) * _EPS * g.value)
+        tails.append((2.0 / lam) * deligne_tail(p - 1.0, lam, n + 1)
+                     if lam * (n + 1) >= 2.0 * s else math.inf)
+        if tails[-1] <= math.ulp(xpow[0] * value[0]):
             break
     return row
 
 
 def gamma_series(c, s: int, lam: float, p: float) -> tuple[ValueWithError, int]:
     """sum_n c_n (lam n)^-s Gamma(s, lam n) over c_1..c_N, for an integer s =
-    1..60 (`DomainError` otherwise, before any float operation) and
-    1 <= p < 2s + 1, and the number of terms summed.
+    1..60 (`DomainError` otherwise, before any float operation), a sequence
+    c with |c_1| >= 1 (`DomainError` for an empty c or |c_1| < 1, nan
+    included) and 1 <= p < 2s + 1, and the number of terms summed.
 
     Past them |c_n| <= n^p (Deligne) and Gamma(s, x) <= 2 x^(s-1) e^-x for
     x >= 2s bound term n by (2/lam) n^(p-1) e^(-lam n), summed by
     `deligne_tail`.  The sum stops at the first n with lam (n + 1) >= 2s
     whose tail from n + 1 is at most one ulp of sum |terms|, else after c_N;
-    `PrecisionError` past _MAX_COUNT terms, or if sum |terms| passes the
-    float range.
+    `PrecisionError` if it reaches the end of its row without stopping, or
+    if sum |terms| passes the float range.
 
     Rounding: lam is exact, or a rounded 2 pi or 4 pi.  Those are 2.0 * math.pi
     and 4.0 * math.pi, exactly 2 fl(pi) and 4 fl(pi), so within _EPS/2 of
@@ -183,34 +186,30 @@ def gamma_series(c, s: int, lam: float, p: float) -> tuple[ValueWithError, int]:
     moves by (s + x) _EPS to first order.  The power (one ulp), two products
     and the rounding of c_n add 2.5 _EPS, charged as 3; the half _EPS over
     covers the second-order terms, below ((s + x + 3) _EPS)^2 < 2^-60 as
-    s <= 60 and x <= 4 pi _MAX_COUNT for every caller's lam <= 4 pi.
-    `math.fsum` adds one _EPS more.
+    s <= 60 and x <= 708.  `math.fsum` adds one _EPS more.
 
-    What a term takes from (s, lam, p) alone is `_gamma_term`'s, read off
-    the memoized `_gamma_row` and made afresh past it, by the same float
-    operations either way: each sum is bit-identical to one made without
-    the memo.  An integral float s is taken as the int, so both share a
-    row.  A sum with |c_1| >= 1 stops within the
-    row, if the unit series did: its sum |terms| is at least that series'
-    (float products and sums are monotone), so is its ulp, and its tails
-    are the same numbers.
-    A `deligne_tail` raise while the row is made cannot come after a sum's
-    own stop, as the bound's term ratio is below 1 there and only falls as
-    n grows; every sum that reaches that term raises too.
+    Every term is read off the memoized `_gamma_row`, which holds the
+    doubles a sum without the memo would make, by the same float
+    operations.  An integral float s is taken as the int, so both share a
+    row.  A sum with |c_1| >= 1 stops within the row, if the unit series
+    did: its sum |terms| is at least that series' (float products and sums
+    are monotone), so is its ulp, and its tails are the same numbers.  The
+    unit series of every key the program uses stops long before x = 708:
+    its first term is at least e^-lam / lam, and the tail (2/lam) n^(p-1)
+    e^(-lam n) falls below its ulp by x = 150.8 = 4 pi 12, the Parseval
+    row of k = 60, at the rates 2 pi, 4 pi, and the modularity oracle's
+    2 pi 5/4 and 2 pi / (5/4), with p <= 61.  A `deligne_tail` raise while
+    the row is made cannot come after a sum's own stop, as the bound's term
+    ratio is below 1 there and only falls as n grows; every sum that
+    reaches that term raises too.
     """
     s = _integer("s", s, 1, 1, 60)
+    if not (c and abs(c[0]) >= 1.0):
+        raise DomainError("gamma_series needs a c with |c_1| >= 1")
     xpow, value, charge, tails = _gamma_row(s, lam, p)
-    size = len(value)
     terms = []
     err = mass = 0.0
-    tail = math.inf
-    for n, cn in enumerate(c, 1):
-        if n <= size:
-            xp, g, ch, tail = xpow[n - 1], value[n - 1], charge[n - 1], tails[n - 1]
-        elif n <= _MAX_COUNT:
-            xp, g, ch, tail = _gamma_term(s, lam, p, n)
-        else:
-            raise PrecisionError(f"no tail bound within {_MAX_COUNT} terms")
+    for cn, xp, g, ch, tail in zip(c, xpow, value, charge, tails):
         w = cn * xp
         term = w * g
         terms.append(term)
@@ -218,6 +217,9 @@ def gamma_series(c, s: int, lam: float, p: float) -> tuple[ValueWithError, int]:
         mass += abs(term)
         if tail <= math.ulp(mass):
             break
+    else:
+        if len(terms) < len(c):
+            raise PrecisionError("the sum reaches the end of its incomplete-gamma row without stopping")
     if not mass < math.inf:
         raise PrecisionError("the terms' magnitudes sum past the float range")
     if tail == math.inf:

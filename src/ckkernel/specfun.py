@@ -11,8 +11,8 @@ cancels.
 
 Every incomplete gamma the program takes has an integer order s = 1..60,
 so Gamma(s, x) is taken in closed form: (s-1)! e^-x times a Horner sum of
-positive terms with a derived first-order bar, in log form past x = 708,
-where e^-x leaves the normal floats.
+positive terms with a derived first-order bar, for 0 < x <= 708, where e^-x
+is a normal float; the program's largest x is 150.8 (4 pi 12, at k = 60).
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ __all__ = [
 
 # 2^-52, the unit in which every module counts its roundings
 _EPS = 2.220446049250313e-16
-# Up to it e^-x is a normal float (e^-708 > 3.3e-308), and `upper_incomplete_gamma`
-# takes it as one; past it, the log form
-_LOG_FORM = 708.0
+# The end of `upper_incomplete_gamma`'s domain: up to it e^-x is a normal float
+# (e^-708 > 3.3e-308)
+_MAX_X = 708.0
 # The least Bessel argument: from it on x / 2 >= 2^-1022 is a normal float, so
 # halving x is exact, which the leading term's charge assumes
 _MIN_ARG = 2.0**-1021
@@ -196,8 +196,9 @@ def _bessel_factor_fixed(nu: HalfIntOrder, n: int, m: int) -> tuple[int, int]:
 
 def upper_incomplete_gamma(s: int, x: float) -> ValueWithError:
     """Gamma(s, x) = integral_x^inf t^(s-1) e^-t dt for an integer s = 1..60
-    and a finite x > 0; `DomainError` otherwise, s tested by `_integer`
-    before any float operation (an integral float gives the int's result).
+    and 0 < x <= 708, where e^-x is a normal float; `DomainError` otherwise
+    (nan included), s tested by `_integer` before any float operation (an
+    integral float gives the int's result).
 
     Gamma(s, x) = (s-1)! e^-x b, b = sum_{i<s} x^i / i! (DLMF section 8.4), summed
     by Horner from the top, b = 1 + b x / j for j = s-1..1, every term
@@ -210,36 +211,14 @@ def upper_incomplete_gamma(s: int, x: float) -> ValueWithError:
     (7/2 + 3/2 m) _EPS keeps 1/2 _EPS for the second-order parts and the
     bar's own roundings.  A product or quotient that underflows (x below
     2^-1022) is off by 2^-1075 at most against b >= 1, far inside that.
-
-    Past x = _LOG_FORM, e^-x is no longer a normal float, and the same sum is
-    taken in log form: b = x^(s-1) c / (s-1)!, c = sum_{i<s} (s-1)! / (s-1-i)!
-    x^-i by Horner, c = 1 + c j / x for j = 1..s-1, and Gamma(s, x) =
-    exp(L) c with L = (s-1) log x - x.  The term ratios of c are at most
-    59 / 708, so its mean degree is below 0.091 and c is off by at most
-    0.64 _EPS relatively, as above.  With A = (s-1) log x, L is off by at
-    most 3/2 _EPS A (log's ulp and the product's rounding) and _EPS |L| / 2
-    (the difference's), each moving exp(L) relatively by as much; exp and
-    the product with c add 3/2 _EPS, and the charge (3 + 3/2 A + |L| / 2)
-    _EPS keeps 0.86 _EPS for the rest.  Where exp(L) is subnormal or 0 its
-    error is absolute, below 2^-1074, carried at most 1.1-fold by c, and the
-    product and the bar's last product round by 2^-1075 each: the bar adds
-    2e-323 (four units) for them.  A value that rounds to 0 has L below
-    -745.1, where the error of L is a relative 2^-53 of it and a term below
-    1e-10, so the true value is below 1e-323 too.
+    On the domain e^-x, and so the value, is a normal float, so every
+    product above rounds relatively.
     """
     s = _integer("s", s, 1, 1, 60)
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"upper_incomplete_gamma requires a finite x > 0, got {x}")
-    if x <= _LOG_FORM:
-        b = 1.0
-        for j in range(s - 1, 0, -1):
-            b = 1.0 + b * x / j
-        value = math.factorial(s - 1) * math.exp(-x) * b
-        return ValueWithError(value, (3.5 + 1.5 * min(x, s - 1)) * _EPS * value)
-    c = 1.0
-    for j in range(1, s):
-        c = 1.0 + c * j / x
-    log_power = (s - 1) * math.log(x)
-    log_scale = log_power - x  # below -320 (x - 59 log x rises past x = 59), so -log_scale is |L|
-    value = math.exp(log_scale) * c
-    return ValueWithError(value, (3.0 + 1.5 * log_power - 0.5 * log_scale) * _EPS * value + 2e-323)
+    if not 0.0 < x <= _MAX_X:
+        raise DomainError(f"upper_incomplete_gamma requires 0 < x <= 708, got {x}")
+    b = 1.0
+    for j in range(s - 1, 0, -1):
+        b = 1.0 + b * x / j
+    value = math.factorial(s - 1) * math.exp(-x) * b
+    return ValueWithError(value, (3.5 + 1.5 * min(x, s - 1)) * _EPS * value)

@@ -4,7 +4,9 @@ import importlib.util
 import io
 import json
 import os
+import pathlib
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -328,3 +330,29 @@ class C:
     assert tool.code_lines(source) == 7
     out = subprocess.run([sys.executable, path], capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1].split()[0] == "total"
+
+
+def test_halve_charges_rows_each_occur_once(tmp_path):
+    # tools/halve_charges.py mutates one charge per row; each row's text must
+    # occur exactly once in the package, so the table cannot drift from it
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "halve_charges", os.path.join(root, "tools", "halve_charges.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    package = pathlib.Path(root, "src", "ckkernel")
+    tool.check(package)
+    assert {row[1] for row in tool.ROWS} <= {p.name for p in package.glob("*.py")}
+    for name, module, text, halved, _ in tool.ROWS:
+        assert halved != text, name
+    # a second copy of a row's text, or none, stops the run
+    shutil.copytree(package, tmp_path / "ckkernel")
+    name, module, text, _, _ = tool.ROWS[0]
+    extra = tmp_path / "ckkernel" / "errors.py"
+    extra.write_text(extra.read_text() + f"# {text}\n")
+    with pytest.raises(ValueError, match=name):
+        tool.check(tmp_path / "ckkernel")
+    target = tmp_path / "ckkernel" / module
+    target.write_text(target.read_text().replace(text, "()"))
+    with pytest.raises(ValueError, match=name):
+        tool.check(tmp_path / "ckkernel")

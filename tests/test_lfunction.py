@@ -1,11 +1,14 @@
+import hashlib
 import math
+import platform
 import random
 import signal
+import sys
 
 import mpmath as mp
 import pytest
 
-from ckkernel import petersson
+from ckkernel import lfunction, petersson
 from ckkernel.errors import DomainError, PrecisionError
 from ckkernel.lfunction import (
     central_values,
@@ -16,8 +19,11 @@ from ckkernel.lfunction import (
     gamma_series,
 )
 from ckkernel.qexpansion import Eigenform, eigenforms
+from ckkernel.specfun import upper_incomplete_gamma
 
 from modularity import functional_equation_residual
+
+EPS = 2.220446049250313e-16
 
 
 def mpmath_l_value(f, s: float, terms: int = 120) -> float:
@@ -161,7 +167,8 @@ def gamma_series_oracle(c, s: float, lam: float) -> mp.mpf:
 class TestGammaSeries:
     @pytest.mark.parametrize("seed", range(12))
     def test_bar_contains_the_40_digit_sum(self, seed):
-        # c_1..c_N are given; c_n past N, |c_n| <= n^p, must lie inside the tail
+        # c_1..c_N are given; c_n past N, |c_n| <= n^p, must lie inside the tail;
+        # c_1 = +-1, as gamma_series takes only |c_1| >= 1
         rng = random.Random(seed)
         s = 55 if seed < 3 else rng.randint(1, 60)
         lam = rng.choice((2.0 * math.pi, 4.0 * math.pi))
@@ -171,6 +178,7 @@ class TestGammaSeries:
         extremes = seed % 2 == 0  # |c_n| = n^p exactly, the tail's worst case
         c = [n**p * (rng.choice((-1.0, 1.0)) if extremes else rng.uniform(-1.0, 1.0))
              for n in range(1, n_given + 25)]
+        c[0] = math.copysign(1.0, c[0])
         value, used = gamma_series(c[:n_given], s, lam, p)
         assert used <= n_given
         assert abs(value.value - gamma_series_oracle(c, s, lam)) <= value.abs_err, (s, lam, p)
@@ -181,9 +189,33 @@ class TestGammaSeries:
         assert used < 30
         assert value == gamma_series(f.a[:used], 6.0, 2.0 * math.pi, 6.5)[0]
 
+    def test_row_charge_holds_the_running_error_bound(self):
+        # term n is c_n x^-s Gamma(s, x) at x = fl(lam n), within EPS of lam n
+        # relatively: to first order the term moves by (s + x r) EPS, r =
+        # x^(s-1) e^-x / Gamma(s, x) <= 1 its logarithmic derivative's second
+        # part, and the power, two products and c_n's rounding add 2.5 EPS
+        # (Higham 2002, section 3.3).  Every entry of every row the program
+        # reads, completed_l's strip at 2 pi and Parseval's (k - 1, 4 pi, k + 1)
+        # for k = 12..60, must charge at least that on top of Gamma's own bar
+        for k in range(12, 61, 2):
+            keys = [(s, 2.0 * math.pi, (k + 1) / 2) for s in range(k // 2 - 2, k // 2 + 3)]
+            for s, lam, p in keys + [(k - 1, 4.0 * math.pi, k + 1)]:
+                charge = lfunction._gamma_row(s, lam, p)[2]
+                for n in range(1, len(charge) + 1):
+                    x = lam * n
+                    g = upper_incomplete_gamma(s, x)
+                    with mp.workdps(30):
+                        r = float(mp.mpf(x) ** (s - 1) * mp.exp(-x) / mp.gammainc(s, x))
+                    bound = g.abs_err + (s + x * r + 2.5) * EPS * g.value
+                    assert bound <= charge[n - 1], (k, s, lam, n)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             gamma_series([1.0] * 10, 0.5, 2.0 * math.pi, 1.0)
+        # |c_1| < 1, nan or an empty c: the sum need not stop within its row
+        for c in ([], (), [0.5] + [1.0] * 9, [-0.999], [0.0, 1.0], [math.nan, 1.0]):
+            with pytest.raises(DomainError):
+                gamma_series(c, 6, 2.0 * math.pi, 6.5)
         with pytest.raises(PrecisionError):  # 2 pi (N + 1) < 2 s: no certified tail
             gamma_series([1.0] * 10, 40.0, 2.0 * math.pi, 1.0)
 
@@ -319,3 +351,38 @@ class TestCentralValues:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+
+# completed_l at every integer s of the strip and petersson_norm_sq, for every
+# eigenform of even k = 12..60 at coefficient_count(k) and 120 coefficients,
+# recorded with CPython 3.11 and glibc's libm on x86-64 Linux: another libm's
+# exp or pow may move a last bit
+_SPECTRAL_DIGEST = "45ef618963d9c8732e789279f0b87ef443b9376c9ae05cc19bb3560642375e3b"
+_SPECTRAL_DIGEST_PLATFORM = ("linux", "x86_64", (3, 11))
+
+
+def spectral_digest() -> str:
+    """sha256 over the hex of each L-value's completed and finite value and bar
+    and its terms, and of each norm and its bar."""
+    h = hashlib.sha256()
+    for k in range(12, 61, 2):
+        for n in (coefficient_count(k), 120):
+            for f in eigenforms(k, n):
+                for s in range(k // 2 - 2, k // 2 + 3):
+                    lv = completed_l(f, s)
+                    fields = (lv.completed.value, lv.completed.abs_err,
+                              lv.finite.value, lv.finite.abs_err)
+                    line = [str(k), str(n), str(s), *(x.hex() for x in fields), str(lv.terms_used)]
+                    h.update(" ".join(line).encode() + b"\n")
+                g = petersson.petersson_norm_sq(f)
+                h.update(f"{k} {n} {g.value.hex()} {g.abs_err.hex()}\n".encode())
+    return h.hexdigest()
+
+
+class TestSpectralDigest:
+    @pytest.mark.skipif(
+        (sys.platform, platform.machine(), sys.version_info[:2]) != _SPECTRAL_DIGEST_PLATFORM,
+        reason="the digest was recorded with one libm",
+    )
+    def test_outputs_are_bit_identical_to_the_recorded_digest(self):
+        assert spectral_digest() == _SPECTRAL_DIGEST

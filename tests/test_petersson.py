@@ -515,8 +515,7 @@ class TestSharedTables:
             assert lfunction._gamma_row.cache_info()[:2] == (1, 1)
 
     def test_tables_stay_within_their_bound(self, monkeypatch):
-        # rows of at most 4 terms, so that sums run past them, and more arc
-        # keys than the memo keeps: every answer is unchanged
+        # more arc keys than the memo keeps: every answer is unchanged
         requests = spectral_requests(range(12, 61, 6), (120,))
         fresh = []
         for r in requests:
@@ -524,18 +523,21 @@ class TestSharedTables:
             fresh.append(answer(r))
         assert lfunction._gamma_row.cache_info().maxsize == 64
         assert petersson._arc_nodes.cache_info().maxsize == 16
-        monkeypatch.setattr(lfunction, "_MAX_COUNT", 64 * 4)
         empty_float_tables()
         for i in random.Random(3).sample(range(len(requests)), len(requests)):
             assert answer(requests[i]) == fresh[i], requests[i][0]
         info = petersson._arc_nodes.cache_info()
         assert info.currsize == 16 and info.misses > 16
-        row = lfunction._gamma_row(20.0, 2.0 * math.pi, 20.5)
-        assert len(row[0]) == 4 < completed_l(eigenforms(40, 120)[0], 20.0).terms_used
-        # a sum of more terms than the cap refuses to run past it
-        monkeypatch.setattr(lfunction, "_MAX_COUNT", 4)
-        with pytest.raises(PrecisionError):
-            completed_l(eigenforms(40, 120)[0], 20)
+        # rows of at most 4 terms: a sum that has not stopped by a row's end
+        # raises rather than make terms past it
+        f = eigenforms(40, 120)[0]
+        used = completed_l(f, 20).terms_used
+        monkeypatch.setattr(lfunction, "_MAX_COUNT", 64 * 4)
+        empty_float_tables()
+        assert len(lfunction._gamma_row(20, 2.0 * math.pi, 20.5)[0]) == 4 < used
+        for call in (lambda: completed_l(f, 20), lambda: petersson_norm_sq(f)):
+            with pytest.raises(PrecisionError, match="end of its incomplete-gamma row"):
+                call()
 
     def test_a_refused_s_leaves_no_row(self):
         # Gamma(63, x) is past the incomplete gamma's s <= 60
@@ -546,7 +548,10 @@ class TestSharedTables:
 
     def test_every_normalized_sum_stops_within_its_row(self):
         # a_1 = 1 (and a_1 b_1 = 1): the sum's mass is at least the unit
-        # series', so it stops within the row that series fills
+        # series', so it stops within the row that series fills; every row
+        # ends at that series' stop, never at x = 708 or at the count cap,
+        # and the last x is 150.8 = 4 pi 12 (Parseval at k = 60)
+        top = 0.0
         for k in range(12, 61, 2):
             p = (k + 1) / 2
             for n in (coefficient_count(k), 120):
@@ -559,7 +564,13 @@ class TestSharedTables:
                                  (f.a, k - s, math.tau * 1.25, p), (f.a, s, math.tau / 1.25, p)]
                 for c, s, lam, q in sums:
                     used = lfunction.gamma_series(c, s, lam, q)[1]
-                    assert used <= len(lfunction._gamma_row(s, lam, q)[0]), (k, n, s, lam)
+                    xpow, value, _, tails = lfunction._gamma_row(s, lam, q)
+                    size = len(value)
+                    assert used <= size < lfunction._MAX_COUNT // 64, (k, n, s, lam)
+                    assert tails[-1] <= math.ulp(xpow[0] * value[0]), (k, n, s, lam)
+                    assert lam * size < 708.0, (k, n, s, lam)
+                    top = max(top, lam * size)
+        assert top == 4.0 * math.pi * 12
 
     def test_one_arc_entry_per_weight_and_rule(self):
         # weight 40's forms keep 16, 15 and 15 terms and still share one entry,

@@ -363,42 +363,23 @@ class TestBesselJ:
 
 
 def _running_incomplete_gamma(s, x):
-    """upper_incomplete_gamma's two loops written out with the first-order
-    running error bound of every rounding (Higham 2002, section 3.3), each
-    u = EPS / 2 of the computed quantity it rounds.  Returns the value and
-    the bound on |value - Gamma(s, x)|."""
+    """upper_incomplete_gamma's loop written out with the first-order running
+    error bound of every rounding (Higham 2002, section 3.3), each u = EPS / 2
+    of the computed quantity it rounds.  Returns the value and the bound on
+    |value - Gamma(s, x)|."""
     u = EPS / 2
-    if x <= 708.0:
-        b, e = 1.0, 0.0  # |b - sum_{i<s} x^i / i!| <= e u
-        for j in range(s - 1, 0, -1):
-            p = b * x
-            q = p / j
-            b_next = 1.0 + q
-            e = e * x / j + p / j + q + b_next
-            b = b_next
-        fac = math.factorial(s - 1)
-        value = float(fac) * math.exp(-x) * b
-        # (s-1)! as a float, exp's ulp (at most 2 u relatively) and two products
-        rel = u * e / b + (u if float(fac) != fac else 0.0) + 2 * u + 2 * u
-        return value, rel * value
-    c, e = 1.0, 0.0  # |c - sum_{i<s} (s-1)! / (s-1-i)! x^-i| <= e u
-    for j in range(1, s):
-        p = c * j
-        q = p / x
-        c_next = 1.0 + q
-        e = e * j / x + p / x + q + c_next
-        c = c_next
-    lx = math.log(x)
-    a = (s - 1) * lx
-    el = a - x
-    scale = math.exp(el)
-    value = scale * c
-    # the exponent's error: log's ulp carried s - 1 times, the product's and the difference's
-    d = 2 * u * (s - 1) * lx + u * abs(a) + u * abs(el)
-    bound = (d + u * e / c + 2 * u + u) * value
-    if scale < 2.0**-1022:  # exp's ulp and the product's rounding are absolute
-        bound += c * 2.0**-1074 + 2.0**-1075
-    return value, bound
+    b, e = 1.0, 0.0  # |b - sum_{i<s} x^i / i!| <= e u
+    for j in range(s - 1, 0, -1):
+        p = b * x
+        q = p / j
+        b_next = 1.0 + q
+        e = e * x / j + p / j + q + b_next
+        b = b_next
+    fac = math.factorial(s - 1)
+    value = float(fac) * math.exp(-x) * b
+    # (s-1)! as a float, exp's ulp (at most 2 u relatively) and two products
+    rel = u * e / b + (u if float(fac) != fac else 0.0) + 2 * u + 2 * u
+    return value, rel * value
 
 
 class TestUpperIncompleteGamma:
@@ -444,10 +425,10 @@ class TestUpperIncompleteGamma:
                     assert abs(g.value - ref) <= g.abs_err + 1e-300
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @given(s=st.integers(1, 60), x=st.floats(0.0, 1e6, exclude_min=True))
+    @given(s=st.integers(1, 60), x=st.floats(0.0, 708.0, exclude_min=True))
     @example(s=55, x=4 * math.pi * 3)  # the Parseval sum at k = 56, n = 3
     @example(s=18, x=2 * math.pi)  # completed_l's strip, n = 1
-    @example(s=60, x=math.nextafter(708.0, math.inf))  # the first x of the log form
+    @example(s=60, x=708.0)  # the domain's end
     def test_bar_contains_50_digit_value(self, s, x):
         g = upper_incomplete_gamma(s, x)
         with mp.workdps(50):
@@ -469,19 +450,20 @@ class TestUpperIncompleteGamma:
                 assert g.abs_err <= 100 * 2.3e-16 * abs(g.value) + 1e-300
 
     def test_domain(self):
+        # past x = 708 e^-x leaves the normal floats; no caller passes such an x
         for s, x in ((0.0, 1.0), (2.0, 0.0), (61.0, 1.0), (2.5, 1.0),
-                     (2, math.inf), (2, math.nan), (2, -1.0)):
+                     (2, math.inf), (2, math.nan), (2, -1.0),
+                     (60, math.nextafter(708.0, math.inf)), (1, 1e300)):
             with pytest.raises(DomainError):
                 upper_incomplete_gamma(s, x)
 
     def test_rounding_charge_holds_the_running_error_bound(self):
         # every s on the rates' grids (completed_l's 2 pi n, Parseval's 4 pi n,
         # the modularity oracle's 2 pi n 5/4 and 2 pi n / (5/4), n <= 30), small
-        # x, and both sides of the log form's switch at 708
+        # x, and large x up to the domain's end at 708
         rates = (2 * math.pi, 4 * math.pi, 2 * math.pi * 1.25, 2 * math.pi / 1.25)
         xs = [lam * n for lam in rates for n in range(1, 31)]
-        xs += [1e-320, 1e-10, 0.01, 0.5, 1.0, 600.0, 700.0, 708.0, math.nextafter(708.0, math.inf),
-               720.0, 745.0, 800.0, 1000.0, 1100.0, 1200.0, 1e4, 1e300]
+        xs += [1e-320, 1e-10, 0.01, 0.5, 1.0, 600.0, 700.0, 708.0]
         for s in range(1, 61):
             for x in xs:
                 g = upper_incomplete_gamma(s, x)
