@@ -18,10 +18,13 @@ y^k dx dy / y^2; no volume factor is applied.
 What depends on the weight and rule alone is memoized, and every form of a
 weight shares it: `lfunction`'s incomplete-gamma row (k - 1, 4 pi, k + 1)
 for the Parseval sum, and `_arc_nodes`, an `lru_cache` of 16 entries keyed
-by (k, nodes), for the arc.  Each holds the doubles a single call
-would make, by the same float operations, so sharing changes no bit.  An
-arc entry holds at most 3,328 doubles, as `petersson_inner` refuses a
-weight past 60, so the 16 kept hold under _MAX_COUNT (`errors`).
+by (k, nodes), for the arc: the rule applied to each monomial a_m b_j, so
+that a form's arc value is a bilinear form in its coefficients.  Each holds
+the doubles a single call would make, by the same float operations, so
+sharing changes no bit.  An arc entry holds N^2 moments and 2 N masses, N
+the most terms a form keeps at weight k, at most 675 doubles, as
+`petersson_inner` refuses a weight past 60, so the 16 kept hold under
+_MAX_COUNT (`errors`).
 
 In this normalization the kernel coefficient of `kernel.r_k` satisfies
 
@@ -179,7 +182,7 @@ def _kept_terms(f, k: int) -> tuple[float, ...]:
     S = sum |a_n| e^(-2 pi n sqrt(3)/2), or _ARC_FLOOR = ulp(2^-8) if that
     is larger (`deligne_count`); all of them if f carries fewer.  The floor
     binds no normalized form, whose S > 2^-8, and caps every form at the
-    stride of `_arc_nodes`, the count at _ARC_FLOOR; `_arc_value` charges
+    N of `_arc_nodes`, the count at _ARC_FLOOR; `_arc_value` charges
     the tail past the kept terms.
     """
     p, c = (k + 1) / 2, math.tau * _MIN_Y
@@ -210,29 +213,33 @@ def _ellipse_bound(fm, gm, k: int, rho: float, cells: int) -> list[float]:
 
 
 @functools.lru_cache(maxsize=16)
-def _arc_nodes(k: int, n: int) -> tuple[array, array, array, array]:
-    """What `_arc_value` takes from the weight k and the n-node rule alone,
-    shared by every form and pair: flat arrays over the nodes i of the node
-    factor w_i sin theta y^(k-2), that factor times 2 w, and, at a stride of
-    N per node, the most terms `_kept_terms` keeps at weight k, the powers
-    r^1..r^N and 2 S_0(w)..2 S_(N-1)(w).  An entry holds 2 n (N + 1)
-    doubles, at most 3,328, so the 16 kept hold under _MAX_COUNT: n <= 64,
-    and N <= 25, its value at k = 60, as `petersson_inner` refuses k > 60."""
+def _arc_nodes(k: int, n: int) -> tuple[array, array]:
+    """The n-node rule of `_arc_value` at weight k applied to each monomial
+    a_m b_j, shared by every form and pair: with node_i = w_i sin theta_i
+    y_i^(k-2) and N the most terms `_kept_terms` keeps at weight k, the
+    moments Q[m][j] = fsum_i node_i r_i^(m+j) 2 S_|m-j|(w_i), m, j = 1..N,
+    row by row, and the masses W[s] = fsum_i node_i 2 w_i r_i^s, s = 1..2N.
+    node_i r_i^s is s products onto node_i, and Q is symmetric, so each pair
+    m <= j is summed once.  An entry holds N^2 + 2 N doubles, at most 675,
+    so the 16 kept hold under _MAX_COUNT: N <= 25, its value at k = 60, as
+    `petersson_inner` refuses k > 60."""
     n_t = deligne_count((k + 1) / 2, math.tau * _MIN_Y, _ARC_FLOOR)
-    node, node_2w, r_pow, s_d = array("d"), array("d"), array("d"), array("d")
-    ts, ws = _gauss_legendre(n)
-    power = k - 2
-    for t, wt in zip(ts, ws):
+    powers, s_ds = [], []  # per node: node_i r_i^s for s = 0..2N; 2 S_d(w_i) for d < N
+    for t, wt in zip(*_gauss_legendre(n)):
         theta = _H * (1.0 + t)
         y = math.cos(theta)
         w = 2.0 * math.sin(0.5 * _H * (1.0 - t)) * math.cos(0.5 * _H * (3.0 + t))
-        r_pow.extend(accumulate(repeat(math.exp(-math.tau * y), n_t), mul))
+        node = wt * math.sin(theta) * y ** (k - 2)
+        powers.append(accumulate(repeat(math.exp(-math.tau * y), 2 * n_t), mul, initial=node))
         tw = math.tau * w
-        s_d.append(2.0 * w)
-        s_d.extend((-1) ** d * math.sin(d * tw) / (d * math.pi) for d in range(1, n_t))
-        node.append(wt * math.sin(theta) * y**power)
-        node_2w.append(node[-1] * 2.0 * w)
-    return node, node_2w, r_pow, s_d
+        s_ds.append([2.0 * w, *((-1) ** d * math.sin(d * tw) / (d * math.pi) for d in range(1, n_t))])
+    by_s, by_d = list(zip(*powers))[1:], list(zip(*s_ds))
+    moments = array("d", bytes(8 * n_t * n_t))
+    for m in range(n_t):
+        for j in range(m, n_t):
+            q = math.fsum(map(mul, by_s[m + j + 1], by_d[j - m]))
+            moments[m * n_t + j] = moments[j * n_t + m] = q
+    return moments, array("d", (math.fsum(map(mul, p, by_d[0])) for p in by_s))
 
 
 class _ArcValue(NamedTuple):
@@ -253,18 +260,21 @@ def _arc_value(f, g, k: int, spec: QuadratureSpec) -> _ArcValue:
     2 S_0 = 2 w and 2 S_d = (-1)^d sin(2 pi |d| w) / (pi |d|).  With
     dy = -sin theta d theta the strip is int_0^(pi/6) I d theta, where
 
-        I = sin theta cos^(k-2) theta P,   P = sum_(m,n) v_m u_n 2 S_(m-n)(w),
+        I = sin theta cos^(k-2) theta P,   P = sum_(m,n) a_m b_n r^(m+n) 2 S_(m-n)(w),
 
-    v_m = a_m r^m, u_n = b_n r^n and r = e^(-2 pi cos theta).  theta = H (1 + t),
-    H = pi/12, makes it H int_(-1)^1 I dt, summed by the rule (t_i, w_i) of
-    `_gauss_legendre`.  Per node 2 S_d is formed once for |d| < N_t, and P
-    as sum_m v_m (sum_n u_n 2 S_(m-n)); for g is f, P is a symmetric Toeplitz
-    form, summed once over the autocorrelations of v (below), whose mass
-    sum |v_m| is summed once.  w is taken as 2 sin(pi (1 - t)/24)
-    cos(pi (3 + t)/24), free of cancellation.  What a node takes from k and
-    the rule alone, w_i sin theta y^(k-2), w, the powers r^m and 2 S_d,
-    comes from the shared `_arc_nodes`, made by the same float operations,
-    so every value and bar is bit-identical to one made afresh.
+    r = e^(-2 pi cos theta).  theta = H (1 + t), H = pi/12, makes it
+    H int_(-1)^1 I dt, summed by the rule (t_i, w_i) of `_gauss_legendre`.
+    Summed over the nodes first, the rule is a bilinear form in the
+    coefficients, H sum_(m,j) a_m b_j Q[m][j], whose moments
+
+        Q[m][j] = sum_i node_i r_i^(m+j) 2 S_(m-j)(w_i),  node_i = w_i sin theta_i y_i^(k-2),
+
+    depend on k and the rule alone: `_arc_nodes` holds them, shared by every
+    form and pair, and the value is H fsum_m a_m fsum_j b_j Q[m][j], one path
+    for f = g and f != g alike.  w is taken as 2 sin(pi (1 - t)/24)
+    cos(pi (3 + t)/24), free of cancellation.  The table is made by the same
+    float operations whatever was asked before it, so every value and bar is
+    bit-identical to one made afresh.
 
     Truncation.  Only the first N_t coefficients of each form are summed
     (`_kept_terms`).  Past them Deligne's |a_n| <= n^((k+1)/2) bounds
@@ -298,66 +308,56 @@ def _arc_value(f, g, k: int, spec: QuadratureSpec) -> _ArcValue:
     cells, and H times that refined bound's remainder is charged.  A
     caller's spec is charged its own remainder.
 
-    Rounding, relative to the mass H w_i sin theta y^(k-2) 2 w V U of each
-    node (V = sum |v_m|, U = sum |u_n|; |2 S_d| <= 2 w), to first order in
+    Rounding, relative to the mass H sum_(m,j) |a_m b_j| W[m+j], with
+    W[s] = sum_i node_i 2 w_i r_i^s the masses of `_arc_nodes` (|Q[m][j]| <=
+    W[m+j] termwise, as |2 S_d| <= 2 w and node_i > 0), to first order in
     _EPS, each rounding counted as one _EPS (twice the unit roundoff):
     - theta is within 3 _EPS relatively (H, 1 + t, the product), sin theta
       within 4, y = cos theta within 3 (the node's error included, as
-      y >= 0.86) and y^(k-2) within 3 (k - 2) + 1;
+      y >= 0.86), y^(k-2) within 3 (k - 2) + 1 and the weight within
+      _WEIGHT_ULPS n^2, so node_i, two products, is within
+      3 (k - 2) + 7 + _WEIGHT_ULPS n^2;
     - 2 pi y is within 5 _EPS relatively and below 2 pi, so r is within 33,
-      and v_m (m - 1 products, one with a_m) within 34 m; likewise u_n;
+      and node_i r^s, s products onto node_i, adds 34 s, at most
+      34 (nf + ng) for s = m + j, nf and ng the kept terms of f and g;
     - w is within 7: 3 in the sine's argument, at most 0.3 from the
       cosine's (b tan b <= 0.07 for b <= pi/12), one per sin, cos and
       product.  So 2 pi d w is within 10, sin(2 pi d w) within 11 _EPS
-      2 pi d w, and 2 S_d, divided by pi d (3 more), within 14 _EPS 2 w;
-    - v_m u_n 2 S_(m-n) passes two products and at most N_t(f) + N_t(g) - 2
-      sums: N_t(f) + N_t(g).  For g is f, P = 2 S_0 c_0 + 2 sum_(d >= 1) 2 S_d c_d
-      with the autocorrelations c_d = sum_m v_m v_(m+d) (the doubling is
-      exact): a pair passes v_m v_(m+d), at most N_t - 1 sums in c_d (N_t - 2
-      for d >= 1), the product with 2 S_d and at most N_t - 1 sums after it
-      (one for d = 0), so the same count holds;
-    - the weight is within _WEIGHT_ULPS n^2 _EPS; three products form the
-      term, and `math.fsum`, H and the product with it add three.
+      2 pi d w, and 2 S_d, divided by pi d (3 more), within 14 _EPS 2 w,
+      and the product with it adds 15;
+    - three correctly rounded `math.fsum`s, over the nodes, over j and over
+      m, add one each, but none over a single term; three products, by b_j,
+      a_m and H, add three, and H itself one.
+    The count, 34 (nf + ng) + 3 (k - 2) + 27 + _WEIGHT_ULPS n^2 + [nf > 1]
+    + [ng > 1], is at most the charged 35 (nf + ng) + 3 (k - 2) + 25 +
+    _WEIGHT_ULPS n^2 for every nf, ng >= 1, as [nf > 1] + [ng > 1] + 2 <=
+    nf + ng, with equality only where nf, ng <= 2.
     The node's own error, _NODE_ULPS _EPS, is absolute: it moves sin theta
     and w by at most H _NODE_ULPS _EPS, and 2 S_d (derivative in w at most
     2) by twice that.  As 2 w + 2 sin theta = 1, node i moves by at most
-    H^2 w_i y^(k-2) V U _NODE_ULPS _EPS; with sum w_i = 2, y <= 1 and
-    V U <= S_f S_g, all nodes by 2 H^2 S_f S_g _NODE_ULPS _EPS.
+    H^2 w_i y^(k-2) V_i U_i _NODE_ULPS _EPS, V_i = sum |a_m| r_i^m and U_i
+    likewise; with sum w_i = 2, y <= 1 and V_i U_i <= S_f S_g, all nodes by
+    2 H^2 S_f S_g _NODE_ULPS _EPS.
     """
     fm = _kept_terms(f, k)
     gm = fm if g is f else _kept_terms(g, k)
     nf, ng = len(fm), len(gm)
-    n_t, n = max(nf, ng), spec.y_nodes
-    node, node_2w, r_pow, s_ds = _arc_nodes(k, n)
-    stride = len(r_pow) // n
-    fa, ga = f.a[:nf], g.a[:ng]
-    power = k - 2
-    terms = []
-    mass = 0.0
-    for i in range(n):
-        lo = i * stride
-        v = list(map(mul, fa, r_pow[lo : lo + nf]))
-        s_d = s_ds[lo : lo + n_t]
-        if g is f:  # P = 2 S_0 c_0 + 2 sum_(d >= 1) 2 S_d c_d, c_d = sum_m v_m v_(m+d)
-            c_d = [sum(map(mul, v, v[d:])) for d in range(n_t)]
-            corr = s_d[0] * c_d[0] + 2.0 * sum(map(mul, s_d[1:], c_d[1:]))
-            v_mass = u_mass = sum(map(abs, v))
-        else:
-            u = list(map(mul, ga, r_pow[lo : lo + ng]))
-            band = s_d[:0:-1] + s_d  # band[n_t - 1 + d] = 2 S_d = band[n_t - 1 - d]
-            corr = sum(map(mul, v, [sum(map(mul, u, band[n_t - 1 - m:])) for m in range(nf)]))
-            v_mass, u_mass = sum(map(abs, v)), sum(map(abs, u))
-        terms.append(node[i] * corr)
-        mass += node_2w[i] * v_mass * u_mass
+    n = spec.y_nodes
+    moments, masses = _arc_nodes(k, n)
+    stride = len(masses) // 2
+    gb = g.a[:ng]
+    value = math.fsum(a * math.fsum(map(mul, gb, moments[m * stride : m * stride + ng]))
+                      for m, a in enumerate(f.a[:nf]))
+    mass = sum(a * sum(map(mul, gm, masses[m + 1 : m + 1 + ng])) for m, a in enumerate(fm))
 
     rho = min(_RHO, key=lambda r: _gauss_remainder(_ellipse_bound(fm, gm, k, r, 1)[0], r, n))
     rem = _H * _gauss_remainder(max(_ellipse_bound(fm, gm, k, rho, _CELLS)), rho, n)
-    ulps = 35.0 * (nf + ng) + 3.0 * power + 25.0 + _WEIGHT_ULPS * n * n
+    ulps = 35.0 * (nf + ng) + 3.0 * (k - 2) + 25.0 + _WEIGHT_ULPS * n * n
     p, c = (k + 1) / 2, math.tau * _MIN_Y
     tf, tg = deligne_tail(p, c, nf + 1), deligne_tail(p, c, ng + 1)
     sf, sg = _form_sum(fm, _MIN_Y), _form_sum(gm, _MIN_Y)
     return _ArcValue(
-        value=_H * math.fsum(terms),
+        value=_H * value,
         rem=rem,
         rounding=(ulps * _H * mass + 2.0 * _H * _H * sf * sg * _NODE_ULPS) * _EPS,
         trunc=_ARC_AREA * (tf * sg + tg * sf + tf * tg),

@@ -353,36 +353,55 @@ class TestCentralValues:
             signal.signal(signal.SIGALRM, previous)
 
 
-# completed_l at every integer s of the strip and petersson_norm_sq, for every
+# completed_l at every integer s of the strip, and petersson_norm_sq, for every
 # eigenform of even k = 12..60 at coefficient_count(k) and 120 coefficients,
 # recorded with CPython 3.11 and glibc's libm on x86-64 Linux: another libm's
 # exp or pow may move a last bit
-_SPECTRAL_DIGEST = "45ef618963d9c8732e789279f0b87ef443b9376c9ae05cc19bb3560642375e3b"
+_L_VALUE_DIGEST = "0804d528208ad1fa3e65918a57afe31e42688c3ad07b792548e4410cd37b1d49"
+_NORM_DIGEST = "1ee4a7902200069d66d2d2238daceccb0eb6c1a269a99767b07129564cc690d3"
 _SPECTRAL_DIGEST_PLATFORM = ("linux", "x86_64", (3, 11))
+_recorded_libm = pytest.mark.skipif(
+    (sys.platform, platform.machine(), sys.version_info[:2]) != _SPECTRAL_DIGEST_PLATFORM,
+    reason="the digest was recorded with one libm",
+)
 
 
-def spectral_digest() -> str:
-    """sha256 over the hex of each L-value's completed and finite value and bar
-    and its terms, and of each norm and its bar."""
-    h = hashlib.sha256()
+def spectral_forms():
+    """(k, n, f) for every eigenform f of the digests, in order."""
     for k in range(12, 61, 2):
         for n in (coefficient_count(k), 120):
             for f in eigenforms(k, n):
-                for s in range(k // 2 - 2, k // 2 + 3):
-                    lv = completed_l(f, s)
-                    fields = (lv.completed.value, lv.completed.abs_err,
-                              lv.finite.value, lv.finite.abs_err)
-                    line = [str(k), str(n), str(s), *(x.hex() for x in fields), str(lv.terms_used)]
-                    h.update(" ".join(line).encode() + b"\n")
-                g = petersson.petersson_norm_sq(f)
-                h.update(f"{k} {n} {g.value.hex()} {g.abs_err.hex()}\n".encode())
+                yield k, n, f
+
+
+def l_value_digest() -> str:
+    """sha256 over the hex of each L-value's completed and finite value and bar
+    and its terms."""
+    h = hashlib.sha256()
+    for k, n, f in spectral_forms():
+        for s in range(k // 2 - 2, k // 2 + 3):
+            lv = completed_l(f, s)
+            fields = (lv.completed.value, lv.completed.abs_err, lv.finite.value, lv.finite.abs_err)
+            line = [str(k), str(n), str(s), *(x.hex() for x in fields), str(lv.terms_used)]
+            h.update(" ".join(line).encode() + b"\n")
+    return h.hexdigest()
+
+
+def norm_digest() -> str:
+    """sha256 over the hex of each norm and its bar."""
+    h = hashlib.sha256()
+    for k, n, f in spectral_forms():
+        g = petersson.petersson_norm_sq(f)
+        h.update(f"{k} {n} {g.value.hex()} {g.abs_err.hex()}\n".encode())
     return h.hexdigest()
 
 
 class TestSpectralDigest:
-    @pytest.mark.skipif(
-        (sys.platform, platform.machine(), sys.version_info[:2]) != _SPECTRAL_DIGEST_PLATFORM,
-        reason="the digest was recorded with one libm",
-    )
+    @_recorded_libm
     def test_outputs_are_bit_identical_to_the_recorded_digest(self):
-        assert spectral_digest() == _SPECTRAL_DIGEST
+        # the L-values; the norms have their own digest
+        assert l_value_digest() == _L_VALUE_DIGEST
+
+    @_recorded_libm
+    def test_norms_are_bit_identical_to_the_recorded_digest(self):
+        assert norm_digest() == _NORM_DIGEST

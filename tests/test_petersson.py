@@ -278,14 +278,13 @@ class TestPeterssonInner:
                 assert petersson._gauss_remainder(math.inf, rho, n) == math.inf, (rho, n)
 
     def test_symmetric_sum_agrees_with_the_general_path(self):
-        # petersson_inner(f, f) sums the autocorrelations of one form; a copy
-        # of f is another object, so it takes the path of two distinct forms
+        # a copy of f is another object; one path sums (f, f) and (f, copy)
         for k in range(12, 41, 2):
             for n_coeffs in (coefficient_count(k), 120):
                 for f in eigenforms(k, n_coeffs):
                     norm = petersson_inner(f, f)
                     general = petersson_inner(f, Eigenform(f.weight, f.a))
-                    assert abs(norm.value - general.value) <= norm.abs_err + general.abs_err, k
+                    assert hexes(norm) == hexes(general), k
 
     @pytest.mark.parametrize("k", [28, 40])
     def test_norm_bar_contains_40_digit_value(self, k):
@@ -528,6 +527,8 @@ class TestSharedTables:
             assert answer(requests[i]) == fresh[i], requests[i][0]
         info = petersson._arc_nodes.cache_info()
         assert info.currsize == 16 and info.misses > 16
+        # the largest entry, N = 25 at k = 60: N^2 moments and 2 N masses
+        assert sum(map(len, petersson._arc_nodes(60, 64))) <= 25 * 25 + 2 * 25 == 675
         # rows of at most 4 terms: a sum that has not stopped by a row's end
         # raises rather than make terms past it
         f = eigenforms(40, 120)[0]
@@ -575,7 +576,7 @@ class TestSharedTables:
     def test_one_arc_entry_per_weight_and_rule(self):
         # weight 40's forms keep 16, 15 and 15 terms and still share one entry,
         # so the norms of weights 28, 36 and 40 at two lengths keep three; the
-        # entry's stride, 18 at k = 40, caps every form's kept terms
+        # entry's N, 18 at k = 40, caps every form's kept terms
         kept = sorted(len(petersson._kept_terms(f, 40)) for f in eigenforms(40, 120))
         assert kept == [15, 15, 16]
         empty_float_tables()
@@ -584,7 +585,8 @@ class TestSharedTables:
                 for f in eigenforms(k, n):
                     petersson_norm_sq(f)
         assert petersson._arc_nodes.cache_info().currsize == 3
-        assert len(petersson._arc_nodes(40, 20)[2]) == 18 * 20
+        moments, masses = petersson._arc_nodes(40, 20)
+        assert (len(moments), len(masses)) == (18 * 18, 2 * 18)
         tiny = ScaledForm(40, (2.0**-100,) * 40)
         assert len(petersson._kept_terms(tiny, 40)) == 18
 

@@ -55,6 +55,8 @@ ROWS = (
      KERNEL_TESTS),
     ("l_conversion", "lfunction.py",
      "err + 2.0 * _EPS * abs(total)", "err + 1.0 * _EPS * abs(total)", SERIES_TESTS),
+    ("arc_pairs", "petersson.py",
+     "35.0 * (nf + ng)", "17.5 * (nf + ng)", NORM_TESTS),
     ("gauss_weights", "petersson.py",
      "_WEIGHT_ULPS = 0.25", "_WEIGHT_ULPS = 0.125", NORM_TESTS),
     ("triangle_bar_roundings", "petersson.py",
