@@ -6,9 +6,12 @@ Evaluates the normalized bracket
 
 where g_n(m) is the cosine sum over coprime pairs a*c = m in which, for
 m > 1, the boundary pairs (1, m) and (m, 1) carry (-1)^n cos(pi n / m).
-`ntheory.gamma_sum` gives those two pairs cos(pi n / m), so
-g_n(m) = gamma_n(m) + ((-1)^n - 1) 2 cos(pi n / m), and g_n(1) = 1.
-Even n is unaffected.  The coefficient is
+By the Chinese remainder theorem it is a product over the prime powers q
+of m, g_n(m) = prod_q 2 cos(pi n rho_q / q), rho_q = (m/q)^(-1) mod q up to
+a multiple of q that carries the sign (`ntheory._gamma_row`), so
+|g_n(m)| <= 2^omega(m).  `ntheory.gamma_sum` gives the two boundary pairs
+cos(pi n / m), so g_n(m) = gamma_n(m) + ((-1)^n - 1) 2 cos(pi n / m), and
+g_n(1) = 1.  Even n is unaffected.  The coefficient is
 
     r_k(n) = (8 pi)^(k/2-1) n^(k/2-1) rho_k(n) / (4 (k-2)!),
 
@@ -35,8 +38,8 @@ from itertools import accumulate, repeat
 from operator import floordiv, lshift, neg, sub
 
 from .errors import _MAX_COUNT, PrecisionError, _integer
-from .ntheory import (_FIX_BITS, ValueWithError, _cos_pi_fixed, _gamma_fixed, _pair_block,
-                      _pi_power_bracket, _pi_power_fixed, _pi_power_up, bernoulli, gamma_sum)
+from .ntheory import (_FIX_BITS, ValueWithError, _cos_pi_fixed, _gamma_fixed, _pi_power_bracket,
+                      _pi_power_fixed, _pi_power_up, _prime_power_block, bernoulli, gamma_sum)
 from .specfun import _EPS, HalfIntOrder, _bessel_factor_fixed, bessel_j
 
 __all__ = [
@@ -52,7 +55,7 @@ __all__ = [
 # The largest Bessel argument n pi the series takes, so n <= 5:
 # `specfun._bessel_factor_fixed`'s bracket is about 2^-95 wide up to it
 MAX_SERIES_ARG = 16.0
-# m < _PRIMORIALS[i] has at most i prime factors, so at most 2^i coprime pairs a*c = m
+# m < _PRIMORIALS[i] has at most i prime factors, so gamma_n(m) is a product of at most i factors
 _PRIMORIALS = (2, 6, 30, 210, 2310, 30030, 510510, 9699690)
 
 
@@ -122,8 +125,8 @@ def _omega_tails(k: int, top: int, t_cut: int = -1) -> tuple[int, ...]:
     rational rounded up less the terms m <= M, each 2^omega(m) / m^s rounded
     down, so it is an upper bound, above the exact tail by less than (M + 1)
     2^-F, which is below (M + 1)^(s+1) 2^-F T(M) < 2^-53 T(M) for M <=
-    _MAX_COUNT = 2^16, as T(M) > (M + 1)^-s.  2^omega(m), m >= 2, is twice
-    m's count of coprime pairs a < c, a c = m, in `ntheory._pair_block`.
+    _MAX_COUNT = 2^16, as T(M) > (M + 1)^-s.  omega(m) is m's count of
+    prime powers in `ntheory._prime_power_block`.
 
     The table is kept for the next call of weight k, a tuple of ints below
     2^(F+1).  It grows in steps that double its length, each within one block
@@ -142,9 +145,9 @@ def _omega_tails(k: int, top: int, t_cut: int = -1) -> tuple[int, ...]:
     while len(table) <= top and table[-1] > t_cut:
         lo = len(table)
         hi = min(2 * lo, (lo | 255) + 1, _MAX_COUNT + 1)
-        starts = _pair_block(lo >> 8)[0][lo & 255:((hi - 1) & 255) + 2]
-        pairs = map(sub, starts[1:], starts)
-        terms = map(floordiv, map(lshift, pairs, repeat(bits + 1)),
+        starts = _prime_power_block(lo >> 8)[0][lo & 255:((hi - 1) & 255) + 2]
+        omegas = map(sub, starts[1:], starts)
+        terms = map(floordiv, map(lshift, repeat(1 << bits), omegas),
                     map(pow, range(lo, hi), repeat(s)))
         # the sums start from T(lo - 1), the entry they replace
         table = table[:-1] + tuple(accumulate(terms, sub, initial=table[-1]))
@@ -172,6 +175,24 @@ def series_tail_bound(k: int, n: int, m_stop: int) -> float:
     t = _omega_tails(k, m_stop)[m_stop]
     df = HalfIntOrder.for_weight(k).double_factorial
     return math.ldexp(_pi_power_up(2 * n**h * t, df, h), -_tail_bits(k))
+
+
+def _gamma_charge(omega: int, odd: int) -> float:
+    """A first-order bound, in units of _EPS, on |gamma_sum(n, m) - gamma_n(m)|
+    for m >= 2 with at most omega prime factors, and odd = n % 2.
+
+    `ntheory._gamma_row` takes the angle pi (u/d) within 1.2 _EPS relatively
+    (u / d and the product round once each, pi's float is within 0.18 _EPS),
+    so with theta sin(theta) <= 1.82 on [0, pi] and cos within an ulp, at
+    most _EPS / 2 below 1, each cosine is within (1.2 * 1.82 + 1/2) _EPS <=
+    2.7 _EPS.  The product of omega factors 2 cos, each at most 2 in size and
+    within 5.4 _EPS, with its omega - 1 roundings, is within
+    2^omega (2.7 omega + (omega - 1)/2) _EPS.  For odd n the boundary term
+    4 cos adds 10.8 _EPS, and the sum, at most 2^omega + 4 in size, rounds
+    once.
+    """
+    top = 1 << omega
+    return top * (3.2 * omega - 0.5) + odd * (10.8 + (top + 4) / 2)
 
 
 def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
@@ -238,16 +259,15 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     keep = terms.append
     float_err = 0.0
     # [lo, hi) ranges of m past the hump: split at the primorials, as g's
-    # error bound depends on the number of pairs
+    # error bound depends on the number of prime factors
     lo = m_env
     for hi in sorted({m_stop + 1, *(b for b in _PRIMORIALS if lo < b <= m_stop)}):
-        # g is within ge of g_n(m) for m in [lo, hi): each of its 2^i
-        # cosines within 5 _EPS (the angle pi (t/m) within 1.2 _EPS
-        # relatively, cos within an ulp), their sum within 2^i (2^i + 1)/4
-        # _EPS, and 4 cos(x) within 4 (1.2 x + 1) _EPS; g_n(1) = 1 exactly
-        pairs = 1 << bisect.bisect_right(_PRIMORIALS, lo)
+        # g is within ge of g_n(m) for m in [lo, hi), whose m have at most
+        # omega prime factors: gamma_sum within `_gamma_charge`, and 4 cos(x)
+        # within 4 (1.2 x + 1) _EPS; g_n(1) = 1 exactly
+        omega = bisect.bisect_right(_PRIMORIALS, lo)
         boundary = odd and lo > 1
-        ge = 0.0 if lo == 1 else (pairs * (5 + (pairs + 1) / 4) + boundary * 4 * (1.2 * n_pi / lo + 1)) * _EPS
+        ge = 0.0 if lo == 1 else (_gamma_charge(omega, odd) + boundary * 4 * (1.2 * n_pi / lo + 1)) * _EPS
         for m in range(lo, hi):
             x = n_pi / m
             g = gamma(n, m)
@@ -301,12 +321,13 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     h = k // 2 - 1
     lo, hi = _pi_power_fixed(8**h * n**h, 4 * math.factorial(k - 2), h)
     # the midpoint is within (hi - lo) / 2, below 2^-240 relatively, of the
-    # prefactor, and the int quotient rounds it once: pref is within _EPS of
-    # it.  With pref * rho's rounding that charges 2 _EPS |rho|; the factor
-    # 1 + 4 _EPS covers pref's error in the first term and the four roundings
-    # of the bar itself.
+    # prefactor, and the int quotient rounds it once: pref is within _EPS / 2
+    # of it, and 2^-240 more.  With pref * rho's rounding, another _EPS / 2,
+    # that charges _EPS |rho|; the factor 1 + 4 _EPS covers the 2^-240,
+    # pref's error in the first term and the three roundings of the bar
+    # itself (_EPS |rho| is exact).
     pref = (lo + hi) / (2 << _FIX_BITS)
-    bar = pref * (rho.abs_err + 2.0 * _EPS * abs(rho.value)) * (1.0 + 4.0 * _EPS)
+    bar = pref * (rho.abs_err + _EPS * abs(rho.value)) * (1.0 + 4.0 * _EPS)
     value = ValueWithError(pref * rho.value, bar)
     return KernelCoefficient(k=k, n=n, rho=rho, value=value, terms_used=m_stop)
 

@@ -1,20 +1,22 @@
 """Integer and arithmetic-function kernels.
 
 The cosine sums gamma_n(m) over the coprime factor pairs of m and exact
-Bernoulli numbers.  The exponents a' a - c' c of the coprime pairs of m
-are sieved 256 consecutive m at a time into two flat tuples, offsets and
-exponents, so the blocks hold no object per m for the garbage collector to
-scan, and kept in a bounded memo of such blocks, shared across every n;
-gamma_n(m) is summed for one n and the 256 m of a block at once, and kept
-in a bounded memo of such (n, block) rows, shared across every weight k
-that asks the same n.  The even Bernoulli numbers come from the integer
-tangent-number recurrence, kept in a table that at least doubles when it
-grows.  The module also holds pi bracketed in 256-bit fixed point, from
-which every kernel-side constant in pi is taken: rounded up to a float for
-the deviation bounds and the tail scale, rounded once for r_k's prefactor
-and the Kohnen triangle's scale, and, for the kernel terms that cancel in
-floats, an alternating series summed between integer brackets, and
-gamma_n(m) and its cosines bracketed from the exact angles.
+Bernoulli numbers.  By the Chinese remainder theorem the cosine sum is a
+product over the prime powers q of m (`_gamma_row`), so a block of 256
+consecutive m lists, for each m, its prime powers q and the residues
+rho_q = (m/q)^(-1) mod q, found by a small-prime sieve, in one flat tuple:
+the blocks hold no object per m for the garbage collector to scan, and are
+kept in a bounded memo shared across every n.  gamma_n(m) is computed for
+one n and the 256 m of a block at once, omega(m) cosines and a product per
+m, and kept in a bounded memo of such (n, block) rows, shared across every
+weight k that asks the same n.  The even Bernoulli numbers come from the
+integer tangent-number recurrence, kept in a table that at least doubles
+when it grows.  The module also holds pi bracketed in 256-bit fixed point,
+from which every kernel-side constant in pi is taken: rounded up to a float
+for the deviation bounds and the tail scale, rounded once for r_k's
+prefactor and the Kohnen triangle's scale, and, for the kernel terms that
+cancel in floats, an alternating series summed between integer brackets,
+and gamma_n(m) and its cosines bracketed from the exact angles.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
 
 from .errors import DomainError, _integer
 
@@ -78,10 +79,10 @@ def gamma_sum(n: int, m: int) -> float:
     a' is the inverse of a mod c and c' that of c mod a; the boundary pairs
     (1, m) and (m, 1) contribute cos(pi n / m) each, and gamma_n(1) = 1.
 
-    The value is read off `_gamma_row`, which sums the 256 m of one
-    `_pair_block` block for one n at once and keeps the row for every
-    weight that asks the same n again.  An integral float n or m gives the
-    int's value.
+    The value is read off `_gamma_row`, which computes the 256 m of one
+    `_prime_power_block` block for one n at once, as a product over the
+    prime powers of each m, and keeps the row for every weight that asks
+    the same n again.  An integral float n or m gives the int's value.
 
     The argument check is written out rather than `errors._integer`: it runs
     once per term of `kernel.r_k`'s series, and two gate calls would take a
@@ -94,7 +95,7 @@ def gamma_sum(n: int, m: int) -> float:
     return _gamma_row(n, m >> 8)[m & 255]
 
 
-# cos(pi q / 6) for the q = 6 t / m with an exact cosine
+# cos(pi j / 6) for the j = 6 u / d with an exact cosine
 _COS_SIXTHS = (1.0, None, 0.5, 0.0, -0.5, None, -1.0)
 
 
@@ -104,61 +105,109 @@ _COS_SIXTHS = (1.0, None, 0.5, 0.0, -0.5, None, -1.0)
 def _gamma_row(n: int, b: int) -> array:
     """gamma_n(m) for each m in [256 b, 256 b + 256), 1.0 at m = 0 and m = 1.
 
-    The angle of a pair is pi n s / m with s = a' a - c' c read from
-    `_pair_block`(b), the slice of its flat exponents between m's two
-    offsets.  n is taken as an int and n s is reduced exactly mod
-    2m, n first, so every product is exact; the residue is folded into t in
-    [0, m], and the cosine is exact when 6 t / m is 0, 2, 3, 4 or 6
-    (t / m in {0, 1/3, 1/2, 2/3, 1}).  Each m sums its cosines in the order
-    of its sorted pairs (a, c): the half with a < sqrt(m), then its mirror,
-    since the pair (c, a) negates the angle of (a, c).
+    For m >= 2 with prime powers q and the residues rho_q of
+    `_prime_power_block`(b), sum_q (m/q) rho_q = 1 + t m with t odd, and
+
+        gamma_n(m) = prod_q 2 cos(pi n rho_q / q) + (1 - (-1)^n) 2 cos(pi n / m).
+
+    Proof: the kernel's sum g_n(m), whose boundary pairs carry (-1)^n
+    cos(pi n / m), takes each pair (a, c) at the angle pi n (2e - 1 - m) / m
+    with e = a a' mod m, the idempotent that is 1 mod c and 0 mod a.  A pair
+    is the set of q dividing c, and e = sum_(q | c) (m/q) rho_q mod m, so
+    g_n(m) = Re[exp(-i pi n (1 + m)/m) prod_q (1 + exp(2 pi i n rho_q / q))]
+    = (-1)^(n (t - 1)) prod_q 2 cos(pi n rho_q / q), as 1 + exp(2 i x) =
+    2 cos(x) exp(i x) and sum_q rho_q / q = (1 + t m)/m; the sign is 1 for
+    odd t.  gamma_n(m) gives the two boundary pairs cos(pi n / m), which
+    adds the last term.
+
+    n is taken as an int and each n rho_q is reduced exactly mod 2q, folded
+    into u in [0, q]; the factor 2 cos(pi (u / q)) is exact when 6 u / q is
+    an int, which for a prime power q puts u / q in {0, 1/3, 1/2, 2/3, 1}.
+    The factors of each m are multiplied in increasing q.  For odd n the
+    boundary term 4 cos(pi (u / m)), u = n mod 2m folded, is added, exact
+    when 6 u / m is 0, 2, 3, 4 or 6.
     """
     n = int(n)
-    cos, pi = math.cos, math.pi
-    starts, exponents = _pair_block(b)
-    row = array("d")
-    for m, lo, hi in zip(range(b << 8, (b + 1) << 8), starts, starts[1:]):
-        if m < 2:
-            row.append(1.0)
-            continue
-        two_m = 2 * m
-        r = n % two_m
-        sixths = 6 * r % m == 0  # m | 6t for some pair only if m | 6n, as s is a unit mod m
-        half = []
-        for s in exponents[lo:hi]:
-            t = r * s % two_m
-            if t > m:
-                t = two_m - t
-            c = _COS_SIXTHS[6 * t // m] if sixths else None
-            half.append(cos(pi * (t / m)) if c is None else c)
-        row.append(sum(half + half[::-1]))
+    cos, pi, sixths = math.cos, math.pi, _COS_SIXTHS
+    odd = n % 2
+    row = array("d", [1.0, 1.0] if b == 0 else [])
+    g = 1.0
+    flat = iter(_prime_power_block(b)[1])
+    for q, r, m in zip(flat, flat, flat):
+        u = n * r % (q + q)
+        if u > q:
+            u = q + q - u
+        c = cos(pi * (u / q)) if 6 * u % q else sixths[6 * u // q]
+        g *= c + c
+        if m:  # q is m's last prime power
+            if odd:
+                two_m = m + m
+                u = n % two_m
+                if u > m:
+                    u = two_m - u
+                c = sixths[6 * u // m] if 6 * u % m == 0 else None
+                g += 4.0 * (cos(pi * (u / m)) if c is None else c)
+            row.append(g)
+            g = 1.0
     return row
+
+
+def _primes_to(n: int) -> list[int]:
+    """The primes p <= n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = bytes(min(2, n + 1))
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p, prime in enumerate(sieve) if prime]
 
 
 # 32 blocks hold m < 8,192, above r_k's deepest cut (4,333 at k = 12, n = 5,
 # eps = 1e-14); a report's cuts, at most 91 terms, fill block 0 alone.  The
-# offsets also give `kernel._omega_tails` its 2^omega(m), twice m's pair count.
+# offsets also give `kernel._omega_tails` omega(m), m's count of prime powers.
 @functools.lru_cache(maxsize=32)
-def _pair_block(b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The exponents s = a' a - c' c of `gamma_sum` for the m in [256 b, 256 b + 256),
-    one per coprime pair a*c = m with a < c, in increasing a: those of the
-    i-th m run from the i-th of 257 offsets to the next, in one flat tuple.
-    Two tuples, not one per m, keep a sweep's blocks from the collector.
+def _prime_power_block(b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The prime powers q of each m in [256 b, 256 b + 256), with the residues
+    rho_q of `_gamma_row`: the i-th m's q run from the i-th of 257 offsets
+    to the next, and each q is the triple q, rho_q, end of one flat tuple,
+    end being m at m's last q and 0 before it.  Two tuples, not one per m,
+    keep a sweep's blocks from the collector.  m = 0 and m = 1 have no q.
 
-    One sieve over a < c with a*c in the block and gcd(a, c) = 1 fills every
-    m, a in the outer loop, so each lists its pairs as trial division up to
-    sqrt(m) would.  e = a a' is 0 mod a and 1 mod c, c c' = (1 - e) mod m,
-    so s is 1 when e = 1 (a = 1, the pair (1, m) of every m >= 2) and
-    2e - 1 - m otherwise.  m = 0 and m = 1 have no such pair.
+    A sieve by the primes p <= sqrt(256 b + 255) divides each m of the block
+    by its powers of p, in increasing p; what is left is 1 or one prime
+    above them all, m's last q.  rho_q = (m/q)^(-1) mod q, one `pow` each,
+    for every q but the last, whose rho is (1 + m - s) / (m/q) reduced mod
+    2q, s the sum of the others' (m/q) rho_q: an int, as s is 1 mod each
+    other q, congruent to (m/q)^(-1) mod q, and such that the sum of all
+    (m/q) rho_q is 1 + t m with t odd.  rho_q enters `_gamma_row` only mod
+    2q, where a step of 2q moves t by 2.
     """
     lo, hi = b << 8, (b + 1) << 8
-    block = [[1] if m > 1 else [] for m in range(lo, hi)]
-    for a in range(2, math.isqrt(hi) + 1):
-        for c in range(max(a + 1, -(-lo // a)), (hi - 1) // a + 1):
-            if math.gcd(a, c) == 1:
-                m = a * c
-                block[m - lo].append(2 * a * pow(a, -1, c) - 1 - m)
-    return tuple(accumulate(map(len, block), initial=0)), tuple(chain.from_iterable(block))
+    rest = list(range(lo, hi))
+    found = [[] for _ in range(256)]
+    for p in _primes_to(math.isqrt(hi - 1)):
+        for i in range(max(p, -(-lo // p) * p) - lo, 256, p):
+            r, q = rest[i] // p, p
+            while r % p == 0:
+                r //= p
+                q *= p
+            rest[i] = r
+            found[i].append(q)
+    starts, flat = [0], []
+    for m, r, qs in zip(range(lo, hi), rest, found):
+        if r > 1:
+            qs.append(r)
+        if qs:  # not m = 0 or 1
+            last = qs.pop()
+            s = 1 + m
+            for q in qs:
+                c = m // q
+                rho = pow(c, -1, q)
+                flat += (q, rho, 0)
+                s -= c * rho
+            flat += (last, s // (m // last) % (last + last), m)
+        starts.append(len(flat) // 3)
+    return tuple(starts), tuple(flat)
 
 
 # Fixed point: an int v stands for v / 2^_FIX_BITS, and a pair (lo, hi) of such
@@ -240,14 +289,23 @@ def _cos_pi_fixed(t: int, m: int) -> tuple[int, int]:
 
 def _gamma_fixed(n: int, m: int) -> tuple[int, int]:
     """A fixed-point bracket of gamma_n(m) (`gamma_sum`), from the exact angles
-    pi n s / m of `_pair_block`; the pairs (a, c) and (c, a) share a cosine."""
+    of `_gamma_row`'s product: the brackets of 2 cos(pi n rho_q / q) over the
+    prime powers q of `_prime_power_block`, multiplied with each product's
+    ends rounded outward, plus 4 cos(pi n / m) for odd n."""
+    one = 1 << _FIX_BITS
     if m == 1:
-        return (1 << _FIX_BITS,) * 2
-    starts, exponents = _pair_block(m >> 8)
-    lo = hi = 0
-    for s in exponents[starts[m & 255]:starts[(m & 255) + 1]]:
-        c_lo, c_hi = _cos_pi_fixed(n * s, m)
-        lo, hi = lo + 2 * c_lo, hi + 2 * c_hi
+        return one, one
+    starts, flat = _prime_power_block(m >> 8)
+    i = m & 255
+    lo = hi = one
+    for j in range(3 * starts[i], 3 * starts[i + 1], 3):
+        q, r = flat[j], flat[j + 1]
+        c_lo, c_hi = _cos_pi_fixed(n * r, q)
+        products = (lo * c_lo, lo * c_hi, hi * c_lo, hi * c_hi)
+        lo, hi = 2 * min(products) >> _FIX_BITS, -(-2 * max(products) >> _FIX_BITS)
+    if n % 2:
+        c_lo, c_hi = _cos_pi_fixed(n, m)
+        lo, hi = lo + 4 * c_lo, hi + 4 * c_hi
     return lo, hi
 
 

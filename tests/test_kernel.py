@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import hashlib
 import math
@@ -10,7 +11,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from ckkernel import kernel
+from ckkernel import kernel, ntheory
 from ckkernel.errors import DomainError, PrecisionError
 from ckkernel.kernel import (
     certify,
@@ -19,8 +20,11 @@ from ckkernel.kernel import (
     r_k,
     series_tail_bound,
 )
-from ckkernel.ntheory import ValueWithError, _pair_block, gamma_sum
+from ckkernel.ntheory import ValueWithError, _prime_power_block, gamma_sum
 from ckkernel.specfun import HalfIntOrder, bessel_j
+
+
+EPS = 2.220446049250313e-16
 
 
 def omega_sieve(top: int) -> list[int]:
@@ -137,16 +141,16 @@ class TestSeriesTailBound:
     def test_decreases_in_cutoff(self):
         assert series_tail_bound(12, 1, 64) < series_tail_bound(12, 1, 8)
 
-    def test_two_to_omega_is_twice_the_pair_count(self):
-        # _omega_tails reads 2^omega(m), m >= 2, as twice the number of coprime
-        # pairs a < c, a c = m, that ntheory._pair_block lists for m
+    def test_omega_is_the_prime_power_count(self):
+        # _omega_tails reads omega(m), m >= 2, as the number of prime powers
+        # that ntheory._prime_power_block lists for m
         top = 2**16
         omega = omega_sieve(top)
         for b in range(top // 256 + 1):
-            starts = _pair_block(b)[0]
+            starts = _prime_power_block(b)[0]
             for i, m in enumerate(range(256 * b, min(256 * b + 256, top + 1))):
                 if m >= 2:
-                    assert 2 * (starts[i + 1] - starts[i]) == 2 ** omega[m], m
+                    assert starts[i + 1] - starts[i] == omega[m], m
 
     def test_not_above_the_divisor_bound(self):
         # the d(m) <= 2 sqrt(m) tail, 2 A m_stop^((3-k)/2) 2/(k-3), at every
@@ -394,6 +398,87 @@ class TestRkBar:
                         room = rho.abs_err - series_tail_bound(k, n, m_stop)
                         assert abs(rho.value - s) <= room, (k, n, eps)
 
+    def test_gamma_charge_holds_the_running_error_bound(self):
+        # a copy of ntheory._gamma_row's loop carries, beside each float, its
+        # first-order running error bound (Higham 2002, Sec. 3.3): a cosine
+        # within 1.2 EPS theta |sin theta| + its ulp (the angle's 1.2 EPS and
+        # the ulp of libm's cosine are checked at 40 digits here too), a
+        # product within |f| e_g + |g| e_f plus its rounding, the first one
+        # exact, and the boundary term and the sum alike.  For n = 1..5 and
+        # every m up to r_k's deepest cut, 4,333, the float is the program's,
+        # the 40-digit product lies within the bound, and the bound within
+        # `kernel._gamma_charge` at m's own omega, at most the range's that
+        # r_k charges
+        top = 4333
+        omega = omega_sieve(top)
+        u = EPS / 2
+        sixths = ntheory._COS_SIXTHS
+
+        def cosine(t, d):
+            """(float, bound, 40-digit value) of cos(pi t / d) as the row takes it."""
+            if 6 * t % d == 0 and sixths[6 * t // d] is not None:
+                c = sixths[6 * t // d]
+                return c, 0.0, mp.mpf(c)
+            a = math.pi * (t / d)
+            c = math.cos(a)
+            theta = mp.pi * t / d
+            assert abs(a - theta) <= 1.2 * EPS * theta, (t, d)
+            assert abs(c - mp.cos(a)) <= math.ulp(c), (t, d)
+            return c, 1.2 * EPS * float(theta * abs(mp.sin(theta))) + math.ulp(c), mp.cos(theta)
+
+        worst = 0.0
+        with mp.workdps(40):
+            for n in range(1, 6):
+                for m in range(2, top + 1):
+                    starts, flat = ntheory._prime_power_block(m >> 8)
+                    i = m & 255
+                    g, err, exact = 1.0, 0.0, mp.mpf(1)
+                    for j in range(3 * starts[i], 3 * starts[i + 1], 3):
+                        q, r = flat[j], flat[j + 1]
+                        t = n * r % (2 * q)
+                        c, e, x = cosine(min(t, 2 * q - t), q)
+                        product = g * (c + c)
+                        err = err * abs(c + c) + abs(g) * 2 * e + (u * abs(product) if g != 1.0 else 0.0)
+                        g, exact = product, exact * 2 * x
+                    if n % 2:
+                        t = n % (2 * m)
+                        c, e, x = cosine(min(t, 2 * m - t), m)
+                        total = g + 4.0 * c
+                        err += 4 * e + u * abs(total)
+                        g, exact = total, exact + 4 * x
+                    assert g == gamma_sum(n, m), (n, m)
+                    assert abs(g - exact) <= err, (n, m)
+                    charge = kernel._gamma_charge(omega[m], n % 2) * EPS
+                    assert err <= charge, (n, m)
+                    assert omega[m] <= bisect.bisect_right(kernel._PRIMORIALS, m), m
+                    worst = max(worst, err / charge)
+        assert worst > 0.8, worst  # it reaches 0.84 of the charge
+
+    def test_prefactor_charge_holds_the_running_error_bound(self):
+        # value = pref * rho: the midpoint of the prefactor's 256-bit bracket,
+        # within (hi - lo) / 2 of it, rounded once to pref, then the product
+        # rounded once.  The bound on |value - P rho_true|, in exact rationals
+        # from the floats r_k returns, is at most the value's bar for every
+        # k, n and eps of the digest
+        u = Fraction(EPS) / 2
+        unit = 2 << ntheory._FIX_BITS
+        for k in range(12, 41, 4):
+            h = k // 2 - 1
+            for n in range(1, 6):
+                lo, hi = ntheory._pi_power_fixed(8**h * n**h, 4 * math.factorial(k - 2), h)
+                pref = (lo + hi) / unit
+                p = Fraction(pref)
+                gap = Fraction(hi - lo, unit)  # the midpoint is within this of P
+                top = p / (1 - u) + gap  # P is at most this
+                for eps in (1e-8, 1e-10, 1e-13, 1e-14):
+                    coeff = r_k(k, n, eps)
+                    rho, value = coeff.rho, coeff.value
+                    assert value.value == pref * rho.value, (k, n, eps)
+                    bound = ((p / (1 - u) * u + gap) * abs(Fraction(rho.value))
+                             + u * abs(Fraction(value.value))
+                             + top * Fraction(rho.abs_err))
+                    assert bound <= Fraction(value.abs_err), (k, n, eps)
+
     def test_a_bar_over_eps_raises(self, monkeypatch):
         # with a unit roundoff of 1e-9 the last rounding alone passes eps
         monkeypatch.setattr(kernel, "_EPS", 1e-9)
@@ -404,7 +489,7 @@ class TestRkBar:
 # r_k's outputs over k = 12..40 step 4, n = 1..5 and four eps, recorded with
 # CPython 3.11 and glibc's libm on x86-64 Linux: another libm's cos or
 # pow, or the compensated float sum() of CPython 3.12, may move a last bit
-_R_K_DIGEST = "335b6759b410a2d09add0bb866e81bdcdda1147e17c54b036292f13cf1cabfd4"
+_R_K_DIGEST = "81fb7209542ff4b3c02de21133d6b3e580c31e12a55d82d05a57ee6de20f62df"
 _R_K_DIGEST_PLATFORM = ("linux", "x86_64", (3, 11))
 
 

@@ -37,6 +37,68 @@ def coprime_factor_pairs(m: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def prime_powers(m: int) -> list[int]:
+    """The prime powers q of m, in increasing q, by trial division."""
+    qs = []
+    for p in range(2, math.isqrt(m) + 1):
+        if p * p > m:
+            break
+        if m % p == 0:
+            q = 1
+            while m % p == 0:
+                m //= p
+                q *= p
+            qs.append(q)
+    if m > 1:
+        qs.append(m)
+    return qs
+
+
+def residues(m: int) -> list[tuple[int, int]]:
+    """(q, rho_q) for the prime powers q of m >= 2: rho_q = (m/q)^-1 mod q,
+    and the last rho raised by its q when sum (m/q) rho_q = 1 + t m with t
+    even, so that g_n(m) is the product of the 2 cos(pi n rho_q / q), with
+    no sign."""
+    qs = prime_powers(m)
+    rhos = [pow(m // q, -1, q) for q in qs]
+    t = (sum(m // q * r for q, r in zip(qs, rhos)) - 1) // m
+    if t % 2 == 0:
+        rhos[-1] += qs[-1]
+    return list(zip(qs, rhos))
+
+
+def omega_sieve(top: int) -> list[int]:
+    """omega(m) for m <= top by a sieve over the primes."""
+    omega = [0] * (top + 1)
+    for p in range(2, top + 1):
+        if omega[p] == 0:
+            for q in range(p, top + 1, p):
+                omega[q] += 1
+    return omega
+
+
+def cos_pi_over(u: int, d: int) -> float:
+    """cos(pi u / d) for u in [0, d]: the five exact cosines looked up one by
+    one, else one float cosine of pi (u / d)."""
+    if u == 0:
+        return 1.0
+    if u == d:
+        return -1.0
+    if 2 * u == d:
+        return 0.0
+    if 3 * u == d:
+        return 0.5
+    if 3 * u == 2 * d:
+        return -0.5
+    return math.cos(math.pi * (u / d))
+
+
+def folded(t: int, d: int) -> int:
+    """t mod 2d folded into [0, d]: cos(pi t / d) = cos(pi folded(t, d) / d)."""
+    t %= 2 * d
+    return min(t, 2 * d - t)
+
+
 class TestCoprimeFactorPairs:
     def test_examples(self):
         assert coprime_factor_pairs(1) == [(1, 1)]
@@ -45,11 +107,7 @@ class TestCoprimeFactorPairs:
 
     def test_count_is_two_to_omega(self):
         top = 10_000
-        omega = [0] * (top + 1)  # the number of distinct primes of m, by a sieve
-        for p in range(2, top + 1):
-            if omega[p] == 0:
-                for q in range(p, top + 1, p):
-                    omega[q] += 1
+        omega = omega_sieve(top)  # the number of distinct primes of m
         for m in range(1, top + 1):
             assert len(coprime_factor_pairs(m)) == 2 ** omega[m]
 
@@ -69,8 +127,10 @@ class TestGammaSum:
         assert gamma_sum(1, 3) == 1.0
 
     def test_matches_fraction_reduction(self):
-        # the angle reduced as an exact Fraction mod 2, the exact cosines
-        # looked up, the rest folded into [0, 1] before one float cosine
+        # the product over the prime powers of m: each angle pi n rho_q / q
+        # reduced as an exact Fraction mod 2, the exact cosines looked up, the
+        # rest folded into [0, 1] before one float cosine; for odd n the
+        # boundary term 4 cos(pi n / m) reduced the same way
         exact = {
             Fraction(0): 1.0,
             Fraction(1): -1.0,
@@ -90,72 +150,62 @@ class TestGammaSum:
                 t = 2 - t
             return math.cos(math.pi * float(t))
 
-        for m in range(1, 2049):
-            pairs = coprime_factor_pairs(m)
+        for m in range(2, 2049):
             for n in range(1, 6):
-                ref = sum(
-                    cos_pi_times(
-                        Fraction(
-                            n * ((pow(a, -1, c) if c > 1 else 0) * a
-                                 - (pow(c, -1, a) if a > 1 else 0) * c),
-                            m,
-                        )
-                    )
-                    for a, c in pairs
-                )
+                ref = 1.0
+                for q, r in residues(m):
+                    ref *= 2 * cos_pi_times(Fraction(n * r, q))
+                if n % 2:
+                    ref += 4 * cos_pi_times(Fraction(n, m))
                 assert gamma_sum(n, m) == ref, (n, m)
 
     def test_matches_full_pair_sum(self):
-        # every sorted coprime pair with its own two inverses (0 mod 1), the
-        # same exact reduction and fold, summed in the same order
-        def cos_pi_over(s, m):
-            t = s % (2 * m)
-            t = min(t, 2 * m - t)
-            for num, den, value in ((0, 1, 1.0), (1, 1, -1.0), (1, 2, 0.0),
-                                    (1, 3, 0.5), (2, 3, -0.5)):
-                if den * t == num * m:
-                    return value
-            return math.cos(math.pi * (t / m))
-
-        for m in range(1, 8193):
-            pairs = coprime_factor_pairs(m)
-            for n in range(1, 6):
-                ref = sum(
-                    cos_pi_over(
-                        n * ((pow(a, -1, c) if c > 1 else 0) * a
-                             - (pow(c, -1, a) if a > 1 else 0) * c),
-                        m,
-                    )
-                    for a, c in pairs
-                )
-                assert gamma_sum(n, m) == ref, (n, m)
+        # every sorted coprime pair with its own two inverses (0 mod 1), at 40
+        # digits, against gamma_sum: within the charge r_k takes for m's
+        # number of prime factors and the parity of n
+        top = 8192
+        omega = omega_sieve(top)
+        worst = 0.0
+        with mp.workdps(40):
+            for m in range(2, top):
+                # the pair (c, a) has the cosine of (a, c): take a < c, twice
+                es = [pow(a, -1, c) * a - (pow(c, -1, a) if a > 1 else 0) * c
+                      for a, c in coprime_factor_pairs(m) if a < c]
+                for n in range(1, 6):
+                    pair_sum = 2 * mp.fsum(mp.cospi(mp.mpf(n * e) / m) for e in es)
+                    charge = kernel._gamma_charge(omega[m], n % 2) * EPS
+                    gap = abs(gamma_sum(n, m) - pair_sum)
+                    assert gap <= charge, (n, m)
+                    worst = max(worst, gap / charge)
+        assert worst > 0.05  # the oracle sees the floats' rounding
 
     def test_sieved_blocks_match_trial_division(self):
-        # each block's flat exponents, read m by m between its 257 offsets, list
-        # s = a' a - c' c, from the two inverses, for the oracle's pairs with
-        # a < c, in its (increasing a) order
-        def exponents(m):
-            return tuple(pow(a, -1, c) * a - (pow(c, -1, a) if a > 1 else 0) * c
-                         for a, c in coprime_factor_pairs(m) if a < c)
+        # each block's flat triples, read m by m between its 257 offsets, list
+        # the prime powers of trial division in increasing order, each with its
+        # residue rho_q (the last one's taken mod 2q) and m at m's last q
+        def triples(m):
+            out = residues(m) if m > 1 else []
+            return tuple(x for j, (q, r) in enumerate(out)
+                         for x in (q, r % (2 * q), m if j == len(out) - 1 else 0))
 
         blocks = list(range(20_000 // 256 + 1)) + [(2**31 - 1) >> 8, (10**9 + 7) >> 8]
         for b in blocks:
-            starts, flat = ntheory._pair_block(b)
+            starts, flat = ntheory._prime_power_block(b)
             assert len(starts) == 257
-            assert starts[0] == 0 and starts[-1] == len(flat)
-            for m in range(max(1, 256 * b), 256 * b + 256):
+            assert starts[0] == 0 and 3 * starts[-1] == len(flat)
+            for m in range(256 * b, 256 * b + 256):
                 i = m - 256 * b
-                assert flat[starts[i]:starts[i + 1]] == exponents(m), m
+                assert flat[3 * starts[i]:3 * starts[i + 1]] == triples(m), m
 
     def test_a_kept_block_adds_a_handful_of_tracked_objects(self):
         # a block is two flat tuples, not one tuple per m, so the blocks a
         # sweep keeps do not feed the garbage collector
-        ntheory._pair_block.cache_clear()
+        ntheory._prime_power_block.cache_clear()
         enabled = gc.isenabled()
         gc.disable()  # no collection may untrack the block's tuples meanwhile
         try:
             before = len(gc.get_objects())
-            ntheory._pair_block(19)
+            ntheory._prime_power_block(19)
             after = len(gc.get_objects())
         finally:
             if enabled:
@@ -163,34 +213,20 @@ class TestGammaSum:
         assert after - before <= 4
 
     def test_rows_match_the_per_call_reference(self):
-        # each m of a row summed as one call per m did: the exponents of the
-        # oracle's pairs with a < c, n reduced mod 2m first, the five exact
-        # cosines looked up one by one, the half then its mirror
+        # each m of a row as one call per m: the prime powers and residues of
+        # trial division, n reduced mod 2q, the five exact cosines looked up
+        # one by one, the factors multiplied in increasing q, then for odd n
+        # the boundary term
         def per_call(n, m):
             if m == 1:
                 return 1.0
-            two_m = 2 * m
-            n %= two_m
-            half = []
-            for a, c in coprime_factor_pairs(m):
-                if a > c:
-                    continue
-                t = n * (pow(a, -1, c) * a - (pow(c, -1, a) if a > 1 else 0) * c) % two_m
-                if t > m:
-                    t = two_m - t
-                if t == 0:
-                    half.append(1.0)
-                elif t == m:
-                    half.append(-1.0)
-                elif 2 * t == m:
-                    half.append(0.0)
-                elif 3 * t == m:
-                    half.append(0.5)
-                elif 3 * t == two_m:
-                    half.append(-0.5)
-                else:
-                    half.append(math.cos(math.pi * (t / m)))
-            return sum(half + half[::-1])
+            n = int(n)  # an integral float n is its int
+            g = 1.0
+            for q, r in residues(m):
+                g *= 2 * cos_pi_over(folded(n * r, q), q)
+            if n % 2:
+                g += 4 * cos_pi_over(folded(n, m), m)
+            return g
 
         for m in range(1, 8193):
             for n in range(1, 6):
@@ -199,11 +235,25 @@ class TestGammaSum:
         for m in (1001, 30030):
             assert gamma_sum(big, m).hex() == per_call(big, m).hex(), m
 
+    def test_exact_zeros(self):
+        # g_n(m) = 0 exactly when 2^e || m, e >= 1, and 2^(e-1) || n: then the
+        # factor of q = 2^e is 2 cos(pi n rho / 2^e) with n rho an odd multiple
+        # of 2^(e-1), so gamma_n(m) is the boundary term alone; no other
+        # factor vanishes, and each is at least 2 sin(pi / 2q) in size
+        for m in range(2, 4097):
+            e = (m & -m).bit_length() - 1
+            for n in range(1, 6):
+                boundary = (n % 2) * 4 * cos_pi_over(folded(n, m), m)
+                if e and (n & -n) == 1 << (e - 1):
+                    assert gamma_sum(n, m) == boundary, (n, m)
+                else:
+                    assert abs(gamma_sum(n, m) - boundary) > 1e-9, (n, m)
+
     def test_call_order_does_not_matter(self):
         # gamma_n(m) is memoized by rows of one n and 256 m, built from the
-        # memoized blocks of pair exponents: values read through memos filled
+        # memoized blocks of prime powers: values read through memos filled
         # in any order equal those of a pass from empty memos
-        memos = (ntheory._gamma_row, ntheory._pair_block)
+        memos = (ntheory._gamma_row, ntheory._prime_power_block)
         ms = range(1, 2049)
         ns = range(1, 6)
         for memo in memos:

@@ -51,8 +51,12 @@ ROWS = (
     ("r_k_term", "kernel.py",
      "float_err += charge", "float_err += 0.5 * charge", KERNEL_TESTS),
     ("r_k_prefactor", "kernel.py",
-     "rho.abs_err + 2.0 * _EPS * abs(rho.value)", "rho.abs_err + 1.0 * _EPS * abs(rho.value)",
+     "rho.abs_err + _EPS * abs(rho.value)", "rho.abs_err + 0.5 * _EPS * abs(rho.value)",
      KERNEL_TESTS),
+    ("r_k_gamma_product", "kernel.py",
+     "(3.2 * omega - 0.5)", "(1.6 * omega - 0.25)", KERNEL_TESTS),
+    ("r_k_gamma_boundary", "kernel.py",
+     "odd * (10.8 + (top + 4) / 2)", "odd * (5.4 + (top + 4) / 4)", KERNEL_TESTS),
     ("l_conversion", "lfunction.py",
      "err + 2.0 * _EPS * abs(total)", "err + 1.0 * _EPS * abs(total)", SERIES_TESTS),
     ("arc_pairs", "petersson.py",
