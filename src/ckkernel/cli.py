@@ -1,18 +1,21 @@
 """Command-line front end.
 
-Subcommands: certify, rk, check-bounds, report.  JSON goes to stdout when
---json is given, a human-readable table otherwise; diagnostics go to
-stderr.  Exit codes: 0 success, 1 usage/domain error, 2 inconclusive
-certification or precision error.
+Subcommands: certify, rk, check-bounds, report, each with its handler and
+options in one table, `_COMMANDS`, parsed by the stdlib `getopt`.  Options
+are long: `--opt value` or `--opt=value`, or a unique prefix of the name;
+-h or --help, at the top or after a command, prints the synopsis to stdout.
+JSON goes to stdout when --json is given, a human-readable table otherwise;
+diagnostics go to stderr.  Exit codes: 0 success or help, 1 usage/domain
+error, 2 inconclusive certification or precision error.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
+import getopt
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 from .errors import DomainError, PrecisionError
 from .kernel import Certificate, _check_weight, certify, global_bound, per_k_bound, r_k
@@ -73,15 +76,8 @@ def _build_report(weight: int, eps: float, with_triangle: bool) -> tuple[dict, C
     return report, cert
 
 
-def _print_certificate(cert: Certificate, out) -> None:
-    out.write(
-        f"k={cert.k}: rho = {cert.rho.value:.15g} ± {cert.rho.abs_err:.3g}  "
-        f"per-k bound = {cert.per_k_bound:.6g}  "
-        f"nonvanishing = {cert.nonvanishing}  sign = {cert.sign:+d}\n"
-    )
-
-
 def _cmd_certify(args) -> int:
+    """certify r_k(1) != 0 for one weight"""
     cert = certify(args.weight, args.eps)
     if args.json:
         report = {
@@ -89,14 +85,18 @@ def _cmd_certify(args) -> int:
             "weight": args.weight,
             "certificate": _certificate_dict(cert),
         }
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(report, indent=2) + "\n")
     else:
-        _print_certificate(cert, sys.stdout)
+        sys.stdout.write(
+            f"k={cert.k}: rho = {cert.rho.value:.15g} ± {cert.rho.abs_err:.3g}  "
+            f"per-k bound = {cert.per_k_bound:.6g}  "
+            f"nonvanishing = {cert.nonvanishing}  sign = {cert.sign:+d}\n"
+        )
     return 0 if cert.nonvanishing else 2
 
 
 def _cmd_rk(args) -> int:
+    """print the kernel coefficient r_k(n) and rho_k(n) with their bars"""
     coeff = r_k(args.weight, args.n, args.eps)
     sys.stdout.write(
         f"r_{args.weight}({args.n}) = {coeff.value.value:.15g} ± {coeff.value.abs_err:.3g}\n"
@@ -106,6 +106,7 @@ def _cmd_rk(args) -> int:
 
 
 def _cmd_check_bounds(args) -> int:
+    """verify the global and per-weight bounds"""
     g = global_bound()
     sys.stdout.write(f"global bound 2(2pi/7)(2pi/8)^5 zeta(6)^2 = {g:.15g}\n")
     sys.stdout.write(f"1 - bound = {1.0 - g:.15g} (> 0)\n")
@@ -125,13 +126,7 @@ def _cmd_check_bounds(args) -> int:
 def _parse_weights(text: str) -> list[int]:
     parts = text.split(":")
     try:
-        if len(parts) == 1:
-            start = stop = int(parts[0])
-            step = 4
-        elif len(parts) == 3:
-            start, stop, step = (int(p) for p in parts)
-        else:
-            raise ValueError
+        start, stop, step = map(int, parts) if len(parts) == 3 else (int(text), int(text), 4)
     except ValueError:
         raise DomainError(f"malformed weight range {text!r}; expected start:stop:step")
     if step < 1 or stop < start:
@@ -140,6 +135,7 @@ def _parse_weights(text: str) -> list[int]:
 
 
 def _cmd_report(args) -> int:
+    """certify each weight of START:STOP:STEP (or one weight) and list its L-values"""
     weights = _parse_weights(args.weights)
     reports = []
     all_ok = True
@@ -148,8 +144,7 @@ def _cmd_report(args) -> int:
         reports.append(report)
         all_ok = all_ok and cert.nonvanishing
     if args.json:
-        json.dump(reports, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(reports, indent=2) + "\n")
     else:
         for report in reports:
             cert = report["certificate"]
@@ -171,49 +166,67 @@ def _cmd_report(args) -> int:
     return 0 if all_ok else 2
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared after it."""
-    parser = argparse.ArgumentParser(
-        prog="ckkernel",
-        description="Certified non-vanishing of central Hecke L-values "
-        "via the Cohen-Kohnen kernel coefficient r_k(1).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's handler and options.  An option maps to its default, or to
+# its type when it is required; a False default makes it a flag.
+_COMMANDS = {
+    "certify": (_cmd_certify, {"weight": int, "eps": 1e-10, "json": False}),
+    "rk": (_cmd_rk, {"weight": int, "n": 1, "eps": 1e-10}),
+    "check-bounds": (_cmd_check_bounds, {}),
+    "report": (_cmd_report, {"weights": str, "eps": 1e-10, "triangle": False, "json": False}),
+}
 
-    p = sub.add_parser("certify", help="certify r_k(1) != 0 for one weight")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--eps", type=float, default=1e-10)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("rk", help="print the kernel coefficient r_k(n)")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--eps", type=float, default=1e-10)
-    p.set_defaults(func=_cmd_rk)
+def _usage(commands) -> str:
+    """A synopsis of each command, its options and their defaults, with its
+    summary below it."""
+    lines = []
+    for command in commands:
+        handler, options = _COMMANDS[command]
+        words = [f"[--{name}]" if spec is False
+                 else f"--{name} {spec.__name__.upper()}" if isinstance(spec, type)
+                 else f"[--{name} {type(spec).__name__.upper()} (default {spec})]"
+                 for name, spec in options.items()]
+        lines += [" ".join(["usage: ckkernel", command, "[-h]", *words]), f"    {handler.__doc__}"]
+    return "\n".join(lines) + "\n"
 
-    p = sub.add_parser("check-bounds", help="verify the global and per-weight bounds")
-    p.set_defaults(func=_cmd_check_bounds)
 
-    p = sub.add_parser("report", help="batch certification reports")
-    p.add_argument("--weights", type=str, required=True, metavar="START:STOP:STEP")
-    p.add_argument("--eps", type=float, default=1e-10)
-    p.add_argument("--triangle", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_report)
-    return parser
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The options of argv = [command, options...] with their defaults, and
+    `func` the command's handler; None once the help that -h or --help asks
+    for is printed.  Every usage error is a `getopt.GetoptError`.
+
+    An option takes `--opt value` or `--opt=value`, a unique prefix stands
+    for its whole name, and a repeated option keeps its last value.
+    """
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    handler, options = _COMMANDS.get(command, (None, {}))
+    longopts = ["help", *(name if spec is False else name + "=" for name, spec in options.items())]
+    opts, rest = getopt.getopt(argv[command is not None:], "h", longopts)
+    values = {name: spec for name, spec in options.items() if not isinstance(spec, type)}
+    for opt, text in opts:
+        if opt in ("-h", "--help"):
+            sys.stdout.write(_usage([command] if command else _COMMANDS))
+            return None
+        spec = options[opt[2:]]
+        kind = spec if isinstance(spec, type) else type(spec)
+        try:
+            values[opt[2:]] = True if spec is False else kind(text)
+        except ValueError:
+            raise getopt.GetoptError(f"option {opt}: invalid {kind.__name__} value {text!r}")
+    if command is None or rest:
+        what = "stray argument" if command else "unknown command"
+        raise getopt.GetoptError(f"{what} {rest[0]!r}" if rest else "no command given")
+    missing = [name for name in options if name not in values]
+    if missing:
+        raise getopt.GetoptError(f"option --{missing[0]} is required")
+    return SimpleNamespace(func=handler, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code else 0
-    try:
-        return args.func(args)
-    except DomainError as exc:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        return 0 if args is None else args.func(args)
+    except (getopt.GetoptError, DomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except PrecisionError as exc:

@@ -252,12 +252,13 @@ def completed_l(f: Eigenform, s: int) -> LValue:
     completed = ValueWithError(total, err)
     # (2 pi)^s / (s-1)!: the midpoint of its 256-bit bracket is within 2^-240
     # of it relatively, and the int quotient rounds it once: conv is within
-    # _EPS of it, as `kernel.r_k`'s prefactor.  With conv * total's rounding
-    # that charges 2 _EPS |total|; the factor 1 + 4 _EPS covers conv's error
-    # in the first term and the four roundings of the bar itself.
+    # _EPS / 2 of it, and 2^-240 more, as `kernel.r_k`'s prefactor.  With
+    # conv * total's rounding, another _EPS / 2, that charges _EPS |total|;
+    # the factor 1 + 4 _EPS covers the 2^-240, conv's error in the first
+    # term and the three roundings of the bar itself (_EPS |total| is exact).
     lo, hi = _pi_power_fixed(2**s, math.factorial(s - 1), s)
     conv = (lo + hi) / (2 << _FIX_BITS)
-    bar = conv * (err + 2.0 * _EPS * abs(total)) * (1.0 + 4.0 * _EPS)
+    bar = conv * (err + _EPS * abs(total)) * (1.0 + 4.0 * _EPS)
     finite = ValueWithError(conv * total, bar)
     return LValue(k=k, s=s, completed=completed, finite=finite, terms_used=max(n1, n2))
 

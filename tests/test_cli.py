@@ -11,10 +11,12 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
 import pytest
 
 import ckkernel
+from ckkernel import cli
 from ckkernel.cli import _parse_weights, main
 from ckkernel.errors import DomainError
 from ckkernel.kernel import certify
@@ -203,6 +205,107 @@ class TestOtherCommands:
         code, _, err = run_cli(["report", "--weights", "14:14:1"])
         assert code == 1
         assert "rejected" in err or "error" in err
+
+
+def namespace(func, **options):
+    return SimpleNamespace(func=func, **options)
+
+
+def without_timings(out):
+    docs = json.loads(out)
+    for doc in docs:
+        doc.pop("timings_ms")
+    return docs
+
+
+# README's command lines, each with the namespace it parses to and other
+# spellings of it: --opt=value, a unique prefix, a repeated option's last value
+_README_LINES = [
+    (["certify", "--weight", "12"],
+     namespace(cli._cmd_certify, weight=12, eps=1e-10, json=False),
+     [["certify", "--weight=12"], ["certify", "--we", "12"],
+      ["certify", "--weight", "14", "--weight", "12"]]),
+    (["certify", "--weight", "16", "--json"],
+     namespace(cli._cmd_certify, weight=16, eps=1e-10, json=True),
+     [["certify", "--j", "--w=16"], ["certify", "--json", "--weight", "16", "--json"]]),
+    (["rk", "--weight", "12", "--n", "1"],
+     namespace(cli._cmd_rk, weight=12, n=1, eps=1e-10),
+     [["rk", "--weight", "12"], ["rk", "--n=1", "--e", "1e-10", "--weight=12"]]),
+    (["check-bounds"], namespace(cli._cmd_check_bounds), []),
+    (["report", "--weights", "12:40:4", "--json", "--triangle"],
+     namespace(cli._cmd_report, weights="12:40:4", eps=1e-10, triangle=True, json=True),
+     [["report", "--weights=12:40:4", "--t", "--j"], ["report", "--triangle", "--weights", "12",
+                                                     "--json", "--weights", "12:40:4"]]),
+]
+
+# argvs that are usage errors: no command, an unknown command, an unknown
+# option, a stray positional, a missing required option or value, a value on
+# a flag, a bad int or float
+_MALFORMED = [
+    [], ["no-such-command"], ["--weight", "12"], ["-x"],
+    ["certify", "--bogus"], ["certify", "--weight", "12", "-x"], ["check-bounds", "--json"],
+    ["certify", "--weight", "12", "stray"], ["report", "stray", "--weights", "12"],
+    ["certify"], ["rk", "--n", "1"], ["report", "--json"], ["certify", "--weight"],
+    ["certify", "--weight", "12", "--json=yes"], ["report", "--weights", "12", "--triangle=1"],
+    ["certify", "--weight", "twelve"], ["rk", "--weight", "12", "--n", "1.5"],
+    ["certify", "--weight", "12", "--eps", "small"], ["report", "--weights", "12", "--eps="],
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv, expected, spellings", _README_LINES,
+                             ids=[" ".join(argv) for argv, _, _ in _README_LINES])
+    def test_readme_command_lines(self, argv, expected, spellings):
+        # each line parses to its namespace, and main prints what its handler
+        # prints for that namespace
+        assert cli._parse(argv) == expected
+        for other in spellings:
+            assert cli._parse(other) == expected, other
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        direct = io.StringIO()
+        with redirect_stdout(direct):
+            assert expected.func(expected) == 0
+        if argv[0] == "report":
+            assert without_timings(out) == without_timings(direct.getvalue())
+        else:
+            assert out == direct.getvalue()
+
+    @pytest.mark.parametrize("argv", _MALFORMED,
+                             ids=[" ".join(argv) or "(none)" for argv in _MALFORMED])
+    def test_usage_errors_exit_one_on_stderr(self, argv):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["certify", "rk", "check-bounds", "report"])
+    def test_help_names_every_option(self, command):
+        # alone, and after a valid option
+        options = cli._COMMANDS[command][1]
+        first = ["--eps", "1e-10"] if "eps" in options else []
+        for flag in ("-h", "--help", "--he"):
+            for argv in ([command, flag], [command, *first, flag]):
+                code, out, err = run_cli(argv)
+                assert (code, err) == (0, ""), argv
+                assert out.startswith(f"usage: ckkernel {command} ")
+                assert all(f"--{name}" in out for name in options)
+
+    def test_top_level_help_lists_every_command(self):
+        for argv in (["-h"], ["--help"], ["--help", "no-such-command"]):
+            code, out, err = run_cli(argv)
+            assert (code, err) == (0, "")
+            assert [line.split()[2] for line in out.splitlines() if line.startswith("usage:")] == [
+                "certify", "rk", "check-bounds", "report"]
+
+
+def test_import_leaves_argparse_unloaded():
+    # building an argparse parser and its subparsers cost about a millisecond
+    # of each report; the table and getopt replace it
+    src = os.path.dirname(os.path.dirname(ckkernel.__file__))
+    code = "import sys, ckkernel, ckkernel.cli; print('argparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_import_leaves_mpmath_unloaded():

@@ -4,11 +4,12 @@ import platform
 import random
 import signal
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from ckkernel import lfunction, petersson
+from ckkernel import lfunction, ntheory, petersson
 from ckkernel.errors import DomainError, PrecisionError
 from ckkernel.lfunction import (
     central_values,
@@ -234,6 +235,29 @@ class TestCompletedL:
             conv = float((2 * mp.pi) ** 7 / mp.factorial(6))
         assert lv.finite.value == pytest.approx(conv * lv.completed.value, rel=1e-12)
 
+    def test_conversion_charge_holds_the_running_error_bound(self):
+        # finite = conv * total: the midpoint of the conversion's 256-bit
+        # bracket, within (hi - lo) / 2 of it, rounded once to conv, then the
+        # product rounded once.  The bound on |finite - C Lambda_true|, in
+        # exact rationals from the floats completed_l returns, is at most the
+        # finite bar for every s of the L-value digest
+        u = Fraction(EPS) / 2
+        unit = 2 << ntheory._FIX_BITS
+        for k, n, f in spectral_forms():
+            for s in range(k // 2 - 2, k // 2 + 3):
+                lo, hi = ntheory._pi_power_fixed(2**s, math.factorial(s - 1), s)
+                conv = (lo + hi) / unit
+                c = Fraction(conv)
+                gap = Fraction(hi - lo, unit)  # the midpoint is within this of C
+                top = c / (1 - u) + gap  # C is at most this
+                lv = completed_l(f, s)
+                total, finite = lv.completed, lv.finite
+                assert finite.value == conv * total.value, (k, n, s)
+                bound = ((c / (1 - u) * u + gap) * abs(Fraction(total.value))
+                         + u * abs(Fraction(finite.value))
+                         + top * Fraction(total.abs_err))
+                assert bound <= Fraction(finite.abs_err), (k, n, s)
+
     def test_against_high_precision_oracle(self):
         for k in (12, 16):
             for f in eigenforms(k, 60):
@@ -357,7 +381,7 @@ class TestCentralValues:
 # eigenform of even k = 12..60 at coefficient_count(k) and 120 coefficients,
 # recorded with CPython 3.11 and glibc's libm on x86-64 Linux: another libm's
 # exp or pow may move a last bit
-_L_VALUE_DIGEST = "0804d528208ad1fa3e65918a57afe31e42688c3ad07b792548e4410cd37b1d49"
+_L_VALUE_DIGEST = "de0d4375e7d57131b8ba1a125e1ca48dffefff47d7594e4685efe08847636080"
 _NORM_DIGEST = "1ee4a7902200069d66d2d2238daceccb0eb6c1a269a99767b07129564cc690d3"
 _SPECTRAL_DIGEST_PLATFORM = ("linux", "x86_64", (3, 11))
 _recorded_libm = pytest.mark.skipif(

@@ -58,7 +58,7 @@ ROWS = (
     ("r_k_gamma_boundary", "kernel.py",
      "odd * (10.8 + (top + 4) / 2)", "odd * (5.4 + (top + 4) / 4)", KERNEL_TESTS),
     ("l_conversion", "lfunction.py",
-     "err + 2.0 * _EPS * abs(total)", "err + 1.0 * _EPS * abs(total)", SERIES_TESTS),
+     "conv * (err + _EPS * abs(total))", "conv * (err + 0.5 * _EPS * abs(total))", SERIES_TESTS),
     ("arc_pairs", "petersson.py",
      "35.0 * (nf + ng)", "17.5 * (nf + ng)", NORM_TESTS),
     ("gauss_weights", "petersson.py",
