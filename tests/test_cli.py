@@ -207,10 +207,6 @@ class TestOtherCommands:
         assert "rejected" in err or "error" in err
 
 
-def namespace(func, **options):
-    return SimpleNamespace(func=func, **options)
-
-
 def without_timings(out):
     docs = json.loads(out)
     for doc in docs:
@@ -222,18 +218,18 @@ def without_timings(out):
 # spellings of it: --opt=value, a unique prefix, a repeated option's last value
 _README_LINES = [
     (["certify", "--weight", "12"],
-     namespace(cli._cmd_certify, weight=12, eps=1e-10, json=False),
+     SimpleNamespace(func=cli._cmd_certify, weight=12, eps=1e-10, json=False),
      [["certify", "--weight=12"], ["certify", "--we", "12"],
       ["certify", "--weight", "14", "--weight", "12"]]),
     (["certify", "--weight", "16", "--json"],
-     namespace(cli._cmd_certify, weight=16, eps=1e-10, json=True),
+     SimpleNamespace(func=cli._cmd_certify, weight=16, eps=1e-10, json=True),
      [["certify", "--j", "--w=16"], ["certify", "--json", "--weight", "16", "--json"]]),
     (["rk", "--weight", "12", "--n", "1"],
-     namespace(cli._cmd_rk, weight=12, n=1, eps=1e-10),
+     SimpleNamespace(func=cli._cmd_rk, weight=12, n=1, eps=1e-10),
      [["rk", "--weight", "12"], ["rk", "--n=1", "--e", "1e-10", "--weight=12"]]),
-    (["check-bounds"], namespace(cli._cmd_check_bounds), []),
+    (["check-bounds"], SimpleNamespace(func=cli._cmd_check_bounds), []),
     (["report", "--weights", "12:40:4", "--json", "--triangle"],
-     namespace(cli._cmd_report, weights="12:40:4", eps=1e-10, triangle=True, json=True),
+     SimpleNamespace(func=cli._cmd_report, weights="12:40:4", eps=1e-10, triangle=True, json=True),
      [["report", "--weights=12:40:4", "--t", "--j"], ["report", "--triangle", "--weights", "12",
                                                      "--json", "--weights", "12:40:4"]]),
 ]
