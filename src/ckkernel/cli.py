@@ -3,7 +3,8 @@
 Subcommands: certify, rk, check-bounds, report, each with its handler and
 options in one table, `_COMMANDS`, parsed by the stdlib `getopt`.  Options
 are long: `--opt value` or `--opt=value`, or a unique prefix of the name;
--h or --help, at the top or after a command, prints the synopsis to stdout.
+-h or --help, at the top or after a command, prints the synopsis to stdout
+and exits 0, even beside an unknown option.
 JSON goes to stdout when --json is given, a human-readable table otherwise;
 diagnostics go to stderr.  Exit codes: 0 success or help, 1 usage/domain
 error, 2 inconclusive certification or precision error.
@@ -12,6 +13,7 @@ error, 2 inconclusive certification or precision error.
 from __future__ import annotations
 
 import getopt
+import itertools
 import json
 import sys
 import time
@@ -196,17 +198,22 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     for is printed.  Every usage error is a `getopt.GetoptError`.
 
     An option takes `--opt value` or `--opt=value`, a unique prefix stands
-    for its whole name, and a repeated option keeps its last value.
+    for its whole name, and a repeated option keeps its last value.  Help,
+    asked for anywhere before a `--`, wins over every usage error.
     """
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     handler, options = _COMMANDS.get(command, (None, {}))
+    args = argv[command is not None:]
     longopts = ["help", *(name if spec is False else name + "=" for name, spec in options.items())]
-    opts, rest = getopt.getopt(argv[command is not None:], "h", longopts)
+    # -h, or --help or a unique prefix of it, before the "--" that ends the options
+    if any(a == "-h" or a.startswith("--") and [
+               name for name in ("help", *options) if name.startswith(a[2:])] == ["help"]
+           for a in itertools.takewhile(lambda a: a != "--", args)):
+        sys.stdout.write(_usage([command] if command else _COMMANDS))
+        return None
+    opts, rest = getopt.getopt(args, "h", longopts)
     values = {name: spec for name, spec in options.items() if not isinstance(spec, type)}
     for opt, text in opts:
-        if opt in ("-h", "--help"):
-            sys.stdout.write(_usage([command] if command else _COMMANDS))
-            return None
         spec = options[opt[2:]]
         kind = spec if isinstance(spec, type) else type(spec)
         try:

@@ -14,17 +14,18 @@ sigma_{k-1}(n) of an Eisenstein series come from one divisor sieve.
 
 Every weight's Miller basis takes its unreduced rows from one process-wide
 table (`_miller_row`), guarded by one lock:
-- Delta^j and E6^(2j), keyed by j and kept at one precision: they grow in
-  j on demand, and are rebuilt at twice their precision or more when a
-  larger one is asked for;
-- the rows Delta^j E6^(2i), i >= 1, keyed (j, i), each kept at the
-  precision it was last asked for, and shared by the weights of one
-  dimension j + i.
+- Delta^j, keyed by j, and E6^2, kept at one precision: Delta comes from
+  Jacobi's identity in three squarings, the powers grow in j on demand, and
+  all are rebuilt at twice their precision or more when a larger one is
+  asked for;
+- the rows Delta^j E6^(2i), i >= 1, keyed (j, i), each the row (j, i - 1)
+  times E6^2, kept at the precision it was last asked for, and shared by the
+  weights of one dimension j + i.
 A smaller precision is answered by truncating, which is exact, as a
 product's first n coefficients depend only on its operands' first n; so
 every basis equals the one built afresh, whatever came before it.  Keys and
 precisions are bounded by _MAX_COUNT (`errors`).  `delta` builds afresh on
-every call.
+every call, from E4 and E6, so it checks the table's Delta independently.
 
 Each public builder checks its arguments before any work
 (`errors._integer`): a weight, precision or Hecke index that is not an
@@ -194,24 +195,44 @@ def eisenstein(k: int, prec: int) -> QExpansion:
 
 def delta(prec: int) -> QExpansion:
     """The discriminant cusp form (E4^3 - E6^2)/1728, weight 12, in integers,
-    to prec <= _MAX_COUNT coefficients."""
-    return _delta_and_e6_sq(_integer("prec", prec, 1, 1, _MAX_COUNT))[0]
+    to prec <= _MAX_COUNT coefficients.
+
+    Built afresh from the Eisenstein series on every call; the Miller table
+    builds its Delta by Jacobi's identity instead (`_jacobi_delta`).
+    """
+    prec = _integer("prec", prec, 1, 1, _MAX_COUNT)
+    diff = eisenstein(4, prec).pow(3) - eisenstein(6, prec).pow(2)
+    return QExpansion(12, tuple(c // 1728 for c in diff.coeffs))
 
 
-def _delta_and_e6_sq(prec: int) -> tuple[QExpansion, QExpansion]:
-    """Delta and the E6^2 it is built from, both to prec >= 1 coefficients."""
-    e6_sq = eisenstein(6, prec).pow(2)
-    diff = eisenstein(4, prec).pow(3) - e6_sq
-    return QExpansion(12, tuple(c // 1728 for c in diff.coeffs)), e6_sq
+def _jacobi_delta(prec: int) -> QExpansion:
+    """Delta to prec >= 1 coefficients, in three squarings.
+
+    Delta = q prod (1 - q^n)^24 = q P^8, and by Jacobi's identity (a case of
+    the triple product) P = prod (1 - q^n)^3 = sum_{n >= 0} (-1)^n (2n + 1)
+    q^(n(n+1)/2), whose coefficients are small.  P, P^2, P^4 and P^8 are plain
+    q-series, not forms of level 1, so they are carried as weight 0; only
+    Delta is labelled weight 12.
+    """
+    size = max(prec - 1, 1)  # Delta's q^1..q^(prec-1) are P^8's first prec - 1
+    p = [0] * size
+    n = 0
+    while n * (n + 1) // 2 < size:
+        p[n * (n + 1) // 2] = (-1) ** n * (2 * n + 1)
+        n += 1
+    p8 = QExpansion(0, tuple(p))
+    for _ in range(3):
+        p8 = p8 * p8
+    return QExpansion(12, (0, *p8.coeffs)[:prec])
 
 
-# The table `miller_basis` shares across weights: Delta^j and E6^(2j) at index
-# j - 1 of two lists, all to the precision of their first entry, and the
-# unreduced rows Delta^j E6^(2i), i >= 1, keyed (j, i), each to the precision
-# it was last built at.  j + i = dim S_k < prec <= _MAX_COUNT bounds all three.
-# `delta` stays off it.
+# The table `miller_basis` shares across weights: Delta^j at index j - 1 of a
+# list and E6^2 as the one entry of another, all to the precision of the
+# first, and the unreduced rows Delta^j E6^(2i), i >= 1, keyed (j, i), each
+# to the precision it was last built at.  j + i = dim S_k < prec <= _MAX_COUNT
+# bounds all three.  `delta` stays off it.
 _delta_pows: list[QExpansion] = []
-_e6_sq_pows: list[QExpansion] = []
+_e6_sq: list[QExpansion] = []
 _miller_rows: dict[tuple[int, int], QExpansion] = {}
 _powers_lock = threading.Lock()  # an entry is read and made, or the table refilled, as one step
 
@@ -231,25 +252,30 @@ def _grown(pows: list[QExpansion], j: int) -> QExpansion:
 def _miller_row(j: int, i: int, prec: int) -> QExpansion:
     """Delta^j E6^(2i) to prec coefficients, j >= 1 and i >= 0, from the shared table.
 
-    The two lists hold one precision P and grow in j on demand.  A prec above
-    P refills them from `_delta_and_e6_sq` at max(prec, min(2P, _MAX_COUNT)),
-    as the `bernoulli` table grows, so ascending requests rebuild them
-    O(log prec) times.  A row with i >= 1 is one product of the two powers
-    truncated to prec, and is kept for every weight of the same dimension;
-    it is rebuilt only when a larger prec is asked for.  Smaller requests
-    are answered by truncating, which is exact, as the first n coefficients
-    of a product depend only on its operands' first n.  So every answer
-    equals the product taken afresh.
+    Delta's powers and E6^2 hold one precision P, and the powers grow in j on
+    demand.  A prec above P refills them at max(prec, min(2P, _MAX_COUNT)),
+    Delta from `_jacobi_delta` and E6^2 as one square, as the `bernoulli`
+    table grows, so ascending requests rebuild them O(log prec) times.  A row
+    with i >= 1 is the row (j, i - 1) times E6^2, truncated to prec, so E6^4
+    and higher are never formed: the chain starts at the highest row below it
+    kept to prec or more, or at Delta^j.  Each row it makes is kept for every
+    weight of the same dimension, and rebuilt only when a larger prec is asked
+    for.  Smaller requests are answered by truncating, which is exact, as the
+    first n coefficients of a product depend only on its operands' first n.
+    So every answer equals the product taken afresh.  The lock is taken once,
+    and the whole chain runs under it.
     """
     with _powers_lock:
         if not _delta_pows or _delta_pows[0].prec < prec:
-            grown = min(2 * _delta_pows[0].prec, _MAX_COUNT) if _delta_pows else 0
-            dl, e6_sq = _delta_and_e6_sq(max(prec, grown))
-            _delta_pows[:], _e6_sq_pows[:] = [dl], [e6_sq]
-        f = _miller_rows.get((j, i)) if i else _grown(_delta_pows, j)
-        if f is None or f.prec < prec:
-            f = _miller_rows[j, i] = (_truncated(_grown(_delta_pows, j), prec)
-                                      * _truncated(_grown(_e6_sq_pows, i), prec))
+            size = max(prec, min(2 * _delta_pows[0].prec, _MAX_COUNT) if _delta_pows else 0)
+            e6 = eisenstein(6, size)
+            _delta_pows[:], _e6_sq[:] = [_jacobi_delta(size)], [e6 * e6]
+        m = next((m for m in range(i, 0, -1)
+                  if (j, m) in _miller_rows and _miller_rows[j, m].prec >= prec), 0)
+        f = _miller_rows[j, m] if m else _grown(_delta_pows, j)
+        e6_sq = _truncated(_e6_sq[0], prec)
+        for m in range(m + 1, i + 1):
+            f = _miller_rows[j, m] = _truncated(f, prec) * e6_sq
     return _truncated(f, prec)
 
 
@@ -270,9 +296,11 @@ def miller_basis(k: int, prec: int) -> list[QExpansion]:
     E_k0 = E4^b E6^a as dim M_k0 = 1); clearing the entries above the
     diagonal from the last row up keeps them integral.  The rows
     Delta^j E6^(2(d-j)) come from the table every weight shares
-    (`_miller_row`), which weights of the same d share, so once the powers
+    (`_miller_row`), each the row below it in i times E6^2, and weights of the
+    same d share them, so once Delta's powers and the rows of dimension d - 1
     are in it a basis costs at most one product per row, plus one with E_k0
-    when k0 != 0.  `DomainError` past prec = _MAX_COUNT.
+    when k0 != 0.  Each clearing step g - c h is one pass over the
+    coefficients.  `DomainError` past prec = _MAX_COUNT.
     """
     k, prec = _integer("k", k, 4, 2), _integer("prec", prec, 1, 1, _MAX_COUNT)
     d = dim_cusp(k)
@@ -288,8 +316,9 @@ def miller_basis(k: int, prec: int) -> list[QExpansion]:
         if k0:
             g = g * e_k0
         for i, h in enumerate(rows):  # h = g_(d-i), already reduced
-            if g[d - i]:
-                g = g - h.scale(g[d - i])
+            c = g[d - i]
+            if c:
+                g = QExpansion(k, tuple(a - c * b for a, b in zip(g.coeffs, h.coeffs)))
         rows.append(g)
     return rows[::-1]
 

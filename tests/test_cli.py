@@ -286,6 +286,18 @@ class TestParser:
                 assert out.startswith(f"usage: ckkernel {command} ")
                 assert all(f"--{name}" in out for name in options)
 
+    def test_help_wins_over_an_unknown_option(self):
+        # a help token before or after an unknown option prints the help;
+        # without one the unknown option is a usage error
+        for argv in (["certify", "--help", "--bogus"], ["certify", "--bogus", "--help"],
+                     ["certify", "--bogus", "--he"]):
+            code, out, err = run_cli(argv)
+            assert (code, err) == (0, ""), argv
+            assert out.startswith("usage: ckkernel certify ")
+        code, out, err = run_cli(["certify", "--weight", "12", "--bogus"])
+        assert (code, out) == (1, "")
+        assert err == "error: option --bogus not recognized\n"
+
     def test_top_level_help_lists_every_command(self):
         for argv in (["-h"], ["--help"], ["--help", "no-such-command"]):
             code, out, err = run_cli(argv)

@@ -394,17 +394,27 @@ class TestDimCusp:
 
 
 def empty_power_table():
-    """Empty the table of Delta^j, E6^(2j) and the rows Delta^j E6^(2i) that
+    """Empty the table of Delta^j, E6^2 and the rows Delta^j E6^(2i) that
     `miller_basis` shares across calls."""
     qexpansion._delta_pows.clear()
-    qexpansion._e6_sq_pows.clear()
+    qexpansion._e6_sq.clear()
     qexpansion._miller_rows.clear()
 
 
 def power_table() -> list:
-    """A copy of that table's two lists and its rows."""
-    return [list(qexpansion._delta_pows), list(qexpansion._e6_sq_pows),
+    """A copy of that table's powers of Delta, its E6^2 and its rows."""
+    return [list(qexpansion._delta_pows), list(qexpansion._e6_sq),
             dict(qexpansion._miller_rows)]
+
+
+def count_products(monkeypatch, fn, *args) -> tuple:
+    """The number of q-series products fn(*args) makes, and its result."""
+    products = []
+    mul = QExpansion.__mul__
+    monkeypatch.setattr(QExpansion, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    result = fn(*args)
+    monkeypatch.undo()
+    return len(products), result
 
 
 class TestMillerBasis:
@@ -474,22 +484,38 @@ class TestMillerBasis:
         assert qexpansion._delta_pows[0].prec >= 250
 
     def test_weights_of_one_dimension_share_their_rows(self, monkeypatch):
-        # k = 36 and 40 both have d = 3: the rows Delta^2 E6^2 and Delta E6^4
-        # are made once, so k = 40 makes only its three products with E4, and
-        # every kept row is the product taken afresh at its precision
+        # k = 36 and 40 both have d = 3: the rows Delta^2 E6^2 and Delta E6^4,
+        # the latter through Delta E6^2, are made once, so k = 40 makes only
+        # its three products with E4, and every kept row is the product taken
+        # afresh at its precision
         empty_power_table()
         miller_basis(36, 121)
-        products = []
-        mul = QExpansion.__mul__
-        monkeypatch.setattr(QExpansion, "__mul__", lambda a, b: products.append(1) or mul(a, b))
-        basis = miller_basis(40, 121)
-        monkeypatch.undo()
-        assert len(products) == 3
+        products, basis = count_products(monkeypatch, miller_basis, 40, 121)
+        assert products == 3
         assert [list(g.coeffs) for g in basis] == monomial_miller_basis(40, 121)
-        assert set(qexpansion._miller_rows) == {(2, 1), (1, 2)}
+        assert set(qexpansion._miller_rows) == {(1, 1), (2, 1), (1, 2)}
         for (j, i), row in qexpansion._miller_rows.items():
             p = row.prec
             assert row == delta(p).pow(j) * eisenstein(6, p).pow(2 * i), (j, i)
+
+    def test_jacobi_delta_matches_the_eisenstein_route(self):
+        # the table builds Delta from Jacobi's identity and E6^2 as one square;
+        # filled at ascending precisions from an empty table, both equal the
+        # series built from E4 and E6 afresh
+        empty_power_table()
+        for prec in (1, 2, 3, 16, 21, 32, 121, 250):
+            assert qexpansion._miller_row(1, 0, prec) == delta(prec)
+            dl, e6_sq = qexpansion._delta_pows[0], qexpansion._e6_sq[0]
+            p = dl.prec
+            assert p == e6_sq.prec >= prec
+            assert dl == delta(p), prec
+            assert e6_sq == eisenstein(6, p).pow(2), prec
+
+    def test_cold_basis_makes_twelve_products(self, monkeypatch):
+        # Delta by three squarings, E6^2, Delta^2, Delta^3, Delta^2 E6^2,
+        # Delta E6^2, Delta E6^4, and one product with E4 per row
+        empty_power_table()
+        assert count_products(monkeypatch, miller_basis, 40, 121)[0] == 12
 
     def test_threads_share_the_table_safely(self):
         # four threads ask for bases in different orders, with precisions that
@@ -732,6 +758,18 @@ class TestEigenforms:
         products.clear()
         delta(8)
         assert len(products) == 7
+
+    def test_spectral_weights_make_fourteen_products(self, monkeypatch):
+        # k = 28, 36, 40 at 120 coefficients from an empty table: one fill of
+        # 4 products, then Delta^2, Delta^3 and the rows Delta E6^2, Delta^2
+        # E6^2, Delta E6^4, and 2 + 3 products with E4
+        empty_power_table()
+
+        def spectral():
+            for k in (28, 36, 40):
+                eigenforms(k, 120)
+
+        assert count_products(monkeypatch, spectral)[0] == 14
 
     def test_deligne_bound_holds_empirically(self):
         d = lambda n: sum(1 for e in range(1, n + 1) if n % e == 0)
