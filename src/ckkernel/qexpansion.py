@@ -13,19 +13,19 @@ multiply of the Kronecker-substituted operands.  The divisor sums
 sigma_{k-1}(n) of an Eisenstein series come from one divisor sieve.
 
 Every weight's Miller basis takes its unreduced rows from one process-wide
-table (`_miller_row`), guarded by one lock:
-- Delta^j, keyed by j, and E6^2, kept at one precision: Delta comes from
-  Jacobi's identity in three squarings, the powers grow in j on demand, and
-  all are rebuilt at twice their precision or more when a larger one is
-  asked for;
+table (`_miller_row`), guarded by one lock and kept at one precision, the
+table's:
+- Delta^j, keyed by j, and E6^2: Delta comes from Jacobi's identity in
+  three squarings, and the powers grow in j on demand;
 - the rows Delta^j E6^(2i), i >= 1, keyed (j, i), each the row (j, i - 1)
-  times E6^2, kept at the precision it was last asked for, and shared by the
-  weights of one dimension j + i.
-A smaller precision is answered by truncating, which is exact, as a
-product's first n coefficients depend only on its operands' first n; so
-every basis equals the one built afresh, whatever came before it.  Keys and
-precisions are bounded by _MAX_COUNT (`errors`).  `delta` builds afresh on
-every call, from E4 and E6, so it checks the table's Delta independently.
+  times E6^2, shared by the weights of one dimension j + i.
+All are rebuilt at twice the table's precision or more when a larger one
+is asked for.  A smaller precision is answered by truncating, which is
+exact, as a product's first n coefficients depend only on its operands'
+first n; so every basis equals the one built afresh, whatever came before
+it.  Keys and precisions are bounded by _MAX_COUNT (`errors`).  `delta`
+builds afresh on every call, from E4 and E6, so it checks the table's Delta
+independently.
 
 Each public builder checks its arguments before any work
 (`errors._integer`): a weight, precision or Hecke index that is not an
@@ -61,9 +61,10 @@ class QExpansion:
     The weight is an even integer >= 0.  The coefficients are `int`, at
     least one, and the precision `prec` is their number; anything else (no
     coefficient, a rational, a float or a bool) raises `DomainError`, as
-    every series the Miller basis needs is integral.  A product packs each
-    operand into one integer and multiplies once (Kronecker substitution),
-    so it costs one big-integer multiply.
+    every series the Miller basis needs is integral.  The only arithmetic
+    is the product and `pow`; a product packs each operand into one integer
+    and multiplies once (Kronecker substitution), so it costs one
+    big-integer multiply.
     """
 
     weight: int
@@ -80,18 +81,6 @@ class QExpansion:
 
     def __getitem__(self, i: int) -> int:
         return self.coeffs[i]
-
-    def __add__(self, other: "QExpansion") -> "QExpansion":
-        if self.weight != other.weight:
-            raise DomainError("cannot add q-expansions of different weights")
-        n = min(self.prec, other.prec)
-        return QExpansion(self.weight, tuple(self.coeffs[i] + other.coeffs[i] for i in range(n)))
-
-    def __sub__(self, other: "QExpansion") -> "QExpansion":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "QExpansion":
-        return QExpansion(self.weight, tuple(c * a for a in self.coeffs))
 
     def __mul__(self, other: "QExpansion") -> "QExpansion":
         """The product, truncated to the smaller precision n, by Kronecker substitution.
@@ -197,12 +186,13 @@ def delta(prec: int) -> QExpansion:
     """The discriminant cusp form (E4^3 - E6^2)/1728, weight 12, in integers,
     to prec <= _MAX_COUNT coefficients.
 
-    Built afresh from the Eisenstein series on every call; the Miller table
-    builds its Delta by Jacobi's identity instead (`_jacobi_delta`).
+    Built afresh from the Eisenstein series on every call, the difference
+    and the quotient in one pass; the Miller table builds its Delta by
+    Jacobi's identity instead (`_jacobi_delta`).
     """
     prec = _integer("prec", prec, 1, 1, _MAX_COUNT)
-    diff = eisenstein(4, prec).pow(3) - eisenstein(6, prec).pow(2)
-    return QExpansion(12, tuple(c // 1728 for c in diff.coeffs))
+    e4_cubed, e6_sq = eisenstein(4, prec).pow(3), eisenstein(6, prec).pow(2)
+    return QExpansion(12, tuple((a - b) // 1728 for a, b in zip(e4_cubed.coeffs, e6_sq.coeffs)))
 
 
 def _jacobi_delta(prec: int) -> QExpansion:
@@ -226,11 +216,10 @@ def _jacobi_delta(prec: int) -> QExpansion:
     return QExpansion(12, (0, *p8.coeffs)[:prec])
 
 
-# The table `miller_basis` shares across weights: Delta^j at index j - 1 of a
-# list and E6^2 as the one entry of another, all to the precision of the
-# first, and the unreduced rows Delta^j E6^(2i), i >= 1, keyed (j, i), each
-# to the precision it was last built at.  j + i = dim S_k < prec <= _MAX_COUNT
-# bounds all three.  `delta` stays off it.
+# The table `miller_basis` shares across weights, all to the precision of
+# Delta: Delta^j at index j - 1 of a list, E6^2 as the one entry of another,
+# and the unreduced rows Delta^j E6^(2i), i >= 1, keyed (j, i).  j + i =
+# dim S_k < prec <= _MAX_COUNT bounds all three.  `delta` stays off it.
 _delta_pows: list[QExpansion] = []
 _e6_sq: list[QExpansion] = []
 _miller_rows: dict[tuple[int, int], QExpansion] = {}
@@ -252,30 +241,30 @@ def _grown(pows: list[QExpansion], j: int) -> QExpansion:
 def _miller_row(j: int, i: int, prec: int) -> QExpansion:
     """Delta^j E6^(2i) to prec coefficients, j >= 1 and i >= 0, from the shared table.
 
-    Delta's powers and E6^2 hold one precision P, and the powers grow in j on
-    demand.  A prec above P refills them at max(prec, min(2P, _MAX_COUNT)),
-    Delta from `_jacobi_delta` and E6^2 as one square, as the `bernoulli`
-    table grows, so ascending requests rebuild them O(log prec) times.  A row
-    with i >= 1 is the row (j, i - 1) times E6^2, truncated to prec, so E6^4
-    and higher are never formed: the chain starts at the highest row below it
-    kept to prec or more, or at Delta^j.  Each row it makes is kept for every
-    weight of the same dimension, and rebuilt only when a larger prec is asked
-    for.  Smaller requests are answered by truncating, which is exact, as the
-    first n coefficients of a product depend only on its operands' first n.
-    So every answer equals the product taken afresh.  The lock is taken once,
-    and the whole chain runs under it.
+    The whole table holds one precision P: Delta's powers, E6^2 and the
+    rows.  A prec above P refills Delta and E6^2 at max(prec, min(2P,
+    _MAX_COUNT)), Delta from `_jacobi_delta` and E6^2 as one square, and
+    drops the powers above Delta and the rows, as the `bernoulli` table
+    grows, so ascending requests rebuild them O(log prec) times.  The powers
+    grow in j on demand.  A row with i >= 1 is the row (j, i - 1) times
+    E6^2, so E6^4 and higher are never formed: the chain starts at the
+    highest row below it that is kept, or at Delta^j.  Each row it makes is
+    kept for every weight of the same dimension.  A request is answered by
+    truncating to prec, which is exact, as the first n coefficients of a
+    product depend only on its operands' first n.  So every answer equals
+    the product taken afresh.  The lock is taken once, and the whole chain
+    runs under it.
     """
     with _powers_lock:
         if not _delta_pows or _delta_pows[0].prec < prec:
             size = max(prec, min(2 * _delta_pows[0].prec, _MAX_COUNT) if _delta_pows else 0)
             e6 = eisenstein(6, size)
             _delta_pows[:], _e6_sq[:] = [_jacobi_delta(size)], [e6 * e6]
-        m = next((m for m in range(i, 0, -1)
-                  if (j, m) in _miller_rows and _miller_rows[j, m].prec >= prec), 0)
+            _miller_rows.clear()
+        m = next((m for m in range(i, 0, -1) if (j, m) in _miller_rows), 0)
         f = _miller_rows[j, m] if m else _grown(_delta_pows, j)
-        e6_sq = _truncated(_e6_sq[0], prec)
         for m in range(m + 1, i + 1):
-            f = _miller_rows[j, m] = _truncated(f, prec) * e6_sq
+            f = _miller_rows[j, m] = f * _e6_sq[0]
     return _truncated(f, prec)
 
 

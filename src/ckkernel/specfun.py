@@ -2,10 +2,11 @@
 
 Bessel J of half-integer order via the ascending power series, and the
 upper incomplete gamma function used by the completed-L and Parseval sums.
-The float Bessel series takes the arguments x * x <= 2 nu + 2, where its
-terms fall from the first, from one leading term (x/2)**nu / Gamma(nu + 1),
-one pow and one quotient charged 4 _EPS relatively, to one fixed stop
-threshold.  At the kernel's arguments n pi / m the series is also summed in
+The float Bessel series takes the kernel's orders nu = (k - 1)/2 <= 39/2
+and the arguments 2^-16 <= x with x * x <= 2 nu + 2, where its terms fall
+from the first, from one leading term (x/2)**nu / Gamma(nu + 1), one pow
+and one quotient charged 4 _EPS relatively, to one fixed stop threshold;
+there every term is a normal float.  At the kernel's arguments n pi / m the series is also summed in
 exact fixed point, which takes the larger arguments too, where it rises and
 cancels.
 
@@ -35,26 +36,24 @@ _EPS = 2.220446049250313e-16
 # The end of `upper_incomplete_gamma`'s domain: up to it e^-x is a normal float
 # (e^-708 > 3.3e-308)
 _MAX_X = 708.0
-# The least Bessel argument: from it on x / 2 >= 2^-1022 is a normal float, so
-# halving x is exact, which the leading term's charge assumes
-_MIN_ARG = 2.0**-1021
-# Gamma(nu + 1) is a finite float up to nu = 341 / 2 (Gamma(172.5) > 1.8e308)
-_MAX_TWICE_NU = 341
-# bessel_j's steps: at x * x <= 2 nu + 2 the product of its first 17 ratios
-# (x/2)^2 / ((j + 1)(nu + j + 1)) is below 1e-19 / 1.01 for every nu (16 fall
-# short from nu = 109/2 on), so its term is within the stop threshold there
-_BESSEL_STEPS = 17
+# The least Bessel argument, below the kernel's least pi / _MAX_COUNT: from it
+# on the leading term is above 2.9e-118 (at nu = 39/2, x = 2^-16)
+_MIN_ARG = 2.0**-16
+# bessel_j's steps: at x * x <= 2 nu + 2 the product of its first 16 ratios
+# (x/2)^2 / ((j + 1)(nu + j + 1)) is below 1e-19 / 1.01 for every nu <= 39/2
+# (15 fall short from nu = 29/2 on), so its term is within the stop threshold
+_BESSEL_STEPS = 16
 
 
 @dataclass(frozen=True)
 class HalfIntOrder:
-    """A half-integer Bessel order nu = twice_nu / 2 with twice_nu odd and >= 1
-    (an integral float is stored as the int), with the constants of every
-    J_nu term taken once: the double factorial twice_nu!!, Gamma(nu + 1) =
-    twice_nu!! sqrt(pi) / 2^((twice_nu + 1) / 2) from it, within 2 _EPS,
-    and the step denominators (j + 1)(nu + j + 1), j < _BESSEL_STEPS, of
-    `bessel_j`, each an exact float.  `PrecisionError` past twice_nu = 341,
-    where Gamma(nu + 1) leaves the float range."""
+    """A half-integer Bessel order nu = twice_nu / 2 with twice_nu odd, 1 to
+    39, which holds the kernel's orders (k - 1)/2, k = 12..40 (an integral
+    float is stored as the int); `DomainError` otherwise.  It carries the
+    constants of every J_nu term, taken once: the double factorial
+    twice_nu!!, Gamma(nu + 1) = twice_nu!! sqrt(pi) / 2^((twice_nu + 1) / 2)
+    from it, within 2 _EPS, and the step denominators (j + 1)(nu + j + 1),
+    j < _BESSEL_STEPS, of `bessel_j`, each an exact float."""
 
     twice_nu: int
     double_factorial: int = field(init=False, repr=False, compare=False)
@@ -62,10 +61,7 @@ class HalfIntOrder:
     step_denominators: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        twice_nu = _integer("twice_nu", self.twice_nu, 1, 2)
-        if twice_nu > _MAX_TWICE_NU:
-            bits = twice_nu.bit_length()
-            raise PrecisionError(f"a Bessel order of {bits} bits is past the float range")
+        twice_nu = _integer("twice_nu", self.twice_nu, 1, 2, 39)
         object.__setattr__(self, "twice_nu", twice_nu)
         df = math.prod(range(twice_nu, 0, -2))
         object.__setattr__(self, "double_factorial", df)
@@ -90,9 +86,9 @@ class HalfIntOrder:
 
 def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
     """J_nu(x) by the ascending series, with a certified truncation bound,
-    for 2^-1021 <= x, where x / 2 is exact, and x * x <= 2 nu + 2, where
-    the series falls from its first term; `DomainError` otherwise, a NaN x
-    included.
+    for 2^-16 <= x, below the kernel's least argument pi / 2^16, and x * x
+    <= 2 nu + 2, where the series falls from its first term; `DomainError`
+    otherwise, a NaN x included.
 
     sum_{j>=0} (-1)^j (x/2)^(nu+2j) / (j! Gamma(nu+j+1)).  The leading term
     b_0 is (x/2)**nu / Gamma(nu + 1) in floats, pow within an ulp (glibc's
@@ -105,8 +101,8 @@ def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
     most 1/2, in floats too, as 1/2 is a float and rounding is monotone: the
     series is alternating and decreasing from b_0, and the first omitted
     term bounds the tail.  The loop has no ratio test: it stops at the first
-    term within 1e-19 b_0 + 5e-324 of 0, one chained comparison per step,
-    and charges that term in full.  The product of the first _BESSEL_STEPS
+    term within 1e-19 b_0 of 0, one chained comparison per step, and
+    charges that term in full.  The product of the first _BESSEL_STEPS
     ratios is below 1e-19 / 1.01 at the domain's end for every order, so
     the series stops within those steps; a loop that ran past them would
     raise `PrecisionError`.
@@ -129,37 +125,23 @@ def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
     fl(b_(i+1) - P_i); P_i is in [L_i, M], M = b_0 and L_i = fl(b_i - M) >=
     -M.  P_(i+1) >= fl(b_(i+1) - M), and b_(i+1) - L_i <= M + U/2 - (b_i -
     b_(i+1)) < M + U/2, U the float spacing above M, which rounds to at most
-    M, as b falls strictly: fl(b r) < b for r <= 1/2 and normal b.  A
-    subnormal b (no strict fall) is below U/2, which keeps the inequality
-    strict, unless M < 2^-969; there a sum may pass M by one ulp, a
-    second-order (j + 2) _EPS^2 M the bar, first order in _EPS, does not
-    track.
+    M, as b falls strictly: fl(b r) < b for r <= 1/2 and normal b.
 
-    Below 2^-1022 roundings are absolute, in units of u = 5e-324, and the
-    charges above may round to 0, so the bar adds (j + 2) u to the sums'
-    charge and 2 u to the leading term's.  If the leading term is that
-    small, (x/2)^nu < 2^-1022 Gamma(nu + 1) gives x/2 < 1.005 for every
-    order, so each ratio is below 0.006 and j < 8.  The leading term is
-    then off by pow's ulp over Gamma(nu + 1) >= 0.88 and the quotient's half
-    unit, 1.64 u; each of the j + 1 products, the omitted term's last, by
-    u/2, carried into later terms at most 1.006-fold; sums of subnormals
-    and their small multiples are exact.  That is at most 1.006 (1.64 + (j
-    + 1)/2) u, below the (j + 2) u/2 + 1.5 u the two added amounts keep
-    after the two charges' own roundings: where the leading term
-    underflows, as for J_39.5(1e-8) ~ 1e-375, the bar still holds J.  If it
-    is normal, those charges round relatively, and the (j + 4) u added
-    covers the j + 1 products.
+    Every term is normal: on the domain b_0 > 2.9e-118 (nu = 39/2 at x =
+    2^-16), the last term kept is above the stop threshold 1e-19 b_0, and
+    each ratio is above 2^-34 / (16 (39/2 + 16)), so the omitted term is
+    above 1e-150.  So every rounding above is relative.
     """
     if not (_MIN_ARG <= x and x * x <= nu.twice_nu + 2):
         raise DomainError(
-            f"bessel_j requires 2^-1021 <= x, where x / 2 is exact, and x * x <= 2 nu + 2, "
-            f"where its series falls, got {x} at nu = {nu.nu}"
+            f"bessel_j requires 2^-16 <= x and x * x <= 2 nu + 2, where its series falls, "
+            f"got {x} at nu = {nu.nu}"
         )
     half = x / 2.0
     term = half ** (nu.twice_nu / 2.0) / nu.gamma_nu_plus_one
-    lead_err = 4.0 * _EPS * term + 1e-323
+    lead_err = 4.0 * _EPS * term
     total = max_abs = term  # >= 0
-    hi = 1e-19 * max_abs + 5e-324
+    hi = 1e-19 * max_abs
     lo = -hi
     nq = -half * half  # term * (-q / d) is -term * (q / d), bit for bit
     steps = nu.step_denominators
@@ -171,7 +153,7 @@ def bessel_j(nu: HalfIntOrder, x: float) -> ValueWithError:
     else:
         raise PrecisionError("bessel_j series failed to converge")
     # the bar is finite and >= 0, so ValueWithError's check is skipped
-    return _unchecked(total, abs(term) + ((j + 2) * (_EPS * max_abs + 5e-324) + lead_err))
+    return _unchecked(total, abs(term) + ((j + 2) * _EPS * max_abs + lead_err))
 
 
 def _bessel_factor_fixed(nu: HalfIntOrder, n: int, m: int) -> tuple[int, int]:

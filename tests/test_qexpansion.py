@@ -231,8 +231,8 @@ LISTED = [
     (QExpansion, (4, (1, 240.0)), DomainError),
     (Eigenform, (12, ()), DomainError),
     (Eigenform, (12, (2.0, -48.0)), DomainError),  # a_1 != 1
-    (HalfIntOrder, (10**400 + 1,), PrecisionError),  # nu past the float range
-    (HalfIntOrder, (10**307 + 1,), PrecisionError),  # Gamma(nu + 1) past it, as past twice_nu = 341
+    (HalfIntOrder, (10**400 + 1,), DomainError),  # nu past the float range
+    (HalfIntOrder, (41,), DomainError),  # the first order past the kernel's, twice_nu = 39
     (lfunction.completed_l, (Eigenform(10**400, (1.0, 2.0)), 1.0), DomainError),
     (functional_equation_residual, (Eigenform(10**400, (1.0, 2.0)), 1.0), DomainError),
     # counts past the one cap, 2^16, raised before any allocation
@@ -487,7 +487,7 @@ class TestMillerBasis:
         # k = 36 and 40 both have d = 3: the rows Delta^2 E6^2 and Delta E6^4,
         # the latter through Delta E6^2, are made once, so k = 40 makes only
         # its three products with E4, and every kept row is the product taken
-        # afresh at its precision
+        # afresh at the table's precision
         empty_power_table()
         miller_basis(36, 121)
         products = []
@@ -500,6 +500,7 @@ class TestMillerBasis:
         assert set(qexpansion._miller_rows) == {(1, 1), (2, 1), (1, 2)}
         for (j, i), row in qexpansion._miller_rows.items():
             p = row.prec
+            assert p == qexpansion._delta_pows[0].prec, (j, i)
             assert row == delta(p).pow(j) * eisenstein(6, p).pow(2 * i), (j, i)
 
     def test_jacobi_delta_matches_the_eisenstein_route(self):
@@ -520,6 +521,23 @@ class TestMillerBasis:
         # Delta E6^2, Delta E6^4, and one product with E4 per row
         empty_power_table()
         assert count_products(monkeypatch, miller_basis, 40, 121) == 12
+
+    def test_rising_precisions_remake_no_row(self, monkeypatch):
+        # the report's weights 12..40 step 4, ascending, ask 13, 14, ..., 21
+        # coefficients: the table is refilled once, at 26, and every row is
+        # made at the table's precision, so none is remade as the precision
+        # rises (28 products when rows were kept at the precision asked for)
+        empty_power_table()
+
+        def report_weights():
+            for k in range(12, 41, 4):
+                eigenforms(k, coefficient_count(k))
+
+        assert count_products(monkeypatch, report_weights) == 22
+        p = qexpansion._delta_pows[0].prec
+        assert p == 26 and qexpansion._e6_sq[0].prec == p
+        assert qexpansion._miller_rows
+        assert all(row.prec == p for row in qexpansion._miller_rows.values())
 
     def test_threads_share_the_table_safely(self):
         # four threads ask for bases in different orders, with precisions that

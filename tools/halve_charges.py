@@ -45,7 +45,7 @@ ROWS = (
     ("row_argument", "lfunction.py",
      "(s + x + 3.0) * _EPS", "(0.5 * (s + x) + 3.0) * _EPS", SERIES_TESTS),
     ("bessel_sums", "specfun.py",
-     "(j + 2) * (_EPS * max_abs", "0.5 * (j + 2) * (_EPS * max_abs", KERNEL_TESTS),
+     "(j + 2) * _EPS * max_abs", "0.5 * (j + 2) * _EPS * max_abs", KERNEL_TESTS),
     ("bessel_lead", "specfun.py",
      "lead_err = 4.0 * _EPS * term", "lead_err = 2.0 * _EPS * term", KERNEL_TESTS),
     ("r_k_term", "kernel.py",
