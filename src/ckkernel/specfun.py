@@ -2,13 +2,13 @@
 
 Bessel J of half-integer order via the ascending power series, and the
 upper incomplete gamma function used by the completed-L and Parseval sums.
-The float Bessel series takes the kernel's orders nu = (k - 1)/2 <= 39/2
-and the arguments 2^-16 <= x with x * x <= 2 nu + 2, where its terms fall
-from the first, from one leading term (x/2)**nu / Gamma(nu + 1), one pow
-and one quotient charged 4 _EPS relatively, to one fixed stop threshold;
-there every term is a normal float.  At the kernel's arguments n pi / m the series is also summed in
-exact fixed point, which takes the larger arguments too, where it rises and
-cancels.
+The float Bessel series takes the orders nu <= 39/2, which hold the
+kernel's (k - 1)/2, and the arguments 2^-16 <= x with x * x <= 2 nu + 2,
+where its terms fall from the first, from one leading term (x/2)**nu /
+Gamma(nu + 1), one pow and one quotient charged 4 _EPS relatively, to one
+fixed stop threshold; there every term is a normal float.  At the kernel's
+arguments n pi / m the series is also summed in exact fixed point, which
+takes the larger arguments too, where it rises and cancels.
 
 Every incomplete gamma the program takes has an integer order s = 1..60,
 so Gamma(s, x) is taken in closed form: (s-1)! e^-x times a Horner sum of

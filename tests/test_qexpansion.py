@@ -526,7 +526,7 @@ class TestMillerBasis:
         # the report's weights 12..40 step 4, ascending, ask 13, 14, ..., 21
         # coefficients: the table is refilled once, at 26, and every row is
         # made at the table's precision, so none is remade as the precision
-        # rises (28 products when rows were kept at the precision asked for)
+        # rises
         empty_power_table()
 
         def report_weights():
