@@ -203,19 +203,23 @@ class TestBesselJ:
                         ref = float(mp.besselj(mp.mpf(twice_nu) / 2, x))
                     assert abs(j.value - ref) <= j.abs_err + 1e-300
 
-    def test_least_argument_at_the_highest_order(self):
-        # the domain's corner, twice_nu = 39 and x = 2^-16, below the kernel's
-        # least argument pi / 2^16: the leading term is a normal float and
-        # the bar holds J at 50 digits; the float below 2^-16 is refused
+    def test_bar_holds_j_where_the_leading_term_underflows(self):
+        # J_39.5(1e-8)'s leading term once rounded to 0; from 2^-16 on no
+        # leading term is subnormal: at every order it is least at x = 2^-16,
+        # above 2.9e-118 there, and the bar holds J at 50 digits; the x where
+        # it would fall to 2^-1020 or below lie outside the domain
         x = specfun._MIN_ARG
-        assert x == 2.0**-16 and math.pi / _MAX_COUNT >= x
-        nu = HalfIntOrder(39)
-        assert (x / 2) ** nu.nu / nu.gamma_nu_plus_one > 2.9e-118
-        j = bessel_j(nu, x)
         with mp.workdps(50):
-            assert abs(j.value - mp.besselj(mp.mpf(39) / 2, x)) <= j.abs_err
-        with pytest.raises(DomainError):
-            bessel_j(nu, math.nextafter(x, 0.0))
+            for twice_nu in range(1, 40, 2):
+                v = mp.mpf(twice_nu) / 2
+                nu = HalfIntOrder(twice_nu)
+                assert (x / 2) ** nu.nu / nu.gamma_nu_plus_one > 2.9e-118, twice_nu
+                j = bessel_j(nu, x)
+                assert abs(j.value - mp.besselj(v, x)) <= j.abs_err, twice_nu
+                for e in (-2, 0, 58):
+                    below = float(2 * (mp.mpf(2) ** (-1022 - e) * mp.gamma(v + 1)) ** (1 / v))
+                    with pytest.raises(DomainError):
+                        bessel_j(nu, below)
 
     def test_envelope_inequality(self):
         # |J_nu(x)| <= (x/2)^nu / Gamma(nu + 1), the classical envelope, at 30 digits
@@ -330,6 +334,22 @@ class TestBesselJ:
         monkeypatch.setattr(specfun, "_BESSEL_STEPS", 3)
         with pytest.raises(PrecisionError, match="converge"):
             bessel_j(HalfIntOrder(1), _largest_arg(1))
+
+    def test_halving_x_is_exact_from_the_least_argument_on(self):
+        # below 2^-1021 the half of x may round: at x = 7 * 5e-324 it rounded
+        # up by 1/7, and J_1/2's value came back 7% high under a 1e-13 bar;
+        # the least argument is now 2^-16, below the kernel's least, pi / 2^16,
+        # and the float below it is refused
+        x = specfun._MIN_ARG
+        assert x == 2.0**-16 and math.pi / _MAX_COUNT >= x
+        for below in (7 * 5e-324, 2.0**-1021, math.nextafter(x, 0.0)):
+            with pytest.raises(DomainError):
+                bessel_j(HalfIntOrder(1), below)
+        with mp.workdps(50):
+            for twice_nu in (1, 3, 11, 39):
+                v = mp.mpf(twice_nu) / 2
+                j = bessel_j(HalfIntOrder(twice_nu), x)
+                assert abs(j.value - mp.besselj(v, x)) <= j.abs_err, twice_nu
 
     def test_domain(self):
         # 5e-324 passed the old x > 0 test, and its half rounds to 0; past
