@@ -26,7 +26,8 @@ its first M terms, a table of fixed-point ints kept per weight, which the
 series' cut and its charged tail both read as they are.  The bounds, the
 tail and the prefactor are rationals times a power of pi, taken from the
 256-bit pi bracket of `ntheory`: the bounds and the tail are the least
-floats at or above their exact values, and the prefactor is rounded once.
+floats at or above their exact values, and the prefactor is rounded once,
+with its bar, by `ntheory._pi_power_times`.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from itertools import accumulate, repeat
 from operator import floordiv, lshift, neg, sub
 
 from .errors import _MAX_COUNT, PrecisionError, _integer
-from .ntheory import (_FIX_BITS, ValueWithError, _cos_pi_fixed, _gamma_fixed, _pi_power_bracket,
-                      _pi_power_fixed, _pi_power_up, _prime_power_block, bernoulli, gamma_sum)
-from .specfun import _EPS, HalfIntOrder, _bessel_factor_fixed, bessel_j
+from .ntheory import (_EPS, _FIX_BITS, ValueWithError, _g_fixed, _pi_power_bracket, _pi_power_times,
+                      _pi_power_up, _prime_power_block, bernoulli, gamma_sum)
+from .specfun import HalfIntOrder, _bessel_factor_fixed, bessel_j
 
 __all__ = [
     "KernelCoefficient",
@@ -209,7 +210,7 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     `bessel_j`'s domain (the same float test on the same x), and it is
     taken exactly, as is any other term whose float charge would pass
     eps/64, where the float Bessel series cancels: g_n(m) from
-    `ntheory._gamma_fixed` and `_cos_pi_fixed` and the Bessel factor from
+    `ntheory._g_fixed` and the Bessel factor from
     `specfun._bessel_factor_fixed`, in 256-bit fixed point at the exact
     angles.  Every other term takes one `gamma_sum` and one `bessel_j`, and
     is charged its Bessel bar and the roundings of x (pi's included), g,
@@ -291,10 +292,7 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
 
     s_lo = s_hi = 0
     for m in exact:
-        g_lo, g_hi = _gamma_fixed(n, m)
-        if odd and m > 1:
-            c_lo, c_hi = _cos_pi_fixed(n, m)
-            g_lo, g_hi = g_lo - 4 * c_hi, g_hi - 4 * c_lo
+        g_lo, g_hi = _g_fixed(n, m)
         b_lo, b_hi = _bessel_factor_fixed(nu, n, m)
         products = (g_lo * b_lo, g_lo * b_hi, g_hi * b_lo, g_hi * b_hi)
         s_lo += min(products)
@@ -319,16 +317,7 @@ def r_k(k: int, n: int, eps: float = 1e-10) -> KernelCoefficient:
     rho = ValueWithError(value, rho_err)
 
     h = k // 2 - 1
-    lo, hi = _pi_power_fixed(8**h * n**h, 4 * math.factorial(k - 2), h)
-    # the midpoint is within (hi - lo) / 2, below 2^-240 relatively, of the
-    # prefactor, and the int quotient rounds it once: pref is within _EPS / 2
-    # of it, and 2^-240 more.  With pref * rho's rounding, another _EPS / 2,
-    # that charges _EPS |rho|; the factor 1 + 4 _EPS covers the 2^-240,
-    # pref's error in the first term and the three roundings of the bar
-    # itself (_EPS |rho| is exact).
-    pref = (lo + hi) / (2 << _FIX_BITS)
-    bar = pref * (rho.abs_err + _EPS * abs(rho.value)) * (1.0 + 4.0 * _EPS)
-    value = ValueWithError(pref * rho.value, bar)
+    value = _pi_power_times(rho, 8**h * n**h, 4 * math.factorial(k - 2), h)
     return KernelCoefficient(k=k, n=n, rho=rho, value=value, terms_used=m_stop)
 
 

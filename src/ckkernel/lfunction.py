@@ -13,7 +13,8 @@ and a Deligne tail from `deligne_tail`; `petersson` sums its Parseval
 series with the same two.  Every s is an integer, the center k/2 and the
 points within 2 of it, so each Gamma(t, x) has the closed form of
 `specfun.upper_incomplete_gamma`, and the conversion (2 pi)^s / (s-1)! to
-L(f, s) is one rounding of the 256-bit pi bracket of `ntheory`.
+L(f, s) is one rounding of the 256-bit pi bracket of `ntheory`, by
+`ntheory._pi_power_times` as r_k's prefactor.
 
 What a term takes from (s, lam, p, n) alone, x^-s and Gamma(s, x) at
 x = lam n, its charge and its Deligne tail, is memoized per key
@@ -39,9 +40,9 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import _MAX_COUNT, DomainError, PrecisionError, _integer
-from .ntheory import _FIX_BITS, ValueWithError, _pi_power_fixed
+from .ntheory import _EPS, ValueWithError, _pi_power_times
 from .qexpansion import Eigenform, eigenforms
-from .specfun import _EPS, _MAX_X, upper_incomplete_gamma
+from .specfun import _MAX_X, upper_incomplete_gamma
 
 __all__ = [
     "LValue",
@@ -250,16 +251,7 @@ def completed_l(f: Eigenform, s: int) -> LValue:
     total = g1.value + root * g2.value
     err = g1.abs_err + g2.abs_err + _EPS * abs(total)
     completed = ValueWithError(total, err)
-    # (2 pi)^s / (s-1)!: the midpoint of its 256-bit bracket is within 2^-240
-    # of it relatively, and the int quotient rounds it once: conv is within
-    # _EPS / 2 of it, and 2^-240 more, as `kernel.r_k`'s prefactor.  With
-    # conv * total's rounding, another _EPS / 2, that charges _EPS |total|;
-    # the factor 1 + 4 _EPS covers the 2^-240, conv's error in the first
-    # term and the three roundings of the bar itself (_EPS |total| is exact).
-    lo, hi = _pi_power_fixed(2**s, math.factorial(s - 1), s)
-    conv = (lo + hi) / (2 << _FIX_BITS)
-    bar = conv * (err + _EPS * abs(total)) * (1.0 + 4.0 * _EPS)
-    finite = ValueWithError(conv * total, bar)
+    finite = _pi_power_times(completed, 2**s, math.factorial(s - 1), s)  # (2 pi)^s / (s-1)!
     return LValue(k=k, s=s, completed=completed, finite=finite, terms_used=max(n1, n2))
 
 

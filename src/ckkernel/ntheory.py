@@ -12,11 +12,12 @@ m, and kept in a bounded memo of such (n, block) rows, shared across every
 weight k that asks the same n.  The even Bernoulli numbers come from the
 integer tangent-number recurrence, kept in a table that at least doubles
 when it grows.  The module also holds pi bracketed in 256-bit fixed point,
-from which every kernel-side constant in pi is taken: rounded up to a float
-for the deviation bounds and the tail scale, rounded once for r_k's
-prefactor and the Kohnen triangle's scale, and, for the kernel terms that
-cancel in floats, an alternating series summed between integer brackets,
-and gamma_n(m) and its cosines bracketed from the exact angles.
+from which the package's exact constants in pi are taken: rounded up to a
+float for the deviation bounds and the tail scale, rounded once for the Kohnen
+triangle's scale and, with its bar, for r_k's prefactor and the conversion
+of Lambda(f, s) to L(f, s) (`_pi_power_times`), and, for the kernel terms
+that cancel in floats, an alternating series summed between integer
+brackets, and g_n(m) bracketed from its cosines at the exact angles.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, _integer
+
+# 2^-52, the unit in which every module counts its roundings: kept here, as
+# `specfun` and the modules above it import `ntheory`, which imports none of them
+_EPS = 2.220446049250313e-16
 
 __all__ = [
     "ValueWithError",
@@ -246,6 +251,22 @@ def _pi_power_up(num: int, den: int, p: int) -> float:
     return up if a << _FIX_BITS >= hi * b else math.nextafter(up, math.inf)
 
 
+def _pi_power_times(v: ValueWithError, num: int, den: int, p: int) -> ValueWithError:
+    """c v with its bar, c = (num / den) pi^p: r_k's prefactor and the
+    conversion of Lambda(f, s) to L(f, s).
+
+    c is the midpoint of the `_pi_power_fixed` bracket, within (hi - lo) / 2,
+    below 2^-240 relatively, of the constant, and the int quotient rounds it
+    once: c is within _EPS / 2 of it, and 2^-240 more.  With c * v's
+    rounding, another _EPS / 2, that charges _EPS |v|; the factor 1 + 4 _EPS
+    covers the 2^-240, c's error in the first term and the three roundings
+    of the bar itself (_EPS |v| is exact).
+    """
+    lo, hi = _pi_power_fixed(num, den, p)
+    c = (lo + hi) / (2 << _FIX_BITS)
+    return ValueWithError(c * v.value, c * (v.abs_err + _EPS * abs(v.value)) * (1.0 + 4.0 * _EPS))
+
+
 def _alternating_fixed(lead, y, a: int, b: int) -> tuple[int, int]:
     """A fixed-point bracket of sum_j (-1)^j t_j, where t_0 is bracketed by
     lead and t_(j+1) = t_j y / ((2j + a)(2j + b)), for brackets lead and y
@@ -287,25 +308,19 @@ def _cos_pi_fixed(t: int, m: int) -> tuple[int, int]:
     return _alternating_fixed((1 << _FIX_BITS,) * 2, _pi_power_fixed(t * t, m * m, 2), 1, 2)
 
 
-def _gamma_fixed(n: int, m: int) -> tuple[int, int]:
-    """A fixed-point bracket of gamma_n(m) (`gamma_sum`), from the exact angles
-    of `_gamma_row`'s product: the brackets of 2 cos(pi n rho_q / q) over the
-    prime powers q of `_prime_power_block`, multiplied with each product's
-    ends rounded outward, plus 4 cos(pi n / m) for odd n."""
-    one = 1 << _FIX_BITS
-    if m == 1:
-        return one, one
+def _g_fixed(n: int, m: int) -> tuple[int, int]:
+    """A fixed-point bracket of the kernel's g_n(m) = prod_q 2 cos(pi n rho_q / q)
+    (`_gamma_row`), from the exact angles: the brackets of the factors over
+    the prime powers q of `_prime_power_block`, multiplied with each
+    product's ends rounded outward.  m = 1 has no q: the empty product, 1."""
+    lo = hi = 1 << _FIX_BITS
     starts, flat = _prime_power_block(m >> 8)
     i = m & 255
-    lo = hi = one
     for j in range(3 * starts[i], 3 * starts[i + 1], 3):
         q, r = flat[j], flat[j + 1]
         c_lo, c_hi = _cos_pi_fixed(n * r, q)
         products = (lo * c_lo, lo * c_hi, hi * c_lo, hi * c_hi)
         lo, hi = 2 * min(products) >> _FIX_BITS, -(-2 * max(products) >> _FIX_BITS)
-    if n % 2:
-        c_lo, c_hi = _cos_pi_fixed(n, m)
-        lo, hi = lo + 4 * c_lo, hi + 4 * c_hi
     return lo, hi
 
 

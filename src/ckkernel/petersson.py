@@ -48,9 +48,8 @@ from typing import NamedTuple
 from .errors import DomainError, PrecisionError, _integer, _shown
 from .kernel import _check_weight, r_k
 from .lfunction import central_values, deligne_count, deligne_tail, gamma_series
-from .ntheory import _FIX_BITS, ValueWithError, _pi_power_fixed
+from .ntheory import _EPS, _FIX_BITS, ValueWithError, _pi_power_fixed
 from .qexpansion import Eigenform, dim_cusp
-from .specfun import _EPS
 
 __all__ = [
     "QuadratureSpec",

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, PrecisionError, _integer
-from .ntheory import ValueWithError, _alternating_fixed, _pi_power_fixed, _unchecked
+from .ntheory import _EPS, ValueWithError, _alternating_fixed, _pi_power_fixed, _unchecked
 
 __all__ = [
     "HalfIntOrder",
@@ -31,8 +31,6 @@ __all__ = [
     "upper_incomplete_gamma",
 ]
 
-# 2^-52, the unit in which every module counts its roundings
-_EPS = 2.220446049250313e-16
 # The end of `upper_incomplete_gamma`'s domain: up to it e^-x is a normal float
 # (e^-708 > 3.3e-308)
 _MAX_X = 708.0

@@ -389,6 +389,23 @@ def test_every_exported_name_is_used_by_the_program_or_the_benchmark():
     assert unused == []
 
 
+def test_every_imported_name_is_used_by_its_module():
+    # no linter runs on the package, so an import that a change leaves behind
+    # is found here: each layer module uses every name it imports as code, a
+    # bare name or the head of an attribute (not in a string or a docstring);
+    # `from __future__ import annotations` is the one exception
+    src = os.path.dirname(ckkernel.__file__)
+    unused = []
+    for name in sorted(n for n in os.listdir(src) if n.endswith(".py") and n != "__init__.py"):
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported = [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}: {n}" for n in imported if n not in used and n != "annotations"]
+    assert unused == []
+
+
 def test_no_module_calls_math_gamma():
     # every Gamma the program takes has an integer or half-integer argument and
     # comes in closed form from exact factorials, with a derived bar; math.gamma

@@ -489,7 +489,7 @@ class TestRkBar:
 # r_k's outputs over k = 12..40 step 4, n = 1..5 and four eps, recorded with
 # CPython 3.11 and glibc's libm on x86-64 Linux: another libm's cos or
 # pow, or the compensated float sum() of CPython 3.12, may move a last bit
-_R_K_DIGEST = "81fb7209542ff4b3c02de21133d6b3e580c31e12a55d82d05a57ee6de20f62df"
+_R_K_DIGEST = "38fe6485c573d2023fde5afeb33eab553a6c6927a7d66b57443ac0b68bf75777"
 _R_K_DIGEST_PLATFORM = ("linux", "x86_64", (3, 11))
 
 

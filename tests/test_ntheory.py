@@ -354,16 +354,23 @@ class TestFixedPoint:
                     assert lo <= mp.cospi(mp.mpf(t) / m) * unit <= hi, (t, m)
                     assert hi - lo < unit >> 90
 
-    def test_gamma_brackets_hold_the_float_sum(self):
-        # gamma_sum is within a few ulps of the bracket for every m of a block
+    def test_g_brackets_hold_the_60_digit_sum(self):
+        # the kernel's g_n(m) summed over the coprime pairs at 60 digits, the
+        # boundary pairs (1, m), (m, 1) times (-1)^n (test_kernel's
+        # _g_30_digits), lies in the bracket of its prime-power product
         unit = 2**ntheory._FIX_BITS
-        for n in (1, 2, 5):
-            for m in list(range(1, 300)) + [2310, 4199, 5005]:
-                lo, hi = ntheory._gamma_fixed(n, m)
-                pairs = len(coprime_factor_pairs(m))
-                g = Fraction(gamma_sum(n, m))
-                assert Fraction(lo, unit) - 8 * pairs * EPS <= g <= Fraction(hi, unit) + 8 * pairs * EPS
-                assert hi - lo < unit >> 88
+        with mp.workdps(60):
+            for n in range(1, 6):
+                for m in list(range(1, 300)) + [2310, 4199, 5005]:
+                    g = mp.mpf(0)
+                    for a, c in coprime_factor_pairs(m):
+                        ap = pow(a, -1, c) if c > 1 else 0
+                        cp = pow(c, -1, a) if a > 1 else 0
+                        term = mp.cospi(n * (mp.mpf(ap) / c - mp.mpf(cp) / a))
+                        g += (-1) ** n * term if m > 1 and 1 in (a, c) else term
+                    lo, hi = ntheory._g_fixed(n, m)
+                    assert lo <= g * unit <= hi, (n, m)
+                    assert hi - lo < unit >> 88
 
 
 class TestValueWithError:

@@ -50,15 +50,13 @@ ROWS = (
      "lead_err = 4.0 * _EPS * term", "lead_err = 2.0 * _EPS * term", KERNEL_TESTS),
     ("r_k_term", "kernel.py",
      "float_err += charge", "float_err += 0.5 * charge", KERNEL_TESTS),
-    ("r_k_prefactor", "kernel.py",
-     "rho.abs_err + _EPS * abs(rho.value)", "rho.abs_err + 0.5 * _EPS * abs(rho.value)",
-     KERNEL_TESTS),
     ("r_k_gamma_product", "kernel.py",
      "(3.2 * omega - 0.5)", "(1.6 * omega - 0.25)", KERNEL_TESTS),
     ("r_k_gamma_boundary", "kernel.py",
      "odd * (10.8 + (top + 4) / 2)", "odd * (5.4 + (top + 4) / 4)", KERNEL_TESTS),
-    ("l_conversion", "lfunction.py",
-     "conv * (err + _EPS * abs(total))", "conv * (err + 0.5 * _EPS * abs(total))", SERIES_TESTS),
+    ("pi_power_scale", "ntheory.py",
+     "v.abs_err + _EPS * abs(v.value)", "v.abs_err + 0.5 * _EPS * abs(v.value)",
+     tuple(dict.fromkeys(KERNEL_TESTS + SERIES_TESTS))),
     ("arc_pairs", "petersson.py",
      "35.0 * (nf + ng)", "17.5 * (nf + ng)", NORM_TESTS),
     ("gauss_weights", "petersson.py",
