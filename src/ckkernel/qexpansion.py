@@ -12,20 +12,19 @@ of their operands, never silently beyond it, and each is one integer
 multiply of the Kronecker-substituted operands.  The divisor sums
 sigma_{k-1}(n) of an Eisenstein series come from one divisor sieve.
 
-Every weight's Miller basis takes its unreduced rows from one process-wide
-table (`_miller_row`), guarded by one lock and kept at one precision, the
-table's:
-- Delta^j, keyed by j, and E6^2: Delta comes from Jacobi's identity in
-  three squarings, and the powers grow in j on demand;
-- the rows Delta^j E6^(2i), i >= 1, keyed (j, i), each the row (j, i - 1)
-  times E6^2, shared by the weights of one dimension j + i.
-All are rebuilt at twice the table's precision or more when a larger one
-is asked for.  A smaller precision is answered by truncating, which is
-exact, as a product's first n coefficients depend only on its operands'
-first n; so every basis equals the one built afresh, whatever came before
-it.  Keys and precisions are bounded by _MAX_COUNT (`errors`).  `delta`
-builds afresh on every call, from E4 and E6, so it checks the table's Delta
-independently.
+Every weight's Miller basis takes its unreduced rows Delta^j E6^(2i) from
+one process-wide table (`_miller_row`), one dict keyed (j, i), guarded by
+one lock and kept at one precision, the table's.  Delta, at (1, 0), comes
+from Jacobi's identity in three squarings, and E6^2, at (0, 1), is one
+square; every other entry is made on demand from its neighbour, (j, i - 1)
+times E6^2 or (j - 1, 0) times Delta, and is shared by the weights that
+ask for it.  The table is rebuilt at twice its precision or more when a
+larger one is asked for.  A smaller precision is answered by truncating,
+which is exact, as a product's first n coefficients depend only on its
+operands' first n; so every basis equals the one built afresh, whatever
+came before it.  Keys and precisions are bounded by _MAX_COUNT (`errors`).
+`delta` builds afresh on every call, from E4 and E6, so it checks the
+table's Delta independently.
 
 Each public builder checks its arguments before any work
 (`errors._integer`): a weight, precision or Hecke index that is not an
@@ -216,56 +215,44 @@ def _jacobi_delta(prec: int) -> QExpansion:
     return QExpansion(12, (0, *p8.coeffs)[:prec])
 
 
-# The table `miller_basis` shares across weights, all to the precision of
-# Delta: Delta^j at index j - 1 of a list, E6^2 as the one entry of another,
-# and the unreduced rows Delta^j E6^(2i), i >= 1, keyed (j, i).  j + i =
-# dim S_k < prec <= _MAX_COUNT bounds all three.  `delta` stays off it.
-_delta_pows: list[QExpansion] = []
-_e6_sq: list[QExpansion] = []
-_miller_rows: dict[tuple[int, int], QExpansion] = {}
-_powers_lock = threading.Lock()  # an entry is read and made, or the table refilled, as one step
-
-
-def _truncated(f: QExpansion, prec: int) -> QExpansion:
-    """f to its first prec <= f.prec coefficients."""
-    return f if f.prec == prec else QExpansion(f.weight, f.coeffs[:prec])
-
-
-def _grown(pows: list[QExpansion], j: int) -> QExpansion:
-    """pows[j - 1], growing pows in j by one product per power; hold `_powers_lock`."""
-    while len(pows) < j:
-        pows.append(pows[-1] * pows[0])
-    return pows[j - 1]
+# The table `miller_basis` shares across weights: Delta^j E6^(2i), keyed
+# (j, i), all to one precision, Delta's.  Delta sits at (1, 0) and E6^2 at
+# (0, 1); j + i = dim S_k < prec <= _MAX_COUNT bounds the keys.  `delta`
+# stays off it.
+_table: dict[tuple[int, int], QExpansion] = {}
+_table_lock = threading.Lock()  # an entry is read and made, or the table refilled, as one step
 
 
 def _miller_row(j: int, i: int, prec: int) -> QExpansion:
     """Delta^j E6^(2i) to prec coefficients, j >= 1 and i >= 0, from the shared table.
 
-    The whole table holds one precision P: Delta's powers, E6^2 and the
-    rows.  A prec above P refills Delta and E6^2 at max(prec, min(2P,
-    _MAX_COUNT)), Delta from `_jacobi_delta` and E6^2 as one square, and
-    drops the powers above Delta and the rows, as the `bernoulli` table
-    grows, so ascending requests rebuild them O(log prec) times.  The powers
-    grow in j on demand.  A row with i >= 1 is the row (j, i - 1) times
-    E6^2, so E6^4 and higher are never formed: the chain starts at the
-    highest row below it that is kept, or at Delta^j.  Each row it makes is
-    kept for every weight of the same dimension.  A request is answered by
-    truncating to prec, which is exact, as the first n coefficients of a
-    product depend only on its operands' first n.  So every answer equals
-    the product taken afresh.  The lock is taken once, and the whole chain
-    runs under it.
+    The whole table holds one precision P.  A prec above P refills it at
+    max(prec, min(2P, _MAX_COUNT)) with Delta, from `_jacobi_delta`, and
+    E6^2, as one square, and drops every other entry, as the `bernoulli`
+    table grows, so ascending requests rebuild it O(log prec) times.  The
+    entry (j, i) is (j, i - 1) times E6^2 for i >= 1, and (j - 1, 0) times
+    Delta for i = 0, so E6^4 and higher are never formed: the chain walks
+    back from (j, i) to the first key kept, then multiplies forward, and
+    each entry it makes is kept for every weight that asks for it.  A
+    request is answered by truncating to prec, which is exact, as the first
+    n coefficients of a product depend only on its operands' first n.  So
+    every answer equals the product taken afresh.  The lock is taken once,
+    and the whole chain runs under it.
     """
-    with _powers_lock:
-        if not _delta_pows or _delta_pows[0].prec < prec:
-            size = max(prec, min(2 * _delta_pows[0].prec, _MAX_COUNT) if _delta_pows else 0)
+    with _table_lock:
+        if not _table or _table[1, 0].prec < prec:
+            size = max(prec, min(2 * _table[1, 0].prec, _MAX_COUNT) if _table else 0)
             e6 = eisenstein(6, size)
-            _delta_pows[:], _e6_sq[:] = [_jacobi_delta(size)], [e6 * e6]
-            _miller_rows.clear()
-        m = next((m for m in range(i, 0, -1) if (j, m) in _miller_rows), 0)
-        f = _miller_rows[j, m] if m else _grown(_delta_pows, j)
-        for m in range(m + 1, i + 1):
-            f = _miller_rows[j, m] = f * _e6_sq[0]
-    return _truncated(f, prec)
+            _table.clear()
+            _table[1, 0], _table[0, 1] = _jacobi_delta(size), e6 * e6
+        chain = [(j, i)]
+        while chain[-1] not in _table:
+            a, b = chain[-1]
+            chain.append((a, b - 1) if b else (a - 1, 0))
+        f = _table[chain.pop()]
+        for key in reversed(chain):
+            f = _table[key] = f * _table[(0, 1) if key[1] else (1, 0)]
+    return f if f.prec == prec else QExpansion(f.weight, f.coeffs[:prec])
 
 
 def dim_cusp(k: int) -> int:

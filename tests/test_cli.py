@@ -11,7 +11,7 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from types import SimpleNamespace
+from types import FunctionType, SimpleNamespace
 
 import pytest
 
@@ -347,32 +347,49 @@ def test_sources_compile_with_warnings_as_errors():
             compile(fh.read(), path, "exec")
 
 
+def layer_trees() -> dict:
+    """The syntax tree of each layer module of the package, by module name."""
+    src = os.path.dirname(ckkernel.__file__)
+    trees = {}
+    for name in sorted(n for n in os.listdir(src) if n.endswith(".py") and n != "__init__.py"):
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            trees[name[:-3]] = ast.parse(fh.read())
+    return trees
+
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def bench_sources() -> dict:
+    """The text of each Python file under perfbench, by its relative path."""
+    sources = {}
+    for name in glob.glob("**/*.py", root_dir=BENCH_DIR, recursive=True):
+        with open(os.path.join(BENCH_DIR, name), encoding="utf-8") as fh:
+            sources[name] = fh.read()
+    return sources
+
+
+def used(node, name, bare):
+    """Whether the tree reads name as an attribute, or as a bare name when
+    bare is true, outside a def or class of that name."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+        return False
+    if isinstance(node, ast.Name) and node.id == name:
+        return bare
+    if isinstance(node, ast.Attribute) and node.attr == name:
+        return True
+    return any(used(child, name, bare) for child in ast.iter_child_nodes(node))
+
+
 def test_every_exported_name_is_used_by_the_program_or_the_benchmark():
     # a name in a layer module's __all__ is used as code in the package outside
     # its own def or class: as an attribute, or as a bare name in its own module
     # or one that imports it (not in a string or a docstring, and not a local of
     # the same name elsewhere); or it is named in perfbench, whose tracer, hooks
     # and tests read it.  The rest is test-only code.
-    src = os.path.dirname(ckkernel.__file__)
-    trees = {}
-    for name in sorted(n for n in os.listdir(src) if n.endswith(".py") and n != "__init__.py"):
-        with open(os.path.join(src, name), encoding="utf-8") as fh:
-            trees[name[:-3]] = ast.parse(fh.read())
-    bench_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
-    bench = []
-    for name in glob.glob("**/*.py", root_dir=bench_dir, recursive=True) + ["layers.json"]:
-        with open(os.path.join(bench_dir, name), encoding="utf-8") as fh:
-            bench.append(fh.read())
-    bench_text = "\n".join(bench)
-
-    def used(node, name, bare):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
-            return False
-        if isinstance(node, ast.Name) and node.id == name:
-            return bare
-        if isinstance(node, ast.Attribute) and node.attr == name:
-            return True
-        return any(used(child, name, bare) for child in ast.iter_child_nodes(node))
+    trees = layer_trees()
+    with open(os.path.join(BENCH_DIR, "layers.json"), encoding="utf-8") as fh:
+        bench_text = "\n".join([*bench_sources().values(), fh.read()])
 
     def imports(tree):
         return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
@@ -386,6 +403,28 @@ def test_every_exported_name_is_used_by_the_program_or_the_benchmark():
                    for user, tree in trees.items())
         and not re.search(rf"\b{re.escape(name)}\b", bench_text)
     ]
+    assert unused == []
+
+
+def test_every_public_method_of_an_exported_class_is_read_by_the_program_or_the_benchmark():
+    # a public method or property of a class in a layer module's __all__ is
+    # read as an attribute by the package's or perfbench's code outside its own
+    # def (not in a comment, a string or a docstring); the rest is test-only
+    # code.  perfbench reads Eigenform.coefficient and .n_coeffs,
+    # QExpansion.prec and QuadratureSpec.x_nodes
+    layers = layer_trees()
+    trees = [*layers.values(), *map(ast.parse, bench_sources().values())]
+    kinds = (FunctionType, property, classmethod, staticmethod)
+    members = {}  # "module.Class.name" -> name
+    for module in layers:
+        mod = importlib.import_module(f"ckkernel.{module}")
+        for cls in (getattr(mod, n) for n in getattr(mod, "__all__", ())):
+            if isinstance(cls, type):
+                members |= {f"{module}.{cls.__name__}.{name}": name
+                            for name, member in vars(cls).items()
+                            if not name.startswith("_") and isinstance(member, kinds)}
+    assert {"qexpansion.Eigenform.coefficient", "qexpansion.QExpansion.prec"} <= set(members)
+    unused = [m for m, name in members.items() if not any(used(tree, name, False) for tree in trees)]
     assert unused == []
 
 

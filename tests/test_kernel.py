@@ -20,7 +20,14 @@ from ckkernel.kernel import (
     r_k,
     series_tail_bound,
 )
-from ckkernel.ntheory import ValueWithError, _prime_power_block, gamma_sum
+from ckkernel.ntheory import (
+    _FIX_BITS,
+    ValueWithError,
+    _pi_power_bracket,
+    _prime_power_block,
+    bernoulli,
+    gamma_sum,
+)
 from ckkernel.specfun import HalfIntOrder, bessel_j
 
 
@@ -52,6 +59,18 @@ def tail_bound_at(monkeypatch, k: int, n: int, t: int) -> float:
     return series_tail_bound(k, n, 1)
 
 
+def per_k_below_global(k: int) -> bool:
+    """Whether the exact weight-k bound (2 pi)^(3h) B_h^2 / (2 k! h!), h = k/2,
+    is at most the exact global one pi^18 / (2^8 7 945^2), in integers: with
+    B_h = num / den and pi^(3h - 18) below P / 2^_FIX_BITS, P the upper end
+    of its bracket, it is if 8^h num^2 2^8 7 945^2 P <= 2 k! h! den^2 2^_FIX_BITS."""
+    h = k // 2
+    b = bernoulli(h)
+    p = _pi_power_bracket(3 * h - 18)[1]
+    lhs = 8**h * b.numerator**2 * 2**8 * 7 * 945**2 * p
+    return lhs <= 2 * math.factorial(k) * math.factorial(h) * b.denominator**2 << _FIX_BITS
+
+
 class TestBounds:
     def test_per_k_weight_12_value(self):
         # frozen from a direct evaluation of 2 (2 pi)^6 (6!/12!) zeta(6)^2
@@ -78,6 +97,11 @@ class TestBounds:
         g = global_bound()
         for k in range(12, 41, 4):
             assert per_k_bound(k) <= g
+
+    def test_paper_inequality_holds_at_every_weight_to_400(self):
+        # the paper's per-weight bound is at most the global one for every k
+        # = 0 (mod 4) from 12 to 400, exactly; per_k_bound itself stops at 40
+        assert all(per_k_below_global(k) for k in range(12, 401, 4))
 
     def test_global_bound_below_one(self):
         g = global_bound()

@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -12,7 +13,7 @@ from ckkernel import lfunction, petersson
 from ckkernel.errors import DomainError, PrecisionError
 from ckkernel.kernel import r_k
 from ckkernel.lfunction import central_values, coefficient_count, completed_l
-from ckkernel.ntheory import ValueWithError
+from ckkernel.ntheory import _FIX_BITS, ValueWithError, _pi_power_fixed
 from ckkernel.petersson import (
     QuadratureSpec,
     default_spec,
@@ -348,6 +349,52 @@ class TestKohnenIdentity:
             assert abs(lhs.value - rhs) <= lhs.abs_err + rhs_err, (k, n)
 
 
+def _running_triangle(k, values):
+    """kohnen_triangle's loop written plainly, with a running error bound
+    (Higham 2002, section 3.3) carried in exact rationals beside each
+    computed float: every operation adds u |y| of its computed result y (u =
+    EPS / 2, the model fl(x op y) = (x op y) / (1 + delta)), and its
+    operands' bounds propagate through it exactly, second-order terms
+    included.  The scale's bound is its distance from the far end of the
+    exact bracket of 1 / (16 (2 pi)^(k/2)).  Returns the computed rhs_val
+    and rhs_err, and the bounds on their distance from the exact spectral
+    sum at the L-values' and norms' centres and from the exact propagated
+    error the loop's formula states."""
+    u = Fraction(EPS) / 2
+    lo, hi = _pi_power_fixed(16 * 2 ** (k // 2), 1, k // 2)
+    scale = (2 << _FIX_BITS) / (lo + hi)
+    s = Fraction(scale)
+    e_s = max(abs(s - Fraction(1 << _FIX_BITS, end)) for end in (lo, hi))
+
+    def rounded(y):  # a computed float and the bound u |y| on the rounding that made it
+        return y, u * abs(Fraction(y))
+
+    rhs_val = rhs_err = 0.0
+    mu_val = mu_err = Fraction(0)
+    for f, lv in values:
+        norm = petersson_norm_sq(f)
+        big_l, big_n = Fraction(lv.value), Fraction(norm.value)
+        p, e_p = rounded(scale * lv.value)
+        e_p += abs(big_l) * e_s
+        term, e_t = rounded(p / norm.value)
+        e_t += e_p / abs(big_n)
+        rhs_val, e = rounded(rhs_val + term)
+        mu_val += e_t + e
+        a, e_a = rounded(abs(lv.value) * norm.abs_err)
+        b, e_b = rounded(a / abs(norm.value))
+        e_b += e_a / abs(big_n)
+        c, e_c = rounded(lv.abs_err + b)
+        e_c += e_b
+        den, e_den = rounded(abs(norm.value) - norm.abs_err)
+        t, e_t = rounded(scale * c)
+        e_t += abs(s) * e_c + abs(Fraction(c)) * e_s + e_s * e_c
+        g, e_g = rounded(t / den)
+        e_g += (e_t + abs(Fraction(t) / Fraction(den)) * e_den) / (Fraction(den) - e_den)
+        rhs_err, e = rounded(rhs_err + g)
+        mu_err += e_g + e
+    return rhs_val, rhs_err, mu_val, mu_err
+
+
 class TestTriangleCheck:
     def test_both_sides_positive(self):
         for k in (12, 16):
@@ -378,6 +425,20 @@ class TestTriangleCheck:
                                         for a in (-lv.abs_err, lv.abs_err)
                                         for b in (-nm.abs_err, nm.abs_err))
                 assert abs(tri.rhs.value - centre) + prop <= tri.rhs.abs_err, k
+
+    @pytest.mark.parametrize("k", [12, 16, 20, 24, 28, 36, 40])
+    def test_bar_charges_hold_the_running_error_bound(self, k):
+        # the weights the report's triangle takes, k = 12..28, and the
+        # spectral weights 28, 36 and 40: (d + 7) EPS rhs_err is at least the
+        # running bound on rhs_err's own rounding (at most 0.46 of it), and
+        # the whole bar holds rhs_err, that bound and the value's bound
+        values = central_values(k)
+        rhs = kohnen_triangle(k, ValueWithError(1.0, 0.0), values).rhs
+        rhs_val, rhs_err, mu_val, mu_err = _running_triangle(k, values)
+        d = len(values)
+        assert rhs_val == rhs.value
+        assert mu_err <= (d + 7) * Fraction(EPS) * Fraction(rhs_err)
+        assert Fraction(rhs_err) + mu_err + mu_val <= Fraction(rhs.abs_err)
 
     def test_ratio_reported_as_measured(self):
         tri = triangle_check(12, 1e-9)

@@ -394,17 +394,14 @@ class TestDimCusp:
 
 
 def empty_power_table():
-    """Empty the table of Delta^j, E6^2 and the rows Delta^j E6^(2i) that
-    `miller_basis` shares across calls."""
-    qexpansion._delta_pows.clear()
-    qexpansion._e6_sq.clear()
-    qexpansion._miller_rows.clear()
+    """Empty the table of the rows Delta^j E6^(2i) that `miller_basis`
+    shares across calls."""
+    qexpansion._table.clear()
 
 
-def power_table() -> list:
-    """A copy of that table's powers of Delta, its E6^2 and its rows."""
-    return [list(qexpansion._delta_pows), list(qexpansion._e6_sq),
-            dict(qexpansion._miller_rows)]
+def power_table() -> dict:
+    """A copy of that table."""
+    return dict(qexpansion._table)
 
 
 def count_products(monkeypatch, fn, *args) -> int:
@@ -481,7 +478,7 @@ class TestMillerBasis:
                 refused += 1
                 assert power_table() == before, (k, prec)
         assert refused > 0
-        assert qexpansion._delta_pows[0].prec >= 250
+        assert qexpansion._table[1, 0].prec >= 250
 
     def test_weights_of_one_dimension_share_their_rows(self, monkeypatch):
         # k = 36 and 40 both have d = 3: the rows Delta^2 E6^2 and Delta E6^4,
@@ -497,10 +494,10 @@ class TestMillerBasis:
         monkeypatch.undo()
         assert len(products) == 3
         assert [list(g.coeffs) for g in basis] == monomial_miller_basis(40, 121)
-        assert set(qexpansion._miller_rows) == {(1, 1), (2, 1), (1, 2)}
-        for (j, i), row in qexpansion._miller_rows.items():
+        assert set(qexpansion._table) == {(1, 0), (0, 1), (2, 0), (3, 0), (1, 1), (2, 1), (1, 2)}
+        for (j, i), row in qexpansion._table.items():
             p = row.prec
-            assert p == qexpansion._delta_pows[0].prec, (j, i)
+            assert p == qexpansion._table[1, 0].prec, (j, i)
             assert row == delta(p).pow(j) * eisenstein(6, p).pow(2 * i), (j, i)
 
     def test_jacobi_delta_matches_the_eisenstein_route(self):
@@ -510,7 +507,7 @@ class TestMillerBasis:
         empty_power_table()
         for prec in (1, 2, 3, 16, 21, 32, 121, 250):
             assert qexpansion._miller_row(1, 0, prec) == delta(prec)
-            dl, e6_sq = qexpansion._delta_pows[0], qexpansion._e6_sq[0]
+            dl, e6_sq = qexpansion._table[1, 0], qexpansion._table[0, 1]
             p = dl.prec
             assert p == e6_sq.prec >= prec
             assert dl == delta(p), prec
@@ -534,10 +531,10 @@ class TestMillerBasis:
                 eigenforms(k, coefficient_count(k))
 
         assert count_products(monkeypatch, report_weights) == 22
-        p = qexpansion._delta_pows[0].prec
-        assert p == 26 and qexpansion._e6_sq[0].prec == p
-        assert qexpansion._miller_rows
-        assert all(row.prec == p for row in qexpansion._miller_rows.values())
+        p = qexpansion._table[1, 0].prec
+        assert p == 26 and qexpansion._table[0, 1].prec == p
+        assert any(j and i for j, i in qexpansion._table)
+        assert all(row.prec == p for row in qexpansion._table.values())
 
     def test_threads_share_the_table_safely(self):
         # four threads ask for bases in different orders, with precisions that

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from ckkernel import kernel, specfun
+from ckkernel import kernel, lfunction, petersson, qexpansion, specfun
 from ckkernel.errors import _MAX_COUNT, DomainError, PrecisionError
 from ckkernel.ntheory import _FIX_BITS, _PI_FIX_LO, ValueWithError
 from ckkernel.specfun import HalfIntOrder, _bessel_factor_fixed, bessel_j, upper_incomplete_gamma
@@ -386,7 +386,7 @@ def _running_incomplete_gamma(s, x):
 
 
 class TestLibm:
-    """The charges take pow and exp within one ulp, as glibc documents them;
+    """The charges take pow, exp and log within one ulp, as glibc documents them;
     these check that against 50 digits at the arguments the package passes,
     on the libm that runs the tests.  cos is checked at its arguments by
     test_kernel's test_gamma_charge_holds_the_running_error_bound."""
@@ -424,6 +424,35 @@ class TestLibm:
             for x in xs:
                 e = math.exp(-x)
                 assert abs(e - mp.exp(-mp.mpf(x))) <= math.ulp(e), x
+
+
+    def test_log_within_an_ulp_at_every_deligne_tail_start(self, monkeypatch):
+        # ln n0, as deligne_tail takes it in its exponent's charge, at every n0
+        # it is passed by central_values(k), even k = 12..60, and by the norms
+        # of the spectral weights' eigenforms at 120 coefficients, with the
+        # memoized rows emptied so that every call is made: n0 = 2..29 in 253
+        # calls, the worst 0.489 ulp with glibc
+        starts = set()
+        tail = lfunction.deligne_tail
+
+        def recorded(p, c, n0):
+            starts.add(n0)
+            return tail(p, c, n0)
+
+        monkeypatch.setattr(lfunction, "deligne_tail", recorded)
+        monkeypatch.setattr(petersson, "deligne_tail", recorded)
+        lfunction._gamma_row.cache_clear()
+        petersson._arc_nodes.cache_clear()
+        for k in range(12, 61, 2):
+            lfunction.central_values(k)
+        for k in (28, 36, 40):
+            for f in qexpansion.eigenforms(k, 120):
+                petersson.petersson_norm_sq(f)
+        assert len(starts) > 20  # the rows' and the arcs' starts still reach this hook
+        with mp.workdps(50):
+            for n0 in starts:
+                ln = math.log(n0)
+                assert abs(ln - mp.log(n0)) <= math.ulp(ln), n0
 
 
 class TestUpperIncompleteGamma:
